@@ -18,15 +18,14 @@ Asserted:
 * **parity** — byte-identical emitted batch streams (ranks, message keys,
   emission times, safe-emission times);
 * **work** — the fast path performs *zero* scalar probability evaluations
-  (the fallback performs one per pending pair per arrival);
-* **speed** — at the full benchmark size the fast path is >= 5x faster
-  wall-clock.
+  (the fallback performs one per pending pair per arrival).
 
 The per-client-pair FFT convolutions (identical one-time cost on both
 variants, cached in the model) are warmed outside the timed window so the
 measurement isolates the streaming hot path.  ``EMPIRICAL_BENCH_MESSAGES``
 overrides the stream length (the CI smoke step runs a small size); the
-wall-clock gate only applies at full size outside CI, like the engine bench.
+wall-clock ``speedup`` is recorded in the row and gated against
+``baselines.json`` by ``check_regression.py``, like the engine bench.
 """
 
 import os
@@ -46,7 +45,6 @@ from repro.simulation.event_loop import EventLoop
 
 NUM_MESSAGES = int(os.environ.get("EMPIRICAL_BENCH_MESSAGES", "2000"))
 NUM_CLIENTS = BENCH_CLUSTER_CLIENTS
-ASSERT_SPEEDUP = NUM_MESSAGES >= 1500 and not os.environ.get("CI")
 
 CONFIG = TommyConfig(p_safe=0.999, completeness_mode="none", seed=BENCH_SEED)
 
@@ -171,5 +169,3 @@ def test_empirical_kernel_matches_scalar_fallback_and_is_faster(benchmark):
     assert row["fast_scalar_evals"] == 0
     assert row["fast_table_evals"] > 0
     assert row["fallback_scalar_evals"] > 10 * NUM_MESSAGES
-    if ASSERT_SPEEDUP:
-        assert row["speedup"] >= 5.0, f"empirical kernel speedup {row['speedup']}x < 5x"

@@ -7,14 +7,12 @@ recompute-everything reference path (``use_engine=False``), then asserts:
 * **parity** — the emitted batch streams are byte-identical (ranks, message
   keys, emission times, safe-emission times);
 * **work** — the engine performs at least 5x fewer scalar probability
-  evaluations (it performs none on this Gaussian workload);
-* **speed** — at the full benchmark size the engine is at least 3x faster
-  wall-clock.
+  evaluations (it performs none on this Gaussian workload).
 
 ``ENGINE_BENCH_MESSAGES`` overrides the stream length (the CI smoke step
-runs a small size).  The wall-clock ratio is only asserted at full size and
-outside CI (``CI`` env unset): parity and evaluation counts are
-deterministic, but timing on shared CI runners is not a reliable gate.
+runs a small size).  The wall-clock ``speedup`` is recorded in the row and
+gated against ``baselines.json`` by ``check_regression.py``, not asserted
+here: parity and evaluation counts are deterministic, timing is not.
 """
 
 import os
@@ -32,7 +30,6 @@ from repro.simulation.event_loop import EventLoop
 
 NUM_MESSAGES = int(os.environ.get("ENGINE_BENCH_MESSAGES", "2000"))
 NUM_CLIENTS = BENCH_CLUSTER_CLIENTS
-ASSERT_SPEEDUP = NUM_MESSAGES >= 1500 and not os.environ.get("CI")
 
 CONFIG = TommyConfig(p_safe=0.99, completeness_mode="none", seed=BENCH_SEED)
 
@@ -121,5 +118,3 @@ def test_engine_matches_reference_and_is_faster(benchmark):
     # >=5x fewer scalar probability evaluations (none at all on Gaussians)
     assert row["reference_scalar_evals"] >= 5 * max(row["engine_scalar_evals"], 1)
     assert row["engine_scalar_evals"] == 0
-    if ASSERT_SPEEDUP:
-        assert row["speedup"] >= 3.0, f"engine speedup {row['speedup']}x < 3x"

@@ -22,8 +22,10 @@ Asserted:
   offline merge byte-for-byte, both mid-stream and at the end;
 * **pruning** — the time-localised workload resolves a nontrivial fraction
   of batch pairs by window pruning alone;
-* **speed** — >= 10x wall-clock at the full 8 shards x 64 batches size
-  (skipped in CI and at reduced sizes, like the other benches).
+
+Recorded, not asserted: **speed** — the wall-clock ``speedup`` goes into the
+row and is gated against ``baselines.json`` by ``check_regression.py``; an
+in-test wall-clock floor made tier-1 flaky.
 
 ``MERGE_BENCH_BATCHES`` overrides the per-shard batch count (the CI smoke
 step runs 16).
@@ -48,7 +50,6 @@ NUM_BATCHES = int(os.environ.get("MERGE_BENCH_BATCHES", "64"))
 CLIENTS_PER_SHARD = 3
 MESSAGES_PER_BATCH = 3
 BATCH_GAP = 0.02
-ASSERT_SPEEDUP = NUM_BATCHES >= 64 and not os.environ.get("CI")
 
 
 def build_workload():
@@ -199,5 +200,3 @@ def test_merge_kernel_matches_pairwise_and_is_faster(benchmark):
     # the time-localised stream resolves a solid fraction by windows alone
     # (shorter smoke streams have proportionally fewer far-apart pairs)
     assert row["pruned_fraction"] > (0.25 if NUM_BATCHES >= 64 else 0.1)
-    if ASSERT_SPEEDUP:
-        assert row["speedup"] >= 10.0, f"merge kernel speedup {row['speedup']}x < 10x"

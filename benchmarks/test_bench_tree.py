@@ -20,10 +20,11 @@ Asserted:
   counters, coalescing);
 * **pruning** — the time-localised streams resolve most batch pairs by
   certainty windows alone;
-* **speed** — >= 5x wall-clock over flat at the full 64 shards x 32
-  batches size (skipped in CI and at reduced sizes, like the other
-  benches); both sides are timed best-of-``TIMING_ROUNDS`` with a fresh
-  merger per round so shared-runner noise can't fake a regression.
+
+Recorded, not asserted: **speed** — the wall-clock ``speedup`` over flat
+(both sides timed best-of-``TIMING_ROUNDS`` with a fresh merger per round)
+goes into the row and is gated against ``baselines.json`` by
+``check_regression.py``; an in-test wall-clock floor made tier-1 flaky.
 
 ``TREE_BENCH_SHARDS`` / ``TREE_BENCH_BATCHES`` override the cluster width
 and per-shard batch count (the CI smoke step runs 32 x 16).
@@ -51,7 +52,6 @@ FANOUT = 2
 # best-of-N walls with a fresh merger per round: one noisy round (GC pause,
 # shared-runner contention) cannot sink the speedup ratio
 TIMING_ROUNDS = 3
-ASSERT_SPEEDUP = NUM_SHARDS >= 64 and NUM_BATCHES >= 32 and not os.environ.get("CI")
 
 
 def build_workload():
@@ -176,5 +176,3 @@ def test_tree_merge_matches_flat_and_is_faster_at_wide_clusters(benchmark):
     assert row["cross_pairs"] == (NUM_SHARDS * (NUM_SHARDS - 1) // 2) * NUM_BATCHES**2
     # the time-localised streams resolve most pairs by windows alone
     assert row["pruned_fraction"] > (0.5 if NUM_BATCHES >= 32 else 0.25)
-    if ASSERT_SPEEDUP:
-        assert row["speedup"] >= 5.0, f"tree merge speedup {row['speedup']}x < 5x"

@@ -15,6 +15,7 @@ output, band-local kernel work.
 from repro.cluster.harness import ClusterTransport, replay_scenario
 from repro.cluster.intake import IntakeDedupeGate
 from repro.cluster.merge import CertaintyWindows, CrossShardMerger, MergeOutcome, StreamingMerger
+from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.router import (
     HashSharding,
     LoadAwareSharding,
@@ -47,4 +48,6 @@ __all__ = [
     "ClusterTransport",
     "replay_scenario",
     "IntakeDedupeGate",
+    "build_router",
+    "build_merge",
 ]

@@ -24,12 +24,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster.intake import IntakeDedupeGate
 from repro.cluster.merge import CrossShardMerger, MergeOutcome, StreamingMerger
+from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.router import ShardingPolicy, ShardRouter
 from repro.cluster.tree import HierarchicalMerger, MergeTopology
 from repro.core.config import TommyConfig
 from repro.core.engine import EngineStats
 from repro.core.online import EmittedBatch, OnlineTommySequencer
-from repro.core.probability import PrecedenceModel
 from repro.distributions.base import OffsetDistribution
 from repro.network.message import Heartbeat, SequencedBatch, TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
@@ -116,16 +116,7 @@ class ShardedSequencer(Entity):
         self._telemetry = telemetry
         self._obs = resolve(telemetry)
         self._distributions = dict(client_distributions)
-        if router is not None:
-            if router.num_shards != num_shards:
-                raise ValueError(
-                    f"router has {router.num_shards} shards, cluster expects {num_shards}"
-                )
-            self._router = router
-        else:
-            self._router = ShardRouter(num_shards, policy)
-        for client_id in sorted(self._distributions):
-            self._router.assign(client_id)
+        self._router = build_router(self._distributions, num_shards, policy, router=router)
 
         self._shards: List[ShardState] = []
         for index in range(num_shards):
@@ -144,44 +135,26 @@ class ShardedSequencer(Entity):
                 ShardState(index=index, sequencer=sequencer, last_heartbeat=self.now)
             )
 
-        merge_model = PrecedenceModel(
-            method=self._config.probability_method,
-            convolution_points=self._config.convolution_points,
-        )
-        for client_id, distribution in self._distributions.items():
-            merge_model.register_client(client_id, distribution)
-        self._merger = CrossShardMerger(
-            merge_model,
-            threshold=self._config.threshold if merge_threshold is None else merge_threshold,
-            cycle_policy=self._config.cycle_policy,
-            seed=self._config.seed if self._config.seed is not None else 0,
-            telemetry=telemetry,
-        )
-        # hierarchical merge: "binary"/"region" arrange the shards as leaves
-        # of a bounded-fanout tree and price every cross-shard batch pair at
-        # its lowest common ancestor — same merged order (parity-tested),
-        # log-depth kernel work at wide shard counts
         self._merge_topology_kind = merge_topology
         self._merge_fanout = int(merge_fanout)
-        self._topology: Optional[MergeTopology] = None
-        self._tree_merger: Optional[HierarchicalMerger] = None
-        if merge_topology != "flat":
-            self._topology = MergeTopology.build(
-                merge_topology,
-                num_shards,
-                fanout=merge_fanout,
-                region_map=self._router.region_map(),
-            )
-            self._tree_merger = self._merger.tree_merger(self._topology)
+        self._merger, self._topology, streaming = build_merge(
+            self._distributions,
+            self._config,
+            self._router,
+            merge_topology=merge_topology,
+            merge_fanout=merge_fanout,
+            telemetry=telemetry,
+            merge_threshold=merge_threshold,
+        )
+        self._tree_merger: Optional[HierarchicalMerger] = (
+            self._merger.tree_merger(self._topology) if self._topology is not None else None
+        )
         # live merged order: every shard emission streams into an incremental
         # merger, so draining the cluster is a linearisation of maintained
         # state instead of an O(everything) re-merge; merge() stays available
         # as the offline parity oracle
-        self._streaming: Optional[StreamingMerger] = None
+        self._streaming: Optional[StreamingMerger] = streaming if streaming_merge else None
         if streaming_merge:
-            self._streaming = self._merger.streaming_merger(
-                num_shards=num_shards, topology=self._topology
-            )
             for shard in self._shards:
                 shard.sequencer.subscribe_emissions(self._emission_observer(shard.index))
 

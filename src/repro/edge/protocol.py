@@ -77,6 +77,8 @@ ERR_MALFORMED_FRAME = "malformed-frame"
 ERR_UNKNOWN_TYPE = "unknown-frame-type"
 ERR_UNKNOWN_CLIENT = "unknown-client"
 ERR_BAD_PAYLOAD = "bad-payload"
+#: the server itself failed (intake pump / dispatcher died); the run is over
+ERR_SERVER_FAILURE = "server-failure"
 
 
 class ProtocolError(Exception):

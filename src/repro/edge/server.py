@@ -18,6 +18,13 @@ Disconnect policy (documented contract, tested in ``tests/edge``): messages
 a promise — while the dead connection's watermark hold is released so the
 rest of the cluster keeps advancing.  Protocol violations are answered with
 a typed ERROR frame and a close; the server never hangs on bad input.
+
+Failure policy: an exception out of the dispatcher (a dead procs worker
+surfaces on ``advance()``) kills the intake pump, and a dead pump is
+terminal and loud — every open connection gets a typed ``server-failure``
+ERROR frame and is closed, the listener stops accepting, and
+:meth:`EdgeServer.finish` / :meth:`EdgeServer.serve_until_idle` re-raise the
+pump's exception instead of waiting on a queue nobody drains.
 """
 
 from __future__ import annotations
@@ -71,7 +78,8 @@ class EdgeServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._intake: Optional[asyncio.Queue] = None
         self._pump_task: Optional[asyncio.Task] = None
-        self._handlers: Dict[int, asyncio.Task] = {}
+        self._handlers: Dict[_Connection, asyncio.Task] = {}
+        self._failure: Optional[BaseException] = None
         self._next_conn = 0
         self._open_conns = 0
         self._served_conns = 0
@@ -155,8 +163,16 @@ class EdgeServer:
             await self._server.wait_closed()
         if self._handlers:
             await asyncio.gather(*self._handlers.values(), return_exceptions=True)
-        if self._intake is not None:
-            await self._intake.join()
+        if self._intake is not None and self._pump_task is not None:
+            # the pump only ever returns by failing: wait for whichever comes
+            # first, a drained queue or a dead pump that will never drain it
+            drained = asyncio.ensure_future(self._intake.join())
+            await asyncio.wait(
+                {drained, self._pump_task}, return_when=asyncio.FIRST_COMPLETED
+            )
+            drained.cancel()
+        if self._failure is not None:
+            raise self._failure
         if self._pump_task is not None:
             self._pump_task.cancel()
             try:
@@ -175,11 +191,12 @@ class EdgeServer:
         Returns the finalized outcome once the server has been idle — no
         open connections, empty intake queue — for ``idle_grace`` seconds
         after serving at least one connection.  This is the ``repro serve``
-        CLI's default lifecycle (and what the loopback example drives).
+        CLI's default lifecycle (and what the loopback example drives).  A
+        dead intake pump ends the wait at once: :meth:`finish` re-raises it.
         """
         while True:
             await asyncio.sleep(idle_grace)
-            if (
+            if self._failure is not None or (
                 self._served_conns > 0
                 and self._open_conns == 0
                 and (self._intake is None or self._intake.empty())
@@ -216,7 +233,7 @@ class EdgeServer:
         if self._obs.enabled:
             self._obs.gauge("edge.connections_open", self._open_conns)
         self._event("connection_open", source=conn.source, peer=str(conn.peer))
-        self._handlers[id(conn)] = asyncio.current_task()
+        self._handlers[conn] = asyncio.current_task()
         decoder = FrameDecoder(self._max_frame_bytes)
         clean_close = False
         try:
@@ -238,7 +255,7 @@ class EdgeServer:
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._handlers.pop(id(conn), None)
+            self._handlers.pop(conn, None)
             self._open_conns -= 1
             if self._obs.enabled:
                 self._obs.gauge("edge.connections_open", self._open_conns)
@@ -261,6 +278,9 @@ class EdgeServer:
 
     async def _on_frame(self, conn: _Connection, frame: Frame) -> bool:
         """Process one frame; returns ``True`` when the connection is done."""
+        if self._failure is not None:
+            await self._fail(conn, protocol.ERR_SERVER_FAILURE, repr(self._failure))
+            return True
         if frame.type == protocol.HELLO:
             if conn.hello_seen:
                 await self._fail(conn, protocol.ERR_DUPLICATE_HELLO, "HELLO already received")
@@ -314,6 +334,13 @@ class EdgeServer:
             except ProtocolError as exc:
                 await self._fail(conn, exc.code, exc.detail)
                 return True
+            if heartbeat.client_id not in self._dispatcher.spec.client_distributions:
+                await self._fail(
+                    conn,
+                    protocol.ERR_UNKNOWN_CLIENT,
+                    f"client {heartbeat.client_id!r} is not provisioned",
+                )
+                return True
             await self._enqueue(("hb", conn, heartbeat))
             return False
         if frame.type == protocol.CLOSE:
@@ -328,6 +355,8 @@ class EdgeServer:
     async def _enqueue(self, item) -> None:
         """Bounded put: a full queue suspends this handler (TCP pushback)."""
         assert self._intake is not None
+        if self._failure is not None:
+            return  # nobody drains the queue any more
         try:
             self._intake.put_nowait(item)
         except asyncio.QueueFull:
@@ -357,37 +386,57 @@ class EdgeServer:
         sim transport uses.
         """
         assert self._intake is not None
-        while True:
-            batch = [await self._intake.get()]
+        try:
             while True:
-                try:
-                    batch.append(self._intake.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            for kind, conn, payload in batch:
-                if kind == "msg":
-                    admitted = self._dispatcher.submit(conn.source, payload)
-                    self._count(
-                        "edge.messages_admitted" if admitted else "edge.duplicates_rejected"
-                    )
-                    self._ack(
-                        conn,
-                        protocol.MSG_ACK,
-                        {"id": int(payload.message_id), "admitted": admitted},
-                    )
-                elif kind == "hb":
-                    self._dispatcher.submit_heartbeat(conn.source, payload)
-                    self._count("edge.heartbeats")
-                    self._ack(conn, protocol.HEARTBEAT_ACK, {"vtime": payload.true_time})
-                elif kind == "close":
-                    self._dispatcher.close_source(conn.source)
-                    if payload:  # clean CLOSE: acknowledge before teardown
-                        self._ack(conn, protocol.CLOSE_ACK, {"messages": conn.messages})
-                    conn.closed.set()
-            self._dispatcher.advance()
-            for _ in batch:
-                self._intake.task_done()
-            self._gauge_depth()
+                batch = [await self._intake.get()]
+                while True:
+                    try:
+                        batch.append(self._intake.get_nowait())
+                    except asyncio.QueueEmpty:
+                        break
+                for kind, conn, payload in batch:
+                    if kind == "msg":
+                        admitted = self._dispatcher.submit(conn.source, payload)
+                        self._count(
+                            "edge.messages_admitted" if admitted else "edge.duplicates_rejected"
+                        )
+                        self._ack(
+                            conn,
+                            protocol.MSG_ACK,
+                            {"id": int(payload.message_id), "admitted": admitted},
+                        )
+                    elif kind == "hb":
+                        self._dispatcher.submit_heartbeat(conn.source, payload)
+                        self._count("edge.heartbeats")
+                        self._ack(conn, protocol.HEARTBEAT_ACK, {"vtime": payload.true_time})
+                    elif kind == "close":
+                        self._dispatcher.close_source(conn.source)
+                        if payload:  # clean CLOSE: acknowledge before teardown
+                            self._ack(conn, protocol.CLOSE_ACK, {"messages": conn.messages})
+                        conn.closed.set()
+                self._dispatcher.advance()
+                for _ in batch:
+                    self._intake.task_done()
+                self._gauge_depth()
+        except Exception as exc:
+            self._on_pump_failure(exc)
+
+    def _on_pump_failure(self, exc: Exception) -> None:
+        """Terminal: tell every open connection, stop accepting, wake finish()."""
+        self._failure = exc
+        self._count("edge.server_failures")
+        self._event("server_failure", error=repr(exc))
+        if self._server is not None:
+            self._server.close()
+        for conn, handler in list(self._handlers.items()):
+            try:
+                conn.writer.write(
+                    protocol.error_frame(protocol.ERR_SERVER_FAILURE, repr(exc))
+                )
+            except (ConnectionResetError, BrokenPipeError, OSError, RuntimeError):
+                pass
+            # the handler's teardown closes the transport, flushing the frame
+            handler.cancel()
 
     def _ack(self, conn: _Connection, frame_type: int, payload: Dict[str, object]) -> None:
         try:

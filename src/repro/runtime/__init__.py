@@ -6,8 +6,9 @@ frozen :class:`ClusterWorkload` runs on
 
 * :class:`~repro.runtime.sim.SimBackend` — the deterministic event-loop
   substrate (the parity/chaos oracle), and
-* :class:`~repro.runtime.procs.ProcBackend` — one worker process per shard
-  with a coordinator-side streaming merge (throughput scales with cores),
+* :class:`~repro.runtime.procs.ProcBackend` — shard worker processes under
+  the one :class:`~repro.runtime.procs.ShardCoordinator` (supervision,
+  cursor-gated streaming merge; throughput scales with cores),
 
 with a bitwise-equal merged order (``RuntimeOutcome.fingerprint()``)
 asserted across backends in ``tests/runtime`` and
@@ -18,16 +19,20 @@ Workloads come in two shapes: the frozen :class:`ClusterWorkload`
 parity oracle's input) and the live path
 (:class:`~repro.runtime.live.LiveDispatcher`), where traffic is submitted
 one message at a time by the socket edge (:mod:`repro.edge`) and sequenced
-incrementally under a per-source watermark discipline.  The parity
-guarantee extends to the live path: a frozen workload streamed through
-``submit()`` — or through real sockets — produces the same fingerprint as
-the one-shot replay, on either runtime.
+incrementally under a per-source watermark discipline.  Both are shaped by
+one :class:`LiveClusterSpec`, and on ``procs`` both drive the same
+coordinator and the same wave-driven worker: a frozen replay is a live
+dispatch whose only source is already closed.  The parity guarantee extends
+to the live path: a frozen workload streamed through ``submit()`` — or
+through real sockets — produces the same fingerprint as the one-shot
+replay, on either runtime.
 """
 
 from repro.runtime.base import (
     RUNTIME_NAMES,
     ClockHandle,
     ClusterWorkload,
+    LiveClusterSpec,
     RuntimeBackend,
     RuntimeOutcome,
     Scheduler,
@@ -47,7 +52,6 @@ _LAZY = {
     "WorkerCrashed": ("repro.runtime.procs", "WorkerCrashed"),
     "WorkerSupervisor": ("repro.runtime.procs", "WorkerSupervisor"),
     "LIVE_RUNTIMES": ("repro.runtime.live", "LIVE_RUNTIMES"),
-    "LiveClusterSpec": ("repro.runtime.live", "LiveClusterSpec"),
     "LiveDispatcher": ("repro.runtime.live", "LiveDispatcher"),
 }
 

@@ -42,6 +42,7 @@ from typing import (
 )
 
 from repro.cluster.merge import MergeOutcome, merge_fingerprint
+from repro.cluster.recipe import build_router
 from repro.cluster.router import ShardingPolicy, ShardRouter
 from repro.core.config import TommyConfig
 from repro.distributions.base import OffsetDistribution
@@ -224,21 +225,52 @@ class ClusterWorkload:
         return end_time, beacon
 
     def build_router(self) -> ShardRouter:
-        """The routing table both backends share.
-
-        Mirrors :class:`~repro.cluster.sharded.ShardedSequencer`'s
-        construction exactly (clients assigned in sorted order), so the
-        sim cluster and the process coordinator agree on shard ownership.
-        """
-        router = ShardRouter(self.num_shards, self.policy)
-        for client_id in sorted(self.client_distributions):
-            router.assign(client_id)
-        return router
+        """The routing table every backend shares (the one cluster recipe)."""
+        return build_router(self.client_distributions, self.num_shards, self.policy)
 
     def shard_assignments(self) -> List[List[str]]:
         """Per-shard sorted client-id lists under :meth:`build_router`."""
         router = self.build_router()
         return [router.clients_of(shard) for shard in range(self.num_shards)]
+
+
+@dataclass(frozen=True)
+class LiveClusterSpec:
+    """Static cluster shape: a :class:`ClusterWorkload` minus its messages.
+
+    The provisioned client population (with offset distributions), shard
+    count, sequencer config, merge topology, and the replay delay / closing
+    heartbeat slack used to mirror the frozen closing-horizon rule at drain
+    time.  The one spec type the procs coordinator and the live dispatcher
+    are built from; a frozen workload maps onto it via :meth:`from_workload`.
+    """
+
+    client_distributions: Dict[str, OffsetDistribution]
+    num_shards: int
+    config: TommyConfig = field(default_factory=TommyConfig)
+    policy: Optional[ShardingPolicy] = None
+    merge_topology: str = "flat"
+    merge_fanout: int = 2
+    delay: float = 0.0
+    heartbeat_slack: float = 1e-3
+
+    @classmethod
+    def from_workload(cls, workload: ClusterWorkload) -> "LiveClusterSpec":
+        """Adopt a frozen workload's shape."""
+        return cls(
+            client_distributions=dict(workload.client_distributions),
+            num_shards=workload.num_shards,
+            config=workload.config,
+            policy=workload.policy,
+            merge_topology=workload.merge_topology,
+            merge_fanout=workload.merge_fanout,
+            delay=workload.replay_delay,
+            heartbeat_slack=workload.heartbeat_slack,
+        )
+
+    def client_ids(self) -> Tuple[str, ...]:
+        """All provisioned client ids (sorted)."""
+        return tuple(sorted(self.client_distributions))
 
 
 @dataclass(frozen=True)
@@ -337,6 +369,7 @@ __all__ = [
     "WallClock",
     "clock_of",
     "ClusterWorkload",
+    "LiveClusterSpec",
     "RuntimeOutcome",
     "RuntimeBackend",
     "resolve_backend",

@@ -1,4 +1,4 @@
-"""Live (non-frozen) workload dispatch beside the frozen ``ShardTask`` path.
+"""Live (non-frozen) workload dispatch: watermark waves into a runtime.
 
 :class:`LiveDispatcher` is the coordinator-side intake loop for traffic that
 does *not* exist up front: messages are submitted one at a time (by the
@@ -9,221 +9,53 @@ cluster uses, and sequenced incrementally on the selected runtime —
 * ``runtime="sim"`` — a :class:`~repro.cluster.sharded.ShardedSequencer` on a
   private deterministic :class:`~repro.simulation.event_loop.EventLoop`,
   routed through the cluster's public ``receive`` wrapper;
-* ``runtime="procs"`` — one live worker process per shard slice (the
-  streaming counterpart of :class:`repro.runtime.procs.ProcBackend`), fed
-  watermark-batched waves over a command queue, with the coordinator folding
-  emitted batches into the same :class:`~repro.cluster.merge.StreamingMerger`
-  recipe under the observation-cursor exactly-once check.
+* ``runtime="procs"`` — the :class:`~repro.runtime.procs.ShardCoordinator`
+  (the very object :class:`~repro.runtime.procs.ProcBackend` replays a frozen
+  workload through), fed one wave per watermark advance.
+
+Both runtimes execute a wave with the same two routines
+(:func:`~repro.runtime.procs.run_wave` / :func:`~repro.runtime.procs.run_close`),
+so the wave semantics exist once.
 
 Parity contract: virtual time is carried on every submitted message
 (``true_time``); each source (connection) promises per-source monotone
 ``true_time``\\ s (FIFO), so the global watermark — the min over open
-sources' high-water marks — bounds every future arrival.  The dispatcher
-schedules buffered arrivals at ``true_time + delay`` with priority ``-1``
-(arrivals beat same-instant emission checks, exactly as pre-scheduled
-arrivals beat mid-run-scheduled checks in the frozen replay) and advances the
-loop *strictly below* the watermark, so a frozen workload streamed through
-``submit()`` executes the identical event sequence as
-:func:`~repro.cluster.harness.replay_messages` and yields a bitwise-equal
-``RuntimeOutcome.fingerprint()`` (pinned in ``tests/edge`` /
+sources' high-water marks — bounds every future arrival.  Buffered arrivals
+are released up to the watermark in ``(true_time, timestamp, client_id,
+sequence, submission)`` order and the runtime advances *strictly below* it,
+so a frozen workload streamed through ``submit()`` executes the identical
+event sequence as :func:`~repro.cluster.harness.replay_messages` and yields a
+bitwise-equal ``RuntimeOutcome.fingerprint()`` (pinned in ``tests/edge`` /
 ``tests/runtime/test_live_dispatcher.py``).  With equal ``true_time`` ties
 across *different* sources the relative order is submission order (the
 generated workloads draw continuous unique times, so ties never arise
 there).
 
-Failure model: live procs workers fail fast — a dead worker raises
-:class:`~repro.runtime.procs.WorkerCrashed` (there is no frozen task to
-replay; a replayable intake log is the ROADMAP follow-up).
+Failure model: live procs workers fail fast — the coordinator runs with a
+zero restart budget, so the ``advance()`` (or ``finish()``) whose poll sees a
+dead worker raises :class:`~repro.runtime.procs.WorkerCrashed`, and so does
+every later call.  Restart needs a replayable intake log (the ROADMAP
+follow-up); once it exists only the budget changes.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
-import traceback
-from dataclasses import dataclass, field
-from queue import Empty
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.intake import IntakeDedupeGate
-from repro.cluster.merge import CrossShardMerger, StreamingMerger
 from repro.cluster.sharded import ShardedSequencer
-from repro.cluster.tree import MergeTopology
-from repro.core.config import TommyConfig
-from repro.core.online import OnlineTommySequencer
-from repro.core.probability import PrecedenceModel
 from repro.network.message import Heartbeat, TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
-from repro.runtime.base import ClusterWorkload, RuntimeOutcome
-from repro.runtime.procs import WorkerCrashed
+from repro.runtime.base import LiveClusterSpec, RuntimeOutcome
+from repro.runtime.procs import RestartPolicy, ShardCoordinator, run_close, run_wave
 from repro.simulation.event_loop import EventLoop
 
 #: Runtime modes the live dispatcher can host.
 LIVE_RUNTIMES: Tuple[str, ...] = ("sim", "procs")
 
 _NEG_INF = float("-inf")
-
-
-def _strictly_before(instant: float) -> float:
-    """Largest float below ``instant`` — the exclusive ``run(until=...)`` bound.
-
-    Arrivals exactly *at* the watermark stay pending: a well-behaved source
-    may still send another message at its current watermark, and that late
-    twin must be schedulable before anything at that instant executes.
-    """
-    return math.nextafter(instant, _NEG_INF)
-
-
-@dataclass(frozen=True)
-class LiveClusterSpec:
-    """Static cluster shape for a live run (the non-frozen ``ClusterWorkload``).
-
-    Everything :class:`ClusterWorkload` freezes *except* the messages: the
-    provisioned client population (with offset distributions), shard count,
-    sequencer config, merge topology, and the replay delay / closing
-    heartbeat slack used to mirror the frozen closing-horizon rule at drain
-    time.
-    """
-
-    client_distributions: Dict[str, object]
-    num_shards: int
-    config: TommyConfig = field(default_factory=TommyConfig)
-    policy: Optional[object] = None
-    merge_topology: str = "flat"
-    merge_fanout: int = 2
-    delay: float = 0.0
-    heartbeat_slack: float = 1e-3
-
-    @classmethod
-    def from_workload(cls, workload: ClusterWorkload) -> "LiveClusterSpec":
-        """Adopt a frozen workload's shape (used by the parity harness)."""
-        return cls(
-            client_distributions=dict(workload.client_distributions),
-            num_shards=workload.num_shards,
-            config=workload.config,
-            policy=workload.policy,
-            merge_topology=workload.merge_topology,
-            merge_fanout=workload.merge_fanout,
-            delay=workload.replay_delay,
-            heartbeat_slack=workload.heartbeat_slack,
-        )
-
-    def client_ids(self) -> Tuple[str, ...]:
-        """All provisioned client ids (sorted)."""
-        return tuple(sorted(self.client_distributions))
-
-
-@dataclass(frozen=True)
-class _LiveShardSpec:
-    """Per-shard bootstrap shipped to a live worker process (picklable)."""
-
-    shard_index: int
-    client_distributions: Dict[str, object]
-    known_clients: Tuple[str, ...]
-    config: object
-    delay: float
-    collect_telemetry: bool
-    name: str
-
-
-def _schedule_arrival(loop: EventLoop, receiver, item, delay: float) -> bool:
-    """Schedule one live arrival at its virtual time; return ``True`` if late.
-
-    Mirrors :func:`~repro.cluster.harness.replay_messages`'s
-    ``max(true_time + delay, now)`` clamp; priority ``-1`` keeps arrivals
-    ahead of same-instant emission-check events (see module docstring).
-    """
-    due = item.true_time + delay
-    now = loop.now
-    late = due < now
-    loop.schedule_at(max(due, now), receiver.receive, item, priority=-1)
-    return late
-
-
-def _live_worker_main(shard_specs: Sequence[_LiveShardSpec], in_queue, out_queue) -> None:
-    """Live worker entry point: host shard sequencers, consume wave commands.
-
-    Commands (from the coordinator):
-
-    * ``("wave", items_by_shard, watermark)`` — schedule each shard's new
-      arrivals and advance every hosted shard's loop strictly below
-      ``watermark + delay``;
-    * ``("close", heartbeat_time, heartbeat_timestamp)`` — inject the global
-      closing heartbeats (sorted client order, like the frozen replay), run
-      to completion, flush, ship per-shard ``("done", shard, summary)`` and
-      exit.
-
-    Every emission streams back immediately as ``("batch", shard, batch)``,
-    the same result protocol as the frozen :func:`_run_shard` path.
-    """
-    current_shard = -1
-    try:
-        started = time.perf_counter()
-        shards = []
-        for spec in shard_specs:
-            loop = EventLoop()
-            telemetry = Telemetry() if spec.collect_telemetry else None
-            sequencer = OnlineTommySequencer(
-                loop,
-                dict(spec.client_distributions),
-                config=spec.config,
-                known_clients=list(spec.known_clients),
-                name=spec.name,
-                use_engine=True,
-                telemetry=telemetry,
-                shard_index=spec.shard_index,
-            )
-
-            def on_emit(emitted, _shard=spec.shard_index) -> None:
-                out_queue.put(("batch", _shard, emitted.batch))
-
-            sequencer.subscribe_emissions(on_emit)
-            shards.append((spec, loop, sequencer, telemetry))
-        received = {spec.shard_index: 0 for spec in shard_specs}
-        while True:
-            command = in_queue.get()
-            kind = command[0]
-            if kind == "wave":
-                _, items_by_shard, watermark = command
-                for spec, loop, sequencer, _ in shards:
-                    current_shard = spec.shard_index
-                    for item in items_by_shard.get(spec.shard_index, ()):
-                        _schedule_arrival(loop, sequencer, item, spec.delay)
-                        if isinstance(item, TimestampedMessage):
-                            received[spec.shard_index] += 1
-                    if watermark is not None and math.isfinite(watermark):
-                        loop.run(until=_strictly_before(watermark + spec.delay))
-            elif kind == "close":
-                _, heartbeat_time, heartbeat_timestamp = command
-                for spec, loop, sequencer, telemetry in shards:
-                    current_shard = spec.shard_index
-                    if heartbeat_time is not None and heartbeat_timestamp is not None:
-                        for client_id in sorted(spec.known_clients):
-                            heartbeat = Heartbeat(
-                                client_id=client_id,
-                                timestamp=heartbeat_timestamp,
-                                true_time=heartbeat_time,
-                            )
-                            loop.schedule_at(
-                                heartbeat_time, sequencer.receive, heartbeat, priority=-1
-                            )
-                    loop.run()
-                    sequencer.flush()
-                    summary = {
-                        "message_count": received[spec.shard_index],
-                        "batch_count": len(sequencer.emitted_batches),
-                        "wall_seconds": time.perf_counter() - started,
-                        "loop": loop.stats(),
-                        "stages": telemetry.stage_records if telemetry is not None else [],
-                        "events": telemetry.event_records if telemetry is not None else [],
-                    }
-                    out_queue.put(("done", spec.shard_index, summary))
-                return
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown live worker command {kind!r}")
-    except BaseException:
-        out_queue.put(("error", current_shard, traceback.format_exc()))
 
 
 class LiveDispatcher:
@@ -260,8 +92,6 @@ class LiveDispatcher:
             clock=lambda: self._max_vtime if self._max_vtime is not None else 0.0,
         )
         self._started = time.perf_counter()
-        self._poll_timeout = poll_timeout
-        self._join_timeout = join_timeout
         # per-source virtual-time high-water marks (the watermark inputs)
         self._sources: Dict[str, float] = {}
         self._advanced_to = _NEG_INF
@@ -274,6 +104,7 @@ class LiveDispatcher:
         self._late = 0
         self._finished: Optional[RuntimeOutcome] = None
 
+        self._coordinator: Optional[ShardCoordinator] = None
         if runtime == "sim":
             self._loop = EventLoop(0.0)
             self._cluster = ShardedSequencer(
@@ -288,90 +119,20 @@ class LiveDispatcher:
                 merge_topology=spec.merge_topology,
                 merge_fanout=spec.merge_fanout,
             )
-            self._router = self._cluster.router
             self._num_workers = 1
         else:
-            self._start_procs(num_workers, mp_context)
-
-    # ----------------------------------------------------------- procs setup
-    def _start_procs(self, num_workers: Optional[int], mp_context: str) -> None:
-        spec = self._spec
-        try:
-            ctx = multiprocessing.get_context(mp_context)
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        # same sorted router construction as ClusterWorkload.build_router /
-        # ShardedSequencer.__init__ — all paths agree on shard ownership
-        from repro.cluster.router import ShardRouter
-
-        router = ShardRouter(spec.num_shards, spec.policy)
-        for client_id in sorted(spec.client_distributions):
-            router.assign(client_id)
-        self._router = router
-
-        merge_model = PrecedenceModel(
-            method=spec.config.probability_method,
-            convolution_points=spec.config.convolution_points,
-        )
-        for client_id, distribution in spec.client_distributions.items():
-            merge_model.register_client(client_id, distribution)
-        merger = CrossShardMerger(
-            merge_model,
-            threshold=spec.config.threshold,
-            cycle_policy=spec.config.cycle_policy,
-            seed=spec.config.seed if spec.config.seed is not None else 0,
-            telemetry=self._telemetry,
-        )
-        topology: Optional[MergeTopology] = None
-        if spec.merge_topology != "flat":
-            topology = MergeTopology.build(
-                spec.merge_topology,
-                spec.num_shards,
-                fanout=spec.merge_fanout,
-                region_map=router.region_map(),
+            # fail fast: without a replayable intake log there is nothing to
+            # re-send a replacement worker (ROADMAP), so no restart budget
+            self._coordinator = ShardCoordinator(
+                spec,
+                num_workers=num_workers,
+                telemetry=telemetry,
+                mp_context=mp_context,
+                poll_timeout=poll_timeout,
+                join_timeout=join_timeout,
+                restart_policy=RestartPolicy(max_restarts=0),
             )
-        self._streaming: StreamingMerger = merger.streaming_merger(
-            num_shards=spec.num_shards, topology=topology
-        )
-        self._shard_batches: List[List] = [[] for _ in range(spec.num_shards)]
-        self._done_shards: Set[int] = set()
-        self._summaries: Dict[int, dict] = {}
-
-        workers = spec.num_shards if num_workers is None else min(num_workers, spec.num_shards)
-        self._num_workers = max(workers, 1)
-        self._out_queue = ctx.Queue()
-        self._in_queues = []
-        self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._worker_of_shard: Dict[int, int] = {}
-        for worker in range(self._num_workers):
-            shard_ids = list(range(worker, spec.num_shards, self._num_workers))
-            shard_specs = [
-                _LiveShardSpec(
-                    shard_index=shard,
-                    client_distributions={
-                        client: spec.client_distributions[client]
-                        for client in router.clients_of(shard)
-                    },
-                    known_clients=tuple(router.clients_of(shard)),
-                    config=spec.config,
-                    delay=spec.delay,
-                    collect_telemetry=self._telemetry is not None,
-                    name=f"cluster-shard-{shard}",
-                )
-                for shard in shard_ids
-            ]
-            for shard in shard_ids:
-                self._worker_of_shard[shard] = worker
-            in_queue = ctx.Queue()
-            process = ctx.Process(
-                target=_live_worker_main,
-                args=(shard_specs, in_queue, self._out_queue),
-                name=f"repro-live-worker-{worker}",
-                daemon=True,
-            )
-            process.start()
-            self._in_queues.append(in_queue)
-            self._procs.append(process)
+            self._num_workers = self._coordinator.num_workers
 
     # ------------------------------------------------------------- properties
     @property
@@ -469,9 +230,12 @@ class LiveDispatcher:
 
     def submit_heartbeat(self, source_id: str, heartbeat: Heartbeat) -> None:
         """Buffer a live heartbeat; advances the source watermark and the
-        gate's delivery horizon (idempotent, never rejected)."""
+        gate's delivery horizon (idempotent; ``KeyError`` for an unprovisioned
+        client, like :meth:`submit`)."""
         if self._finished is not None:
             raise RuntimeError("dispatcher already finished")
+        if heartbeat.client_id not in self._spec.client_distributions:
+            raise KeyError(f"unknown client {heartbeat.client_id!r}")
         self._note_vtime(source_id, heartbeat.true_time)
         self._gate.is_duplicate(heartbeat)  # horizon advance only
         self._buffer.append(
@@ -506,8 +270,8 @@ class LiveDispatcher:
         self._flush_wave(watermark)
         if self._obs.enabled and math.isfinite(watermark):
             self._obs.gauge("live.watermark", watermark)
-        if self._runtime == "procs":
-            self._drain_results(block=False)
+        if self._coordinator is not None:
+            self._coordinator.drain(block=False)
         return watermark
 
     def _take_wave(self, watermark: float) -> List[object]:
@@ -523,75 +287,23 @@ class LiveDispatcher:
     def _flush_wave(self, watermark: float) -> None:
         wave = self._take_wave(watermark)
         run_to = watermark if math.isfinite(watermark) and watermark > self._advanced_to else None
-        if self._runtime == "sim":
-            for item in wave:
-                if _schedule_arrival(self._loop, self._cluster, item, self._spec.delay):
-                    self._late_arrival()
-            if run_to is not None:
-                self._loop.run(until=_strictly_before(run_to + self._spec.delay))
+        if not wave and run_to is None:
+            return
+        # the runtime's clock stands strictly below the last advance: an
+        # arrival due before it broke its source's FIFO promise
+        delay = self._spec.delay
+        now = math.nextafter(self._advanced_to + delay, _NEG_INF)
+        for item in wave:
+            if item.true_time + delay < now:
+                self._late += 1
+                if self._obs.enabled:
+                    self._obs.count("live.late_arrivals")
+        if self._coordinator is not None:
+            self._coordinator.wave(wave, run_to)
         else:
-            if wave or run_to is not None:
-                by_worker: List[Dict[int, List[object]]] = [
-                    {} for _ in range(self._num_workers)
-                ]
-                for item in wave:
-                    shard = self._router.shard_of(item.client_id)
-                    by_worker[self._worker_of_shard[shard]].setdefault(shard, []).append(item)
-                    if item.true_time + self._spec.delay < self._advanced_to + self._spec.delay:
-                        self._late_arrival()
-                for worker, in_queue in enumerate(self._in_queues):
-                    in_queue.put(("wave", by_worker[worker], run_to))
+            run_wave(self._loop, self._cluster, wave, delay, run_to)
         if run_to is not None:
             self._advanced_to = run_to
-
-    def _late_arrival(self) -> None:
-        self._late += 1
-        if self._obs.enabled:
-            self._obs.count("live.late_arrivals")
-
-    # ----------------------------------------------------------- procs drain
-    def _observe(self, shard: int, batch) -> None:
-        if shard in self._done_shards:
-            return
-        expected = self._streaming.observation_cursor(shard)
-        if batch.rank < expected:
-            return  # duplicate stream prefix (exactly-once observation)
-        if batch.rank > expected:
-            raise WorkerCrashed(
-                [shard],
-                detail=(
-                    f"live shard {shard} streamed batch rank {batch.rank} "
-                    f"but the merger expected rank {expected}"
-                ),
-            )
-        self._shard_batches[shard].append(batch)
-        self._streaming.observe_batch(shard, batch)
-
-    def _drain_results(self, block: bool) -> None:
-        while len(self._done_shards) < self._spec.num_shards:
-            try:
-                timeout = self._poll_timeout if block else None
-                if block:
-                    kind, shard, payload = self._out_queue.get(timeout=timeout)
-                else:
-                    kind, shard, payload = self._out_queue.get_nowait()
-            except Empty:
-                if block and not any(process.is_alive() for process in self._procs):
-                    missing = sorted(
-                        set(range(self._spec.num_shards)) - self._done_shards
-                    )
-                    raise WorkerCrashed(missing, detail="live worker died mid-stream")
-                if not block:
-                    return
-                continue
-            if kind == "batch":
-                self._observe(shard, payload)
-            elif kind == "done":
-                self._done_shards.add(shard)
-                self._summaries[shard] = payload
-            elif kind == "error":
-                missing = sorted(set(range(self._spec.num_shards)) - self._done_shards)
-                raise WorkerCrashed(missing or [shard], detail=str(payload))
 
     # ----------------------------------------------------------------- finish
     def closing_heartbeat(self) -> Optional[Tuple[float, float]]:
@@ -620,65 +332,33 @@ class LiveDispatcher:
         if self._finished is not None:
             return self._finished
         self._sources.clear()
-        heartbeat = self.closing_heartbeat()
-        heartbeat_time, heartbeat_timestamp = (
-            heartbeat if heartbeat is not None else (None, None)
-        )
-        if self._runtime == "sim":
-            self._flush_wave(math.inf)
-            if heartbeat_time is not None and heartbeat_timestamp is not None:
-                for client_id in sorted(self._spec.client_distributions):
-                    hb = Heartbeat(
-                        client_id=client_id,
-                        timestamp=heartbeat_timestamp,
-                        true_time=heartbeat_time,
-                    )
-                    self._loop.schedule_at(
-                        max(heartbeat_time, self._loop.now),
-                        self._cluster.receive,
-                        hb,
-                        priority=-1,
-                    )
-            self._loop.run()
+        self._flush_wave(math.inf)
+        heartbeat_time, heartbeat_timestamp = self.closing_heartbeat() or (None, None)
+        details: Dict[str, object] = {
+            "late_arrivals": self._late,
+            "duplicates_rejected": self._gate.duplicates_suppressed,
+        }
+        if self._coordinator is not None:
+            self._coordinator.close_shards(heartbeat_time, heartbeat_timestamp)
+            merge = self._coordinator.finish()
+            details.update(self._coordinator.details())
+            shard_batches = self._coordinator.shard_batches
+        else:
+            run_close(
+                self._loop,
+                self._cluster,
+                self._spec.client_distributions,
+                heartbeat_time,
+                heartbeat_timestamp,
+            )
             self._cluster.flush()
             merge = self._cluster.live_merge()
-            details: Dict[str, object] = {
-                "loop": self._loop.stats(),
-                "sim_end_time": self._loop.clock.now(),
-                "late_arrivals": self._late,
-                "duplicates_rejected": self._gate.duplicates_suppressed,
-                "emitted_counts": self._cluster.emitted_counts(),
-            }
+            details.update(
+                loop=self._loop.stats(),
+                sim_end_time=self._loop.clock.now(),
+                emitted_counts=self._cluster.emitted_counts(),
+            )
             shard_batches = self._cluster.shard_batches()
-        else:
-            self._flush_wave(math.inf)
-            for in_queue in self._in_queues:
-                in_queue.put(("close", heartbeat_time, heartbeat_timestamp))
-            try:
-                self._drain_results(block=True)
-            finally:
-                if len(self._done_shards) < self._spec.num_shards:
-                    self.close()
-            for process in self._procs:
-                process.join(timeout=self._join_timeout)
-            merge = self._streaming.result()
-            if self._telemetry is not None:
-                for shard in sorted(self._summaries):
-                    summary = self._summaries[shard]
-                    self._telemetry.absorb(summary["stages"], summary["events"])
-            details = {
-                "late_arrivals": self._late,
-                "duplicates_rejected": self._gate.duplicates_suppressed,
-                "per_shard": {
-                    shard: {
-                        key: summary[key]
-                        for key in ("message_count", "batch_count", "wall_seconds", "loop")
-                    }
-                    for shard, summary in sorted(self._summaries.items())
-                },
-            }
-            shard_batches = self._shard_batches
-            self.close()
         self._finished = RuntimeOutcome(
             backend=f"live-{self._runtime}",
             merge=merge,
@@ -694,31 +374,8 @@ class LiveDispatcher:
     # ------------------------------------------------------------------ close
     def close(self) -> None:
         """Tear down live workers and queues (idempotent; sim mode is a no-op)."""
-        if self._runtime != "procs":
-            return
-        for process in getattr(self, "_procs", []):
-            if process.is_alive():
-                process.terminate()
-        out_queue = getattr(self, "_out_queue", None)
-        if out_queue is not None:
-            try:
-                while True:
-                    out_queue.get_nowait()
-            except (Empty, OSError, ValueError):
-                pass
-        for process in getattr(self, "_procs", []):
-            process.join(timeout=self._join_timeout)
-        self._procs = []
-        for queue in [out_queue, *getattr(self, "_in_queues", [])]:
-            if queue is None:
-                continue
-            try:
-                queue.close()
-                queue.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
-        self._in_queues = []
-        self._out_queue = None
+        if self._coordinator is not None:
+            self._coordinator.close()
 
     def __enter__(self) -> "LiveDispatcher":
         return self

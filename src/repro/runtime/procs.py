@@ -1,68 +1,68 @@
-"""ProcBackend: real worker processes per shard, coordinator-side merge.
+"""The procs runtime: one shard worker, one coordinator, two thin drivers.
 
-The second execution backend: every shard's
-:class:`~repro.core.online.OnlineTommySequencer` runs in its own worker
-process (``multiprocessing`` + a result queue), replaying its slice of the
-workload on a private event loop, while the coordinator process feeds each
-emitted batch into the existing
-:class:`~repro.cluster.merge.StreamingMerger` as it streams back.
-Throughput now scales with cores; the merged order is still *bitwise equal*
-to :class:`~repro.runtime.sim.SimBackend` on the same workload because
+Every shard's :class:`~repro.core.online.OnlineTommySequencer` runs on a
+private event loop inside a worker process (:func:`_shard_worker_main`) that
+is driven by *waves*: ``("wave", items_by_shard, run_to)`` schedules new
+arrivals and advances every hosted shard strictly below ``run_to + delay``;
+``("close", heartbeat_time, heartbeat_timestamp)`` injects the global closing
+heartbeats, runs to completion and flushes.  Emissions stream back as
+``("batch", shard, batch)`` and the :class:`ShardCoordinator` folds them into
+the recipe's :class:`~repro.cluster.merge.StreamingMerger`.
 
-* the workload's message timestamps are generated **once** and frozen in
-  the :class:`~repro.runtime.base.ClusterWorkload` — both backends replay
-  identical inputs at identical virtual times through the shared
-  :func:`~repro.cluster.harness.replay_messages` primitive;
-* every worker receives the *global* closing-heartbeat instant/beacon, so
-  each shard closes its completeness horizon exactly where the sim cluster
-  does;
-* per-shard sequencer RNG streams depend only on ``config.seed``, and the
-  shard→client assignment comes from the same sorted
-  :class:`~repro.cluster.router.ShardRouter` construction;
+A frozen replay is a live dispatch whose only source is already closed:
+:class:`ProcBackend` sends one wave carrying the whole
+:class:`~repro.runtime.base.ClusterWorkload` (no watermark) and then the
+close, while ``LiveDispatcher(runtime="procs")`` drives the very same
+coordinator wave by wave.  The merged order is *bitwise equal* to
+:class:`~repro.runtime.sim.SimBackend` because
+
+* arrivals are scheduled at their frozen ``true_time + delay`` ahead of
+  same-instant emission checks, so each shard executes the event sequence
+  :func:`~repro.cluster.harness.replay_messages` would have scheduled;
+* every shard receives the *global* closing-heartbeat instant/beacon;
+* per-shard sequencer RNG streams depend only on ``config.seed``, and router
+  and merger come from the one recipe in :mod:`repro.cluster.recipe`;
 * the streaming merger's result is invariant to the order batches from
-  *different* shards are observed in (parity-tested since PR 4), so the
-  nondeterministic queue arrival interleaving cannot change the output.
+  *different* shards are observed in, so the nondeterministic queue arrival
+  interleaving cannot change the output.
 
-Failure model (the supervision layer): a :class:`WorkerSupervisor` tracks
-per-worker liveness and per-shard progress.  Any worker that dies while its
-shards are unfinished — hard kill, exception, *or* a clean exit that left
-work behind — is respawned with the unfinished shards' frozen
-:class:`ShardTask`\\ s under a bounded-restart exponential-backoff
-:class:`RestartPolicy`.  Recovery preserves the parity oracle: the frozen
-task is deterministic, so the replacement re-emits the exact same batch
-stream, and the coordinator's per-shard ``(shard, batch_index)`` gate (the
+Failure model: the coordinator's :class:`WorkerSupervisor` is ticked on every
+drain poll.  Any worker that dies while its shards are unfinished — hard
+kill, exception, *or* a clean exit that left work behind — is respawned under
+a bounded-restart exponential-backoff :class:`RestartPolicy` and re-sent its
+slot's command log.  Replay is deterministic, so the replacement re-emits the
+exact same batch stream and the coordinator's per-shard cursor gate (the
 :meth:`~repro.cluster.merge.StreamingMerger.observation_cursor` high-water
-mark) drops the already-observed prefix so ``observe_batch`` sees every
-batch exactly once — the same bounded exactly-once discipline as
-:class:`~repro.cluster.sharded.ShardedSequencer`'s pruned intake gate.  An
-exhausted restart budget degrades per ``on_shard_loss``: ``"raise"``
-surfaces the historical :class:`WorkerCrashed`, ``"exclude"`` finalizes the
-merge over the surviving streams and records the loss in
-``RuntimeOutcome.details["lost_shards"]``.  Either way the coordinator's
-``finally`` terminates and joins every child and drains/closes the result
-queue, so no orphaned processes or stuck feeder threads outlive a run.
+mark) drops the already-observed prefix: ``observe_batch`` sees every batch
+exactly once.  An exhausted budget degrades per ``on_shard_loss``:
+``"raise"`` surfaces :class:`WorkerCrashed` on the poll that sees the death
+(and on every later poll), ``"exclude"`` finalizes the merge over the
+surviving streams and records the loss in
+``RuntimeOutcome.details["lost_shards"]``.  :meth:`ShardCoordinator.close`
+terminates and joins every child and drains/closes every queue, so no
+orphaned processes or stuck feeder threads outlive a run.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass
 from queue import Empty
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.cluster.harness import replay_messages
-from repro.cluster.merge import CrossShardMerger, StreamingMerger
-from repro.cluster.tree import MergeTopology
+from repro.cluster.merge import MergeOutcome
+from repro.cluster.recipe import build_merge, build_router
 from repro.core.online import OnlineTommySequencer
-from repro.core.probability import PrecedenceModel
-from repro.network.message import Heartbeat, TimestampedMessage
+from repro.network.message import Heartbeat, SequencedBatch, TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
 from repro.runtime.base import (
     ClockHandle,
     ClusterWorkload,
+    LiveClusterSpec,
     RuntimeBackend,
     RuntimeOutcome,
     WallClock,
@@ -82,6 +82,12 @@ CRASH_POINTS: Tuple[str, ...] = ("start", "mid", "end")
 
 #: Shard-loss modes once the restart budget is exhausted.
 SHARD_LOSS_MODES: Tuple[str, ...] = ("raise", "exclude")
+
+#: Consecutive empty polls a dead worker must stay silent for before the
+#: death verdict (its buffered queue items are consumed first).
+DRAIN_GRACE = 3
+
+Arrival = Union[TimestampedMessage, Heartbeat]
 
 
 class WorkerCrashed(RuntimeError):
@@ -103,7 +109,7 @@ class RestartPolicy:
     ``min(backoff_base * 2**restarts_used, backoff_cap)`` seconds; after
     ``max_restarts`` replacements of the same worker slot the slot's
     unfinished shards are handled per the backend's ``on_shard_loss`` mode.
-    ``max_restarts=0`` restores the PR 8 fail-fast behaviour.
+    ``max_restarts=0`` is fail-fast (and keeps no command log).
     """
 
     max_restarts: int = 2
@@ -123,134 +129,200 @@ class RestartPolicy:
         return min(self.backoff_base * (2.0 ** restarts_used), self.backoff_cap)
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """Everything one worker needs to run one shard (picklable)."""
+# ------------------------------------------------------------ wave semantics
+def run_wave(
+    loop: EventLoop, receiver, items: Iterable[Arrival], delay: float, run_to: Optional[float]
+) -> None:
+    """Schedule ``items`` as arrivals, then advance strictly below ``run_to + delay``.
 
-    shard_index: int
-    client_distributions: Dict[str, object]
-    known_clients: Tuple[str, ...]
-    messages: Tuple[TimestampedMessage, ...]
-    config: object
-    delay: float
-    heartbeat_time: Optional[float]
-    heartbeat_timestamp: Optional[float]
-    collect_telemetry: bool
-    name: str
+    Arrivals land at ``max(true_time + delay, now)`` — the clamp of
+    :func:`~repro.cluster.harness.replay_messages` — with priority ``-1`` so
+    they beat same-instant emission checks, exactly as pre-scheduled arrivals
+    beat mid-run-scheduled checks in a one-shot replay.  The advance is
+    exclusive: a well-behaved source may still send another message *at* its
+    current watermark, and that twin must be schedulable before anything at
+    that instant executes.  ``run_to=None`` schedules without advancing.
+    """
+    now = loop.now
+    for item in items:
+        loop.schedule_at(max(item.true_time + delay, now), receiver.receive, item, priority=-1)
+    if run_to is not None:
+        loop.run(until=math.nextafter(run_to + delay, -math.inf))
 
 
-class _IntakeStage:
-    """Worker-side shard-intake shim: records the stage the cluster router
-    records on the sim path, then forwards into the shard sequencer — so the
-    per-stage tables stay comparable across backends."""
+def run_close(
+    loop: EventLoop,
+    receiver,
+    client_ids: Iterable[str],
+    heartbeat_time: Optional[float],
+    heartbeat_timestamp: Optional[float],
+) -> None:
+    """Inject the closing heartbeats (sorted clients) and run to completion.
 
-    def __init__(
-        self,
-        sequencer: OnlineTommySequencer,
-        shard_index: int,
-        telemetry: Optional[Telemetry],
-    ) -> None:
-        self._sequencer = sequencer
-        self._shard_index = shard_index
-        self._obs = resolve(telemetry)
-
-    def receive(
-        self, item: Union[TimestampedMessage, Heartbeat], arrival_time: Optional[float] = None
-    ) -> None:
-        if self._obs.enabled and isinstance(item, TimestampedMessage):
-            self._obs.stage(
-                "shard_intake", item, self._sequencer.now, shard=self._shard_index
+    The heartbeat instant is clamped to ``max(heartbeat_time, now)``: a
+    source's ordinary trailing ``HEARTBEAT`` may already have advanced the
+    loop past the closing horizon computed over admitted *messages*.
+    """
+    if heartbeat_time is not None and heartbeat_timestamp is not None:
+        when = max(heartbeat_time, loop.now)
+        for client_id in sorted(client_ids):
+            heartbeat = Heartbeat(
+                client_id=client_id, timestamp=heartbeat_timestamp, true_time=heartbeat_time
             )
-        self._sequencer.receive(item, arrival_time)
+            loop.schedule_at(when, receiver.receive, heartbeat, priority=-1)
+    loop.run()
 
 
+# -------------------------------------------------------------------- worker
 #: Crash injection spec shipped to first-incarnation workers only:
 #: ``(shard_index, mode, point)``.  Replacements never receive one — a
 #: respawned worker must be able to finish the replayed shard.
 _CrashSpec = Optional[Tuple[int, str, str]]
 
 
-def _injected_crash(mode: str, shard: int) -> None:
-    if mode == "exit":
-        # hard death (simulates OOM-kill/segfault): no error message
-        # escapes, the coordinator must notice the corpse
-        os._exit(3)
-    if mode == "clean":
-        # exit code 0 with the shard unfinished: the silent failure the
-        # per-process exitcode check used to skip (coordinator hang)
-        os._exit(0)
-    raise RuntimeError(f"injected failure on shard {shard}")
+def _injected_crash(mode: str, shard: int, results) -> None:
+    # "exit": hard death (simulates OOM-kill/segfault) — no error message
+    # escapes, the coordinator must notice the corpse.  "clean": exit code 0
+    # with the shard unfinished — the silent failure a per-process exitcode
+    # check would skip.  Anything else raises inside the shard loop.
+    exit_code = {"exit": 3, "clean": 0}.get(mode)
+    if exit_code is None:
+        raise RuntimeError(f"injected failure on shard {shard}")
+    # Die between queue writes, never inside one: the result queue's write
+    # lock is shared by every worker, and a process that exits while its
+    # feeder thread holds it wedges all the others (a real SIGKILL can still
+    # land there — the residual hazard of one shared queue).  Flushing first
+    # also makes the injection deterministic: everything put so far arrives.
+    results.close()
+    results.join_thread()
+    os._exit(exit_code)
 
 
-def _run_shard(task: ShardTask, queue, crash: _CrashSpec = None) -> None:
-    """Replay one shard's slice on a private loop, streaming batches back."""
-    loop = EventLoop()
-    telemetry = Telemetry() if task.collect_telemetry else None
-    sequencer = OnlineTommySequencer(
-        loop,
-        dict(task.client_distributions),
-        config=task.config,
-        known_clients=list(task.known_clients),
-        name=task.name,
-        use_engine=True,
-        telemetry=telemetry,
-        shard_index=task.shard_index,
-    )
-    started = time.perf_counter()
-    streamed = 0
+class _ShardHost:
+    """One shard sequencer on a private loop inside a worker process."""
 
-    def on_emit(emitted) -> None:
-        nonlocal streamed
-        queue.put(("batch", task.shard_index, emitted.batch))
-        streamed += 1
-        if crash is not None and crash[2] == "mid" and streamed == 1:
-            _injected_crash(crash[1], task.shard_index)
+    def __init__(
+        self,
+        shard: int,
+        spec: LiveClusterSpec,
+        clients: Sequence[str],
+        collect_telemetry: bool,
+        results,
+        crash: Optional[Tuple[str, str]],
+    ) -> None:
+        self.shard = shard
+        self._clients = clients
+        self._delay = spec.delay
+        self._results = results
+        self._crash = crash
+        self._crash_at("start")
+        self._loop = EventLoop()
+        self._telemetry = Telemetry() if collect_telemetry else None
+        self._obs = resolve(self._telemetry)
+        self._sequencer = OnlineTommySequencer(
+            self._loop,
+            {client: spec.client_distributions[client] for client in clients},
+            config=spec.config,
+            known_clients=list(clients),
+            name=f"cluster-shard-{shard}",
+            use_engine=True,
+            telemetry=self._telemetry,
+            shard_index=shard,
+        )
+        self._sequencer.subscribe_emissions(self._on_emit)
+        self._received = 0
+        self._streamed = 0
+        self._busy = 0.0
 
-    sequencer.subscribe_emissions(on_emit)
-    replay_messages(
-        loop,
-        _IntakeStage(sequencer, task.shard_index, telemetry),
-        list(task.messages),
-        task.known_clients,
-        delay=task.delay,
-        heartbeat_time=task.heartbeat_time,
-        heartbeat_timestamp=task.heartbeat_timestamp,
-    )
-    loop.run()
-    sequencer.flush()
-    if crash is not None and crash[2] == "end":
-        _injected_crash(crash[1], task.shard_index)
-    summary = {
-        "message_count": len(task.messages),
-        "batch_count": len(sequencer.emitted_batches),
-        "wall_seconds": time.perf_counter() - started,
-        "loop": loop.stats(),
-        "stages": telemetry.stage_records if telemetry is not None else [],
-        "events": telemetry.event_records if telemetry is not None else [],
-    }
-    queue.put(("done", task.shard_index, summary))
+    def _crash_at(self, point: str) -> None:
+        if self._crash is not None and self._crash[1] == point:
+            _injected_crash(self._crash[0], self.shard, self._results)
+
+    def _on_emit(self, emitted) -> None:
+        self._results.put(("batch", self.shard, emitted.batch))
+        self._streamed += 1
+        if self._streamed == 1:
+            self._crash_at("mid")
+
+    def receive(self, item: Arrival, arrival_time: Optional[float] = None) -> None:
+        """Shard intake: record the stage the cluster router records on the
+        sim path, then forward into the sequencer — per-stage tables stay
+        comparable across backends."""
+        if self._obs.enabled and isinstance(item, TimestampedMessage):
+            self._obs.stage("shard_intake", item, self._sequencer.now, shard=self.shard)
+        self._sequencer.receive(item, arrival_time)
+
+    def wave(self, items: Sequence[Arrival], run_to: Optional[float]) -> None:
+        started = time.perf_counter()
+        self._received += sum(isinstance(item, TimestampedMessage) for item in items)
+        run_wave(self._loop, self, items, self._delay, run_to)
+        self._busy += time.perf_counter() - started
+
+    def close(self, heartbeat_time: Optional[float], heartbeat_timestamp: Optional[float]) -> None:
+        started = time.perf_counter()
+        run_close(self._loop, self, self._clients, heartbeat_time, heartbeat_timestamp)
+        self._sequencer.flush()
+        self._crash_at("end")
+        telemetry = self._telemetry
+        summary = {
+            "message_count": self._received,
+            "batch_count": len(self._sequencer.emitted_batches),
+            # busy time: spent inside this shard's schedule/run/flush calls
+            "wall_seconds": self._busy + time.perf_counter() - started,
+            "loop": self._loop.stats(),
+            "stages": telemetry.stage_records if telemetry is not None else [],
+            "events": telemetry.event_records if telemetry is not None else [],
+        }
+        self._results.put(("done", self.shard, summary))
 
 
-def _worker_main(
-    worker_index: int,
-    tasks: Sequence[ShardTask],
-    queue,
+def _shard_worker_main(
+    spec: LiveClusterSpec,
+    clients_of: Dict[int, Sequence[str]],
+    collect_telemetry: bool,
+    commands,
+    results,
     crash_spec: _CrashSpec,
 ) -> None:
-    """Process entry point: run each assigned shard in turn."""
-    for task in tasks:
-        try:
-            crash = (
-                crash_spec
-                if crash_spec is not None and crash_spec[0] == task.shard_index
-                else None
-            )
-            if crash is not None and crash[2] == "start":
-                _injected_crash(crash[1], task.shard_index)
-            _run_shard(task, queue, crash=crash)
-        except BaseException:
-            queue.put(("error", task.shard_index, traceback.format_exc()))
-            return
+    """Worker entry point: host the slot's shard sequencers, consume commands.
+
+    ``("wave", items_by_shard, run_to)`` feeds every hosted shard its new
+    arrivals and advances it; ``("close", heartbeat_time,
+    heartbeat_timestamp)`` closes every hosted shard in turn (each ships its
+    ``("done", shard, summary)``) and ends the process.  Any exception is
+    shipped back as ``("error", shard, traceback)`` naming the shard at work.
+    """
+    current = next(iter(clients_of))
+    try:
+        hosts: List[_ShardHost] = []
+        for current, clients in clients_of.items():
+            crash = crash_spec[1:] if crash_spec is not None and crash_spec[0] == current else None
+            hosts.append(_ShardHost(current, spec, clients, collect_telemetry, results, crash))
+        while True:
+            command = commands.get()
+            if command[0] == "wave":
+                _, items_by_shard, run_to = command
+                for host in hosts:
+                    current = host.shard
+                    host.wave(items_by_shard.get(current, ()), run_to)
+            else:
+                _, heartbeat_time, heartbeat_timestamp = command
+                for host in hosts:
+                    current = host.shard
+                    host.close(heartbeat_time, heartbeat_timestamp)
+                return
+    except Exception:
+        results.put(("error", current, traceback.format_exc()))
+
+
+# ---------------------------------------------------------------- supervisor
+def _discard_queue(queue) -> None:
+    """Close a queue so a terminated run can never deadlock on its feeder thread."""
+    try:
+        queue.close()
+        queue.cancel_join_thread()
+    except (OSError, ValueError):
+        pass
 
 
 @dataclass
@@ -259,25 +331,31 @@ class _WorkerSlot:
 
     index: int
     shards: List[int]
+    #: command queue of the current incarnation
+    commands: Optional[object] = None
+    #: every command sent so far (``None`` when the policy never restarts)
+    log: Optional[List[tuple]] = None
     process: Optional[multiprocessing.process.BaseProcess] = None
     incarnation: int = 0
     restarts_used: int = 0
     drain_polls: int = 0
     #: monotonic deadline of a scheduled respawn (``None`` = not backing off)
     respawn_at: Optional[float] = None
-    #: last incarnation whose death has already been handled
+    #: last incarnation whose death has already been absorbed
     handled_incarnation: int = -1
     lost: bool = False
 
 
 class WorkerSupervisor:
-    """Tracks per-worker liveness/progress and orchestrates restart-with-replay.
+    """Spawns workers, tracks liveness/progress, orchestrates restart-with-replay.
 
-    Owned by :meth:`ProcBackend.run` and ticked from the coordinator's poll
-    loop (single-threaded — no locks).  On worker death with unfinished
-    shards it schedules a backoff, respawns a replacement carrying only the
-    unfinished shards' frozen tasks (never the crash-injection spec), and —
-    once the :class:`RestartPolicy` budget is spent — either raises
+    Owned by the :class:`ShardCoordinator` and ticked from its drain loop
+    (single-threaded — no locks).  It owns each slot's command queue and,
+    when ``policy.max_restarts > 0``, the slot's command log.  On worker
+    death with unfinished shards it schedules a backoff, respawns a
+    replacement hosting only the unfinished shards (never carrying the
+    crash-injection spec) and re-sends it the log, and — once the
+    :class:`RestartPolicy` budget is spent — either raises
     :class:`WorkerCrashed` or excludes the shards from the run per
     ``on_shard_loss``.  Death detection deliberately ignores the exit code:
     any dead worker with unfinished shards is treated as crashed after a
@@ -289,35 +367,42 @@ class WorkerSupervisor:
     def __init__(
         self,
         ctx,
-        queue,
-        tasks: Sequence[ShardTask],
+        results,
+        spec: LiveClusterSpec,
+        router,
         shards_of: Sequence[Sequence[int]],
         done: Set[int],
         policy: RestartPolicy,
         on_shard_loss: str,
         crash_spec: _CrashSpec,
         telemetry: Optional[Telemetry],
-        processes: List,
-        drain_grace: int = 3,
+        drain_grace: int = DRAIN_GRACE,
     ) -> None:
         self._ctx = ctx
-        self._queue = queue
-        self._tasks = tasks
+        self._results = results
+        self._spec = spec
+        self._router = router
         self._done = done
         self._policy = policy
         self._on_shard_loss = on_shard_loss
         self._crash_spec = crash_spec
+        self._collect_telemetry = telemetry is not None
         self._obs = resolve(telemetry)
-        self._processes = processes
         self._drain_grace = max(int(drain_grace), 1)
         self._started_at = time.perf_counter()
         self._slots = [
-            _WorkerSlot(index=index, shards=list(shards))
+            _WorkerSlot(
+                index=index,
+                shards=list(shards),
+                log=[] if policy.max_restarts > 0 else None,
+            )
             for index, shards in enumerate(shards_of)
         ]
         self._slot_of_shard: Dict[int, _WorkerSlot] = {
             shard: slot for slot in self._slots for shard in slot.shards
         }
+        #: every process ever started (all incarnations), for the teardown
+        self.processes: List[multiprocessing.process.BaseProcess] = []
         self.worker_restarts = 0
         self.lost_shards: Set[int] = set()
         self.recovering_shards: Set[int] = set()
@@ -338,36 +423,57 @@ class WorkerSupervisor:
             self._event("worker_spawn", worker=slot.index, shards=list(slot.shards))
 
     def _spawn(self, slot: _WorkerSlot, shard_ids: Sequence[int], crash_spec: _CrashSpec) -> None:
+        if slot.commands is not None:
+            # the dead incarnation may have left commands unread: the
+            # replacement starts from a fresh queue and the replayed log
+            _discard_queue(slot.commands)
+        slot.commands = self._ctx.Queue()
         suffix = f"-r{slot.incarnation}" if slot.incarnation else ""
         process = self._ctx.Process(
-            target=_worker_main,
+            target=_shard_worker_main,
             args=(
-                slot.index,
-                [self._tasks[shard] for shard in shard_ids],
-                self._queue,
+                self._spec,
+                {shard: self._router.clients_of(shard) for shard in shard_ids},
+                self._collect_telemetry,
+                slot.commands,
+                self._results,
                 crash_spec,
             ),
             name=f"repro-shard-worker-{slot.index}{suffix}",
             daemon=True,
         )
         process.start()
-        self._processes.append(process)
+        self.processes.append(process)
         slot.process = process
         slot.drain_polls = 0
         slot.respawn_at = None
+        for command in slot.log or ():
+            slot.commands.put(command)
+
+    def send(self, worker: int, command: tuple) -> None:
+        """Send (and, under a restarting policy, log) one command to a slot."""
+        slot = self._slots[worker]
+        if slot.log is not None:
+            slot.log.append(command)
+        slot.commands.put(command)
+
+    def command_queues(self) -> List[object]:
+        """The live command queue of every slot (for the teardown)."""
+        return [slot.commands for slot in self._slots if slot.commands is not None]
 
     # -------------------------------------------------------------- liveness
     def _unfinished(self, slot: _WorkerSlot) -> List[int]:
         return [shard for shard in slot.shards if shard not in self._done]
 
-    def note_queue_activity(self) -> None:
-        """A queue item arrived: restart every slot's drain-grace countdown.
+    def note_queue_activity(self, shard: int) -> None:
+        """An item for ``shard`` arrived: restart its slot's drain-grace countdown.
 
-        The item could have come from a dead incarnation's buffer, so a
-        death verdict must wait for a fresh run of consecutive empty polls.
+        The item could have come from a dead incarnation's buffer, so that
+        slot's death verdict must wait for a fresh run of consecutive empty
+        polls.  Other slots' countdowns keep running: survivors streaming
+        under steady traffic must not postpone a dead peer's verdict.
         """
-        for slot in self._slots:
-            slot.drain_polls = 0
+        self._slot_of_shard[shard].drain_polls = 0
 
     def note_shard_done(self, shard: int) -> None:
         """Completion bookkeeping for a shard (first ``done`` only)."""
@@ -428,7 +534,6 @@ class WorkerSupervisor:
     def _handle_death(self, slot: _WorkerSlot, detail: str) -> None:
         if slot.lost or slot.handled_incarnation >= slot.incarnation:
             return
-        slot.handled_incarnation = slot.incarnation
         unfinished = self._unfinished(slot)
         if not unfinished:
             return
@@ -440,7 +545,13 @@ class WorkerSupervisor:
             exitcode=exitcode,
             incarnation=slot.incarnation,
         )
-        if slot.restarts_used < self._policy.max_restarts:
+        budget_left = slot.restarts_used < self._policy.max_restarts
+        if not budget_left and self._on_shard_loss == "raise":
+            # not marked handled: every later poll sees the corpse again, so
+            # a caller that keeps polling keeps getting the crash
+            raise WorkerCrashed(unfinished, detail=detail)
+        slot.handled_incarnation = slot.incarnation
+        if budget_left:
             delay = self._policy.backoff_for(slot.restarts_used)
             slot.respawn_at = time.monotonic() + delay
             self._event(
@@ -450,8 +561,6 @@ class WorkerSupervisor:
                 restarts_used=slot.restarts_used,
             )
             return
-        if self._on_shard_loss == "raise":
-            raise WorkerCrashed(unfinished, detail=detail)
         # exclude: the run degrades instead of aborting — the lost shards'
         # already-observed batches stay in the merge (mirroring the sim
         # cluster's failover semantics, where pre-crash emissions remain
@@ -462,8 +571,213 @@ class WorkerSupervisor:
         self._event("shard_loss", worker=slot.index, shards=unfinished)
 
 
+# --------------------------------------------------------------- coordinator
+def worker_count(requested: Optional[int], num_shards: int) -> int:
+    """Worker processes used for ``num_shards`` shards (one per shard by default)."""
+    if requested is None:
+        return num_shards
+    return max(min(requested, num_shards), 1)
+
+
+class ShardCoordinator:
+    """The one procs coordinator: workers, queues, cursor-gated merge, teardown.
+
+    Built from a :class:`~repro.runtime.base.LiveClusterSpec`; drivers feed
+    it :meth:`wave` commands, :meth:`drain` worker results into the streaming
+    merge between waves, then :meth:`close_shards` and :meth:`finish`.
+    """
+
+    def __init__(
+        self,
+        spec: LiveClusterSpec,
+        num_workers: Optional[int] = None,
+        telemetry: Optional[Telemetry] = None,
+        mp_context: str = "fork",
+        poll_timeout: float = 0.1,
+        join_timeout: float = 5.0,
+        restart_policy: Optional[RestartPolicy] = None,
+        on_shard_loss: str = "raise",
+        crash_spec: _CrashSpec = None,
+    ) -> None:
+        self._telemetry = telemetry
+        self._poll_timeout = poll_timeout
+        self._join_timeout = join_timeout
+        self._num_shards = spec.num_shards
+        self.num_workers = worker_count(num_workers, spec.num_shards)
+        self.router = build_router(spec.client_distributions, spec.num_shards, spec.policy)
+        _, _, self._streaming = build_merge(
+            spec.client_distributions,
+            spec.config,
+            self.router,
+            merge_topology=spec.merge_topology,
+            merge_fanout=spec.merge_fanout,
+            telemetry=telemetry,
+        )
+        self.shard_batches: List[List[SequencedBatch]] = [[] for _ in range(spec.num_shards)]
+        self._summaries: Dict[int, dict] = {}
+        self._done: Set[int] = set()
+        self._replayed_deduped = 0
+        try:
+            ctx = multiprocessing.get_context(mp_context)
+        except ValueError:
+            ctx = multiprocessing.get_context()
+        self._results = ctx.Queue()
+        self._shards_of = [
+            list(range(worker, spec.num_shards, self.num_workers))
+            for worker in range(self.num_workers)
+        ]
+        self._supervisor = WorkerSupervisor(
+            ctx,
+            self._results,
+            spec,
+            self.router,
+            self._shards_of,
+            self._done,
+            policy=restart_policy if restart_policy is not None else RestartPolicy(),
+            on_shard_loss=on_shard_loss,
+            crash_spec=crash_spec,
+            telemetry=telemetry,
+        )
+        self._closed = False
+        try:
+            self._supervisor.start()
+        except BaseException:
+            self.close()
+            raise
+
+    # --------------------------------------------------------------- commands
+    def wave(self, items: Iterable[Arrival], run_to: Optional[float]) -> None:
+        """Route ``items`` (kept in order per shard) to their workers as one wave."""
+        by_worker: List[Dict[int, List[Arrival]]] = [{} for _ in range(self.num_workers)]
+        for item in items:
+            shard = self.router.shard_of(item.client_id)
+            # round-robin placement: shard s lives on worker s mod W
+            by_worker[shard % self.num_workers].setdefault(shard, []).append(item)
+        for worker, items_by_shard in enumerate(by_worker):
+            self._supervisor.send(worker, ("wave", items_by_shard, run_to))
+
+    def close_shards(
+        self, heartbeat_time: Optional[float], heartbeat_timestamp: Optional[float]
+    ) -> None:
+        """Tell every worker to close its shards at the global heartbeat horizon."""
+        for worker in range(self.num_workers):
+            self._supervisor.send(worker, ("close", heartbeat_time, heartbeat_timestamp))
+
+    # ------------------------------------------------------------------ drain
+    def drain(self, block: bool) -> None:
+        """Fold worker results into the merge; supervise on every poll.
+
+        ``block=True`` polls until every shard is done (or lost);
+        ``block=False`` consumes what is already queued and returns.  Either
+        way an empty poll ticks the supervisor, so a dead worker is noticed
+        by whichever call polls next.
+        """
+        supervisor = self._supervisor
+        streaming = self._streaming
+        while len(self._done) < self._num_shards:
+            supervisor.pump()
+            try:
+                if block:
+                    kind, shard, payload = self._results.get(timeout=self._poll_timeout)
+                else:
+                    kind, shard, payload = self._results.get_nowait()
+            except Empty:
+                supervisor.tick()
+                if not block:
+                    return
+                continue
+            supervisor.note_queue_activity(shard)
+            if kind == "batch":
+                expected = streaming.observation_cursor(shard)
+                if shard in self._done or payload.rank < expected:
+                    # a late buffered emission of a finished or lost shard,
+                    # or a restarted shard replaying its already-observed
+                    # prefix: deterministic replay makes it byte-identical
+                    # to what the merger already holds — drop it
+                    self._replayed_deduped += 1
+                    continue
+                if payload.rank > expected:
+                    raise WorkerCrashed(
+                        [shard],
+                        detail=(
+                            f"shard {shard} streamed batch rank {payload.rank} "
+                            f"but the merger expected rank {expected}"
+                        ),
+                    )
+                self.shard_batches[shard].append(payload)
+                streaming.observe_batch(shard, payload)
+            elif kind == "done":
+                if shard in self._done:
+                    continue
+                self._done.add(shard)
+                self._summaries[shard] = payload
+                supervisor.note_shard_done(shard)
+            elif kind == "error":
+                supervisor.on_error(shard, payload)
+
+    def finish(self) -> MergeOutcome:
+        """Drain to completion, tear down, and return the final merge."""
+        try:
+            self.drain(block=True)
+            for process in self._supervisor.processes:
+                process.join(timeout=self._join_timeout)
+        finally:
+            self.close()
+        merge = self._streaming.result()
+        if self._telemetry is not None:
+            for shard in sorted(self._summaries):
+                summary = self._summaries[shard]
+                self._telemetry.absorb(summary["stages"], summary["events"])
+        return merge
+
+    def details(self) -> Dict[str, object]:
+        """Supervision counters and per-shard summaries for the outcome."""
+        supervisor = self._supervisor
+        return {
+            "shards_per_worker": [len(shards) for shards in self._shards_of],
+            "worker_restarts": supervisor.worker_restarts,
+            "shards_recovered": sorted(supervisor.shards_recovered),
+            "lost_shards": sorted(supervisor.lost_shards),
+            "replayed_batches_deduped": self._replayed_deduped,
+            "per_shard": {
+                shard: {
+                    key: summary[key]
+                    for key in ("message_count", "batch_count", "wall_seconds", "loop")
+                }
+                for shard, summary in sorted(self._summaries.items())
+            },
+        }
+
+    # --------------------------------------------------------------- teardown
+    def close(self) -> None:
+        """Tear down workers and queues (idempotent).
+
+        Only processes that were actually started are tracked, so a
+        partially started pool tears down safely.  The result queue is
+        drained before the joins (a child blocked on a full pipe must be
+        released) and every queue is closed with ``cancel_join_thread``.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        processes = self._supervisor.processes
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        try:
+            while True:
+                self._results.get_nowait()
+        except (Empty, OSError, ValueError):
+            pass
+        for process in processes:
+            process.join(timeout=self._join_timeout)
+        for queue in [self._results, *self._supervisor.command_queues()]:
+            _discard_queue(queue)
+
+
+# -------------------------------------------------------------------- backend
 class ProcBackend(RuntimeBackend):
-    """Run each shard in its own worker process, merging in the coordinator."""
+    """Replay a frozen workload through the procs coordinator: one wave, one close."""
 
     name = "procs"
 
@@ -494,21 +808,18 @@ class ProcBackend(RuntimeBackend):
             )
         self._num_workers = num_workers
         self._telemetry = telemetry
-        self._obs = resolve(telemetry)
-        try:
-            self._ctx = multiprocessing.get_context(mp_context)
-        except ValueError:
-            self._ctx = multiprocessing.get_context()
-        self._poll_timeout = poll_timeout
-        self._join_timeout = join_timeout
-        self._inject_crash = inject_crash
-        self._crash_mode = crash_mode
-        self._crash_point = crash_point
-        self._restart_policy = restart_policy if restart_policy is not None else RestartPolicy()
-        self._on_shard_loss = on_shard_loss
+        self._coordinator_options = dict(
+            mp_context=mp_context,
+            poll_timeout=poll_timeout,
+            join_timeout=join_timeout,
+            restart_policy=restart_policy if restart_policy is not None else RestartPolicy(),
+            on_shard_loss=on_shard_loss,
+            crash_spec=(
+                (inject_crash, crash_mode, crash_point) if inject_crash is not None else None
+            ),
+        )
         self._clock = WallClock()
-        self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._queue = None
+        self._coordinator: Optional[ShardCoordinator] = None
 
     @property
     def clock(self) -> ClockHandle:
@@ -518,216 +829,53 @@ class ProcBackend(RuntimeBackend):
     @property
     def restart_policy(self) -> RestartPolicy:
         """The supervision policy applied to dead workers."""
-        return self._restart_policy
+        return self._coordinator_options["restart_policy"]
 
     def workers_for(self, num_shards: int) -> int:
         """Actual worker-process count used for an ``num_shards`` workload."""
-        if self._num_workers is None:
-            return num_shards
-        return min(self._num_workers, num_shards)
-
-    def _build_tasks(self, workload: ClusterWorkload, router) -> List[ShardTask]:
-        per_shard: List[List[TimestampedMessage]] = [[] for _ in range(workload.num_shards)]
-        for message in workload.messages_by_true_time():
-            per_shard[router.shard_of(message.client_id)].append(message)
-        heartbeat = workload.closing_heartbeat()
-        heartbeat_time, heartbeat_timestamp = heartbeat if heartbeat is not None else (None, None)
-        return [
-            ShardTask(
-                shard_index=shard,
-                client_distributions={
-                    client: workload.client_distributions[client]
-                    for client in router.clients_of(shard)
-                },
-                known_clients=tuple(router.clients_of(shard)),
-                messages=tuple(per_shard[shard]),
-                config=workload.config,
-                delay=workload.replay_delay,
-                heartbeat_time=heartbeat_time,
-                heartbeat_timestamp=heartbeat_timestamp,
-                collect_telemetry=self._telemetry is not None,
-                name=f"cluster-shard-{shard}",
-            )
-            for shard in range(workload.num_shards)
-        ]
-
-    def _build_streaming(self, workload: ClusterWorkload, router) -> StreamingMerger:
-        # the coordinator runs the exact merger recipe the sim cluster builds
-        merge_model = PrecedenceModel(
-            method=workload.config.probability_method,
-            convolution_points=workload.config.convolution_points,
-        )
-        for client_id, distribution in workload.client_distributions.items():
-            merge_model.register_client(client_id, distribution)
-        merger = CrossShardMerger(
-            merge_model,
-            threshold=workload.config.threshold,
-            cycle_policy=workload.config.cycle_policy,
-            seed=workload.config.seed if workload.config.seed is not None else 0,
-            telemetry=self._telemetry,
-        )
-        topology: Optional[MergeTopology] = None
-        if workload.merge_topology != "flat":
-            topology = MergeTopology.build(
-                workload.merge_topology,
-                workload.num_shards,
-                fanout=workload.merge_fanout,
-                region_map=router.region_map(),
-            )
-        return merger.streaming_merger(num_shards=workload.num_shards, topology=topology)
+        return worker_count(self._num_workers, num_shards)
 
     def run(self, workload: ClusterWorkload) -> RuntimeOutcome:
         """Execute the workload across worker processes and merge live."""
-        num_shards = workload.num_shards
-        router = workload.build_router()
-        tasks = self._build_tasks(workload, router)
-        streaming = self._build_streaming(workload, router)
-
-        num_workers = self.workers_for(num_shards)
-        queue = self._ctx.Queue()
-        self._queue = queue
-        shards_of: List[List[int]] = [
-            list(range(worker, num_shards, num_workers)) for worker in range(num_workers)
-        ]
-        crash_spec: _CrashSpec = (
-            (self._inject_crash, self._crash_mode, self._crash_point)
-            if self._inject_crash is not None
-            else None
-        )
-        done: Set[int] = set()
-        supervisor = WorkerSupervisor(
-            self._ctx,
-            queue,
-            tasks,
-            shards_of,
-            done,
-            policy=self._restart_policy,
-            on_shard_loss=self._on_shard_loss,
-            crash_spec=crash_spec,
-            telemetry=self._telemetry,
-            processes=self._procs,
-        )
         started = time.perf_counter()
-        shard_batches: List[List] = [[] for _ in range(num_shards)]
-        summaries: Dict[int, dict] = {}
-        replayed_deduped = 0
-        try:
-            supervisor.start()
-            while len(done) < num_shards:
-                supervisor.pump()
-                try:
-                    kind, shard, payload = queue.get(timeout=self._poll_timeout)
-                except Empty:
-                    supervisor.tick()
-                    continue
-                supervisor.note_queue_activity()
-                if kind == "batch":
-                    if shard in done:
-                        # late buffered emission of a finished or lost shard
-                        replayed_deduped += 1
-                        continue
-                    expected = streaming.observation_cursor(shard)
-                    if payload.rank < expected:
-                        # a restarted shard replaying its already-observed
-                        # prefix (or the dead incarnation's late buffer):
-                        # deterministic replay makes it byte-identical to
-                        # what the merger already holds — drop it
-                        replayed_deduped += 1
-                        continue
-                    if payload.rank > expected:
-                        raise WorkerCrashed(
-                            [shard],
-                            detail=(
-                                f"shard {shard} streamed batch rank {payload.rank} "
-                                f"but the merger expected rank {expected}"
-                            ),
-                        )
-                    shard_batches[shard].append(payload)
-                    streaming.observe_batch(shard, payload)
-                elif kind == "done":
-                    if shard in done:
-                        continue
-                    done.add(shard)
-                    summaries[shard] = payload
-                    supervisor.note_shard_done(shard)
-                elif kind == "error":
-                    supervisor.on_error(shard, payload)
-            for process in self._procs:
-                process.join(timeout=self._join_timeout)
-        finally:
-            self._cleanup()
-
-        merge = streaming.result()
-        wall_seconds = time.perf_counter() - started
-        if self._telemetry is not None:
-            for shard in sorted(summaries):
-                self._telemetry.absorb(summaries[shard]["stages"], summaries[shard]["events"])
+        coordinator = self._coordinator = ShardCoordinator(
+            LiveClusterSpec.from_workload(workload),
+            num_workers=self._num_workers,
+            telemetry=self._telemetry,
+            **self._coordinator_options,
+        )
+        # the whole workload is one wave from an already-closed source:
+        # nothing to wait for, so no watermark — the close runs it all
+        coordinator.wave(workload.messages_by_true_time(), run_to=None)
+        coordinator.close_shards(*(workload.closing_heartbeat() or (None, None)))
+        merge = coordinator.finish()
         return RuntimeOutcome(
             backend=self.name,
             merge=merge,
-            shard_batches=shard_batches,
+            shard_batches=coordinator.shard_batches,
             message_count=len(workload.messages),
-            wall_seconds=wall_seconds,
-            num_workers=num_workers,
+            wall_seconds=time.perf_counter() - started,
+            num_workers=coordinator.num_workers,
             telemetry=self._telemetry,
-            details={
-                "shards_per_worker": [len(shards) for shards in shards_of],
-                "worker_restarts": supervisor.worker_restarts,
-                "shards_recovered": sorted(supervisor.shards_recovered),
-                "lost_shards": sorted(supervisor.lost_shards),
-                "replayed_batches_deduped": replayed_deduped,
-                "per_shard": {
-                    shard: {
-                        key: summary[key]
-                        for key in ("message_count", "batch_count", "wall_seconds", "loop")
-                    }
-                    for shard, summary in sorted(summaries.items())
-                },
-            },
+            details=coordinator.details(),
         )
-
-    def _cleanup(self) -> None:
-        """Tear down workers and the result queue (idempotent).
-
-        Only processes that were actually started live in ``self._procs``,
-        so a partially started pool tears down safely.  The queue is drained
-        before the joins (a child blocked on a full pipe must be released)
-        and then closed with ``cancel_join_thread`` so a terminated run can
-        never deadlock on the queue's feeder thread.
-        """
-        for process in self._procs:
-            if process.is_alive():
-                process.terminate()
-        queue = self._queue
-        if queue is not None:
-            try:
-                while True:
-                    queue.get_nowait()
-            except (Empty, OSError, ValueError):
-                pass
-        for process in self._procs:
-            process.join(timeout=self._join_timeout)
-        self._procs = []
-        if queue is not None:
-            self._queue = None
-            try:
-                queue.close()
-                queue.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
 
     def close(self) -> None:
         """Terminate any worker processes still alive (idempotent)."""
-        self._cleanup()
+        if self._coordinator is not None:
+            self._coordinator.close()
 
 
 __all__ = [
     "CRASH_MODES",
     "CRASH_POINTS",
+    "DRAIN_GRACE",
     "SHARD_LOSS_MODES",
     "ProcBackend",
     "RestartPolicy",
-    "ShardTask",
+    "ShardCoordinator",
     "WorkerCrashed",
     "WorkerSupervisor",
+    "run_close",
+    "run_wave",
 ]

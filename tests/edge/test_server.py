@@ -13,7 +13,7 @@ from repro.distributions.parametric import GaussianDistribution
 from repro.edge import protocol
 from repro.edge.client import EdgeClient, EdgeError
 from repro.edge.server import EdgeServer
-from repro.network.message import TimestampedMessage
+from repro.network.message import Heartbeat, TimestampedMessage
 from repro.obs import Telemetry
 from repro.runtime.live import LiveClusterSpec, LiveDispatcher
 
@@ -122,6 +122,23 @@ def test_unknown_client_rejected():
     asyncio.run(run())
 
 
+def test_unknown_client_heartbeat_rejected():
+    """A HEARTBEAT for an unprovisioned client is refused like a MSG is: it
+    must not be acked, buffered, or grow the routing table."""
+
+    async def run():
+        async with make_server() as server:
+            client = await EdgeClient.connect("127.0.0.1", server.port, source="c")
+            with pytest.raises(EdgeError) as excinfo:
+                await client.send_heartbeat(
+                    Heartbeat(client_id="intruder", timestamp=1.0, true_time=1.0)
+                )
+            assert excinfo.value.code == protocol.ERR_UNKNOWN_CLIENT
+            await client.abort()
+
+    asyncio.run(run())
+
+
 def test_duplicate_message_id_acked_as_rejected():
     async def run():
         telemetry = Telemetry()
@@ -220,5 +237,35 @@ def test_heartbeat_advances_watermark_and_acks():
             assert ack["vtime"] == 5.0
             await client.close()
             await server.finish()
+
+    asyncio.run(run())
+
+
+def test_dispatcher_failure_is_terminal_and_loud():
+    """A dispatcher exception kills the intake pump; that must end the run
+    with a typed error for the clients and an exception for the operator —
+    not a finish() blocked forever on a queue nobody drains."""
+
+    class Boom(RuntimeError):
+        pass
+
+    async def run():
+        server = make_server()
+
+        def explode():
+            raise Boom("worker died")
+
+        server.dispatcher.advance = explode
+        async with server:
+            client = await EdgeClient.connect("127.0.0.1", server.port, source="c")
+            with pytest.raises(EdgeError) as excinfo:
+                await client.send_message(message("client-0", 1.0, message_id=1))
+                await client.read_frame()  # the MSG was acked before advance() blew up
+            assert excinfo.value.code == protocol.ERR_SERVER_FAILURE
+            await client.abort()
+            with pytest.raises(Boom):
+                await asyncio.wait_for(server.finish(), timeout=5.0)
+            with pytest.raises(Boom):
+                await asyncio.wait_for(server.serve_until_idle(idle_grace=0.01), timeout=5.0)
 
     asyncio.run(run())

@@ -4,6 +4,10 @@ and bitwise parity with the frozen ``SimBackend`` path."""
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
+import signal
+import time
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.network.message import Heartbeat, TimestampedMessage
 from repro.obs import Telemetry
 from repro.runtime.base import ClusterWorkload
 from repro.runtime.live import LIVE_RUNTIMES, LiveClusterSpec, LiveDispatcher
+from repro.runtime.procs import DRAIN_GRACE, WorkerCrashed
 from repro.runtime.sim import SimBackend
 from repro.workloads.cluster import build_cluster_scenario
 
@@ -94,6 +99,20 @@ def test_unknown_client_raises_key_error():
                     client_id="nobody", timestamp=1.0, true_time=1.0, message_id=1
                 ),
             )
+        dispatcher.close_source("a")
+        dispatcher.finish()
+
+
+def test_unknown_client_heartbeat_raises_key_error():
+    spec = LiveClusterSpec.from_workload(_workload(num_clients=4, num_shards=2))
+    with LiveDispatcher(spec, runtime="sim") as dispatcher:
+        dispatcher.open_source("a")
+        with pytest.raises(KeyError):
+            dispatcher.submit_heartbeat(
+                "a", Heartbeat(client_id="nobody", timestamp=1.0, true_time=1.0)
+            )
+        # the invented id neither moved the watermark nor entered the routing table
+        assert math.isinf(dispatcher.watermark)
         dispatcher.close_source("a")
         dispatcher.finish()
 
@@ -192,3 +211,71 @@ def test_heartbeat_advances_source_watermark():
         assert dispatcher.watermark == 7.0
         dispatcher.close_source("a")
         dispatcher.finish()
+
+
+def _finish_after_trailing_heartbeat(workload, runtime):
+    """Stream the workload, then one ordinary heartbeat 50 ms past the last
+    message (an idle client keeping its session alive), then drain."""
+    messages = workload.messages_by_true_time()
+    last = messages[-1]
+    spec = LiveClusterSpec.from_workload(workload)
+    kwargs = {"num_workers": 2} if runtime == "procs" else {}
+    with LiveDispatcher(spec, runtime=runtime, **kwargs) as dispatcher:
+        dispatcher.open_source("a")
+        for message in messages:
+            dispatcher.submit("a", message)
+        dispatcher.submit_heartbeat(
+            "a",
+            Heartbeat(
+                client_id=last.client_id,
+                timestamp=last.timestamp + 0.05,
+                true_time=last.true_time + 0.05,
+            ),
+        )
+        # the runtime's clock is now past the closing-heartbeat horizon,
+        # which is computed over admitted *messages* only
+        dispatcher.advance()
+        dispatcher.close_source("a")
+        return dispatcher.finish()
+
+
+@pytest.mark.parametrize("runtime", LIVE_RUNTIMES)
+def test_trailing_heartbeat_does_not_break_finish(runtime):
+    # regression: the procs worker scheduled the closing heartbeats at the
+    # unclamped horizon and died with "cannot schedule event ... time is
+    # already ..."; the one close routine clamps to the loop's now
+    workload = _workload()
+    outcome = _finish_after_trailing_heartbeat(workload, runtime)
+    assert outcome.message_count == len(workload.messages)
+    reference = _finish_after_trailing_heartbeat(workload, "sim")
+    assert outcome.fingerprint() == reference.fingerprint()
+
+
+def test_procs_worker_death_is_detected_on_advance():
+    workload = _workload()
+    messages = workload.messages_by_true_time()
+    spec = LiveClusterSpec.from_workload(workload)
+    with LiveDispatcher(spec, runtime="procs", num_workers=2) as dispatcher:
+        dispatcher.open_source("a")
+        for message in messages[: len(messages) // 2]:
+            dispatcher.submit("a", message)
+        dispatcher.advance()
+        time.sleep(0.3)  # let the wave settle: the kill must not land mid-write
+        victim = next(
+            child for child in mp.active_children() if child.name == "repro-shard-worker-1"
+        )
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        assert not victim.is_alive()
+        with pytest.raises(WorkerCrashed) as excinfo:
+            for message in messages[len(messages) // 2 :][: DRAIN_GRACE + 1]:
+                dispatcher.submit("a", message)
+                dispatcher.advance()
+        # worker 1 of 2 hosts shard 1 of 3
+        assert excinfo.value.shard_ids == (1,)
+        # not a one-off: a caller that keeps polling keeps getting the crash
+        with pytest.raises(WorkerCrashed):
+            dispatcher.advance()
+    for child in mp.active_children():
+        child.join(timeout=2.0)
+    assert not mp.active_children()

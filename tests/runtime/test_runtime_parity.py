@@ -15,6 +15,7 @@ from repro.cluster.merge import merge_fingerprint
 from repro.core.config import TommyConfig
 from repro.obs.telemetry import Telemetry
 from repro.runtime.base import ClusterWorkload
+from repro.runtime.live import LiveClusterSpec, LiveDispatcher
 from repro.runtime.procs import ProcBackend
 from repro.runtime.sim import SimBackend
 from repro.workloads.cluster import build_cluster_scenario
@@ -107,3 +108,26 @@ def test_telemetry_absorbed_from_workers_covers_pipeline_stages():
     assert {"merge_observe", "merge_commit"} <= stages
     shards = {record.shard for record in telemetry.stage_records if record.shard is not None}
     assert shards == {0, 1}
+
+    # stage parity: one worker and one recipe, so every backend's per-stage
+    # table has the same rows
+    def live_outcome(runtime, workload, **kwargs):
+        spec = LiveClusterSpec.from_workload(workload)
+        with LiveDispatcher(spec, runtime=runtime, telemetry=Telemetry(), **kwargs) as dispatcher:
+            dispatcher.open_source("a")
+            for message in workload.messages_by_true_time():
+                dispatcher.submit("a", message)
+            dispatcher.close_source("a")
+            return dispatcher.finish()
+
+    for runtime in ("sim", "procs"):
+        outcome = live_outcome(runtime, workload)
+        assert {record.stage for record in outcome.telemetry.stage_records} == stages, runtime
+
+    # per-shard wall_seconds is busy time inside the shard's own calls, not
+    # time since its worker started: four shards sharing one worker cannot
+    # add up to more than that worker's wall time
+    serial = live_outcome("procs", _workload(num_shards=4), num_workers=1)
+    busy = sum(shard["wall_seconds"] for shard in serial.details["per_shard"].values())
+    assert sorted(serial.details["per_shard"]) == [0, 1, 2, 3]
+    assert 0.0 < busy <= serial.wall_seconds * serial.num_workers
