@@ -37,12 +37,6 @@ def test_cluster_shard_scaling(benchmark):
         iterations=1,
     )
     wall = time.perf_counter() - start
-    emit(
-        f"Cluster shard-count scaling ({BENCH_CLUSTER_CLIENTS} clients)",
-        rows,
-        benchmark="bench_cluster_shard_scaling",
-        wall_time=wall,
-    )
     by_shards = {row["shards"]: row for row in rows}
     assert set(by_shards) == set(SHARD_COUNTS)
     # Scale-out keeps the cluster competitive.  The original gate demanded
@@ -52,10 +46,25 @@ def test_cluster_shard_scaling(benchmark):
     # that per-shard constants + the cross-shard merge eat the quadratic
     # advantage, leaving 1 vs 4 shards within run-to-run noise.  Sharding
     # still must not *cost* more than a modest factor at this size (it pays
-    # again once pending sets grow), so gate on staying within 2x.
-    assert by_shards[4]["total_throughput"] > 0.5 * by_shards[1]["total_throughput"]
-    assert by_shards[2]["total_throughput"] > 0.5 * by_shards[1]["total_throughput"]
-    # and the merged cross-shard order stays fair (no worse than ~2% of the
+    # again once pending sets grow).  The two throughput ratios are wall
+    # clock: they go into every row and are gated against ``baselines.json``
+    # by ``check_regression.py``; asserted here they made tier-1 depend on
+    # how busy the machine was.
+    scaling = {
+        f"scaling_{shards}_to_1": round(
+            by_shards[shards]["total_throughput"] / by_shards[1]["total_throughput"], 3
+        )
+        for shards in (2, 4)
+    }
+    for row in rows:
+        row.update(scaling)
+    emit(
+        f"Cluster shard-count scaling ({BENCH_CLUSTER_CLIENTS} clients)",
+        rows,
+        benchmark="bench_cluster_shard_scaling",
+        wall_time=wall,
+    )
+    # the merged cross-shard order stays fair (no worse than ~2% of the
     # single-sequencer pair agreement)
     assert by_shards[4]["ras_normalized"] >= by_shards[1]["ras_normalized"] - 0.02
     # every shard count sequenced the whole message set

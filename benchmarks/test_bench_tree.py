@@ -1,14 +1,17 @@
-"""TREE — hierarchical merge tree vs the flat kernel at wide shard counts.
+"""TREE — one pricing path at wide shard counts: offline, flat replay, tree replay.
 
 Builds one seeded wide-cluster workload of emitted batch streams (64 shards
-by default — the regime the log-depth tree targets) and merges it twice:
+by default — the width merge trees are meant for) and prices it three times
+through the one window rule and the one pair-list kernel of
+:mod:`repro.cluster.merge`:
 
-* **flat** — the existing :class:`repro.cluster.merge.CrossShardMerger`
-  flattened kernel: one global forward matrix over every message pair;
-* **tree** — :class:`repro.cluster.tree.HierarchicalMerger` over a balanced
-  binary :class:`~repro.cluster.tree.MergeTopology`: each cross-shard batch
-  pair priced at its LCA node, whole-grid window pruning first, then
-  time-local chunked kernel calls sized to ``DEFAULT_CHUNK_ELEMENTS``.
+* **offline** — :meth:`repro.cluster.merge.CrossShardMerger.merge`: the rule
+  over the whole cross-shard grid, the band in one kernel call;
+* **flat replay** — a :class:`~repro.cluster.merge.StreamingMerger` observing
+  the batches one by one in emission order;
+* **tree replay** — the same replay under a balanced binary
+  :class:`~repro.cluster.tree.MergeTopology`, which attributes every priced
+  pair to its lowest common ancestor and prices nothing differently.
 
 The workload gives every batch a shared per-message timestamp on a
 deterministic shard-staggered grid (no jitter), so the batch tournament is
@@ -16,15 +19,18 @@ provably transitive — parity cannot hinge on tie-breaking randomness.
 
 Asserted:
 
-* **parity** — the tree merge is byte-identical to the flat merge (order,
-  counters, coalescing);
+* **parity** — all three give one merged order, and **counter_parity** the
+  same evaluated/pruned pair counts;
+* **attribution_parity** — the tree replay's per-node counts sum to the
+  totals and equal the attribution of window masks computed here,
+  independently, from the certainty windows;
 * **pruning** — the time-localised streams resolve most batch pairs by
-  certainty windows alone;
+  certainty windows alone, and every cross-shard pair is priced exactly once.
 
-Recorded, not asserted: **speed** — the wall-clock ``speedup`` over flat
-(both sides timed best-of-``TIMING_ROUNDS`` with a fresh merger per round)
-goes into the row and is gated against ``baselines.json`` by
-``check_regression.py``; an in-test wall-clock floor made tier-1 flaky.
+Recorded, not asserted: the three walls (best-of-``TIMING_ROUNDS``, a fresh
+merger per round).  There is no speedup to gate: the tree merger this bench
+once raced against the flat active-square kernel was the pair-list kernel,
+which is now the only one.
 
 ``TREE_BENCH_SHARDS`` / ``TREE_BENCH_BATCHES`` override the cluster width
 and per-shard batch count (the CI smoke step runs 32 x 16).
@@ -50,7 +56,7 @@ MESSAGES_PER_BATCH = 3
 BATCH_GAP = 0.02
 FANOUT = 2
 # best-of-N walls with a fresh merger per round: one noisy round (GC pause,
-# shared-runner contention) cannot sink the speedup ratio
+# shared-runner contention) does not end up in the record
 TIMING_ROUNDS = 3
 
 
@@ -109,67 +115,104 @@ def fingerprint(outcome):
     ]
 
 
-def timed_merge(build_merger, streams):
-    """Best-of-``TIMING_ROUNDS`` wall clock; the merge outcome is identical
-    every round (deterministic), so any round's result serves for parity."""
+def timed(distributions, price):
+    """Best-of-``TIMING_ROUNDS`` wall clock of ``price(fresh merger)``.
+
+    The outcome is identical every round (deterministic), so any round's
+    result serves for parity.
+    """
     best_wall = float("inf")
-    outcome = None
+    priced = None
     for _ in range(TIMING_ROUNDS):
-        merger = build_merger()
+        merger = CrossShardMerger(model_for(distributions), seed=BENCH_SEED)
         start = time.perf_counter()
-        outcome = merger.merge(streams)
+        priced = price(merger)
         best_wall = min(best_wall, time.perf_counter() - start)
-    return outcome, best_wall
+    return priced, best_wall
+
+
+def replay(merger, streams, topology):
+    """A streaming merger that observed ``streams`` in emission order."""
+    streaming = merger.streaming_merger(num_shards=NUM_SHARDS, topology=topology)
+    emissions = [(shard, batch) for shard, stream in enumerate(streams) for batch in stream]
+    for shard, batch in sorted(emissions, key=lambda entry: (entry[1].emitted_at, entry[0])):
+        streaming.observe_batch(shard, batch)
+    return streaming
+
+
+def window_attribution(distributions, streams, topology):
+    """Per-node (pruned, kernel) pair counts from window masks built here."""
+    windows = CrossShardMerger(model_for(distributions)).certainty_windows
+    earliest, latest = np.array(
+        [windows.batch_window(batch) for stream in streams for batch in stream]
+    ).T
+    shard = np.repeat(np.arange(len(streams)), [len(stream) for stream in streams])
+    upper = shard[:, None] < shard[None, :]
+    apart = (earliest[None, :] > latest[:, None]) | (earliest[:, None] > latest[None, :])
+    counts = []
+    for mask in (upper & apart, upper & ~apart):
+        rows, cols = np.nonzero(mask)
+        counts.append(topology.attribute(shard[rows], shard[cols]))
+    return counts
 
 
 def run_once():
     distributions, streams = build_workload()
-
-    flat, flat_wall = timed_merge(
-        lambda: CrossShardMerger(model_for(distributions), seed=BENCH_SEED), streams
-    )
-
     topology = MergeTopology.balanced(NUM_SHARDS, fanout=FANOUT)
-    tree, tree_wall = timed_merge(
-        lambda: CrossShardMerger(model_for(distributions), seed=BENCH_SEED).tree_merger(
-            topology
-        ),
-        streams,
-    )
 
-    cross_pairs_total = tree.cross_pairs_evaluated + tree.cross_pairs_pruned
+    offline, offline_wall = timed(distributions, lambda merger: merger.merge(streams))
+    flat_replay, flat_wall = timed(distributions, lambda merger: replay(merger, streams, None))
+    tree_replay, tree_wall = timed(
+        distributions, lambda merger: replay(merger, streams, topology)
+    )
+    flat, tree = flat_replay.result(), tree_replay.result()
+
+    report = {row["node"]: row for row in tree_replay.node_report()}
+    pruned_by_node, kernel_by_node = window_attribution(distributions, streams, topology)
+    counters = [
+        (outcome.cross_pairs_evaluated, outcome.cross_pairs_pruned)
+        for outcome in (offline, flat, tree)
+    ]
+    cross_pairs_total = offline.cross_pairs_evaluated + offline.cross_pairs_pruned
     return {
         "shards": NUM_SHARDS,
         "batches_per_shard": NUM_BATCHES,
         "fanout": FANOUT,
         "depth": topology.depth,
-        "merged_batches": tree.batch_count,
-        "parity": fingerprint(tree) == fingerprint(flat),
-        "counter_parity": (
-            tree.cross_pairs_evaluated == flat.cross_pairs_evaluated
-            and tree.cross_pairs_pruned == flat.cross_pairs_pruned
+        "merged_batches": offline.batch_count,
+        "parity": fingerprint(offline) == fingerprint(flat) == fingerprint(tree),
+        "counter_parity": counters[0] == counters[1] == counters[2],
+        "attribution_parity": (
+            sum(row["kernel_pairs"] for row in report.values()) == counters[0][0]
+            and sum(row["pruned_pairs"] for row in report.values()) == counters[0][1]
+            and all(
+                report[node.node_id]["pruned_pairs"] == pruned_by_node[node.node_id]
+                and report[node.node_id]["kernel_pairs"] == kernel_by_node[node.node_id]
+                for node in topology.interior_nodes
+            )
         ),
-        "flat_wall_s": round(flat_wall, 4),
-        "tree_wall_s": round(tree_wall, 4),
-        "speedup": round(flat_wall / max(tree_wall, 1e-9), 2),
+        "offline_wall_s": round(offline_wall, 4),
+        "flat_replay_wall_s": round(flat_wall, 4),
+        "tree_replay_wall_s": round(tree_wall, 4),
         "cross_pairs": cross_pairs_total,
-        "kernel_pairs": tree.cross_pairs_evaluated,
-        "pruned_pairs": tree.cross_pairs_pruned,
-        "pruned_fraction": round(tree.cross_pairs_pruned / max(cross_pairs_total, 1), 3),
-        "cycles_broken": tree.cycles_broken,
+        "kernel_pairs": offline.cross_pairs_evaluated,
+        "pruned_pairs": offline.cross_pairs_pruned,
+        "pruned_fraction": round(offline.cross_pairs_pruned / max(cross_pairs_total, 1), 3),
+        "cycles_broken": offline.cycles_broken,
     }
 
 
-def test_tree_merge_matches_flat_and_is_faster_at_wide_clusters(benchmark):
+def test_wide_cluster_pricing_parity_and_attribution(benchmark):
     row = benchmark.pedantic(run_once, rounds=1, iterations=1)
     emit(
-        "Hierarchical merge tree vs flat kernel at wide shard counts",
+        "One pricing path at wide shard counts: offline, flat replay, tree replay",
         [row],
         benchmark="tree_merge",
-        wall_time=row["flat_wall_s"] + row["tree_wall_s"],
+        wall_time=row["offline_wall_s"] + row["flat_replay_wall_s"] + row["tree_replay_wall_s"],
     )
-    assert row["parity"], "tree merge diverged from the flat merge order"
-    assert row["counter_parity"], "tree merge counters diverged from flat"
+    assert row["parity"], "offline merge and streaming replays diverged"
+    assert row["counter_parity"], "evaluated/pruned pair counts diverged"
+    assert row["attribution_parity"], "tree attribution diverged from the window masks"
     assert row["merged_batches"] > 0
     assert row["cycles_broken"] == 0, "staggered-grid workload must stay transitive"
     # every cross-shard batch pair was priced exactly once, one way or another

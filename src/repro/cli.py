@@ -368,9 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--merge-topology",
         choices=["flat", "binary", "region"],
         default="flat",
-        help="cluster/telemetry: cross-shard merge topology — flat (one kernel), "
-        "binary (balanced fanout tree), or region (tree grouped by the router's "
-        "region map); parity-equal merged order (default flat)",
+        help="cluster/telemetry: merge-tree topology the priced cross-shard pairs are "
+        "attributed to — flat (one root), binary (balanced fanout tree), or region "
+        "(tree grouped by the router's region map); same pricing and merged order "
+        "(default flat)",
     )
     parser.add_argument(
         "--fanout",

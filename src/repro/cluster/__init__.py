@@ -6,10 +6,11 @@ region-affine, or load-aware), a :class:`ShardedSequencer` runs one online
 sequencer per shard on a shared event loop with heartbeat-driven failover,
 and a :class:`CrossShardMerger` recovers one cluster-wide fair order by
 applying the paper's probabilistic machinery at batch granularity across
-shard boundaries.  For wide clusters a :class:`MergeTopology` arranges the
-shards as leaves of a log-depth tree and :class:`HierarchicalMerger` prices
-every cross-shard pair at its lowest common ancestor — byte-identical
-output, band-local kernel work.
+shard boundaries — one window rule and one pair-list kernel price every
+cross-shard batch pair, offline and streaming alike.  A
+:class:`MergeTopology` arranges the shards as leaves of a log-depth tree and
+attributes each priced pair to its lowest common ancestor (which aggregator
+of a hierarchy carries how much work); it never changes the merged order.
 """
 
 from repro.cluster.harness import ClusterTransport, replay_scenario
@@ -25,7 +26,7 @@ from repro.cluster.router import (
     stable_shard_hash,
 )
 from repro.cluster.sharded import FailoverEvent, RejoinEvent, ShardedSequencer, ShardState
-from repro.cluster.tree import HierarchicalMerger, MergeTopology, TreeNode
+from repro.cluster.tree import MergeTopology, TreeNode
 
 __all__ = [
     "ShardingPolicy",
@@ -44,7 +45,6 @@ __all__ = [
     "RejoinEvent",
     "MergeTopology",
     "TreeNode",
-    "HierarchicalMerger",
     "ClusterTransport",
     "replay_scenario",
     "IntakeDedupeGate",

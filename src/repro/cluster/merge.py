@@ -21,46 +21,60 @@ the same probabilistic machinery the sequencer itself uses:
   cluster-wide rank — the probabilistic merge: the cluster refuses to
   invent an order between shard batches it cannot justify.
 
-The batch-level probabilities are computed by a single *flattened kernel*:
-all messages across all shard batches are concatenated, the cross-client
-preceding probabilities are evaluated once through the vectorized engine
-kernels (Gaussian closed form / shared :class:`~repro.core.engine.PairTableCache`
-difference-CDF tables), and the batch-by-batch precedence-mean matrix falls
-out of two ``np.add.reduceat`` segment reductions — zero per-batch-pair
-Python calls.  Batch pairs whose *certainty windows* cannot overlap
-(:class:`CertaintyWindows`) resolve to exactly ``0.0``/``1.0`` without
-per-pair kernel calls: the windows are sized so the kernel itself would have
-saturated to the same float.  (Offline, fully pruned batches drop out of the
-flattened evaluation; the streaming path goes further and never evaluates a
-pruned pair's entries.)
+Every cross-shard batch pair is priced by **one window rule and one
+pair-list kernel**, whoever asks:
 
-:class:`StreamingMerger` maintains the same state *incrementally*:
-``observe_batch`` appends one row/column of batch precedences (one
-vectorized kernel call against all unpruned existing batches) and
-``result()`` linearises the maintained matrix — byte-identical to a fresh
-:meth:`CrossShardMerger.merge` over the same streams, which is kept as the
-parity oracle.
+* :func:`window_rule` compares the *certainty windows*
+  (:class:`CertaintyWindows`) of two node sets: a pair whose windows cannot
+  overlap resolves to exactly ``1.0``/``0.0`` with no kernel work — the
+  windows are sized so the kernel itself would have saturated to the same
+  float;
+* the remaining *band* goes through :meth:`StreamingMerger._price_pairs`,
+  which prices exactly the requested ``(a, b)`` node pairs: all-Gaussian
+  message sets in one 1-D closed-form pass, anything grid-backed in chunked
+  rectangles through :func:`~repro.core.engine.cross_probability_matrix`
+  (shared :class:`~repro.core.engine.PairTableCache` difference-CDF
+  tables).  Either way a pair's mean is two sequential ``np.add.reduceat``
+  segment sums over the same floats, so it is bit-identical whichever call
+  computes it.
+
+:class:`StreamingMerger` holds the priced state — per-node window arrays,
+the flattened per-message kernel parameters and the N×N forward matrix —
+and has three callers of the rule and the kernel: ``observe_batch`` (one new
+row), ``refresh_client`` (the rows a distribution refresh can move) and the
+offline :meth:`CrossShardMerger.merge`, which is the same state observing
+whole streams at once (the rule over the entire cross-shard grid, one kernel
+call over the band).  ``result()`` linearises the maintained matrix —
+byte-identical to a fresh :meth:`CrossShardMerger.merge` over the same
+streams in any observation interleaving; ``tests/reference`` holds the
+unpruned per-pair oracle both are checked against.  A
+:class:`~repro.cluster.tree.MergeTopology` changes none of this: it only
+attributes the priced pairs to tree nodes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
+from repro.cluster.tree import MergeTopology
 from repro.core.cycles import eades_linear_arrangement
-from repro.core.engine import EngineStats, PairTableCache, cross_probability_matrix
+from repro.core.engine import (
+    EngineStats,
+    PairTableCache,
+    _gaussian_params,
+    batched_gaussian_pairs,
+    cross_probability_matrix,
+)
 from repro.core.probability import PrecedenceModel
 from repro.distributions.base import OffsetDistribution
 from repro.network.message import SequencedBatch, TimestampedMessage
 from repro.obs.telemetry import NO_TELEMETRY, Telemetry, resolve
 from repro.sequencers.base import SequencingResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tree imports merge)
-    from repro.cluster.tree import HierarchicalMerger, MergeTopology
 
 #: A batch node: (shard index, position of the batch in that shard's stream).
 BatchNode = Tuple[int, int]
@@ -69,6 +83,29 @@ BatchNode = Tuple[int, int]
 #: float64 (``erf`` rounds to ±1 past ~5.9 standard deviations; 9 adds a
 #: comfortable margin, verified by the pruning soundness tests).
 _GAUSSIAN_SATURATION_Z = 9.0
+
+#: Element budget (row·col message pairs) of one kernel pass.  Large enough
+#: to amortise per-call overhead, small enough that the temporaries stay
+#: cache-resident and a rectangle's b-side union stays inside the time-local
+#: band.  It only groups work: no pair's additions are ever regrouped.
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def window_rule(
+    earliest_a: np.ndarray, latest_a: np.ndarray, earliest_b: np.ndarray, latest_b: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify every (a, b) node pair of two node sets by certainty window.
+
+    Returns the ``(before, after, band)`` masks of shape ``(len(a), len(b))``:
+    ``before`` — a's window closes before b's opens, so ``P(a before b)`` is
+    exactly ``1.0``; ``after`` — the reverse, exactly ``0.0``; ``band`` —
+    the windows overlap and the pair needs the kernel.  This is the only
+    place the comparison is written; the offline merge, ``observe_batch``
+    and ``refresh_client`` all classify through it.
+    """
+    before = earliest_b[None, :] > latest_a[:, None]
+    after = earliest_a[:, None] > latest_b[None, :]
+    return before, after, ~(before | after)
 
 
 class CertaintyWindows:
@@ -168,29 +205,6 @@ def merge_fingerprint(outcome: MergeOutcome) -> List[Tuple[int, Tuple[Tuple[str,
     ]
 
 
-def _pair_block_forward(
-    messages_a: Sequence[TimestampedMessage],
-    messages_b: Sequence[TimestampedMessage],
-    model: PrecedenceModel,
-    stats: Optional[EngineStats],
-    tables: Optional[PairTableCache],
-) -> float:
-    """Mean of ``P(a precedes b)`` over the message cross pairs of one pair.
-
-    The reduction is the exact float sequence the flattened kernel's segment
-    reductions perform (sequential column sums per row, then a sequential
-    sum over the row totals), so single-pair recomputations — the streaming
-    merger's distribution-refresh path — stay bit-identical to the batch
-    kernels.
-    """
-    matrix = cross_probability_matrix(messages_a, messages_b, model, stats=stats, tables=tables)
-    if matrix.size == 0:
-        return 0.5
-    row_totals = np.add.reduceat(matrix, [0], axis=1)
-    total = np.add.reduceat(row_totals, [0], axis=0)[0, 0]
-    return float(total / (matrix.shape[0] * matrix.shape[1]))
-
-
 def _empty_outcome(start: float) -> MergeOutcome:
     empty = SequencingResult(batches=(), metadata={"sequencer": "cluster-merge"})
     return MergeOutcome(
@@ -204,7 +218,7 @@ def _empty_outcome(start: float) -> MergeOutcome:
 
 
 class _NodeLayout:
-    """Shard-major node enumeration shared by the kernel and linearisation.
+    """Shard-major node enumeration of the linearisation stage.
 
     One construction per merge: the node list, its id/shard lookup arrays and
     the cross-shard upper-triangle mask (the canonical pair orientation).
@@ -390,16 +404,15 @@ def _merge_from_matrix(
     cross_pairs_pruned: int,
     start: float,
     stats: Optional[EngineStats] = None,
-    layout: Optional[_NodeLayout] = None,
     obs=NO_TELEMETRY,
 ) -> MergeOutcome:
     """Linearise + coalesce a node-level forward-probability matrix.
 
-    Shared by the offline flattened merge and the streaming merger, so both
-    produce byte-identical output from byte-identical matrices.
+    ``forward_matrix`` is indexed shard-major (:class:`_NodeLayout`).  The
+    offline merge and the streaming merger both end here, so they produce
+    byte-identical output from byte-identical matrices.
     """
-    if layout is None:
-        layout = _NodeLayout(streams)
+    layout = _NodeLayout(streams)
     nodes = layout.nodes
     node_ids = layout.node_ids
     node_shard = layout.node_shard
@@ -532,33 +545,11 @@ class CrossShardMerger:
         self._cycle_policy = cycle_policy
         self._seed = int(seed)
         self._telemetry = telemetry
-        self._obs = resolve(telemetry)
-        self._rng = np.random.default_rng(seed)
         self._engine_stats = EngineStats()
         # difference-CDF tables shared across every batch_precedence call, so
         # empirical/learned client pairs convolve once per pair, not per batch
         self._tables = PairTableCache(model, stats=self._engine_stats)
         self._windows = CertaintyWindows(model)
-
-    @property
-    def threshold(self) -> float:
-        """Cross-shard boundary confidence threshold."""
-        return self._threshold
-
-    @property
-    def cycle_policy(self) -> str:
-        """Cycle-resolution policy of the linearisation stage."""
-        return self._cycle_policy
-
-    @property
-    def seed(self) -> int:
-        """RNG seed shared by every merge path built from this merger."""
-        return self._seed
-
-    @property
-    def observer(self) -> Telemetry:
-        """The resolved telemetry hub (``NO_TELEMETRY`` when disabled)."""
-        return self._obs
 
     @property
     def model(self) -> PrecedenceModel:
@@ -586,16 +577,16 @@ class CrossShardMerger:
         self._windows.invalidate_client(client_id)
 
     def streaming_merger(
-        self, num_shards: Optional[int] = None, topology: Optional["MergeTopology"] = None
+        self, num_shards: Optional[int] = None, topology: Optional[MergeTopology] = None
     ) -> "StreamingMerger":
         """A :class:`StreamingMerger` sharing this merger's model and caches.
 
-        Its :meth:`StreamingMerger.result` is byte-identical to the first
-        :meth:`merge` of a fresh merger constructed with the same arguments.
-        ``topology`` (a :class:`~repro.cluster.tree.MergeTopology`) switches
-        the merger into its tree-aware incremental mode: new batches are
-        priced only along the owning leaf's ancestor path, with whole-subtree
-        window pruning at each level.
+        Its :meth:`StreamingMerger.result` is byte-identical to
+        :meth:`merge` over the observed streams.  ``topology`` (a
+        :class:`~repro.cluster.tree.MergeTopology`) makes the merger
+        attribute every priced pair to its lowest common ancestor
+        (:meth:`StreamingMerger.node_report`, ``merge_tree`` telemetry); it
+        never changes a priced float.
         """
         return StreamingMerger(
             self._model,
@@ -609,17 +600,6 @@ class CrossShardMerger:
             telemetry=self._telemetry,
             topology=topology,
         )
-
-    def tree_merger(self, topology: "MergeTopology") -> "HierarchicalMerger":
-        """A :class:`~repro.cluster.tree.HierarchicalMerger` over this merger.
-
-        Shares the model, pair-table cache, certainty windows and engine
-        counters; its ``merge()`` is byte-identical to :meth:`merge` over the
-        same streams while evaluating only each tree node's unpruned band.
-        """
-        from repro.cluster.tree import HierarchicalMerger
-
-        return HierarchicalMerger(self, topology)
 
     # ---------------------------------------------------------- probabilities
     @property
@@ -646,127 +626,61 @@ class CrossShardMerger:
             return 0.5
         return float(matrix.mean())
 
-    def _forward_matrix(
-        self, streams: Sequence[Sequence[SequencedBatch]], layout: Optional[_NodeLayout] = None
-    ) -> Tuple[np.ndarray, int, int]:
-        """Node-level forward probabilities via the flattened kernel.
-
-        Returns ``(matrix, cross_pairs_evaluated, cross_pairs_pruned)``.
-        ``matrix[a][b]`` is the batch-precedence mean for every cross-shard
-        node pair (both directions, ``P(b<a)`` stored as ``1 - P(a<b)``
-        exactly like the pairwise reference); within-shard entries stay NaN.
-
-        Pruned pairs are resolved without per-pair work; the flattened
-        kernel still evaluates the full active-message square (nodes with at
-        least one unpruned partner), so its element count only shrinks when
-        whole batches prune against everything — the streaming path is the
-        one that skips pruned pairs' kernel entries entirely.
-        """
-        if layout is None:
-            layout = _NodeLayout(streams)
-        nodes = layout.nodes
-        n = len(nodes)
-        batches = [streams[shard][index] for shard, index in nodes]
-        sizes = np.asarray([batch.size for batch in batches], dtype=np.int64)
-        window_bounds = [self._windows.batch_window(batch) for batch in batches]
-        earliest = np.asarray([bounds[0] for bounds in window_bounds], dtype=float)
-        latest = np.asarray([bounds[1] for bounds in window_bounds], dtype=float)
-
-        cross_upper = layout.cross_upper
-        # window pruning: certainty windows that cannot overlap resolve the
-        # batch pair to the exact 0/1 the kernel would have saturated to
-        prune_after = cross_upper & (earliest[None, :] > latest[:, None])  # a wholly before b
-        prune_before = cross_upper & (earliest[:, None] > latest[None, :])  # a wholly after b
-        needs_kernel = cross_upper & ~prune_after & ~prune_before
-        pruned = int(prune_after.sum() + prune_before.sum())
-
-        matrix = np.full((n, n), np.nan)
-        if needs_kernel.any():
-            active = needs_kernel.any(axis=1) | needs_kernel.any(axis=0)
-            active_ids = np.flatnonzero(active)
-            flat_messages: List[TimestampedMessage] = []
-            starts: List[int] = []
-            for node_id in active_ids:
-                starts.append(len(flat_messages))
-                flat_messages.extend(batches[node_id].messages)
-            probabilities = cross_probability_matrix(
-                flat_messages,
-                flat_messages,
-                self._model,
-                stats=self._engine_stats,
-                tables=self._tables,
-            )
-            column_sums = np.add.reduceat(probabilities, starts, axis=1)
-            pair_sums = np.add.reduceat(column_sums, starts, axis=0)
-            active_sizes = sizes[active_ids]
-            means = pair_sums / np.outer(active_sizes, active_sizes)
-            position = np.full(n, -1, dtype=np.int64)
-            position[active_ids] = np.arange(active_ids.size)
-            rows, cols = np.nonzero(needs_kernel)
-            matrix[rows, cols] = means[position[rows], position[cols]]
-        matrix[prune_after] = 1.0
-        matrix[prune_before] = 0.0
-        rows, cols = np.nonzero(cross_upper)
-        matrix[cols, rows] = 1.0 - matrix[rows, cols]
-        self._engine_stats.pruned_pairs += pruned
-        return matrix, int(needs_kernel.sum()), pruned
-
     # ----------------------------------------------------------------- merge
+    def _priced(self, shard_batches: Sequence[Sequence[SequencedBatch]]) -> "StreamingMerger":
+        """The priced state of an offline merge: whole streams observed at once."""
+        streams = [list(batches) for batches in shard_batches]
+        priced = self.streaming_merger(num_shards=len(streams))
+        priced._observe_streams(streams)
+        return priced
+
     def merge(self, shard_batches: Sequence[Sequence[SequencedBatch]]) -> MergeOutcome:
         """Merge per-shard batch streams into one cluster-wide order.
 
         ``shard_batches[s]`` is shard ``s``'s emitted batches in rank order.
-        Deterministic for fixed inputs and seed.
+        The window rule runs over the whole cross-shard grid and the band is
+        priced in one kernel call; linearisation draws from a generator
+        seeded per call, so repeated merges of the same streams are equal
+        (and equal :meth:`StreamingMerger.result` over them).
         """
         start = time.perf_counter()
-        streams = [list(batches) for batches in shard_batches]
-        if not any(streams):
-            return _empty_outcome(start)
-        layout = _NodeLayout(streams)
-        matrix, evaluated, pruned = self._forward_matrix(streams, layout)
-        return _merge_from_matrix(
-            streams,
-            matrix,
-            self._threshold,
-            self._cycle_policy,
-            self._rng,
-            evaluated,
-            pruned,
-            start,
-            stats=self._engine_stats,
-            layout=layout,
-            obs=self._obs,
-        )
+        return self._priced(shard_batches)._linearise(start)
+
+
+def _doubled(capacity: int, needed: int) -> int:
+    while capacity < needed:
+        capacity *= 2
+    return capacity
+
+
+def _extended(array: np.ndarray, capacity: int) -> np.ndarray:
+    fresh = np.zeros(capacity, dtype=array.dtype)
+    fresh[: array.size] = array
+    return fresh
 
 
 class StreamingMerger:
     """Incrementally maintained cross-shard merge.
 
     ``observe_batch(shard, batch)`` appends one node and prices it against
-    every existing cross-shard node in two vectorized kernel calls (one per
-    orientation); window-pruned pairs resolve to exact 0/1 without touching
-    the kernel at all, so time-localised streams only ever evaluate a band
-    of recent batches.  ``result()`` linearises the maintained matrix through
-    the same code path as :meth:`CrossShardMerger.merge` — for the same
-    observed streams the output is byte-identical to the first ``merge()``
-    of a fresh :class:`CrossShardMerger` built with the same arguments (the
-    parity oracle), regardless of the order batches were observed in.
+    every existing cross-shard node: one :func:`window_rule` call resolves
+    the pairs whose certainty windows cannot overlap to exact 0/1, and only
+    the overlapping band reaches the pair-list kernel — time-localised
+    streams only ever evaluate a band of recent batches.  ``result()``
+    linearises the maintained matrix; for the same observed streams the
+    output is byte-identical to :meth:`CrossShardMerger.merge` (which is
+    this class observing whole streams at once), regardless of the order
+    batches were observed in.
 
     Pairs are priced at observation time; a mid-stream distribution refresh
     must be propagated with :meth:`refresh_client`, which reprices every
-    maintained pair involving the client.
+    maintained pair the refresh can move and rewrites the client's entries
+    in the kernel's flattened parameter arrays.
 
-    With a :class:`~repro.cluster.tree.MergeTopology` the merger runs in
-    *tree-aware* mode: a new batch is priced ancestor by ancestor along its
-    owning leaf's root path, and at each level a sibling subtree whose
-    aggregate certainty window cannot overlap the new batch resolves *all*
-    its pairs in one vectorized assignment — no per-member work at all.
-    Every pair is still classified by the exact per-batch window condition
-    the flat mode uses (the subtree check only short-circuits pairs it
-    implies), and kernel means go through the same segment reductions, so
-    tree-aware results stay byte-identical to flat streaming and to the
-    offline oracle; the per-interior-node pruned/kernel counters it
-    maintains feed :meth:`node_report`.
+    A :class:`~repro.cluster.tree.MergeTopology` adds an attribution, not a
+    computation: every priced pair is also counted at the lowest common
+    ancestor of its two shards, which feeds :meth:`node_report`, the
+    ``merge_tree`` telemetry events and the ``merge.tree.level*`` counters.
     """
 
     def __init__(
@@ -780,7 +694,7 @@ class StreamingMerger:
         windows: Optional[CertaintyWindows] = None,
         num_shards: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        topology: Optional["MergeTopology"] = None,
+        topology: Optional[MergeTopology] = None,
     ) -> None:
         if not 0.5 <= threshold < 1.0:
             raise ValueError(f"threshold must be in [0.5, 1), got {threshold!r}")
@@ -809,35 +723,34 @@ class StreamingMerger:
         self._nodes: List[BatchNode] = []  # observation order
         self._node_position: Dict[BatchNode, int] = {}
         self._node_messages: List[Tuple[TimestampedMessage, ...]] = []
-        self._node_shard: List[int] = []
-        self._earliest: List[float] = []
-        self._latest: List[float] = []
-        self._capacity = 16
-        self._matrix = np.full((self._capacity, self._capacity), np.nan)
-        # per-pair classification (True = resolved by window pruning), so a
-        # refresh_client repricing *replaces* a pair's contribution to the
-        # evaluated/pruned counters instead of counting it twice — keeping
-        # result() metadata equal to the offline parity oracle's
-        self._pruned_pair = np.zeros((self._capacity, self._capacity), dtype=bool)
+        # per-node state the window rule and the kernel read, indexed by
+        # observation position; the arrays grow together with the matrix
+        self._shard = np.zeros(16, dtype=np.int64)
+        self._size = np.zeros(16, dtype=np.int64)
+        self._offset = np.zeros(16, dtype=np.int64)  # first message slot
+        self._earliest = np.zeros(16)
+        self._latest = np.zeros(16)
+        self._matrix = np.full((16, 16), np.nan)
+        # the kernel's flattened per-message parameters, node-major: a cache
+        # of the model, appended per observed node and rewritten per client
+        # by refresh_client.  mean/variance are only meaningful while no
+        # observed client is grid-backed (then every pair takes the
+        # closed-form pass); otherwise the kernel asks the model itself.
+        self._message_count = 0
+        self._timestamp = np.zeros(64)
+        self._mean = np.zeros(64)
+        self._variance = np.zeros(64)
+        self._message_node = np.zeros(64, dtype=np.int64)
+        self._client_slots: Dict[str, List[int]] = {}
+        self._grid_clients: Set[str] = set()
         self._cross_pairs_evaluated = 0
         self._cross_pairs_pruned = 0
         self._refresh_pairs_skipped = 0
-        # tree-aware mode: per-subtree membership + aggregate certainty
-        # windows (for whole-subtree pruning) and per-interior-node counters
+        # the attribution: pruned/kernel pair counts per topology node
         self._topology = topology
-        self._node_members: Dict[int, List[int]] = {}
-        self._subtree_earliest: Dict[int, float] = {}
-        self._subtree_latest: Dict[int, float] = {}
-        self._node_pruned_pairs: Dict[int, int] = {}
-        self._node_kernel_pairs: Dict[int, int] = {}
-        if topology is not None:
-            for tree_node in topology.nodes:
-                self._node_members[tree_node.node_id] = []
-                self._subtree_earliest[tree_node.node_id] = float("inf")
-                self._subtree_latest[tree_node.node_id] = -float("inf")
-                if not tree_node.is_leaf:
-                    self._node_pruned_pairs[tree_node.node_id] = 0
-                    self._node_kernel_pairs[tree_node.node_id] = 0
+        tree_nodes = len(topology.nodes) if topology is not None else 0
+        self._node_pruned_pairs = np.zeros(tree_nodes, dtype=np.int64)
+        self._node_kernel_pairs = np.zeros(tree_nodes, dtype=np.int64)
 
     # ------------------------------------------------------------- properties
     @property
@@ -861,9 +774,14 @@ class StreamingMerger:
         return self._stats
 
     @property
-    def topology(self) -> Optional["MergeTopology"]:
+    def topology(self) -> Optional[MergeTopology]:
         """The merge topology (``None`` in flat mode)."""
         return self._topology
+
+    @property
+    def refresh_pairs_skipped(self) -> int:
+        """Pairs left untouched by window pruning across every refresh."""
+        return self._refresh_pairs_skipped
 
     def node_report(self) -> List[Dict[str, object]]:
         """Per-merge-node pruned/kernel pair counts (one pseudo-node flat)."""
@@ -884,26 +802,25 @@ class StreamingMerger:
                 "label": tree_node.label,
                 "level": tree_node.level,
                 "shards": len(tree_node.shards),
-                "pruned_pairs": self._node_pruned_pairs[tree_node.node_id],
-                "kernel_pairs": self._node_kernel_pairs[tree_node.node_id],
+                "pruned_pairs": int(self._node_pruned_pairs[tree_node.node_id]),
+                "kernel_pairs": int(self._node_kernel_pairs[tree_node.node_id]),
             }
             for tree_node in self._topology.interior_nodes
         ]
 
-    def _grow(self, needed: int) -> None:
-        if needed <= self._capacity:
-            return
-        capacity = self._capacity
-        while capacity < needed:
-            capacity *= 2
-        fresh = np.full((capacity, capacity), np.nan)
-        count = len(self._nodes)
-        fresh[:count, :count] = self._matrix[:count, :count]
-        self._matrix = fresh
-        fresh_pruned = np.zeros((capacity, capacity), dtype=bool)
-        fresh_pruned[:count, :count] = self._pruned_pair[:count, :count]
-        self._pruned_pair = fresh_pruned
-        self._capacity = capacity
+    def forward_matrix(self) -> np.ndarray:
+        """The maintained forward probabilities, shard-major.
+
+        ``matrix[a][b]`` is ``P(a before b)`` for every cross-shard node
+        pair, nodes enumerated shard by shard in rank order whatever order
+        they were observed in; within-shard entries are NaN.
+        """
+        permutation = [
+            self._node_position[(shard, index)]
+            for shard, stream in enumerate(self._streams)
+            for index in range(len(stream))
+        ]
+        return self._matrix[np.ix_(permutation, permutation)]
 
     # ----------------------------------------------------------------- intake
     def observation_cursor(self, shard: int) -> int:
@@ -925,6 +842,37 @@ class StreamingMerger:
 
     def observe_batch(self, shard: int, batch: SequencedBatch) -> BatchNode:
         """Append the next emitted batch of ``shard`` and price its pairs."""
+        position = self._append(shard, batch)
+        # while every observed node belongs to this shard no cross-shard pair
+        # exists: a one-shard cluster never touches the pricing arrays
+        deltas = (
+            self._price_from(position) if len(self._streams[shard]) <= position else None
+        )
+        if self._obs.enabled:
+            observed_at = batch.emitted_at if batch.emitted_at is not None else 0.0
+            if deltas is not None:
+                self._emit_tree_events(shard, observed_at, *deltas)
+            for message in batch.messages:
+                self._obs.stage("merge_observe", message, observed_at, shard=shard)
+            self._obs.count("merge.batches_observed")
+        return self._nodes[position]
+
+    def _observe_streams(self, streams: Sequence[Sequence[SequencedBatch]]) -> None:
+        """Observe whole streams at once: the offline merge's pricing.
+
+        Equal to ``observe_batch`` over any interleaving of ``streams``, but
+        the rule classifies the whole cross-shard grid in one call and the
+        band is one kernel call.  An offline repricing, not an observation:
+        no ``merge_observe`` / ``merge_tree`` telemetry is emitted.
+        """
+        first = len(self._nodes)
+        for shard, stream in enumerate(streams):
+            for batch in stream:
+                self._append(shard, batch)
+        self._price_from(first)
+
+    def _append(self, shard: int, batch: SequencedBatch) -> int:
+        """Record ``batch`` as ``shard``'s next node; returns its position."""
         if shard < 0:
             raise ValueError(f"shard index must be non-negative, got {shard!r}")
         if self._topology is not None and shard >= self._topology.num_shards:
@@ -936,236 +884,323 @@ class StreamingMerger:
         node: BatchNode = (shard, len(self._streams[shard]))
         self._streams[shard].append(batch)
         position = len(self._nodes)
-        self._grow(position + 1)
-        earliest, latest = self._windows.batch_window(batch)
-        if self._topology is not None:
-            self._price_tree(shard, position, batch, earliest, latest)
-        else:
-            self._price_flat(shard, position, batch, earliest, latest)
-
         self._nodes.append(node)
         self._node_position[node] = position
         self._node_messages.append(tuple(batch.messages))
-        self._node_shard.append(shard)
-        self._earliest.append(earliest)
-        self._latest.append(latest)
-        if self._obs.enabled:
-            observed_at = batch.emitted_at if batch.emitted_at is not None else 0.0
-            for message in batch.messages:
-                self._obs.stage("merge_observe", message, observed_at, shard=shard)
-            self._obs.count("merge.batches_observed")
-        return node
+        start = self._message_count
+        self._message_count = start + batch.size
+        self._grow(position + 1, self._message_count)
+        self._shard[position] = shard
+        self._size[position] = batch.size
+        self._offset[position] = start
+        self._earliest[position], self._latest[position] = self._windows.batch_window(batch)
+        self._message_node[start : self._message_count] = position
+        for slot, message in enumerate(batch.messages, start):
+            self._timestamp[slot] = message.timestamp
+            self._client_slots.setdefault(message.client_id, []).append(slot)
+            self._store_params(message.client_id, slot)
+        return position
 
-    def _price_flat(
-        self, shard: int, position: int, batch: SequencedBatch, earliest: float, latest: float
-    ) -> None:
-        """Price the new node against every existing cross-shard node.
+    def _store_params(self, client_id: str, slots: Union[int, np.ndarray]) -> None:
+        """Write ``client_id``'s closed-form parameters into ``slots``."""
+        params = _gaussian_params(self._model, client_id)
+        if params is None:
+            self._grid_clients.add(client_id)
+        else:
+            self._grid_clients.discard(client_id)
+            self._mean[slots], self._variance[slots] = params
 
-        Pruned pairs resolve instantly; the rest go through two flattened
-        kernel calls (existing-before-new and new-before-existing
-        orientations).
+    def _grow(self, nodes: int, messages: int) -> None:
+        """Double the per-node arrays (and the matrix) or the per-message arrays."""
+        if nodes > self._shard.size:
+            used = self._shard.size
+            capacity = _doubled(used, nodes)
+            self._shard, self._size, self._offset, self._earliest, self._latest = (
+                _extended(array, capacity)
+                for array in (self._shard, self._size, self._offset, self._earliest, self._latest)
+            )
+            matrix = np.full((capacity, capacity), np.nan)
+            matrix[:used, :used] = self._matrix
+            self._matrix = matrix
+        if messages > self._timestamp.size:
+            capacity = _doubled(self._timestamp.size, messages)
+            self._timestamp, self._mean, self._variance, self._message_node = (
+                _extended(array, capacity)
+                for array in (self._timestamp, self._mean, self._variance, self._message_node)
+            )
+
+    # ---------------------------------------------------------------- pricing
+    def _price_from(self, first: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Price nodes ``first..`` against every earlier cross-shard node.
+
+        One new node is ``observe_batch``; every node at once is the offline
+        merge.  Returns the per-tree-node ``(pruned, kernel)`` pair counts
+        just added (``None`` without a topology).
         """
-        lower_kernel: List[int] = []  # existing node positions, canonical a-side
-        higher_kernel: List[int] = []  # existing node positions, canonical b-side
-        for other in range(position):
-            other_shard = self._node_shard[other]
-            if other_shard == shard:
+        count = len(self._nodes)
+        rows = np.arange(first, count)
+        shard = self._shard[:count]
+        candidates = (shard[None, :] != shard[rows, None]) & (
+            np.arange(count)[None, :] < rows[:, None]
+        )
+        masks = window_rule(
+            self._earliest[rows],
+            self._latest[rows],
+            self._earliest[:count],
+            self._latest[:count],
+        )
+        return self._price(rows, candidates, *masks)
+
+    def _price(
+        self,
+        rows: np.ndarray,
+        candidates: np.ndarray,
+        before: np.ndarray,
+        after: np.ndarray,
+        band: np.ndarray,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Write and count the rule's verdict for every candidate ``(rows[i], j)``.
+
+        ``before``/``after`` pairs get their exact 0/1 entries, ``band``
+        pairs their kernel mean, priced in canonical orientation (the
+        lower-shard node is the a-side).  Returns what :meth:`_count` does.
+        """
+        matrix = self._matrix
+        before = before & candidates
+        after = after & candidates
+        for mask, forward in ((before, 1.0), (after, 0.0)):
+            index, other = np.nonzero(mask)
+            node = rows[index]
+            matrix[node, other] = forward
+            matrix[other, node] = 1.0 - forward
+        band = band & candidates
+        index, other = np.nonzero(band)
+        if index.size:
+            node = rows[index]
+            flipped = self._shard[other] < self._shard[node]
+            pair_a = np.where(flipped, other, node)
+            pair_b = np.where(flipped, node, other)
+            forwards = self._price_pairs(pair_a, pair_b)
+            matrix[pair_a, pair_b] = forwards
+            matrix[pair_b, pair_a] = 1.0 - forwards
+        return self._count(rows, before | after, band, 1)
+
+    def _count(
+        self, rows: np.ndarray, pruned: np.ndarray, band: np.ndarray, sign: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Add (``sign=-1``: retract) masked pairs to the totals and the tree.
+
+        Returns the per-tree-node ``(pruned, kernel)`` counts of the masks,
+        ``None`` without a topology.
+        """
+        pruned_total = int(pruned.sum())
+        self._cross_pairs_pruned += sign * pruned_total
+        self._cross_pairs_evaluated += sign * int(band.sum())
+        if sign > 0:
+            self._stats.pruned_pairs += pruned_total
+        if self._topology is None:
+            return None
+        pruned_by_node, kernel_by_node = (
+            self._topology.attribute(self._shard[rows[index]], self._shard[other])
+            for index, other in map(np.nonzero, (pruned, band))
+        )
+        self._node_pruned_pairs += sign * pruned_by_node
+        self._node_kernel_pairs += sign * kernel_by_node
+        return pruned_by_node, kernel_by_node
+
+    def _emit_tree_events(
+        self, shard: int, observed_at: float, pruned: np.ndarray, kernel: np.ndarray
+    ) -> None:
+        """One ``merge_tree`` event per ancestor that gained pairs, leaf upwards."""
+        for ancestor_id in self._topology.path(shard)[1:]:
+            node_pruned, node_kernel = int(pruned[ancestor_id]), int(kernel[ancestor_id])
+            if not (node_pruned or node_kernel):
                 continue
-            self._classify_pair(
-                shard, position, other, earliest, latest, lower_kernel, higher_kernel
+            ancestor = self._topology.nodes[ancestor_id]
+            self._obs.event(
+                "merge_tree",
+                ancestor.label,
+                observed_at,
+                client_id=f"level-{ancestor.level}",
+                shard=shard,
+                node=ancestor_id,
+                level=ancestor.level,
+                pruned_pairs=node_pruned,
+                kernel_pairs=node_kernel,
             )
-        self._apply_kernel_rows(position, batch, lower_kernel, higher_kernel)
-        self._cross_pairs_evaluated += len(lower_kernel) + len(higher_kernel)
+            self._obs.count(f"merge.tree.level{ancestor.level}.pruned_pairs", node_pruned)
+            self._obs.count(f"merge.tree.level{ancestor.level}.kernel_pairs", node_kernel)
 
-    def _price_tree(
-        self, shard: int, position: int, batch: SequencedBatch, earliest: float, latest: float
-    ) -> None:
-        """Price the new node level by level along its leaf's ancestor path.
+    # ----------------------------------------------------------------- kernel
+    def _price_pairs(self, pair_a: np.ndarray, pair_b: np.ndarray) -> np.ndarray:
+        """Batch-precedence means ``P(a before b)`` of the given node pairs.
 
-        At each ancestor, sibling subtrees whose aggregate window cannot
-        overlap the new batch resolve wholesale (one vectorized assignment
-        per subtree); remaining members fall back to the exact per-pair
-        classification :meth:`_price_flat` uses, so every pair lands on the
-        same 0/1 or kernel mean either way.
+        The one kernel: the mean of the pairwise preceding probability over
+        the message cross pairs of each ``(pair_a[k], pair_b[k])``, reduced
+        as sequential column sums per row message and then a sequential sum
+        over the row totals.  That addition sequence is the same in both
+        passes below and for every grouping of pairs into calls, so a pair's
+        mean is bit-identical whoever prices it.
         """
-        topology = self._topology
-        assert topology is not None
-        path = topology.path(shard)
-        observed_at = batch.emitted_at if batch.emitted_at is not None else 0.0
-        child_on_path = path[0]
-        for ancestor_id in path[1:]:
-            ancestor = topology.nodes[ancestor_id]
-            node_pruned = 0
-            lower_kernel: List[int] = []
-            higher_kernel: List[int] = []
-            for child_id in ancestor.children:
-                if child_id == child_on_path:
-                    continue
-                members = self._node_members[child_id]
-                if not members:
-                    continue
-                if earliest > self._subtree_latest[child_id]:
-                    # every member's window closed before the new batch's
-                    # opened: the whole subtree precedes the new node
-                    idx = np.asarray(members, dtype=np.int64)
-                    self._matrix[idx, position] = 1.0
-                    self._matrix[position, idx] = 0.0
-                    self._pruned_pair[idx, position] = True
-                    self._pruned_pair[position, idx] = True
-                    node_pruned += idx.size
-                    self._cross_pairs_pruned += idx.size
-                    self._stats.pruned_pairs += idx.size
-                    continue
-                if latest < self._subtree_earliest[child_id]:
-                    idx = np.asarray(members, dtype=np.int64)
-                    self._matrix[position, idx] = 1.0
-                    self._matrix[idx, position] = 0.0
-                    self._pruned_pair[idx, position] = True
-                    self._pruned_pair[position, idx] = True
-                    node_pruned += idx.size
-                    self._cross_pairs_pruned += idx.size
-                    self._stats.pruned_pairs += idx.size
-                    continue
-                for other in members:
-                    before = len(lower_kernel) + len(higher_kernel)
-                    self._classify_pair(
-                        shard, position, other, earliest, latest, lower_kernel, higher_kernel
-                    )
-                    if len(lower_kernel) + len(higher_kernel) == before:
-                        node_pruned += 1
-            self._apply_kernel_rows(position, batch, lower_kernel, higher_kernel)
-            node_kernel = len(lower_kernel) + len(higher_kernel)
-            self._cross_pairs_evaluated += node_kernel
-            self._node_pruned_pairs[ancestor_id] += node_pruned
-            self._node_kernel_pairs[ancestor_id] += node_kernel
-            if self._obs.enabled and (node_pruned or node_kernel):
-                self._obs.event(
-                    "merge_tree",
-                    ancestor.label,
-                    observed_at,
-                    client_id=f"level-{ancestor.level}",
-                    shard=shard,
-                    node=ancestor_id,
-                    level=ancestor.level,
-                    pruned_pairs=node_pruned,
-                    kernel_pairs=node_kernel,
-                )
-                self._obs.count(f"merge.tree.level{ancestor.level}.pruned_pairs", node_pruned)
-                self._obs.count(f"merge.tree.level{ancestor.level}.kernel_pairs", node_kernel)
-            child_on_path = ancestor_id
-        for node_id in path:
-            self._node_members[node_id].append(position)
-            if earliest < self._subtree_earliest[node_id]:
-                self._subtree_earliest[node_id] = earliest
-            if latest > self._subtree_latest[node_id]:
-                self._subtree_latest[node_id] = latest
+        if self._grid_clients:
+            return self._price_pairs_tables(pair_a, pair_b)
+        return self._price_pairs_gaussian(pair_a, pair_b)
 
-    def _classify_pair(
-        self,
-        shard: int,
-        position: int,
-        other: int,
-        earliest: float,
-        latest: float,
-        lower_kernel: List[int],
-        higher_kernel: List[int],
-    ) -> None:
-        """Window-classify one (existing, new) pair in canonical orientation.
+    def _price_pairs_gaussian(self, pair_a: np.ndarray, pair_b: np.ndarray) -> np.ndarray:
+        """Closed-form pair pricing without rectangle slack.
 
-        Pruned pairs get their exact 0/1 entries immediately; unpruned ones
-        are queued on the caller's kernel lists.
+        Builds the exact (row message, col message) index pairs of every
+        requested node pair, evaluates them in one 1-D closed-form pass, and
+        reduces per-pair means in two ``np.add.reduceat`` stages — first per
+        (pair, row-message) segment, then per pair.  Pairs are sliced to the
+        element budget only to bound the temporaries; slicing never regroups
+        a pair's additions.
         """
-        other_shard = self._node_shard[other]
-        if other_shard < shard:
-            a, b = other, position
-            a_earliest, a_latest = self._earliest[other], self._latest[other]
-            b_earliest, b_latest = earliest, latest
-        else:
-            a, b = position, other
-            a_earliest, a_latest = earliest, latest
-            b_earliest, b_latest = self._earliest[other], self._latest[other]
-        if b_earliest > a_latest:
-            forward = 1.0
-        elif a_earliest > b_latest:
-            forward = 0.0
-        else:
-            (lower_kernel if other_shard < shard else higher_kernel).append(other)
-            return
-        self._matrix[a, b] = forward
-        self._matrix[b, a] = 1.0 - forward
-        self._pruned_pair[a, b] = self._pruned_pair[b, a] = True
-        self._cross_pairs_pruned += 1
-        self._stats.pruned_pairs += 1
-
-    def _apply_kernel_rows(
-        self,
-        position: int,
-        batch: SequencedBatch,
-        lower_kernel: Sequence[int],
-        higher_kernel: Sequence[int],
-    ) -> None:
-        """Price queued kernel pairs (one flattened call per orientation)."""
-        if lower_kernel:
-            # canonical orientation: existing (lower-shard) messages precede
-            forwards = self._kernel_row(
-                [self._node_messages[other] for other in lower_kernel],
-                batch.messages,
-                rows_first=True,
+        ts, mu, var = self._timestamp, self._mean, self._variance
+        offsets = self._offset
+        sizes_a = self._size[pair_a]
+        sizes_b = self._size[pair_b]
+        elements = sizes_a * sizes_b
+        budget = max(_CHUNK_ELEMENTS, int(elements.max()))
+        bounds = np.concatenate(([0], np.cumsum(elements)))
+        forwards = np.empty(pair_a.size)
+        start = 0
+        while start < pair_a.size:
+            stop = int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1
+            stop = max(stop, start + 1)
+            p_a = pair_a[start:stop]
+            p_b = pair_b[start:stop]
+            s_a = sizes_a[start:stop]
+            s_b = sizes_b[start:stop]
+            counts = elements[start:stop]
+            total = int(counts.sum())
+            span_a = int(s_a[0])
+            span_b_0 = int(s_b[0])
+            if np.all(s_a == span_a) and np.all(s_b == span_b_0):
+                # uniform spans (the wide-cluster common case): pair-major /
+                # row-major / col-within element order built by broadcasting —
+                # identical order and reduceat boundaries to the generic path
+                # below, just without the per-element division
+                shape = (p_a.size, span_a, span_b_0)
+                row_index = np.broadcast_to(
+                    (offsets[p_a][:, None] + np.arange(span_a, dtype=np.int64))[:, :, None],
+                    shape,
+                ).ravel()
+                col_index = np.broadcast_to(
+                    (offsets[p_b][:, None] + np.arange(span_b_0, dtype=np.int64))[:, None, :],
+                    shape,
+                ).ravel()
+                row_starts = np.arange(0, total, span_b_0, dtype=np.int64)
+                pair_starts = np.arange(0, p_a.size * span_a, span_a, dtype=np.int64)
+            else:
+                pair_of = np.repeat(np.arange(p_a.size, dtype=np.int64), counts)
+                starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+                local = np.arange(total, dtype=np.int64) - starts[pair_of]
+                span_b = s_b[pair_of]
+                i_local = local // span_b
+                j_local = local - i_local * span_b
+                row_index = offsets[p_a][pair_of] + i_local
+                col_index = offsets[p_b][pair_of] + j_local
+                row_starts = np.flatnonzero(j_local == 0)
+                pair_starts = np.concatenate(([0], np.cumsum(s_a)[:-1]))
+            probabilities = batched_gaussian_pairs(
+                ts[row_index],
+                mu[row_index],
+                var[row_index],
+                ts[col_index],
+                mu[col_index],
+                var[col_index],
             )
-            for other, forward in zip(lower_kernel, forwards):
-                self._matrix[other, position] = forward
-                self._matrix[position, other] = 1.0 - forward
-        if higher_kernel:
-            forwards = self._kernel_row(
-                [self._node_messages[other] for other in higher_kernel],
-                batch.messages,
-                rows_first=False,
-            )
-            for other, forward in zip(higher_kernel, forwards):
-                self._matrix[position, other] = forward
-                self._matrix[other, position] = 1.0 - forward
+            self._stats.vectorized_evaluations += total
+            row_sums = np.add.reduceat(probabilities, row_starts)
+            pair_sums = np.add.reduceat(row_sums, pair_starts)
+            forwards[start:stop] = pair_sums / counts
+            start = stop
+        return forwards
 
-    def _kernel_row(
-        self,
-        partner_messages: Sequence[Tuple[TimestampedMessage, ...]],
-        new_messages: Sequence[TimestampedMessage],
-        rows_first: bool,
+    def _price_pairs_tables(self, pair_a: np.ndarray, pair_b: np.ndarray) -> np.ndarray:
+        """Pair pricing through chunked rectangular engine calls.
+
+        Pairs are grouped by a-side node, a-side groups are chunked in
+        certainty-window order (so each rectangle's b-side union stays
+        inside the time-local band), and each chunk is one
+        :func:`cross_probability_matrix` call reduced by two
+        ``np.add.reduceat`` segment reductions — each pair's mean is the
+        identical float sequence no matter which chunk computes it.  A group
+        that shares no partner with the open chunk starts its own rectangle:
+        joining would add nothing but unrequested pairs (one observed batch
+        is two exact rectangles, its lower-shard partners × itself and
+        itself × its higher-shard partners).
+        """
+        order = np.lexsort((pair_b, pair_a))
+        sorted_b = pair_b[order]
+        a_ids, group_starts, group_counts = np.unique(
+            pair_a[order], return_index=True, return_counts=True
+        )
+        # the chunking walk runs on plain lists: a streamed row has one group
+        # per lower-shard partner, each far too small to amortise numpy calls
+        starts = group_starts.tolist()
+        stops = (group_starts + group_counts).tolist()
+        partner = sorted_b.tolist()
+        partner_size = self._size[sorted_b].tolist()
+        group_rows = self._size[a_ids].tolist()
+        forwards = np.empty(pair_a.size)
+        chunk: List[int] = []
+        chunk_slots: List[int] = []
+        chunk_rows = 0
+        b_union: Set[int] = set()
+        b_messages = 0
+
+        def flush() -> None:
+            nonlocal chunk, chunk_slots, chunk_rows, b_union, b_messages
+            slots = np.asarray(chunk_slots)
+            row_of_pair = np.repeat(np.arange(len(chunk)), group_counts[chunk])
+            forwards[order[slots]] = self._price_rectangle(
+                a_ids[chunk], row_of_pair, sorted_b[slots]
+            )
+            chunk, chunk_slots, chunk_rows, b_union, b_messages = [], [], 0, set(), 0
+
+        for group in np.lexsort((a_ids, self._earliest[a_ids])).tolist():
+            span = range(starts[group], stops[group])
+            fresh = [slot for slot in span if partner[slot] not in b_union]
+            projected = (chunk_rows + group_rows[group]) * (
+                b_messages + sum(partner_size[slot] for slot in fresh)
+            )
+            if chunk and (projected > _CHUNK_ELEMENTS or len(fresh) == len(span)):
+                flush()
+                fresh = span
+            chunk.append(group)
+            chunk_slots.extend(span)
+            chunk_rows += group_rows[group]
+            b_union.update(partner[slot] for slot in fresh)
+            b_messages += sum(partner_size[slot] for slot in fresh)
+        flush()
+        return forwards
+
+    def _price_rectangle(
+        self, chunk_a: np.ndarray, row_of_pair: np.ndarray, partners: np.ndarray
     ) -> np.ndarray:
-        """Batch-precedence means of the new batch against partner nodes.
+        """One rectangle: a-side nodes ``chunk_a`` × the union of ``partners``.
 
-        ``rows_first=True`` computes ``P(partner precedes new)`` (partners
-        are the canonical a-side), ``False`` the transposed orientation.
-        One flattened kernel call; the segment reductions replay the exact
-        float sequence of the offline kernel, so every mean is bit-identical
-        to the one :meth:`CrossShardMerger.merge` computes for the pair.
+        Returns the mean of every requested pair ``(chunk_a[row_of_pair[k]],
+        partners[k])``.
         """
-        flat: List[TimestampedMessage] = []
-        starts: List[int] = []
-        for messages in partner_messages:
-            starts.append(len(flat))
-            flat.extend(messages)
-        new_list = list(new_messages)
-        if rows_first:
-            matrix = cross_probability_matrix(
-                flat, new_list, self._model, stats=self._stats, tables=self._tables
-            )
-            row_totals = np.add.reduceat(matrix, [0], axis=1)
-            sums = np.add.reduceat(row_totals, starts, axis=0)[:, 0]
-        else:
-            matrix = cross_probability_matrix(
-                new_list, flat, self._model, stats=self._stats, tables=self._tables
-            )
-            column_sums = np.add.reduceat(matrix, starts, axis=1)
-            sums = np.add.reduceat(column_sums, [0], axis=0)[0]
-        sizes = np.asarray([len(messages) for messages in partner_messages], dtype=np.int64)
-        return sums / (sizes * len(new_list))
+        b_set = np.unique(partners)
+        sizes = self._size
+        row_starts = np.concatenate(([0], np.cumsum(sizes[chunk_a])[:-1]))
+        col_starts = np.concatenate(([0], np.cumsum(sizes[b_set])[:-1]))
+        row_messages = [m for a in chunk_a.tolist() for m in self._node_messages[a]]
+        col_messages = [m for b in b_set.tolist() for m in self._node_messages[b]]
+        probabilities = cross_probability_matrix(
+            row_messages, col_messages, self._model, stats=self._stats, tables=self._tables
+        )
+        column_sums = np.add.reduceat(probabilities, col_starts, axis=1)
+        pair_sums = np.add.reduceat(column_sums, row_starts, axis=0)
+        means = pair_sums / np.outer(sizes[chunk_a], sizes[b_set])
+        return means[row_of_pair, np.searchsorted(b_set, partners)]
 
-    @property
-    def refresh_pairs_skipped(self) -> int:
-        """Pairs left untouched by window pruning across every refresh."""
-        return self._refresh_pairs_skipped
-
-    def refresh_client(self, client_id: str, full: bool = False) -> int:
+    # ---------------------------------------------------------------- refresh
+    def refresh_client(self, client_id: str) -> int:
         """Reprice maintained pairs involving ``client_id``.
 
         Call after the client's distribution was re-registered on the model
@@ -1176,122 +1211,65 @@ class StreamingMerger:
         the kernel (and even the cheap 0/1 rewrite) is skipped — with
         time-localised streams the bulk of a long run's history prunes
         against the refreshed batches, turning the refresh from O(history)
-        kernel work into O(overlapping window).  ``full=True`` forces the
-        pre-pruning behaviour of repricing every pair (the parity oracle
-        for tests).  Returns the number of repriced node pairs.
+        kernel work into O(overlapping window).  Returns the number of
+        repriced node pairs.
         """
         self._windows.invalidate_client(client_id)
-        affected = [
-            position
-            for position, messages in enumerate(self._node_messages)
-            if any(message.client_id == client_id for message in messages)
-        ]
-        if not affected:
+        slots = np.asarray(self._client_slots.get(client_id, ()), dtype=np.int64)
+        if not slots.size:
             return 0
-        for position in affected:
-            batch = self._streams[self._nodes[position][0]][self._nodes[position][1]]
-            self._earliest[position], self._latest[position] = self._windows.batch_window(batch)
-        if self._topology is not None:
-            self._recompute_subtree_windows()
-        repriced = 0
-        affected_set = set(affected)
-        for position in affected:
-            for other in range(len(self._nodes)):
-                if other == position or self._node_shard[other] == self._node_shard[position]:
-                    continue
-                if other in affected_set and other < position:
-                    continue  # already repriced from the other side
-                if self._node_shard[position] < self._node_shard[other]:
-                    a, b = position, other
-                else:
-                    a, b = other, position
-                if self._earliest[b] > self._latest[a]:
-                    forward = 1.0
-                    now_pruned = True
-                elif self._earliest[a] > self._latest[b]:
-                    forward = 0.0
-                    now_pruned = True
-                else:
-                    forward = None
-                    now_pruned = False
-                if (
-                    not full
-                    and now_pruned
-                    and self._pruned_pair[a, b]
-                    and self._matrix[a, b] == forward
-                ):
-                    # window-overlap status unchanged and the stored entry is
-                    # already the exact saturated float: nothing can move
-                    self._refresh_pairs_skipped += 1
-                    continue
-                # replace, don't double-count: retract the pair's previous
-                # classification before repricing it
-                lca_id = (
-                    self._topology.lca(self._node_shard[a], self._node_shard[b])
-                    if self._topology is not None
-                    else None
-                )
-                if self._pruned_pair[a, b]:
-                    self._cross_pairs_pruned -= 1
-                    if lca_id is not None:
-                        self._node_pruned_pairs[lca_id] -= 1
-                else:
-                    self._cross_pairs_evaluated -= 1
-                    if lca_id is not None:
-                        self._node_kernel_pairs[lca_id] -= 1
-                if forward is None:
-                    forward = _pair_block_forward(
-                        self._node_messages[a],
-                        self._node_messages[b],
-                        self._model,
-                        self._stats,
-                        self._tables,
-                    )
-                if now_pruned:
-                    self._cross_pairs_pruned += 1
-                    self._stats.pruned_pairs += 1
-                    if lca_id is not None:
-                        self._node_pruned_pairs[lca_id] += 1
-                else:
-                    self._cross_pairs_evaluated += 1
-                    if lca_id is not None:
-                        self._node_kernel_pairs[lca_id] += 1
-                self._pruned_pair[a, b] = self._pruned_pair[b, a] = now_pruned
-                self._matrix[a, b] = forward
-                self._matrix[b, a] = 1.0 - forward
-                repriced += 1
-        return repriced
-
-    def _recompute_subtree_windows(self) -> None:
-        """Rebuild subtree aggregate windows after a distribution refresh."""
-        for node_id, members in self._node_members.items():
-            if members:
-                self._subtree_earliest[node_id] = min(self._earliest[m] for m in members)
-                self._subtree_latest[node_id] = max(self._latest[m] for m in members)
-            else:
-                self._subtree_earliest[node_id] = float("inf")
-                self._subtree_latest[node_id] = -float("inf")
+        self._store_params(client_id, slots)
+        rows = np.unique(self._message_node[slots])
+        count = len(self._nodes)
+        earliest, latest = self._earliest[:count], self._latest[:count]
+        # a pair's evaluated/pruned classification is the rule over the stored
+        # windows (every window change reprices the pairs it can move), so the
+        # windows about to be replaced say how each pair is counted today
+        was_before, was_after, _ = window_rule(earliest[rows], latest[rows], earliest, latest)
+        for position in rows.tolist():
+            shard, index = self._nodes[position]
+            earliest[position], latest[position] = self._windows.batch_window(
+                self._streams[shard][index]
+            )
+        before, after, band = window_rule(earliest[rows], latest[rows], earliest, latest)
+        shard = self._shard[:count]
+        refreshed = np.zeros(count, dtype=bool)
+        refreshed[rows] = True
+        # every cross-shard pair with a refreshed node, once: a pair of two
+        # refreshed nodes belongs to the later-observed one
+        candidates = (shard[None, :] != shard[rows, None]) & ~(
+            refreshed[None, :] & (np.arange(count)[None, :] > rows[:, None])
+        )
+        # window-pruned before, still pruned the same way: the stored entry is
+        # already the exact saturated float and nothing can move
+        unmoved = candidates & ((was_before & before) | (was_after & after))
+        self._refresh_pairs_skipped += int(unmoved.sum())
+        candidates &= ~unmoved
+        # replace, don't double-count: retract each pair's previous
+        # classification before repricing it
+        was_pruned = candidates & (was_before | was_after)
+        self._count(rows, was_pruned, candidates & ~was_pruned, -1)
+        self._price(rows, candidates, before, after, band)
+        return int(candidates.sum())
 
     # ---------------------------------------------------------------- results
     def result(self) -> MergeOutcome:
         """Linearise the maintained state into the cluster-wide order.
 
-        Uses a fresh RNG seeded like the parity oracle, so repeated calls
-        are deterministic and each equals the first ``merge()`` of a fresh
-        :class:`CrossShardMerger` over the observed streams.
+        Uses a fresh RNG seeded from the merger's seed, so repeated calls
+        are deterministic and each equals :meth:`CrossShardMerger.merge`
+        over the observed streams.
         """
-        start = time.perf_counter()
+        return self._linearise(time.perf_counter())
+
+    def _linearise(self, start: float) -> MergeOutcome:
+        """``result()`` with the caller's start time (an offline merge's
+        wall clock includes its pricing)."""
         if not self._nodes:
             return _empty_outcome(start)
-        streams = [list(stream) for stream in self._streams]
-        nodes_shard_major: List[BatchNode] = [
-            (shard, index) for shard, stream in enumerate(streams) for index in range(len(stream))
-        ]
-        permutation = [self._node_position[node] for node in nodes_shard_major]
-        matrix = self._matrix[np.ix_(permutation, permutation)]
         return _merge_from_matrix(
-            streams,
-            matrix,
+            [list(stream) for stream in self._streams],
+            self.forward_matrix(),
             self._threshold,
             self._cycle_policy,
             np.random.default_rng(self._seed),

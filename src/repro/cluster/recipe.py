@@ -53,9 +53,9 @@ def build_merge(
     """The merge stack: ``(merger, topology, streaming merger)``.
 
     ``"binary"``/``"region"`` topologies arrange the shards as leaves of a
-    bounded-fanout tree and price every cross-shard batch pair at its lowest
-    common ancestor — same merged order (parity-tested), log-depth kernel
-    work at wide shard counts; ``topology`` is ``None`` for the flat merge.
+    bounded-fanout tree and attribute every priced cross-shard batch pair to
+    its lowest common ancestor — same pricing, same merged order, plus a
+    per-aggregator work report; ``topology`` is ``None`` for the flat merge.
     """
     model = PrecedenceModel(
         method=config.probability_method,

@@ -26,7 +26,7 @@ from repro.cluster.intake import IntakeDedupeGate
 from repro.cluster.merge import CrossShardMerger, MergeOutcome, StreamingMerger
 from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.router import ShardingPolicy, ShardRouter
-from repro.cluster.tree import HierarchicalMerger, MergeTopology
+from repro.cluster.tree import MergeTopology
 from repro.core.config import TommyConfig
 from repro.core.engine import EngineStats
 from repro.core.online import EmittedBatch, OnlineTommySequencer
@@ -146,9 +146,6 @@ class ShardedSequencer(Entity):
             telemetry=telemetry,
             merge_threshold=merge_threshold,
         )
-        self._tree_merger: Optional[HierarchicalMerger] = (
-            self._merger.tree_merger(self._topology) if self._topology is not None else None
-        )
         # live merged order: every shard emission streams into an incremental
         # merger, so draining the cluster is a linearisation of maintained
         # state instead of an O(everything) re-merge; merge() stays available
@@ -226,16 +223,12 @@ class ShardedSequencer(Entity):
         """The hierarchical merge tree (``None`` for the flat merge)."""
         return self._topology
 
-    @property
-    def tree_merger(self) -> Optional[HierarchicalMerger]:
-        """The offline hierarchical merger (``None`` for the flat merge)."""
-        return self._tree_merger
-
     def merge_report(self) -> Dict[str, object]:
         """Merge-layer topology + per-node pruning/kernel accounting.
 
-        ``nodes`` carries one row per merge node — with streaming on, the
-        live incremental counters; otherwise the last offline tree merge's.
+        ``nodes`` carries one row per merge node: the streaming merger's
+        attribution of every priced pair to its lowest common ancestor
+        (empty with streaming off — the offline merge does not attribute).
         Attached to the metrics registry as ``cluster.merge``.
         """
         report: Dict[str, object] = {
@@ -248,13 +241,8 @@ class ShardedSequencer(Entity):
             "cross_pairs_pruned": (
                 self._streaming.cross_pairs_pruned if self._streaming is not None else 0
             ),
+            "nodes": self._streaming.node_report() if self._streaming is not None else [],
         }
-        if self._streaming is not None:
-            report["nodes"] = self._streaming.node_report()
-        elif self._tree_merger is not None:
-            report["nodes"] = self._tree_merger.node_report
-        else:
-            report["nodes"] = []
         return report
 
     def _emission_observer(self, shard_index: int):
@@ -761,14 +749,11 @@ class ShardedSequencer(Entity):
     def merge(self) -> MergeOutcome:
         """Merge every shard's emitted batches into the cluster-wide order.
 
-        The offline path: recomputes the whole merge from the emitted
-        streams — through the hierarchical merger when a tree topology is
-        configured (byte-identical to the flat merge, parity-tested).  With
-        streaming enabled, :meth:`live_merge` linearises the incrementally
-        maintained state instead and is byte-identical.
+        The offline path: reprices the whole merge from the emitted streams,
+        whatever the topology (a merge tree attributes pairs, it does not
+        price them).  With streaming enabled, :meth:`live_merge` linearises
+        the incrementally maintained state instead and is byte-identical.
         """
-        if self._tree_merger is not None:
-            return self._tree_merger.merge(self.shard_batches())
         return self._merger.merge(self.shard_batches())
 
     def live_merge(self) -> MergeOutcome:

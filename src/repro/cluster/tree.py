@@ -1,99 +1,31 @@
-"""Hierarchical merge tree: log-depth cross-shard merging for wide clusters.
-
-The flat :class:`~repro.cluster.merge.CrossShardMerger` prices every
-cross-shard batch pair through one flattened kernel call whose *active
-square* covers every batch with at least one unpruned partner.  With
-time-localised streams the unpruned pairs form a narrow band, but the
-active square still spans the whole cluster — at 64+ shards essentially
-every batch has *some* unpruned contemporary, so the kernel evaluates
-O((S·B·m)^2) elements even though only a band of them matters.
+"""Merge-tree topology: which aggregator a cross-shard pair belongs to.
 
 :class:`MergeTopology` arranges the shards as the leaves of a bounded-fanout
-tree (shards → regional aggregators → root) and
-:class:`HierarchicalMerger` prices each cross-shard batch pair at the pair's
-*lowest common ancestor*: every interior node runs the existing flattened
-merge kernel — shared :class:`~repro.core.engine.PairTableCache`,
-:class:`~repro.cluster.merge.CertaintyWindows` pruning, ``np.add.reduceat``
-segment reductions — over only its children's streams, in time-local
-rectangular chunks sized to the unpruned band.  Total kernel work drops
-from the active square to O(unpruned pairs · m²), independent of how wide
-the cluster is.
+tree (shards → regional aggregators → root).  Every cross-shard batch pair
+has exactly one *lowest common ancestor* in that tree, so the interior
+nodes partition the pairs — and that is all the tree does.  It does not
+change how a pair is priced: the one window rule and the one pair-list
+kernel in :mod:`repro.cluster.merge` resolve the same pairs to the same
+floats whatever the topology (a flat cluster is the depth-1 tree).
 
-Parity is *by construction*, not by approximation: per-pair block means are
-bit-identical regardless of which kernel call computes them (each mean is
-two sequential ``reduceat`` segment sums over the same floats — the
-invariant :func:`~repro.cluster.merge._pair_block_forward` documents and the
-streaming-parity suite pins), window pruning resolves exactly the pairs the
-flat path resolves to the same saturated 0/1 floats, and the assembled
-node-level matrix is handed to the *same*
-:func:`~repro.cluster.merge._merge_from_matrix` linearisation the flat and
-streaming paths share.  ``HierarchicalMerger.merge`` is therefore
-byte-identical to :meth:`CrossShardMerger.merge` over the same streams —
-the parity oracle the tree tests and the tree benchmark enforce.
+What the tree gives is an *attribution*: :meth:`MergeTopology.attribute`
+maps shard-pair arrays to per-node pair counts through the LCA table, and
+the streaming merger's ``node_report()``, its ``merge_tree`` telemetry
+events and the ``merge.tree.level{L}.*`` counters are those counts — which
+aggregator of a deployed hierarchy would have carried how much pruned and
+how much kernel work, read off the counters the merge already keeps.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.cluster.merge import (
-    CrossShardMerger,
-    MergeOutcome,
-    _empty_outcome,
-    _merge_from_matrix,
-    _NodeLayout,
-)
-from repro.core.engine import (
-    _cached_gaussian_params,
-    batched_gaussian_pairs,
-    cross_probability_matrix,
-)
-from repro.core.probability import PrecedenceModel
-from repro.network.message import SequencedBatch, TimestampedMessage
 
 #: Topology kinds understood by :meth:`MergeTopology.build`.
 TOPOLOGY_KINDS = ("flat", "binary", "region")
 
-#: Default element budget of one chunked kernel call (rows·cols message
-#: pairs).  Large enough to amortise per-call overhead, small enough that a
-#: chunk's b-side union stays inside the time-local band.
-DEFAULT_CHUNK_ELEMENTS = 1 << 18
-
-
-def _gaussian_layout(
-    batches: Sequence[SequencedBatch], model: PrecedenceModel
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Flattened per-message closed-form parameters, batch-major.
-
-    Returns ``(timestamps, means, variances, offsets)`` where batch ``i``'s
-    messages occupy ``[offsets[i], offsets[i + 1])`` — or ``None`` as soon
-    as any client is grid-backed, sending every chunk through the generic
-    :func:`cross_probability_matrix` entry instead.
-    """
-    cache: Dict[str, Optional[Tuple[float, float]]] = {}
-    timestamps: List[float] = []
-    means: List[float] = []
-    variances: List[float] = []
-    offsets = np.zeros(len(batches) + 1, dtype=np.int64)
-    for index, batch in enumerate(batches):
-        for message in batch.messages:
-            params = _cached_gaussian_params(model, cache, message.client_id)
-            if params is None:
-                return None
-            timestamps.append(message.timestamp)
-            means.append(params[0])
-            variances.append(params[1])
-        offsets[index + 1] = len(timestamps)
-    return (
-        np.asarray(timestamps, dtype=float),
-        np.asarray(means, dtype=float),
-        np.asarray(variances, dtype=float),
-        offsets,
-    )
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -115,10 +47,10 @@ class MergeTopology:
     """The shape of a hierarchical merge: shards as leaves of a fanout tree.
 
     Nodes are stored children-before-parents (leaves first), so a single
-    forward pass over :attr:`nodes` visits every child before its parent —
-    the evaluation order :class:`HierarchicalMerger` relies on.  The builder
-    never assumes region-pure leaves: :meth:`region_affine` consumes the
-    *actual* shard→regions assignment (:meth:`ShardRouter.region_map
+    forward pass over :attr:`nodes` visits every child before its parent.
+    The builder never assumes region-pure leaves: :meth:`region_affine`
+    consumes the *actual* shard→regions assignment
+    (:meth:`ShardRouter.region_map
     <repro.cluster.router.ShardRouter.region_map>`), which under round-robin
     region dealing may put several regions on one shard.
     """
@@ -180,6 +112,15 @@ class MergeTopology:
     def lca(self, shard_a: int, shard_b: int) -> int:
         """Node id of the lowest common ancestor of two distinct shards."""
         return int(self._lca[shard_a, shard_b])
+
+    def attribute(self, shards_a: np.ndarray, shards_b: np.ndarray) -> np.ndarray:
+        """Per-node counts of the cross-shard pairs ``(shards_a[k], shards_b[k])``.
+
+        Entry ``n`` is how many of the pairs have node ``n`` as their lowest
+        common ancestor (leaves always count zero) — the whole contribution
+        of the tree to the merge: a partition of the pairs, not a pricing.
+        """
+        return np.bincount(self._lca[shards_a, shards_b], minlength=len(self.nodes))
 
     def describe(self) -> List[Dict[str, object]]:
         """One row per node (report tables and the topology tests)."""
@@ -283,367 +224,3 @@ class MergeTopology:
                 grouped.append(node.node_id)
             current = grouped
         return cls(nodes, kind, fanout)
-
-
-class HierarchicalMerger:
-    """Offline tree merge: per-LCA pair pricing + the shared linearisation.
-
-    Wraps a :class:`CrossShardMerger` (sharing its model, pair-table cache,
-    certainty windows and engine counters) and replaces only the
-    forward-matrix phase: each interior node of ``topology`` resolves the
-    batch pairs whose lowest common ancestor it is — window pruning first,
-    then time-local chunked kernel calls for the unpruned band — and the
-    full node-level matrix feeds the same linearise+coalesce primitive the
-    flat merge uses.  Byte-identical to :meth:`CrossShardMerger.merge` over
-    the same streams (see the module docstring for why).
-    """
-
-    def __init__(
-        self,
-        merger: CrossShardMerger,
-        topology: MergeTopology,
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    ) -> None:
-        if chunk_elements < 1:
-            raise ValueError(f"chunk_elements must be positive, got {chunk_elements!r}")
-        self._merger = merger
-        self._topology = topology
-        self._chunk_elements = int(chunk_elements)
-        self._rng = np.random.default_rng(merger.seed)
-        self._node_report: List[Dict[str, object]] = []
-
-    @property
-    def topology(self) -> MergeTopology:
-        """The merge tree shape."""
-        return self._topology
-
-    @property
-    def node_report(self) -> List[Dict[str, object]]:
-        """Per-interior-node pruned/kernel pair counts of the last merge."""
-        return [dict(row) for row in self._node_report]
-
-    # ----------------------------------------------------------------- merge
-    def merge(self, shard_batches: Sequence[Sequence[SequencedBatch]]) -> MergeOutcome:
-        """Merge per-shard batch streams through the tree.
-
-        Accepts at most ``topology.num_shards`` streams (missing trailing
-        shards contribute empty streams, like the streaming merger's
-        pre-created shard list).
-        """
-        start = time.perf_counter()
-        streams = [list(batches) for batches in shard_batches]
-        if len(streams) > self._topology.num_shards:
-            raise ValueError(
-                f"{len(streams)} shard streams for a {self._topology.num_shards}-leaf topology"
-            )
-        while len(streams) < self._topology.num_shards:
-            streams.append([])
-        if not any(streams):
-            self._node_report = []
-            return _empty_outcome(start)
-        layout = _NodeLayout(streams)
-        matrix, evaluated, pruned = self._tree_forward_matrix(streams, layout)
-        return _merge_from_matrix(
-            streams,
-            matrix,
-            self._merger.threshold,
-            self._merger.cycle_policy,
-            self._rng,
-            evaluated,
-            pruned,
-            start,
-            stats=self._merger.engine_stats,
-            layout=layout,
-            obs=self._merger.observer,
-        )
-
-    # ---------------------------------------------------------------- kernel
-    def _tree_forward_matrix(
-        self, streams: Sequence[Sequence[SequencedBatch]], layout: _NodeLayout
-    ) -> Tuple[np.ndarray, int, int]:
-        """Assemble the node-level forward matrix by LCA-partitioned pricing.
-
-        Returns ``(matrix, cross_pairs_evaluated, cross_pairs_pruned)`` with
-        exactly the float content :meth:`CrossShardMerger._forward_matrix`
-        produces for the same streams.
-        """
-        windows = self._merger.certainty_windows
-        obs = self._merger.observer
-        n = len(layout.nodes)
-        batches = [streams[shard][index] for shard, index in layout.nodes]
-        gauss = _gaussian_layout(batches, self._merger.model)
-        sizes = np.asarray([batch.size for batch in batches], dtype=np.int64)
-        bounds = [windows.batch_window(batch) for batch in batches]
-        earliest = np.asarray([bound[0] for bound in bounds], dtype=float)
-        latest = np.asarray([bound[1] for bound in bounds], dtype=float)
-        node_shard = layout.node_shard
-        matrix = np.full((n, n), np.nan)
-
-        # shard-major layout: shard s owns one contiguous slice of batch ids
-        shard_slices: List[np.ndarray] = []
-        base = 0
-        for length in layout.shard_lengths:
-            shard_slices.append(np.arange(base, base + length, dtype=np.int64))
-            base += length
-
-        members: Dict[int, np.ndarray] = {}
-        report: List[Dict[str, object]] = []
-        total_evaluated = 0
-        total_pruned = 0
-        for tree_node in self._topology.nodes:
-            if tree_node.is_leaf:
-                members[tree_node.node_id] = shard_slices[tree_node.shards[0]]
-                continue
-            child_members = [members[child] for child in tree_node.children]
-            members[tree_node.node_id] = np.concatenate(child_members)
-            node_pruned = 0
-            pair_a_parts: List[np.ndarray] = []
-            pair_b_parts: List[np.ndarray] = []
-            for i, side_a in enumerate(child_members):
-                if side_a.size == 0:
-                    continue
-                for side_b in child_members[i + 1 :]:
-                    if side_b.size == 0:
-                        continue
-                    # window pruning on the A×B grid: the same non-overlap
-                    # conditions (and the same exact 0/1 floats) as the flat
-                    # kernel's prune_after / prune_before masks
-                    a_before = earliest[side_b][None, :] > latest[side_a][:, None]
-                    b_before = earliest[side_a][:, None] > latest[side_b][None, :]
-                    if a_before.any():
-                        rows, cols = np.nonzero(a_before)
-                        matrix[side_a[rows], side_b[cols]] = 1.0
-                        matrix[side_b[cols], side_a[rows]] = 0.0
-                    if b_before.any():
-                        rows, cols = np.nonzero(b_before)
-                        matrix[side_a[rows], side_b[cols]] = 0.0
-                        matrix[side_b[cols], side_a[rows]] = 1.0
-                    node_pruned += int(a_before.sum()) + int(b_before.sum())
-                    needs = ~(a_before | b_before)
-                    if needs.any():
-                        rows, cols = np.nonzero(needs)
-                        u_ids = side_a[rows]
-                        v_ids = side_b[cols]
-                        # canonical orientation: the lower-shard batch is the
-                        # kernel's a-side, exactly like the flat upper-triangle
-                        swap = node_shard[v_ids] < node_shard[u_ids]
-                        pair_a_parts.append(np.where(swap, v_ids, u_ids))
-                        pair_b_parts.append(np.where(swap, u_ids, v_ids))
-            node_kernel = 0
-            if pair_a_parts:
-                pair_a = np.concatenate(pair_a_parts)
-                pair_b = np.concatenate(pair_b_parts)
-                node_kernel = int(pair_a.size)
-                self._evaluate_pairs(pair_a, pair_b, batches, sizes, earliest, matrix, gauss)
-            total_pruned += node_pruned
-            total_evaluated += node_kernel
-            report.append(
-                {
-                    "node": tree_node.node_id,
-                    "label": tree_node.label,
-                    "level": tree_node.level,
-                    "shards": len(tree_node.shards),
-                    "pruned_pairs": node_pruned,
-                    "kernel_pairs": node_kernel,
-                }
-            )
-            if obs.enabled:
-                obs.count(f"merge.tree.level{tree_node.level}.pruned_pairs", node_pruned)
-                obs.count(f"merge.tree.level{tree_node.level}.kernel_pairs", node_kernel)
-        self._merger.engine_stats.pruned_pairs += total_pruned
-        self._node_report = report
-        return matrix, total_evaluated, total_pruned
-
-    def _evaluate_pairs(
-        self,
-        pair_a: np.ndarray,
-        pair_b: np.ndarray,
-        batches: Sequence[SequencedBatch],
-        sizes: np.ndarray,
-        earliest: np.ndarray,
-        matrix: np.ndarray,
-        gauss: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        """Price canonical kernel pairs through chunked rectangular calls.
-
-        All-Gaussian message sets take the per-pair flat path: exactly the
-        requested message pairs are evaluated (no rectangle slack) and the
-        two-stage segment reduction replays the flat kernel's summation
-        order bit for bit.  Otherwise pairs are grouped by a-side batch,
-        a-side groups are chunked in certainty-window order (so each
-        rectangle's b-side union stays inside the time-local band), and each
-        chunk is one :func:`cross_probability_matrix` call reduced by the
-        same two ``np.add.reduceat`` segment reductions as the flat kernel —
-        each pair's mean is the identical float sequence no matter which
-        chunk (or which flat active-square call) computes it.
-        """
-        if gauss is not None:
-            self._evaluate_pairs_gaussian(pair_a, pair_b, sizes, matrix, gauss)
-            return
-        order = np.lexsort((pair_b, pair_a))
-        pair_a = pair_a[order]
-        pair_b = pair_b[order]
-        a_ids, group_starts, group_counts = np.unique(
-            pair_a, return_index=True, return_counts=True
-        )
-        group_order = np.lexsort((a_ids, earliest[a_ids]))
-
-        chunk: List[int] = []
-        chunk_rows = 0
-        b_union: Set[int] = set()
-        b_messages = 0
-
-        def flush() -> None:
-            nonlocal chunk, chunk_rows, b_union, b_messages
-            if chunk:
-                self._evaluate_chunk(
-                    chunk, a_ids, group_starts, group_counts, pair_b, batches, sizes, matrix
-                )
-            chunk = []
-            chunk_rows = 0
-            b_union = set()
-            b_messages = 0
-
-        for group in group_order:
-            start = int(group_starts[group])
-            partners = pair_b[start : start + int(group_counts[group])]
-            fresh = [int(b) for b in partners.tolist() if int(b) not in b_union]
-            projected = (chunk_rows + int(sizes[a_ids[group]])) * (
-                b_messages + sum(int(sizes[b]) for b in fresh)
-            )
-            if chunk and projected > self._chunk_elements:
-                flush()
-                fresh = [int(b) for b in partners.tolist()]
-            chunk.append(int(group))
-            chunk_rows += int(sizes[a_ids[group]])
-            for b in fresh:
-                b_union.add(b)
-                b_messages += int(sizes[b])
-        flush()
-
-    def _evaluate_pairs_gaussian(
-        self,
-        pair_a: np.ndarray,
-        pair_b: np.ndarray,
-        sizes: np.ndarray,
-        matrix: np.ndarray,
-        gauss: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """Closed-form pair pricing without rectangle slack.
-
-        Builds the exact (row message, col message) index pairs of every
-        requested batch pair, evaluates them in one 1-D closed-form pass,
-        and reduces per-pair means in two ``np.add.reduceat`` stages — first
-        per (pair, row-message) segment, then per pair — the identical
-        addition sequence the rectangular chunk (and the flat kernel's
-        active square) performs, so the means match bit for bit.  Pairs are
-        sliced to the chunk element budget only to bound the temporaries;
-        slicing never regroups a pair's additions.
-        """
-        ts, mu, var, offsets = gauss
-        sizes_a = sizes[pair_a]
-        sizes_b = sizes[pair_b]
-        elements = sizes_a * sizes_b
-        budget = max(self._chunk_elements, int(elements.max()))
-        bounds = np.concatenate(([0], np.cumsum(elements)))
-        stats = self._merger.engine_stats
-        start = 0
-        while start < pair_a.size:
-            stop = int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1
-            stop = max(stop, start + 1)
-            p_a = pair_a[start:stop]
-            p_b = pair_b[start:stop]
-            s_a = sizes_a[start:stop]
-            s_b = sizes_b[start:stop]
-            counts = elements[start:stop]
-            total = int(counts.sum())
-            span_a = int(s_a[0])
-            span_b_0 = int(s_b[0])
-            if np.all(s_a == span_a) and np.all(s_b == span_b_0):
-                # uniform spans (the wide-cluster common case): pair-major /
-                # row-major / col-within element order built by broadcasting —
-                # identical order and reduceat boundaries to the generic path
-                # below, just without the per-element division
-                shape = (p_a.size, span_a, span_b_0)
-                row_index = np.broadcast_to(
-                    (offsets[p_a][:, None] + np.arange(span_a, dtype=np.int64))[:, :, None],
-                    shape,
-                ).ravel()
-                col_index = np.broadcast_to(
-                    (offsets[p_b][:, None] + np.arange(span_b_0, dtype=np.int64))[:, None, :],
-                    shape,
-                ).ravel()
-                row_starts = np.arange(0, total, span_b_0, dtype=np.int64)
-                pair_starts = np.arange(0, p_a.size * span_a, span_a, dtype=np.int64)
-            else:
-                pair_of = np.repeat(np.arange(p_a.size, dtype=np.int64), counts)
-                starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                local = np.arange(total, dtype=np.int64) - starts[pair_of]
-                span_b = s_b[pair_of]
-                i_local = local // span_b
-                j_local = local - i_local * span_b
-                row_index = offsets[p_a][pair_of] + i_local
-                col_index = offsets[p_b][pair_of] + j_local
-                row_starts = np.flatnonzero(j_local == 0)
-                pair_starts = np.concatenate(([0], np.cumsum(s_a)[:-1]))
-            probabilities = batched_gaussian_pairs(
-                ts[row_index],
-                mu[row_index],
-                var[row_index],
-                ts[col_index],
-                mu[col_index],
-                var[col_index],
-            )
-            stats.vectorized_evaluations += total
-            row_sums = np.add.reduceat(probabilities, row_starts)
-            pair_sums = np.add.reduceat(row_sums, pair_starts)
-            forwards = pair_sums / counts
-            matrix[p_a, p_b] = forwards
-            matrix[p_b, p_a] = 1.0 - forwards
-            start = stop
-
-    def _evaluate_chunk(
-        self,
-        groups: Sequence[int],
-        a_ids: np.ndarray,
-        group_starts: np.ndarray,
-        group_counts: np.ndarray,
-        pair_b: np.ndarray,
-        batches: Sequence[SequencedBatch],
-        sizes: np.ndarray,
-        matrix: np.ndarray,
-    ) -> None:
-        chunk_a = np.asarray([int(a_ids[group]) for group in groups], dtype=np.int64)
-        partner_parts = [
-            pair_b[int(group_starts[group]) : int(group_starts[group]) + int(group_counts[group])]
-            for group in groups
-        ]
-        all_partners = np.concatenate(partner_parts)
-        b_set = np.unique(all_partners)
-        row_starts = np.concatenate(([0], np.cumsum(sizes[chunk_a])[:-1]))
-        col_starts = np.concatenate(([0], np.cumsum(sizes[b_set])[:-1]))
-        row_messages: List[TimestampedMessage] = []
-        for a in chunk_a.tolist():
-            row_messages.extend(batches[a].messages)
-        col_messages: List[TimestampedMessage] = []
-        for b in b_set.tolist():
-            col_messages.extend(batches[b].messages)
-        probabilities = cross_probability_matrix(
-            row_messages,
-            col_messages,
-            self._merger.model,
-            stats=self._merger.engine_stats,
-            tables=self._merger.pair_tables,
-        )
-        column_sums = np.add.reduceat(probabilities, col_starts, axis=1)
-        pair_sums = np.add.reduceat(column_sums, row_starts, axis=0)
-        means = pair_sums / np.outer(sizes[chunk_a], sizes[b_set])
-        row_of_pair = np.repeat(
-            np.arange(len(groups), dtype=np.int64),
-            [part.size for part in partner_parts],
-        )
-        cols = np.searchsorted(b_set, all_partners)
-        forwards = means[row_of_pair, cols]
-        a_nodes = chunk_a[row_of_pair]
-        matrix[a_nodes, all_partners] = forwards
-        matrix[all_partners, a_nodes] = 1.0 - forwards

@@ -123,8 +123,9 @@ def run_cluster_scenario(
     live incremental merge; the reported ``streaming_ms`` is the cost of
     linearising that maintained state at drain time and
     ``streaming_parity`` checks it against the offline re-merge.
-    ``merge_topology``/``merge_fanout`` select the hierarchical merge tree
-    (``"binary"`` or ``"region"``; parity-equal to ``"flat"``).
+    ``merge_topology``/``merge_fanout`` select the merge tree the priced
+    pairs are attributed to (``"binary"`` or ``"region"``; same pricing and
+    merged order as ``"flat"``).
 
     ``runtime`` selects the execution backend: ``"sim"`` (this function's
     historical single-loop path, kept verbatim as the oracle) or ``"procs"``

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cluster.merge import CertaintyWindows, CrossShardMerger, _merge_from_matrix
+from repro.cluster.merge import (
+    CertaintyWindows,
+    CrossShardMerger,
+    _merge_from_matrix,
+    merge_fingerprint,
+)
 from repro.core.probability import PrecedenceModel
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.distributions.parametric import GaussianDistribution
@@ -127,6 +132,26 @@ def test_merge_is_deterministic():
         (b.rank, tuple(m.key for m in b.messages)) for b in outcome.result.batches
     ]
     assert fingerprint(first) == fingerprint(second)
+
+
+def test_repeated_stochastic_merges_on_one_merger_are_equal():
+    # the cycle a@10 -> a@0 -> b@5 -> a@10 with near-even cross-shard edges:
+    # the stochastic policy's victim depends on the draw, so a generator that
+    # lived on the merger made the second merge() differ from the first.  The
+    # generator is seeded per call, exactly like StreamingMerger.result().
+    model = model_for(["a", "b"], sigma=4.0)
+    merger = CrossShardMerger(model, cycle_policy="stochastic", seed=0)
+    shard0 = [batch(0, make_message("a", 10.0)), batch(1, make_message("a", 0.0))]
+    shard1 = [batch(0, make_message("b", 5.0))]
+    first = merger.merge([shard0, shard1])
+    assert first.cycles_broken >= 1
+    for _ in range(3):
+        assert merge_fingerprint(merger.merge([shard0, shard1])) == merge_fingerprint(first)
+    streaming = merger.streaming_merger(num_shards=2)
+    for shard, observed in [(1, shard1[0]), (0, shard0[0]), (0, shard0[1])]:
+        streaming.observe_batch(shard, observed)
+    assert merge_fingerprint(streaming.result()) == merge_fingerprint(first)
+    assert merge_fingerprint(streaming.result()) == merge_fingerprint(first)
 
 
 def test_threshold_validation():

@@ -9,9 +9,11 @@ clients, through the cyclic fallback, and across distribution refreshes.
 
 import numpy as np
 import pytest
+from merge_reference import reference_forward_matrix
 
 from repro.cluster.merge import CrossShardMerger
 from repro.cluster.sharded import ShardedSequencer
+from repro.cluster.tree import MergeTopology
 from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel
 from repro.distributions.empirical import EmpiricalDistribution
@@ -124,25 +126,20 @@ def test_streaming_equals_offline_under_random_interleavings(seed, empirical_fra
 
 @pytest.mark.parametrize("empirical_fraction", [0.0, 1.0])
 def test_streaming_matrix_is_bitwise_identical_to_offline_kernel(empirical_fraction):
-    # not just the same order: the maintained forward-probability matrix
-    # must match the offline flattened kernel float for float, so threshold
+    # not just the same order: the offline matrix and the maintained one must
+    # both match the unpruned per-pair reference float for float, so threshold
     # comparisons can never diverge even at knife-edge probabilities
     rng = np.random.default_rng(42)
     num_shards = 3
     model, shard_clients = build_model(num_shards, 2, rng, empirical_fraction)
     streams = build_streams(shard_clients, 4, rng)
-    offline = CrossShardMerger(model, seed=0)
-    offline_matrix, _, _ = offline._forward_matrix(streams)
+    reference = reference_forward_matrix(streams, model)
+    offline = CrossShardMerger(model, seed=0)._priced(streams)
+    assert np.array_equal(offline.forward_matrix(), reference, equal_nan=True)
     streaming = CrossShardMerger(model, seed=0).streaming_merger(num_shards=num_shards)
-    observations = random_interleaving(streams, rng)
-    for shard, batch in observations:
+    for shard, batch in random_interleaving(streams, rng):
         streaming.observe_batch(shard, batch)
-    nodes_shard_major = [
-        (shard, index) for shard, stream in enumerate(streams) for index in range(len(stream))
-    ]
-    permutation = [streaming._node_position[node] for node in nodes_shard_major]
-    live_matrix = streaming._matrix[np.ix_(permutation, permutation)]
-    assert np.array_equal(offline_matrix, live_matrix, equal_nan=True)
+    assert np.array_equal(streaming.forward_matrix(), reference, equal_nan=True)
 
 
 def test_streaming_parity_through_the_cyclic_fallback():
@@ -254,44 +251,92 @@ def test_cluster_streaming_can_be_disabled():
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_refresh_pruning_is_bitwise_identical_to_full_repricing(seed):
-    # window pruning must only skip pairs whose stored entry cannot move: a
-    # pruned refresh and a full refresh end in bitwise-identical state, and
-    # both equal a fresh offline merge over the refreshed model
-    states = {}
-    for full in (False, True):
-        model, shard_clients = build_model(3, 2, np.random.default_rng(seed))
-        # time-localised long streams: most history prunes against a refresh
-        streams = build_streams(shard_clients, 24, np.random.default_rng(seed + 100), gap=0.05)
-        streaming = CrossShardMerger(model, seed=seed).streaming_merger(num_shards=3)
-        for shard, batch in random_interleaving(streams, np.random.default_rng(seed + 200)):
-            streaming.observe_batch(shard, batch)
-        refreshed = "s0-c0"
-        model.register_client(refreshed, GaussianDistribution(0.001, 0.005))
-        repriced = streaming.refresh_client(refreshed, full=full)
-        count = streaming.node_count
-        states[full] = (
-            fingerprint(streaming.result()),
-            streaming._matrix[:count, :count].copy(),
-            streaming._pruned_pair[:count, :count].copy(),
-            streaming.cross_pairs_evaluated,
-            streaming.cross_pairs_pruned,
-            repriced,
-            streaming.refresh_pairs_skipped,
-            model,
-            streams,
-        )
-    pruned_state, full_state = states[False], states[True]
-    assert pruned_state[0] == full_state[0]
-    assert np.array_equal(pruned_state[1], full_state[1], equal_nan=True)
-    assert np.array_equal(pruned_state[2], full_state[2])
-    assert pruned_state[3] == full_state[3] and pruned_state[4] == full_state[4]
-    # the pruned refresh did strictly less work and counted the skips
-    assert pruned_state[5] < full_state[5]
-    assert pruned_state[6] > 0 and full_state[6] == 0
-    assert pruned_state[5] + pruned_state[6] == full_state[5]
-    # both equal the offline oracle over the refreshed model
-    oracle = CrossShardMerger(pruned_state[7], seed=seed).merge(pruned_state[8])
-    assert pruned_state[0] == fingerprint(oracle)
+    # window pruning must only skip pairs whose stored entry cannot move: the
+    # refreshed state equals a fresh offline merge — every pair repriced from
+    # scratch — over the refreshed model, float for float and count for count
+    model, shard_clients = build_model(3, 2, np.random.default_rng(seed))
+    # time-localised long streams: most history prunes against a refresh
+    streams = build_streams(shard_clients, 24, np.random.default_rng(seed + 100), gap=0.05)
+    streaming = CrossShardMerger(model, seed=seed).streaming_merger(num_shards=3)
+    for shard, batch in random_interleaving(streams, np.random.default_rng(seed + 200)):
+        streaming.observe_batch(shard, batch)
+    refreshed = "s0-c0"
+    model.register_client(refreshed, GaussianDistribution(0.001, 0.005))
+    repriced = streaming.refresh_client(refreshed)
+
+    full = CrossShardMerger(model, seed=seed)._priced(streams)
+    assert np.array_equal(streaming.forward_matrix(), full.forward_matrix(), equal_nan=True)
+    assert np.array_equal(
+        streaming.forward_matrix(), reference_forward_matrix(streams, model), equal_nan=True
+    )
+    oracle = CrossShardMerger(model, seed=seed).merge(streams)
+    live = streaming.result()
+    assert fingerprint(live) == fingerprint(oracle)
+    assert live.cross_pairs_evaluated == oracle.cross_pairs_evaluated
+    assert live.cross_pairs_pruned == oracle.cross_pairs_pruned
+    # the pruned refresh did strictly less work than repricing every pair of
+    # a refreshed node, and counted exactly the pairs it skipped
+    touched = [
+        (shard, index)
+        for shard, stream in enumerate(streams)
+        for index, batch in enumerate(stream)
+        if refreshed in batch.clients
+    ]
+    involved = {
+        frozenset((node, (shard, index)))
+        for node in touched
+        for shard, stream in enumerate(streams)
+        for index in range(len(stream))
+        if shard != node[0]
+    }
+    assert streaming.refresh_pairs_skipped > 0
+    assert repriced + streaming.refresh_pairs_skipped == len(involved)
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["flat", "binary"])
+@pytest.mark.parametrize(
+    "before,after",
+    [("gaussian", "gaussian"), ("gaussian", "empirical"), ("empirical", "gaussian")],
+)
+def test_observations_after_a_midstream_refresh_use_the_refreshed_model(before, after, tree):
+    # the kernel's flattened per-message parameters are a cache of the model:
+    # a refresh must rewrite them (and flip the closed-form / table choice), or
+    # every batch observed *after* the refresh is priced with the old model
+    rng = np.random.default_rng(77)
+    num_shards = 4
+
+    def distribution(kind, mean, sigma):
+        if kind == "gaussian":
+            return GaussianDistribution(mean, sigma)
+        return EmpiricalDistribution.from_samples(rng.normal(mean, sigma, 600), bins=64)
+
+    model, shard_clients = build_model(num_shards, 2, rng)
+    refreshed = shard_clients[1][0]
+    model.register_client(refreshed, distribution(before, 0.001, 0.004))
+    streams = build_streams(shard_clients, 6, rng)
+    topology = MergeTopology.balanced(num_shards, 2) if tree else None
+    streaming = CrossShardMerger(model, seed=0).streaming_merger(
+        num_shards=num_shards, topology=topology
+    )
+    observations = random_interleaving(streams, rng)
+    half = len(observations) // 2
+    for shard, batch in observations[:half]:
+        streaming.observe_batch(shard, batch)
+    model.register_client(refreshed, distribution(after, -0.002, 0.008))
+    streaming.refresh_client(refreshed)
+    for shard, batch in observations[half:]:
+        streaming.observe_batch(shard, batch)
+
+    assert any(refreshed in batch.clients for _, batch in observations[:half])
+    assert any(refreshed in batch.clients for _, batch in observations[half:])
+    assert np.array_equal(
+        streaming.forward_matrix(), reference_forward_matrix(streams, model), equal_nan=True
+    )
+    oracle = CrossShardMerger(model, seed=0).merge(streams)
+    live = streaming.result()
+    assert fingerprint(live) == fingerprint(oracle)
+    assert live.cross_pairs_evaluated == oracle.cross_pairs_evaluated
+    assert live.cross_pairs_pruned == oracle.cross_pairs_pruned
 
 
 def test_refresh_pruning_tracks_window_status_flips():

@@ -1,23 +1,26 @@
-"""Hierarchical merge tree tests: topology shapes and bitwise parity.
+"""Merge tree tests: topology shapes, attribution and bitwise parity.
 
-The contract: a :class:`HierarchicalMerger` (offline) or a tree-mode
-:class:`StreamingMerger` produces byte-identical output to the flat
-:meth:`CrossShardMerger.merge` over the same streams — for any topology
-kind, any fanout, any chunk budget, any observation interleaving, across
-distribution refreshes, and through mid-run shard crash + rejoin.  The
-only thing a topology may change is *where* each cross-shard pair is
-priced (its LCA node), never the float it produces.
+The contract: a tree-mode :class:`StreamingMerger` produces byte-identical
+output to the offline :meth:`CrossShardMerger.merge` over the same streams —
+for any topology kind, any fanout, any kernel element budget, any
+observation interleaving, across distribution refreshes, and through
+mid-run shard crash + rejoin.  The only thing a topology adds is *where*
+each cross-shard pair is counted (its LCA node); it never touches the float
+the one rule and the one kernel produce, which the unpruned per-pair
+reference in ``tests/reference`` pins.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from merge_reference import reference_forward_matrix
 
-from repro.cluster.merge import CrossShardMerger, _NodeLayout
+from repro.cluster import merge as merge_module
+from repro.cluster.merge import CrossShardMerger
 from repro.cluster.router import RegionAffineSharding
 from repro.cluster.sharded import ShardedSequencer
-from repro.cluster.tree import HierarchicalMerger, MergeTopology
+from repro.cluster.tree import MergeTopology
 from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel
 from repro.distributions.empirical import EmpiricalDistribution
@@ -208,16 +211,37 @@ def test_build_rejects_unknown_kind_and_bad_sizes():
         MergeTopology.balanced(4, fanout=1)
 
 
-def test_tree_merger_rejects_too_many_streams():
-    rng = np.random.default_rng(0)
-    model, shard_clients = build_model(3, 1, rng)
-    streams = build_streams(shard_clients, 2, rng)
-    merger = CrossShardMerger(model, seed=0).tree_merger(MergeTopology.balanced(2, 2))
-    with pytest.raises(ValueError, match="3 shard streams"):
-        merger.merge(streams)
+# ----------------------------------------------------- attribution and parity
 
 
-# --------------------------------------------------------------- offline parity
+def window_attribution(merger, streams, topology):
+    """Per-node (pruned, kernel) pair counts, computed without the merger.
+
+    The window comparison is spelled out pair by pair here on purpose: it
+    is the independent statement of what the production rule and the
+    topology's ``attribute`` must add up to.
+    """
+    windows = merger.certainty_windows
+    nodes = [
+        (shard, *windows.batch_window(batch))
+        for shard, stream in enumerate(streams)
+        for batch in stream
+    ]
+    pruned = {node.node_id: 0 for node in topology.interior_nodes}
+    kernel = dict(pruned)
+    for shard_a, earliest_a, latest_a in nodes:
+        for shard_b, earliest_b, latest_b in nodes:
+            if shard_a < shard_b:
+                apart = earliest_b > latest_a or earliest_a > latest_b
+                (pruned if apart else kernel)[topology.lca(shard_a, shard_b)] += 1
+    return pruned, kernel
+
+
+def observe_all(merger, streams, topology, rng):
+    streaming = merger.streaming_merger(topology=topology)
+    for shard, batch in random_interleaving(streams, rng):
+        streaming.observe_batch(shard, batch)
+    return streaming
 
 
 @pytest.mark.parametrize("empirical_fraction", [0.0, 0.5])
@@ -226,47 +250,72 @@ def test_tree_merger_rejects_too_many_streams():
     [("flat", 2), ("binary", 2), ("binary", 3), ("region", 2)],
 )
 def test_tree_merge_is_bitwise_identical_to_flat_merge(kind, fanout, empirical_fraction):
+    # the topology attributes, it does not price: a tree-mode merger gives
+    # the flat merge's order and counters, its per-node counts sum to the
+    # totals, and they equal the attribution of the offline window masks
     rng = np.random.default_rng(17)
     num_shards = 6
     model, shard_clients = build_model(num_shards, 2, rng, empirical_fraction)
     streams = build_streams(shard_clients, 5, rng)
     flat = CrossShardMerger(model, seed=0).merge(streams)
-    tree_merger = CrossShardMerger(model, seed=0).tree_merger(
-        topology_for(kind, num_shards, fanout)
-    )
-    tree = tree_merger.merge(streams)
+    topology = topology_for(kind, num_shards, fanout)
+    merger = CrossShardMerger(model, seed=0)
+    tree = observe_all(merger, streams, topology, rng).result()
     assert fingerprint(tree) == fingerprint(flat)
     assert tree.cross_pairs_evaluated == flat.cross_pairs_evaluated
     assert tree.cross_pairs_pruned == flat.cross_pairs_pruned
     assert tree.merged_cross_shard == flat.merged_cross_shard
     assert tree.cycles_broken == flat.cycles_broken
-    report = tree_merger.node_report
-    assert sum(row["pruned_pairs"] for row in report) == tree.cross_pairs_pruned
-    assert sum(row["kernel_pairs"] for row in report) == tree.cross_pairs_evaluated
+    report = observe_all(merger, streams, topology, rng).node_report()
+    assert sum(row["pruned_pairs"] for row in report) == flat.cross_pairs_pruned
+    assert sum(row["kernel_pairs"] for row in report) == flat.cross_pairs_evaluated
+    pruned, kernel = window_attribution(merger, streams, topology)
+    assert {row["node"]: row["pruned_pairs"] for row in report} == pruned
+    assert {row["node"]: row["kernel_pairs"] for row in report} == kernel
+
+
+def test_attribute_counts_pairs_at_their_lowest_common_ancestor():
+    topology = MergeTopology.balanced(4, 2)
+    shards_a = np.array([0, 0, 2, 1, 3])
+    shards_b = np.array([1, 2, 3, 0, 0])
+    counts = topology.attribute(shards_a, shards_b)
+    assert counts.shape == (len(topology.nodes),)
+    expected = np.zeros(len(topology.nodes), dtype=int)
+    for a, b in zip(shards_a, shards_b):
+        expected[topology.lca(int(a), int(b))] += 1
+    assert counts.tolist() == expected.tolist()
+    assert not any(counts[node.node_id] for node in topology.nodes if node.is_leaf)
+    empty = topology.attribute(np.array([], dtype=int), np.array([], dtype=int))
+    assert empty.tolist() == [0] * len(topology.nodes)
+
+
+def assert_matrices_match_reference(model, streams, num_shards, rng):
+    reference = reference_forward_matrix(streams, model)
+    offline = CrossShardMerger(model, seed=0)._priced(streams)
+    assert np.array_equal(offline.forward_matrix(), reference, equal_nan=True)
+    streaming = observe_all(
+        CrossShardMerger(model, seed=0), streams, MergeTopology.balanced(num_shards, 2), rng
+    )
+    assert np.array_equal(streaming.forward_matrix(), reference, equal_nan=True)
+    assert streaming.cross_pairs_evaluated == offline.cross_pairs_evaluated
+    assert streaming.cross_pairs_pruned == offline.cross_pairs_pruned
 
 
 def test_tree_forward_matrix_is_bitwise_identical_to_flat_kernel():
-    # not just the same order: every forward probability must match the flat
-    # kernel float for float, so threshold comparisons can never diverge
+    # not just the same order: every forward probability — whole grid at once
+    # or row by row under a tree — must match the per-pair reference float
+    # for float, so threshold comparisons can never diverge
     rng = np.random.default_rng(23)
     num_shards = 6
     model, shard_clients = build_model(num_shards, 2, rng, empirical_fraction=0.5)
     streams = build_streams(shard_clients, 4, rng)
-    flat_matrix, flat_evaluated, flat_pruned = CrossShardMerger(model, seed=0)._forward_matrix(
-        streams
-    )
-    tree_merger = CrossShardMerger(model, seed=0).tree_merger(MergeTopology.balanced(num_shards, 2))
-    tree_matrix, evaluated, pruned = tree_merger._tree_forward_matrix(
-        streams, _NodeLayout(streams)
-    )
-    assert np.array_equal(flat_matrix, tree_matrix, equal_nan=True)
-    assert (evaluated, pruned) == (flat_evaluated, flat_pruned)
+    assert_matrices_match_reference(model, streams, num_shards, rng)
 
 
 def test_tree_forward_matrix_uniform_batches_bitwise_identical_to_flat_kernel():
-    # uniform per-batch message counts take the broadcast fast path in
-    # _evaluate_pairs_gaussian (no per-element division); it must produce the
-    # same bits as the flat kernel, and as the generic path it replaces
+    # uniform per-batch message counts take the broadcast fast path of the
+    # closed-form pass (no per-element division); it must produce the same
+    # bits as the reference, and as the generic path it replaces
     rng = np.random.default_rng(29)
     num_shards = 6
     model, shard_clients = build_model(num_shards, 2, rng)
@@ -290,33 +339,25 @@ def test_tree_forward_matrix_uniform_batches_bitwise_identical_to_flat_kernel():
                 message_id += 1
             stream.append(SequencedBatch(rank=index, messages=tuple(messages), emitted_at=base))
         streams.append(stream)
-    flat_matrix, flat_evaluated, flat_pruned = CrossShardMerger(model, seed=0)._forward_matrix(
-        streams
-    )
-    tree_merger = CrossShardMerger(model, seed=0).tree_merger(MergeTopology.balanced(num_shards, 2))
-    tree_matrix, evaluated, pruned = tree_merger._tree_forward_matrix(
-        streams, _NodeLayout(streams)
-    )
-    assert np.array_equal(flat_matrix, tree_matrix, equal_nan=True)
-    assert (evaluated, pruned) == (flat_evaluated, flat_pruned)
+    assert_matrices_match_reference(model, streams, num_shards, rng)
 
 
-def test_tree_merge_is_invariant_to_chunk_budget():
-    # the chunk budget only groups kernel calls; a degenerate one-element
-    # budget must still reproduce the default result bit for bit
-    rng = np.random.default_rng(31)
-    model, shard_clients = build_model(4, 2, rng)
-    streams = build_streams(shard_clients, 4, rng)
-    topology = MergeTopology.balanced(4, 2)
-    default = CrossShardMerger(model, seed=0).tree_merger(topology).merge(streams)
-    tiny = HierarchicalMerger(CrossShardMerger(model, seed=0), topology, chunk_elements=1).merge(
-        streams
-    )
-    assert fingerprint(tiny) == fingerprint(default)
-    assert tiny.cross_pairs_evaluated == default.cross_pairs_evaluated
-    assert tiny.cross_pairs_pruned == default.cross_pairs_pruned
-    with pytest.raises(ValueError, match="chunk_elements"):
-        HierarchicalMerger(CrossShardMerger(model, seed=0), topology, chunk_elements=0)
+def test_tree_merge_is_invariant_to_chunk_budget(monkeypatch):
+    # the element budget only groups kernel work; a degenerate one-element
+    # budget must still reproduce the default matrix bit for bit, on the
+    # closed-form pass (all Gaussian) and on the chunked table pass
+    for empirical_fraction in (0.0, 0.5):
+        rng = np.random.default_rng(31)
+        model, shard_clients = build_model(4, 2, rng, empirical_fraction)
+        streams = build_streams(shard_clients, 4, rng)
+        with monkeypatch.context() as patch:
+            default = CrossShardMerger(model, seed=0)._priced(streams)
+            patch.setattr(merge_module, "_CHUNK_ELEMENTS", 1)
+            tiny = CrossShardMerger(model, seed=0)._priced(streams)
+        assert np.array_equal(tiny.forward_matrix(), default.forward_matrix(), equal_nan=True)
+        assert fingerprint(tiny.result()) == fingerprint(default.result())
+        assert tiny.cross_pairs_evaluated == default.cross_pairs_evaluated
+        assert tiny.cross_pairs_pruned == default.cross_pairs_pruned
 
 
 def test_empty_and_missing_streams_merge_cleanly():
@@ -324,12 +365,14 @@ def test_empty_and_missing_streams_merge_cleanly():
     model, shard_clients = build_model(4, 1, rng)
     streams = build_streams(shard_clients, 3, rng)
     streams[2] = []
-    tree_merger = CrossShardMerger(model, seed=0).tree_merger(MergeTopology.balanced(4, 2))
-    # trailing shard omitted entirely: padded with an empty stream
-    tree = tree_merger.merge(streams[:3])
+    topology = MergeTopology.balanced(4, 2)
+    # one shard silent and the trailing shard never heard from: the tree-mode
+    # merger pre-creates every leaf's stream, like a padded offline merge
+    tree = observe_all(CrossShardMerger(model, seed=0), streams[:3], topology, rng).result()
     flat = CrossShardMerger(model, seed=0).merge(streams[:3] + [[]])
     assert fingerprint(tree) == fingerprint(flat)
-    assert fingerprint(tree_merger.merge([[], [], [], []])) == []
+    assert tree.result.metadata["shards"] == flat.result.metadata["shards"] == 4
+    assert fingerprint(CrossShardMerger(model, seed=0).merge([[], [], [], []])) == []
 
 
 # ------------------------------------------------------------- streaming parity
@@ -395,6 +438,10 @@ def test_streaming_merger_rejects_topology_shard_mismatch():
     merger = CrossShardMerger(model, seed=0)
     with pytest.raises(ValueError, match="topology"):
         merger.streaming_merger(num_shards=3, topology=MergeTopology.balanced(2, 2))
+    streaming = merger.streaming_merger(topology=MergeTopology.balanced(2, 2))
+    extra = SequencedBatch(rank=0, messages=(TimestampedMessage(client_id="a", timestamp=0.0),))
+    with pytest.raises(ValueError, match="outside the 2-leaf topology"):
+        streaming.observe_batch(2, extra)
 
 
 # ------------------------------------------------- live cluster property (hypothesis)
@@ -451,16 +498,13 @@ def _run_live_cluster(seed, num_shards, fanout, kind, crash):
 )
 def test_live_tree_cluster_matches_flat_oracle(seed, num_shards, fanout, kind, crash):
     # the strongest end-to-end property: a live cluster running the tree
-    # topology — streaming tree pricing, region-affine routing, optionally a
-    # mid-run shard crash + rejoin — linearises byte-identically to both the
-    # offline tree merge and the flat reference merge, with every sent
-    # message appearing exactly once
+    # topology — streaming tree attribution, region-affine routing, optionally
+    # a mid-run shard crash + rejoin — linearises byte-identically to the
+    # offline merge, with every sent message appearing exactly once
     cluster, sent = _run_live_cluster(seed, num_shards, fanout, kind, crash)
     live = cluster.live_merge()
-    offline_tree = cluster.merge()
-    flat = cluster.merger.merge(cluster.shard_batches())
+    flat = cluster.merge()
     assert fingerprint(live) == fingerprint(flat)
-    assert fingerprint(offline_tree) == fingerprint(flat)
     assert live.cross_pairs_evaluated == flat.cross_pairs_evaluated
     assert live.cross_pairs_pruned == flat.cross_pairs_pruned
     merged_keys = [

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import TimestampedMessage
 from repro.simulation.event_loop import EventLoop
+
+# the reference oracles (``merge_reference``) import by bare module name
+sys.path.insert(0, str(Path(__file__).parent / "reference"))
 
 
 @pytest.fixture

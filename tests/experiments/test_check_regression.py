@@ -116,9 +116,17 @@ def test_committed_baselines_accept_a_real_smoke_run(tmp_path):
                 {
                     "parity": True,
                     "counter_parity": True,
-                    "speedup": 3.6,
+                    "attribution_parity": True,
                     "pruned_fraction": 0.75,
                 }
+            ],
+            "wall_time": 1.0,
+        },
+        {
+            "benchmark": "bench_cluster_shard_scaling",
+            "rows": [
+                {"shards": shards, "scaling_2_to_1": 0.8, "scaling_4_to_1": 0.56}
+                for shards in (1, 2, 4)
             ],
             "wall_time": 1.0,
         },

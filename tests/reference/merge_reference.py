@@ -1,0 +1,28 @@
+"""The reference oracle for cross-shard pair pricing.
+
+For every cross-shard node pair: the engine's pairwise probability matrix of
+the two message tuples, reduced by two sequential ``np.add.reduceat`` sums.
+No window rule, no pair lists, no chunking, no caches shared with the code
+under test — so equality with the production matrix re-proves, on every test
+input, both the kernel's reduction order and the soundness of pruning (a
+pruned entry must be the float the kernel would have saturated to).
+"""
+
+import numpy as np
+
+from repro.core.engine import cross_probability_matrix
+
+
+def reference_forward_matrix(streams, model):
+    """Shard-major ``P(a before b)`` matrix; NaN within a shard."""
+    nodes = [(shard, batch) for shard, stream in enumerate(streams) for batch in stream]
+    matrix = np.full((len(nodes), len(nodes)), np.nan)
+    for a, (shard_a, batch_a) in enumerate(nodes):
+        for b, (shard_b, batch_b) in enumerate(nodes):
+            if shard_a < shard_b:
+                pairs = cross_probability_matrix(batch_a.messages, batch_b.messages, model)
+                row_totals = np.add.reduceat(pairs, [0], axis=1)
+                total = np.add.reduceat(row_totals, [0], axis=0)[0, 0]
+                matrix[a, b] = total / pairs.size
+                matrix[b, a] = 1.0 - matrix[a, b]
+    return matrix
