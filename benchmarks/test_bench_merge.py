@@ -8,7 +8,7 @@ merges it twice:
   messages flattened into one vectorized cross-probability evaluation,
   batch-pair means by ``np.add.reduceat`` segment reductions,
   certainty-window pruning for batch pairs that cannot overlap, and a numpy
-  Kahn linearisation (networkx only materialised for cyclic tournaments);
+  Kahn linearisation (cyclic tournaments are broken on the direction matrix);
 * **pairwise** — the frozen pre-kernel implementation
   (``benchmarks/_pairwise_merge_baseline.py``): one
   ``cross_probability_matrix`` call per cross-shard batch pair inside an

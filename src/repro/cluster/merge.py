@@ -12,10 +12,12 @@ the same probabilistic machinery the sequencer itself uses:
   probability over their message cross pairs — the batch-level analogue of
   :class:`~repro.core.relation.LikelyHappenedBefore` (the mean preserves
   complementarity: ``P(A<B) + P(B<A) = 1``);
-* the kept-direction graph is made acyclic with the existing
-  :func:`~repro.core.cycles.resolve_cycles` policies and linearised with the
-  same deterministic topological tie-break as
-  :class:`~repro.core.tournament.TournamentGraph`;
+* the kept directions are held as a boolean matrix, never as a graph: a
+  Kahn pass with the deterministic tie-break of
+  :class:`~repro.core.tournament.TournamentGraph` linearises it, and when the
+  tournament is cyclic :func:`~repro.core.cycles.break_cycles` first clears
+  victims in that matrix under the configured policy — within-shard chain
+  edges are never candidates (``merge_cycle`` telemetry names each victim);
 * finally, adjacent batches from *different* shards whose precedence
   probability does not exceed the threshold are coalesced into one
   cluster-wide rank — the probabilistic merge: the cluster refuses to
@@ -58,11 +60,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.cluster.tree import MergeTopology
-from repro.core.cycles import eades_linear_arrangement
+from repro.core.cycles import RemovedEdge, break_cycles, check_policy
 from repro.core.engine import (
     EngineStats,
     PairTableCache,
@@ -220,7 +221,7 @@ def _empty_outcome(start: float) -> MergeOutcome:
 class _NodeLayout:
     """Shard-major node enumeration of the linearisation stage.
 
-    One construction per merge: the node list, its id/shard lookup arrays and
+    One construction per merge: the node list, its shard lookup array and
     the cross-shard upper-triangle mask (the canonical pair orientation).
     """
 
@@ -228,9 +229,6 @@ class _NodeLayout:
         self.nodes: List[BatchNode] = [
             (shard, index) for shard, stream in enumerate(streams) for index in range(len(stream))
         ]
-        self.node_ids: Dict[BatchNode, int] = {
-            node: node_id for node_id, node in enumerate(self.nodes)
-        }
         self.node_shard = np.asarray([shard for shard, _ in self.nodes], dtype=np.int64)
         self.shard_lengths = [len(stream) for stream in streams]
         n = len(self.nodes)
@@ -239,24 +237,20 @@ class _NodeLayout:
 
 
 def _lexicographic_order(
-    node_shard: np.ndarray,
-    shard_lengths: Sequence[int],
-    nodes: Sequence[BatchNode],
-    edge: np.ndarray,
-    out_degree: np.ndarray,
+    layout: _NodeLayout, edge: np.ndarray, out_degree: np.ndarray
 ) -> Optional[List[int]]:
     """Kahn's algorithm with the reference lexicographical tie-break.
 
     ``edge[u][v]`` holds the directed cross-shard kept edges; the
     within-shard emission chains are modelled implicitly: only the earliest
     unplaced batch of each shard is ever a candidate.  Returns node ids in
-    order, or ``None`` when the graph is cyclic (the caller falls back to
-    the materialised-graph reference path).  The candidate choice minimises
-    ``(-out_degree, node)`` — exactly the key
-    :func:`networkx.lexicographical_topological_sort` uses in
-    :meth:`CrossShardMerger.merge`, which is unique per node, so both
+    order, or ``None`` when the graph is cyclic.  The candidate choice
+    minimises ``(-out_degree, node)`` — the key of a lexicographical
+    topological sort over the materialised graph
+    (``tests/reference/linearise_reference.py``), unique per node, so both
     orders agree node for node.
     """
+    node_shard, shard_lengths, nodes = layout.node_shard, layout.shard_lengths, layout.nodes
     num_shards = len(shard_lengths)
     bases: List[int] = []
     base = 0
@@ -288,110 +282,71 @@ def _lexicographic_order(
     return order
 
 
-def _resolve_cycles_protected(
-    graph: nx.DiGraph,
-    cycle_policy: str,
-    rng: np.random.Generator,
-    protected: frozenset,
-) -> int:
-    """Break cycles like :func:`resolve_cycles`, never removing protected edges.
-
-    The within-shard chain edges encode order the shard already *committed*
-    by emitting; a cycle may never be resolved by inverting them.  Each
-    policy replays the unprotected implementation's choice (including its
-    RNG consumption) and only deviates when the original victim would have
-    been a protected edge — a case that previously produced an invalid
-    linearisation.  Every cycle contains at least one cross-shard edge (the
-    chains themselves are acyclic), so a removable candidate always exists.
-
-    Returns the number of removed edges; mutates ``graph`` in place.
-    """
-    if nx.is_directed_acyclic_graph(graph):
-        return 0
-    removed = 0
-    if cycle_policy == "eades":
-        order = eades_linear_arrangement(graph)
-        position = {node: index for index, node in enumerate(order)}
-        for source, target in list(graph.edges):
-            if position[source] > position[target] and (source, target) not in protected:
-                graph.remove_edge(source, target)
-                removed += 1
-        # a protected backward edge can leave residual cycles: fall through
-        # to the protected greedy loop below to finish the job
-    while True:
-        try:
-            cycle = [
-                (source, target)
-                for source, target, _direction in nx.find_cycle(graph, orientation="original")
-            ]
-        except nx.NetworkXNoCycle:
-            break
-        if cycle_policy == "stochastic":
-            weights = np.asarray(
-                [1.0 - float(graph.edges[edge]["probability"]) + 1e-6 for edge in cycle],
-                dtype=float,
-            )
-            weights = weights / weights.sum()
-            victim = cycle[int(rng.choice(len(cycle), p=weights))]
-        else:
-            victim = min(cycle, key=lambda edge: graph.edges[edge]["probability"])
-        if victim in protected:
-            candidates = [edge for edge in cycle if edge not in protected]
-            victim = min(candidates, key=lambda edge: graph.edges[edge]["probability"])
-        graph.remove_edge(*victim)
-        removed += 1
-    return removed
-
-
-def _resolve_order_via_graph(
-    streams: Sequence[Sequence[SequencedBatch]],
-    nodes: Sequence[BatchNode],
-    node_ids: Dict[BatchNode, int],
+def _linear_order(
+    layout: _NodeLayout,
     forward_matrix: np.ndarray,
     cycle_policy: str,
     rng: np.random.Generator,
-) -> Tuple[List[BatchNode], int]:
-    """Reference path for cyclic tournaments: materialise and resolve.
+) -> Tuple[List[int], List[RemovedEdge]]:
+    """Node ids in merged order, and the kept edges a cyclic tournament lost.
 
-    Node and edge insertion replays the original pairwise merger verbatim
-    (within-shard chains first, then cross pairs in shard-major order), so
-    cycle detection, cycle-breaking and the topological tie-break walk the
-    graph exactly like the frozen reference implementation — except that
-    within-shard chain edges are protected from cycle breaking (the frozen
-    path could invert a shard's committed emission order when a saturated
-    cycle made a chain edge the removal victim, which the coalescing stage
-    rejects as an invariant violation).
+    Kept-edge directions are the reference comparison (``forward >= 0.5``
+    orients lower-shard -> higher-shard).  An acyclic tournament is one Kahn
+    pass; a cyclic one first has :func:`~repro.core.cycles.break_cycles`
+    clear victims in the direction matrix (within-shard chain edges are
+    never candidates), then takes the same pass over what is left.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    chain_edges = []
-    for shard, stream in enumerate(streams):
-        for index in range(len(stream) - 1):
-            graph.add_edge((shard, index), (shard, index + 1), probability=1.0)
-            chain_edges.append(((shard, index), (shard, index + 1)))
-    num_shards = len(streams)
-    for shard_a in range(num_shards):
-        for shard_b in range(shard_a + 1, num_shards):
-            for index_a in range(len(streams[shard_a])):
-                node_a: BatchNode = (shard_a, index_a)
-                id_a = node_ids[node_a]
-                for index_b in range(len(streams[shard_b])):
-                    node_b: BatchNode = (shard_b, index_b)
-                    forward = forward_matrix[id_a, node_ids[node_b]]
-                    if forward >= 0.5:
-                        graph.add_edge(node_a, node_b, probability=float(forward))
-                    else:
-                        graph.add_edge(node_b, node_a, probability=float(1.0 - forward))
-    cycles_broken = _resolve_cycles_protected(
-        graph, cycle_policy, rng, frozenset(chain_edges)
-    )
-    out_degree = dict(graph.out_degree())
-    order = list(
-        nx.lexicographical_topological_sort(
-            graph, key=lambda node: (-out_degree.get(node, 0), node)
+    shard_lengths = layout.shard_lengths
+    n = len(layout.nodes)
+    wins = layout.cross_upper & (forward_matrix >= 0.5)
+    edge = wins | (layout.cross_upper & ~wins).T
+    chain_next = np.full(n, -1, dtype=np.int64)
+    base = 0
+    for length in shard_lengths:
+        if length > 1:
+            chain_next[base : base + length - 1] = np.arange(base + 1, base + length)
+        base += length
+    chain_out = (chain_next >= 0).astype(np.int64)
+
+    order = _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out)
+    if order is not None:
+        return order, []
+    probability = np.where(wins, forward_matrix, (1.0 - forward_matrix).T)
+    removed = break_cycles(edge, probability, cycle_policy, rng, first_successor=chain_next)
+    return _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out), removed
+
+
+def _emit_cycle_events(
+    obs: Telemetry,
+    streams: Sequence[Sequence[SequencedBatch]],
+    nodes: Sequence[BatchNode],
+    cycle_policy: str,
+    removed: Sequence[RemovedEdge],
+) -> None:
+    """One ``merge_cycle`` event per precedence the merge refused to honour.
+
+    Stamped with the later emission of the two batches (sim time, so reruns
+    with the same seed record identical events).
+    """
+    for victim in removed:
+        (shard, index), (target_shard, target_index) = nodes[victim.source], nodes[victim.target]
+        emitted = [
+            batch.emitted_at
+            for batch in (streams[shard][index], streams[target_shard][target_index])
+            if batch.emitted_at is not None
+        ]
+        obs.event(
+            "merge_cycle",
+            cycle_policy,
+            max(emitted, default=0.0),
+            shard=shard,
+            source_index=index,
+            target_shard=target_shard,
+            target_index=target_index,
+            probability=victim.probability,
+            cycle_length=victim.cycle_length,
         )
-    )
-    return order, cycles_broken
+    obs.count("merge.cycle_edges_removed", len(removed))
 
 
 def _merge_from_matrix(
@@ -414,34 +369,13 @@ def _merge_from_matrix(
     """
     layout = _NodeLayout(streams)
     nodes = layout.nodes
-    node_ids = layout.node_ids
-    node_shard = layout.node_shard
-    shard_lengths = layout.shard_lengths
-    cross_upper = layout.cross_upper
-    n = len(nodes)
-
-    # kept-edge directions, exactly the reference comparison (forward >= 0.5
-    # orients lower-shard -> higher-shard)
-    wins = cross_upper & (forward_matrix >= 0.5)
-    edge = wins | (cross_upper & ~wins).T
-    chain_out = np.zeros(n, dtype=np.int64)
-    base = 0
-    for length in shard_lengths:
-        if length > 1:
-            chain_out[base : base + length - 1] = 1
-        base += length
-    out_degree = edge.sum(axis=1).astype(np.int64) + chain_out
-
-    order_ids = _lexicographic_order(node_shard, shard_lengths, nodes, edge, out_degree)
-    if order_ids is not None:
-        order = [nodes[node_id] for node_id in order_ids]
-        cycles_broken = 0
-    else:
-        order, cycles_broken = _resolve_order_via_graph(
-            streams, nodes, node_ids, forward_matrix, cycle_policy, rng
-        )
+    order_ids, removed = _linear_order(layout, forward_matrix, cycle_policy, rng)
+    cycles_broken = len(removed)
+    if removed:
         if stats is not None:
             stats.cycle_resolutions += 1
+        if obs.enabled:
+            _emit_cycle_events(obs, streams, nodes, cycle_policy, removed)
 
     # probabilistic coalescing: a cross-shard boundary needs confidence.
     # Within-shard adjacency is rank-certain *by construction* (the shard
@@ -450,24 +384,29 @@ def _merge_from_matrix(
     # cross-shard pair missing from the matrix is a hard error.
     groups: List[List[BatchNode]] = []
     merged_cross_shard = 0
-    for node in order:
+    previous_id = -1
+    for node_id in order_ids:
+        node = nodes[node_id]
+        coalesce = False
         if groups:
-            previous = groups[-1][-1]
+            previous = nodes[previous_id]
             if previous[0] != node[0]:
-                forward = float(forward_matrix[node_ids[previous], node_ids[node]])
+                forward = float(forward_matrix[previous_id, node_id])
                 if np.isnan(forward):
                     raise AssertionError(
                         f"no precedence recorded for cross-shard pair {previous} -> {node}"
                     )
-                if not forward > threshold:
-                    groups[-1].append(node)
-                    merged_cross_shard += 1
-                    continue
+                coalesce = not forward > threshold
             elif previous[1] >= node[1]:
                 raise AssertionError(
                     f"within-shard emission order violated: {previous} placed before {node}"
                 )
-        groups.append([node])
+        if coalesce:
+            groups[-1].append(node)
+            merged_cross_shard += 1
+        else:
+            groups.append([node])
+        previous_id = node_id
 
     batches: List[SequencedBatch] = []
     for rank, group in enumerate(groups):
@@ -540,6 +479,7 @@ class CrossShardMerger:
     ) -> None:
         if not 0.5 <= threshold < 1.0:
             raise ValueError(f"threshold must be in [0.5, 1), got {threshold!r}")
+        check_policy(cycle_policy)
         self._model = model
         self._threshold = float(threshold)
         self._cycle_policy = cycle_policy
@@ -698,6 +638,7 @@ class StreamingMerger:
     ) -> None:
         if not 0.5 <= threshold < 1.0:
             raise ValueError(f"threshold must be in [0.5, 1), got {threshold!r}")
+        check_policy(cycle_policy)
         if topology is not None:
             if num_shards is None:
                 num_shards = topology.num_shards

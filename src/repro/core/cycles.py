@@ -15,17 +15,51 @@ provided:
 * :func:`eades_linear_arrangement` — the Eades–Lin–Smyth greedy linear
   arrangement; edges pointing backwards in that arrangement form a feedback
   arc set.
+
+Each policy exists in two forms.  The graph-taking functions are the paper's
+offline pipeline (:class:`~repro.core.tournament.TournamentGraph`, the
+``use_engine=False`` rung) and import :mod:`networkx` on first use.
+:func:`break_cycles` applies the same policies to a boolean *direction
+matrix* and is what the online engine and the cross-shard merger call; it
+needs numpy only.
+
+Why the matrix form removes exactly the edges the graph form removes: which
+cycle ``networkx.find_cycle`` reports depends only on where its depth-first
+walk starts and in which order it tries a node's successors.  Both callers
+used to build their graph the same way — nodes added in matrix-index order,
+then every kept edge pair by pair in ascending index order — so the walk
+starts at the lowest unfinished index and a node's successors come in
+ascending index order, preceded (in the merger) by the node's within-shard
+chain successor, whose edge was inserted before any cross-shard pair.  That
+is one ``np.flatnonzero`` over the node's matrix row.  The walk reports the
+first edge that returns to the active path; edges into finished nodes change
+nothing, so they are dropped a row at a time instead of visited.  The victim
+is then chosen from the cycle's probabilities by the same expressions in the
+same order, so ties, floats and generator draws all agree
+(``tests/reference/linearise_reference.py`` keeps the graph form of the
+merger's linearisation as the oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.relation import MessageKey, PairProbability
+
+if TYPE_CHECKING:  # the graph functions import networkx on first use
+    import networkx as nx
+
+#: The cycle-breaking policies every entry point accepts.
+CYCLE_POLICIES = ("greedy", "stochastic", "eades")
+
+
+def check_policy(policy: str) -> None:
+    """Raise ``ValueError`` unless ``policy`` names a cycle-breaking policy."""
+    if policy not in CYCLE_POLICIES:
+        raise ValueError(f"unknown cycle policy {policy!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +77,8 @@ class CycleResolution:
 
 
 def _find_cycle(graph: nx.DiGraph) -> Optional[List[Tuple[MessageKey, MessageKey]]]:
+    import networkx as nx
+
     try:
         return [(u, v) for u, v, _direction in nx.find_cycle(graph, orientation="original")]
     except nx.NetworkXNoCycle:
@@ -54,6 +90,8 @@ def break_cycles_greedy(graph: nx.DiGraph) -> CycleResolution:
 
     Mutates ``graph`` in place and returns the removed edges.
     """
+    import networkx as nx
+
     removed: List[PairProbability] = []
     was_cyclic = not nx.is_directed_acyclic_graph(graph)
     while True:
@@ -76,6 +114,8 @@ def break_cycles_stochastic(graph: nx.DiGraph, rng: np.random.Generator) -> Cycl
     (plus a small floor so certain edges are never impossible to remove),
     yielding long-run stochastic fairness across repeated sequencing rounds.
     """
+    import networkx as nx
+
     removed: List[PairProbability] = []
     was_cyclic = not nx.is_directed_acyclic_graph(graph)
     while True:
@@ -133,6 +173,8 @@ def eades_linear_arrangement(graph: nx.DiGraph) -> List[MessageKey]:
 
 def remove_backward_edges(graph: nx.DiGraph, order: List[MessageKey]) -> CycleResolution:
     """Remove every edge pointing backwards with respect to ``order``."""
+    import networkx as nx
+
     position: Dict[MessageKey, int] = {node: index for index, node in enumerate(order)}
     was_cyclic = not nx.is_directed_acyclic_graph(graph)
     removed: List[PairProbability] = []
@@ -148,6 +190,9 @@ def resolve_cycles(
     graph: nx.DiGraph, policy: str, rng: Optional[np.random.Generator] = None
 ) -> CycleResolution:
     """Apply the configured cycle-breaking ``policy`` to ``graph`` in place."""
+    import networkx as nx
+
+    check_policy(policy)
     if nx.is_directed_acyclic_graph(graph):
         return CycleResolution(removed_edges=(), policy=policy, was_cyclic=False)
     if policy == "greedy":
@@ -156,7 +201,156 @@ def resolve_cycles(
         if rng is None:
             rng = np.random.default_rng(0)
         return break_cycles_stochastic(graph, rng)
+    order = eades_linear_arrangement(graph)
+    return remove_backward_edges(graph, order)
+
+
+# --------------------------------------------------------------- matrix form
+class RemovedEdge(NamedTuple):
+    """One edge :func:`break_cycles` cleared, by matrix index."""
+
+    source: int
+    target: int
+    probability: float
+    #: edges on the cycle the victim was picked from; 0 for an edge removed
+    #: for pointing backwards in the Eades arrangement
+    cycle_length: int
+
+
+def _successors(edge: np.ndarray, first_successor: np.ndarray, node: int) -> np.ndarray:
+    scan = np.flatnonzero(edge[node])
+    if first_successor[node] >= 0:
+        return np.concatenate(([first_successor[node]], scan))
+    return scan
+
+
+def _find_cycle_nodes(edge: np.ndarray, first_successor: np.ndarray) -> Optional[List[int]]:
+    """The cycle ``networkx.find_cycle`` reports, as its nodes in path order.
+
+    The cycle's edges are consecutive nodes plus last -> first.  ``None``
+    when the graph is acyclic.
+    """
+    finished = np.zeros(edge.shape[0], dtype=bool)
+    for start in range(edge.shape[0]):
+        if finished[start]:
+            continue
+        path = [start]
+        on_path = {start}
+        untried = [_successors(edge, first_successor, start)]
+        while path:
+            successors = untried[-1]
+            successors = successors[~finished[successors]]
+            if not successors.size:
+                untried.pop()
+                node = path.pop()
+                on_path.discard(node)
+                finished[node] = True
+                continue
+            head = int(successors[0])
+            if head in on_path:
+                return path[path.index(head) :]
+            untried[-1] = successors[1:]
+            path.append(head)
+            on_path.add(head)
+            untried.append(_successors(edge, first_successor, head))
+    return None
+
+
+def _eades_positions(
+    edge: np.ndarray, first_successor: np.ndarray, rank: np.ndarray
+) -> np.ndarray:
+    """Each node's place in :func:`eades_linear_arrangement`, on degree vectors."""
+    n = edge.shape[0]
+    edge = edge.copy()
+    chained = np.flatnonzero(first_successor >= 0)
+    edge[chained, first_successor[chained]] = True
+    out_degree = edge.sum(axis=1)
+    in_degree = edge.sum(axis=0)
+    alive = np.ones(n, dtype=bool)
+    left: List[int] = []
+    right: List[int] = []
+
+    def peel(nodes: np.ndarray, side: List[int]) -> None:
+        nodes = nodes[np.argsort(rank[nodes])]
+        side.extend(nodes.tolist())
+        alive[nodes] = False
+        out_degree[:] -= edge[:, nodes].sum(axis=1)
+        in_degree[:] -= edge[nodes, :].sum(axis=0)
+
+    while alive.any():
+        progressed = True
+        while progressed:
+            progressed = False
+            for degree, side in ((out_degree, right), (in_degree, left)):
+                nodes = np.flatnonzero(alive & (degree == 0))
+                if nodes.size:
+                    peel(nodes, side)
+                    progressed = True
+        candidates = np.flatnonzero(alive)
+        if not candidates.size:
+            break
+        surplus = out_degree[candidates] - in_degree[candidates]
+        best = candidates[surplus == surplus.max()]
+        peel(best[[np.argmax(rank[best])]], left)
+    position = np.empty(n, dtype=np.int64)
+    position[left + right[::-1]] = np.arange(n)
+    return position
+
+
+def break_cycles(
+    edge: np.ndarray,
+    probability: np.ndarray,
+    policy: str,
+    rng: np.random.Generator,
+    first_successor: Optional[np.ndarray] = None,
+    rank: Optional[np.ndarray] = None,
+) -> List[RemovedEdge]:
+    """Make the direction matrix ``edge`` acyclic in place under ``policy``.
+
+    ``edge[u, v]`` is a kept edge ``u -> v`` and ``probability[u, v]`` its
+    weight.  ``first_successor[u]`` (``-1`` for none) is one more edge out of
+    ``u`` that is not in ``edge``: it has probability 1, is tried before the
+    others and is never removed — the merger's within-shard chain, order a
+    shard already committed by emitting.  Every cycle has an edge that is
+    in ``edge`` as long as those extra edges are themselves acyclic.
+    ``rank`` orders the nodes wherever the Eades arrangement breaks a tie
+    (default: the matrix index).
+
+    Removes what :func:`resolve_cycles` removes from the equivalent graph,
+    drawing from ``rng`` identically; when a policy's victim is a
+    ``first_successor`` edge, the cycle's weakest removable edge goes
+    instead.  Returns the removed edges in removal order.
+    """
+    check_policy(policy)
+    if first_successor is None:
+        first_successor = np.full(edge.shape[0], -1)
+    removed: List[RemovedEdge] = []
     if policy == "eades":
-        order = eades_linear_arrangement(graph)
-        return remove_backward_edges(graph, order)
-    raise ValueError(f"unknown cycle policy {policy!r}")
+        if rank is None:
+            rank = np.arange(edge.shape[0])
+        position = _eades_positions(edge, first_successor, rank)
+        backward = edge & (position[:, None] > position[None, :])
+        for source, target in zip(*np.nonzero(backward)):
+            removed.append(
+                RemovedEdge(int(source), int(target), float(probability[source, target]), 0)
+            )
+        edge[backward] = False
+        # a never-removed backward edge can leave a cycle: the loop finishes it
+    while True:
+        cycle = _find_cycle_nodes(edge, first_successor)
+        if cycle is None:
+            return removed
+        sources = np.asarray(cycle)
+        targets = np.roll(sources, -1)
+        fixed = first_successor[sources] == targets
+        weight = np.where(fixed, 1.0, probability[sources, targets])
+        if policy == "stochastic":
+            odds = 1.0 - weight + 1e-6
+            victim = int(rng.choice(len(cycle), p=odds / odds.sum()))
+        else:
+            victim = int(np.argmin(weight))
+        if fixed[victim]:
+            victim = int(np.argmin(np.where(fixed, np.inf, weight)))
+        source, target = int(sources[victim]), int(targets[victim])
+        edge[source, target] = False
+        removed.append(RemovedEdge(source, target, float(weight[victim]), len(cycle)))

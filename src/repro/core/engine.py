@@ -15,13 +15,13 @@ keeps all of that state *incremental* and evaluates it in batched numpy:
   every message of that pair), so non-Gaussian clients no longer fall back
   to per-pair scalar FFT evaluations;
 * the kept-edge tournament is maintained as a boolean *direction matrix*
-  plus an out-degree (score) vector — pure numpy per arrival.  Only when the
-  tournament is intransitive (cyclic) is a :mod:`networkx` graph
-  materialised, in exactly the node/edge insertion order the previous
-  incremental graph (and :meth:`~repro.core.tournament.TournamentGraph.from_relation`)
-  would have produced, so cycle detection, cycle-breaking and the
-  deterministic topological tie-break replay the reference behaviour
-  verbatim;
+  plus an out-degree (score) vector — pure numpy per arrival.  When the
+  tournament is intransitive (cyclic), :func:`~repro.core.cycles.break_cycles`
+  clears victims in a copy of that matrix — the edges the reference
+  pipeline (:meth:`~repro.core.tournament.TournamentGraph.from_relation`,
+  ``resolve_cycles``) removes from its graph, with the same draws from the
+  shared generator — and a Kahn pass with the reference tie-break orders
+  what is left;
 * the strict batching rule's boundary strengths are vectorized
   cumulative-minimum passes; the emission check uses
   :meth:`IncrementalPrecedenceEngine.first_tentative_group`, an ``O(k·n)``
@@ -48,11 +48,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy import special
 
-from repro.core.cycles import resolve_cycles
+from repro.core.cycles import break_cycles
 from repro.core.probability import PrecedenceModel
 from repro.core.relation import LikelyHappenedBefore, MessageKey
 from repro.distributions.parametric import GaussianDistribution
@@ -499,6 +498,27 @@ def strict_boundary_strengths_matrix(matrix: np.ndarray) -> np.ndarray:
     return suffix_min[positions, positions + 1]
 
 
+def _topological_order(edge: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Kahn's algorithm over an acyclic direction matrix.
+
+    Among the nodes with no unplaced predecessor the next is the one
+    minimising ``(-out_degree, rank)`` — the key, unique per node, of the
+    reference graph's lexicographical topological sort.
+    """
+    n = edge.shape[0]
+    priority = np.empty(n, dtype=np.intp)
+    priority[np.lexsort((rank, -edge.sum(axis=1)))] = np.arange(n)
+    indegree = edge.sum(axis=0)
+    order = np.empty(n, dtype=np.intp)
+    for slot in range(n):
+        ready = np.flatnonzero(indegree == 0)
+        node = ready[np.argmin(priority[ready])]
+        order[slot] = node
+        indegree[node] = -1  # placed
+        indegree[edge[node]] -= 1
+    return order
+
+
 class IncrementalPrecedenceEngine:
     """Incrementally maintained precedence state over a pending message set.
 
@@ -931,41 +951,17 @@ class IncrementalPrecedenceEngine:
             self.stats.quantile_cache_hits += 1
         return message.timestamp - quantile
 
-    def _build_graph(self) -> nx.DiGraph:
-        """Materialise the kept-edge graph for cycle resolution.
-
-        Node and edge insertion follow the per-arrival order the previous
-        incrementally-maintained graph used (node ``j`` then pairs
-        ``(0, j) .. (j-1, j)``), which produces the same adjacency iteration
-        order as :meth:`TournamentGraph.from_relation` — cycle detection and
-        cycle-breaking therefore walk the graph exactly like the reference
-        rebuild.
-        """
-        graph = nx.DiGraph()
-        keys = [message.key for message in self._messages]
-        graph.add_nodes_from(keys)
-        n = self.size
-        direction = self._direction
-        matrix = self._matrix
-        for j in range(n):
-            key_j = keys[j]
-            for i in range(j):
-                if direction[i, j]:
-                    graph.add_edge(keys[i], key_j, probability=float(matrix[i, j]))
-                else:
-                    graph.add_edge(key_j, keys[i], probability=float(matrix[j, i]))
-        return graph
-
     def _order_permutation(self) -> np.ndarray:
         """Message positions in linear order, matching the reference pipeline.
 
         A tournament is transitive exactly when its out-degree (score)
         sequence is ``{0, .., n-1}``; in that case the unique topological
         order is the score-descending order — an ``O(n)`` bucket placement
-        over the maintained score vector.  Otherwise the tournament is cyclic
-        and the reference behaviour is replicated verbatim on a materialised
-        graph: ``resolve_cycles`` (which consumes the shared RNG identically)
-        followed by the deterministic lexicographical topological sort.
+        over the maintained score vector.  Otherwise the tournament is cyclic:
+        ``break_cycles`` removes from a copy of the direction matrix the
+        edges ``resolve_cycles`` removes from the reference graph (consuming
+        the shared RNG identically), and what is left is ordered by the
+        reference's lexicographical topological sort, ties by message key.
         """
         n = self.size
         scores = self._scores[:n]
@@ -974,14 +970,13 @@ class IncrementalPrecedenceEngine:
             permutation = np.empty(n, dtype=np.intp)
             permutation[n - 1 - scores] = np.arange(n, dtype=np.intp)
             return permutation
-        working = self._build_graph()
-        resolve_cycles(working, self._cycle_policy, rng=self._rng)
+        keys = [message.key for message in self._messages]
+        key_rank = np.empty(n, dtype=np.intp)
+        key_rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
+        edge = self._direction[:n, :n].copy()
+        break_cycles(edge, self._matrix[:n, :n], self._cycle_policy, self._rng, rank=key_rank)
         self.stats.cycle_resolutions += 1
-        resolved_degree = dict(working.out_degree())
-        order = nx.lexicographical_topological_sort(
-            working, key=lambda node: (-resolved_degree.get(node, 0), node)
-        )
-        return np.asarray([self._index[key] for key in order], dtype=np.intp)
+        return _topological_order(edge, key_rank)
 
     def first_tentative_group(self) -> Optional[List[TimestampedMessage]]:
         """The first strict-rule batch (the emission candidate), or ``None``.

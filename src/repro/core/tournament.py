@@ -6,16 +6,23 @@ break ties deterministically and count them).  When the probabilities are
 transitive the tournament is a *transitive tournament* with a unique
 Hamiltonian path / topological order.  Otherwise the graph contains cycles
 and a cycle-breaking policy from :mod:`repro.core.cycles` is applied first.
+
+This is the offline pipeline's graph (:class:`~repro.core.sequencer.TommySequencer`
+and the ``use_engine=False`` reference rung).  :mod:`networkx` is imported
+when a graph is first built or queried, so importing the package — and running
+the online engine or the cross-shard merger, which work on direction
+matrices — does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.relation import LikelyHappenedBefore, MessageKey, PairProbability
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -38,6 +45,8 @@ class TournamentGraph:
         oriented deterministically (by message key) so the result remains a
         tournament, as the paper's construction requires.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         keys = relation.message_keys
         graph.add_nodes_from(keys)
@@ -83,6 +92,8 @@ class TournamentGraph:
 
     def is_acyclic(self) -> bool:
         """True when the kept-edge graph has no directed cycles."""
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self.graph)
 
     def is_transitive_tournament(self) -> bool:
@@ -101,6 +112,8 @@ class TournamentGraph:
 
     def cycles(self, limit: Optional[int] = 32) -> List[List[MessageKey]]:
         """A sample of directed cycles (empty when acyclic)."""
+        import networkx as nx
+
         if self.is_acyclic():
             return []
         found = []
@@ -118,6 +131,8 @@ class TournamentGraph:
         path); ties introduced by removed edges are broken by descending
         out-degree, then by message key, for determinism.
         """
+        import networkx as nx
+
         if not self.is_acyclic():
             raise ValueError("graph is cyclic; apply a cycle-breaking policy first")
         out_degree = dict(self.graph.out_degree())

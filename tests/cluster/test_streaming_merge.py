@@ -143,8 +143,8 @@ def test_streaming_matrix_is_bitwise_identical_to_offline_kernel(empirical_fract
 
 
 def test_streaming_parity_through_the_cyclic_fallback():
-    # adversarial within-shard order forces a cycle (the fast Kahn path
-    # bails to the materialised-graph reference); parity must survive it
+    # adversarial within-shard order forces a cycle (the Kahn pass stalls
+    # and the matrix cycle breaker runs); parity must survive it
     model = PrecedenceModel()
     for client in ("a", "b"):
         model.register_client(client, GaussianDistribution(0.0, 0.5))

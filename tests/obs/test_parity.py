@@ -14,6 +14,10 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.merge import CrossShardMerger, merge_fingerprint
+from repro.core.probability import PrecedenceModel
+from repro.distributions.parametric import GaussianDistribution
+from repro.network.message import SequencedBatch, TimestampedMessage
 from repro.obs.telemetry import NO_TELEMETRY, Telemetry
 from repro.obs.workload import run_instrumented_workload
 from repro.workloads.chaos import ChaosSettings, run_chaos_scenario
@@ -38,6 +42,40 @@ def test_engine_counters_match_with_and_without_telemetry():
         for telemetry in (None, Telemetry())
     ]
     assert reports[0].as_row() == reports[1].as_row()
+
+
+def test_merge_cycle_event_names_the_refused_precedence():
+    # a@10 -> a@0 (shard 0's emission order) -> b@5 -> a@10, every cross edge
+    # saturated: the greedy victim would be the chain edge, so the weakest
+    # cross-shard edge goes instead — and the trace says which one
+    model = PrecedenceModel()
+    for client in ("a", "b"):
+        model.register_client(client, GaussianDistribution(0.0, 0.1))
+    streams = [
+        [
+            SequencedBatch(0, (TimestampedMessage(client_id="a", timestamp=10.0),), emitted_at=1.0),
+            SequencedBatch(1, (TimestampedMessage(client_id="a", timestamp=0.0),), emitted_at=2.0),
+        ],
+        [SequencedBatch(0, (TimestampedMessage(client_id="b", timestamp=5.0),), emitted_at=3.0)],
+    ]
+    telemetry = Telemetry()
+    traced = CrossShardMerger(model, telemetry=telemetry).merge(streams)
+    assert traced.cycles_broken == 1
+    [event] = [record for record in telemetry.event_records if record.kind == "merge_cycle"]
+    assert (event.name, event.shard, event.sim_time) == ("greedy", 0, 3.0)
+    assert dict(event.details) == {
+        "cycle_length": 3,
+        "probability": 1.0,
+        "source_index": 1,
+        "target_index": 0,
+        "target_shard": 1,
+    }
+    assert telemetry.registry.counter("merge.cycle_edges_removed").value == 1
+    rerun = Telemetry()
+    CrossShardMerger(model, telemetry=rerun).merge(streams)
+    assert rerun.sim_fingerprint() == telemetry.sim_fingerprint()
+    bare = CrossShardMerger(model).merge(streams)
+    assert merge_fingerprint(bare) == merge_fingerprint(traced)
 
 
 def test_same_seed_same_sim_trace():
