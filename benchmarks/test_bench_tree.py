@@ -5,10 +5,10 @@ by default — the width merge trees are meant for) and prices it three times
 through the one window rule and the one pair-list kernel of
 :mod:`repro.cluster.merge`:
 
-* **offline** — :meth:`repro.cluster.merge.CrossShardMerger.merge`: the rule
-  over the whole cross-shard grid, the band in one kernel call;
+* **offline** — :meth:`repro.cluster.merge.CrossShardMerger.merge`: the
+  streams appended shard by shard, priced in element-budget blocks;
 * **flat replay** — a :class:`~repro.cluster.merge.StreamingMerger` observing
-  the batches one by one in emission order;
+  the batches one by one in emission order (the same blocks, other rows);
 * **tree replay** — the same replay under a balanced binary
   :class:`~repro.cluster.tree.MergeTopology`, which attributes every priced
   pair to its lowest common ancestor and prices nothing differently.

@@ -42,14 +42,24 @@ pair-list kernel**, whoever asks:
 
 :class:`StreamingMerger` holds the priced state — per-node window arrays,
 the flattened per-message kernel parameters and the N×N forward matrix —
-and has three callers of the rule and the kernel: ``observe_batch`` (one new
-row), ``refresh_client`` (the rows a distribution refresh can move) and the
-offline :meth:`CrossShardMerger.merge`, which is the same state observing
-whole streams at once (the rule over the entire cross-shard grid, one kernel
-call over the band).  ``result()`` linearises the maintained matrix —
-byte-identical to a fresh :meth:`CrossShardMerger.merge` over the same
-streams in any observation interleaving; ``tests/reference`` holds the
-unpruned per-pair oracle both are checked against.  A
+and the rule and the kernel have two callers: the *block flush*
+``_price_pending`` (every observed-but-unpriced row against every earlier
+cross-shard node) and ``refresh_client`` (the rows a distribution refresh can
+move).  ``observe_batch`` only appends: a pair's float does not depend on
+which call computes it, so pricing waits until pending rows × observed nodes
+reach the kernel's own element budget (``_CHUNK_ELEMENTS``) or until priced
+state is *read* — ``result()``, ``forward_matrix()``, the pair counters,
+``stats``, ``node_report()``, ``refresh_client``,
+:attr:`CrossShardMerger.engine_stats` and (before the model changes)
+:meth:`CrossShardMerger.register_client` all settle the pending block first.
+No reader can see a state that pricing on arrival would not have shown, the
+priced prefix trails observation by at most one block, and every mask of a
+flush stays inside the budget.  The offline :meth:`CrossShardMerger.merge`
+is the same walk over whole streams.  ``result()`` linearises the maintained
+matrix — byte-identical to a fresh :meth:`CrossShardMerger.merge` over the
+same streams in any observation interleaving and under any element budget;
+``tests/reference`` holds the unpruned per-pair oracle both are checked
+against.  A
 :class:`~repro.cluster.tree.MergeTopology` changes none of this: it only
 attributes the priced pairs to tree nodes.
 """
@@ -57,6 +67,7 @@ attributes the priced pairs to tree nodes.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -101,8 +112,8 @@ def window_rule(
     ``before`` — a's window closes before b's opens, so ``P(a before b)`` is
     exactly ``1.0``; ``after`` — the reverse, exactly ``0.0``; ``band`` —
     the windows overlap and the pair needs the kernel.  This is the only
-    place the comparison is written; the offline merge, ``observe_batch``
-    and ``refresh_client`` all classify through it.
+    place the comparison is written; the block flush (streaming and offline
+    alike) and ``refresh_client`` both classify through it.
     """
     before = earliest_b[None, :] > latest_a[:, None]
     after = earliest_a[:, None] > latest_b[None, :]
@@ -490,6 +501,13 @@ class CrossShardMerger:
         # empirical/learned client pairs convolve once per pair, not per batch
         self._tables = PairTableCache(model, stats=self._engine_stats)
         self._windows = CertaintyWindows(model)
+        # live streaming mergers share the model and the counters above: their
+        # pending rows are priced before either is changed or read
+        self._streaming: "weakref.WeakSet[StreamingMerger]" = weakref.WeakSet()
+
+    def _settle(self) -> None:
+        for streaming in self._streaming:
+            streaming._price_pending()
 
     @property
     def model(self) -> PrecedenceModel:
@@ -511,7 +529,10 @@ class CrossShardMerger:
 
         Drops the cached difference-CDF tables involving the client so the
         next merge prices its cross-shard pairs with the new distribution.
+        Rows a streaming merger has observed but not priced yet are priced
+        first, by the model they were observed under.
         """
+        self._settle()
         self._model.register_client(client_id, distribution)
         self._tables.invalidate_client(client_id)
         self._windows.invalidate_client(client_id)
@@ -528,7 +549,7 @@ class CrossShardMerger:
         (:meth:`StreamingMerger.node_report`, ``merge_tree`` telemetry); it
         never changes a priced float.
         """
-        return StreamingMerger(
+        streaming = StreamingMerger(
             self._model,
             threshold=self._threshold,
             cycle_policy=self._cycle_policy,
@@ -540,11 +561,17 @@ class CrossShardMerger:
             telemetry=self._telemetry,
             topology=topology,
         )
+        self._streaming.add(streaming)
+        return streaming
 
     # ---------------------------------------------------------- probabilities
     @property
     def engine_stats(self) -> EngineStats:
-        """Counters for the vectorized cross-pair computations performed."""
+        """Counters for the vectorized cross-pair computations performed.
+
+        Shared with every :meth:`streaming_merger`; pending rows settle first.
+        """
+        self._settle()
         return self._engine_stats
 
     def batch_precedence(self, batch_a: SequencedBatch, batch_b: SequencedBatch) -> float:
@@ -568,20 +595,26 @@ class CrossShardMerger:
 
     # ----------------------------------------------------------------- merge
     def _priced(self, shard_batches: Sequence[Sequence[SequencedBatch]]) -> "StreamingMerger":
-        """The priced state of an offline merge: whole streams observed at once."""
-        streams = [list(batches) for batches in shard_batches]
-        priced = self.streaming_merger(num_shards=len(streams))
-        priced._observe_streams(streams)
+        """The priced state of an offline merge: whole streams observed at once.
+
+        ``observe_batch`` over the streams taken shard by shard (same appends,
+        same block flushes; the last block settles at the first read) minus
+        the observation telemetry: this is a repricing.
+        """
+        priced = self.streaming_merger(num_shards=len(shard_batches))
+        for shard, batches in enumerate(shard_batches):
+            for batch in batches:
+                priced._append(shard, batch)
         return priced
 
     def merge(self, shard_batches: Sequence[Sequence[SequencedBatch]]) -> MergeOutcome:
         """Merge per-shard batch streams into one cluster-wide order.
 
         ``shard_batches[s]`` is shard ``s``'s emitted batches in rank order.
-        The window rule runs over the whole cross-shard grid and the band is
-        priced in one kernel call; linearisation draws from a generator
-        seeded per call, so repeated merges of the same streams are equal
-        (and equal :meth:`StreamingMerger.result` over them).
+        Pricing is the streaming merger's own block schedule (:meth:`_priced`);
+        linearisation draws from a generator seeded per call, so repeated
+        merges of the same streams are equal (and equal
+        :meth:`StreamingMerger.result` over them).
         """
         start = time.perf_counter()
         return self._priced(shard_batches)._linearise(start)
@@ -602,25 +635,31 @@ def _extended(array: np.ndarray, capacity: int) -> np.ndarray:
 class StreamingMerger:
     """Incrementally maintained cross-shard merge.
 
-    ``observe_batch(shard, batch)`` appends one node and prices it against
-    every existing cross-shard node: one :func:`window_rule` call resolves
-    the pairs whose certainty windows cannot overlap to exact 0/1, and only
-    the overlapping band reaches the pair-list kernel — time-localised
-    streams only ever evaluate a band of recent batches.  ``result()``
-    linearises the maintained matrix; for the same observed streams the
-    output is byte-identical to :meth:`CrossShardMerger.merge` (which is
-    this class observing whole streams at once), regardless of the order
-    batches were observed in.
+    ``observe_batch(shard, batch)`` appends one node; its pairs against
+    every earlier cross-shard node are priced with its *block*, in one pass:
+    one :func:`window_rule` call resolves the pairs whose certainty windows
+    cannot overlap to exact 0/1, and only the overlapping band reaches the
+    pair-list kernel — time-localised streams only ever evaluate a band of
+    recent batches.  A block is flushed when pending rows × observed nodes
+    reach ``_CHUNK_ELEMENTS`` and whenever priced state is read, so the
+    schedule depends on the node count alone (not on telemetry, not on the
+    interleaving) and no reader can tell it from pricing on arrival.
+    ``result()`` linearises the maintained matrix; for the same observed
+    streams the output is byte-identical to :meth:`CrossShardMerger.merge`
+    (which is this class observing whole streams at once), regardless of
+    the order batches were observed in.
 
-    Pairs are priced at observation time; a mid-stream distribution refresh
-    must be propagated with :meth:`refresh_client`, which reprices every
-    maintained pair the refresh can move and rewrites the client's entries
-    in the kernel's flattened parameter arrays.
+    A row is priced by the model it was observed under; a mid-stream
+    distribution refresh must be propagated with :meth:`refresh_client`,
+    which reprices every maintained pair the refresh can move and rewrites
+    the client's entries in the kernel's flattened parameter arrays.
 
     A :class:`~repro.cluster.tree.MergeTopology` adds an attribution, not a
     computation: every priced pair is also counted at the lowest common
     ancestor of its two shards, which feeds :meth:`node_report`, the
-    ``merge_tree`` telemetry events and the ``merge.tree.level*`` counters.
+    ``merge_tree`` telemetry events (recorded when the node's block is
+    priced, stamped with its own observation time) and the
+    ``merge.tree.level*`` counters.
     """
 
     def __init__(
@@ -662,6 +701,7 @@ class StreamingMerger:
             [] for _ in range(num_shards if num_shards is not None else 0)
         ]
         self._nodes: List[BatchNode] = []  # observation order
+        self._priced = 0  # nodes below this position have their pairs priced
         self._node_position: Dict[BatchNode, int] = {}
         self._node_messages: List[Tuple[TimestampedMessage, ...]] = []
         # per-node state the window rule and the kernel read, indexed by
@@ -700,18 +740,26 @@ class StreamingMerger:
         return len(self._nodes)
 
     @property
+    def pending_nodes(self) -> int:
+        """Observed nodes whose pairs are not priced yet (under one block)."""
+        return len(self._nodes) - self._priced
+
+    @property
     def cross_pairs_evaluated(self) -> int:
-        """Cross-shard batch pairs priced through the kernel so far."""
+        """Cross-shard batch pairs of the observed nodes that need the kernel."""
+        self._price_pending()
         return self._cross_pairs_evaluated
 
     @property
     def cross_pairs_pruned(self) -> int:
-        """Cross-shard batch pairs resolved by window pruning so far."""
+        """Cross-shard batch pairs of the observed nodes resolved by window pruning."""
+        self._price_pending()
         return self._cross_pairs_pruned
 
     @property
     def stats(self) -> EngineStats:
-        """Engine counters for the kernel work performed."""
+        """Engine counters for the kernel work of every observed node."""
+        self._price_pending()
         return self._stats
 
     @property
@@ -726,6 +774,7 @@ class StreamingMerger:
 
     def node_report(self) -> List[Dict[str, object]]:
         """Per-merge-node pruned/kernel pair counts (one pseudo-node flat)."""
+        self._price_pending()
         if self._topology is None:
             return [
                 {
@@ -756,6 +805,7 @@ class StreamingMerger:
         pair, nodes enumerated shard by shard in rank order whatever order
         they were observed in; within-shard entries are NaN.
         """
+        self._price_pending()
         permutation = [
             self._node_position[(shard, index)]
             for shard, stream in enumerate(self._streams)
@@ -782,38 +832,21 @@ class StreamingMerger:
         return 0
 
     def observe_batch(self, shard: int, batch: SequencedBatch) -> BatchNode:
-        """Append the next emitted batch of ``shard`` and price its pairs."""
+        """Append the next emitted batch of ``shard``; its block prices it."""
         position = self._append(shard, batch)
-        # while every observed node belongs to this shard no cross-shard pair
-        # exists: a one-shard cluster never touches the pricing arrays
-        deltas = (
-            self._price_from(position) if len(self._streams[shard]) <= position else None
-        )
         if self._obs.enabled:
             observed_at = batch.emitted_at if batch.emitted_at is not None else 0.0
-            if deltas is not None:
-                self._emit_tree_events(shard, observed_at, *deltas)
             for message in batch.messages:
                 self._obs.stage("merge_observe", message, observed_at, shard=shard)
             self._obs.count("merge.batches_observed")
+            self._obs.gauge("merge.pending_nodes", self.pending_nodes)
         return self._nodes[position]
 
-    def _observe_streams(self, streams: Sequence[Sequence[SequencedBatch]]) -> None:
-        """Observe whole streams at once: the offline merge's pricing.
-
-        Equal to ``observe_batch`` over any interleaving of ``streams``, but
-        the rule classifies the whole cross-shard grid in one call and the
-        band is one kernel call.  An offline repricing, not an observation:
-        no ``merge_observe`` / ``merge_tree`` telemetry is emitted.
-        """
-        first = len(self._nodes)
-        for shard, stream in enumerate(streams):
-            for batch in stream:
-                self._append(shard, batch)
-        self._price_from(first)
-
     def _append(self, shard: int, batch: SequencedBatch) -> int:
-        """Record ``batch`` as ``shard``'s next node; returns its position."""
+        """Record ``batch`` as ``shard``'s next node; returns its position.
+
+        Flushes the pending block once it reaches the kernel's element budget.
+        """
         if shard < 0:
             raise ValueError(f"shard index must be non-negative, got {shard!r}")
         if self._topology is not None and shard >= self._topology.num_shards:
@@ -840,6 +873,8 @@ class StreamingMerger:
             self._timestamp[slot] = message.timestamp
             self._client_slots.setdefault(message.client_id, []).append(slot)
             self._store_params(message.client_id, slot)
+        if self.pending_nodes * len(self._nodes) >= _CHUNK_ELEMENTS:
+            self._price_pending()
         return position
 
     def _store_params(self, client_id: str, slots: Union[int, np.ndarray]) -> None:
@@ -871,12 +906,29 @@ class StreamingMerger:
             )
 
     # ---------------------------------------------------------------- pricing
+    def _price_pending(self) -> None:
+        """Price every observed node past the cursor: the one flush.
+
+        ``_append`` calls it when the block fills the element budget, every
+        reader of priced state before anything else.  Telemetry rides along;
+        it never decides when a block is priced.
+        """
+        if not self.pending_nodes:
+            return
+        first = self._priced
+        deltas = self._price_from(first)
+        self._priced = len(self._nodes)
+        if self._obs.enabled:
+            self._obs.count("merge.price_blocks")
+            self._obs.gauge("merge.pending_nodes", 0)
+            if deltas is not None:
+                self._emit_tree_events(first, *deltas)
+
     def _price_from(self, first: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Price nodes ``first..`` against every earlier cross-shard node.
 
-        One new node is ``observe_batch``; every node at once is the offline
-        merge.  Returns the per-tree-node ``(pruned, kernel)`` pair counts
-        just added (``None`` without a topology).
+        Returns what :meth:`_count` does for the block: the pair counts just
+        added, per priced node and tree node (``None`` without a topology).
         """
         count = len(self._nodes)
         rows = np.arange(first, count)
@@ -931,8 +983,8 @@ class StreamingMerger:
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Add (``sign=-1``: retract) masked pairs to the totals and the tree.
 
-        Returns the per-tree-node ``(pruned, kernel)`` counts of the masks,
-        ``None`` without a topology.
+        Returns the ``(pruned, kernel)`` counts of the masks, each of shape
+        ``(len(rows), tree nodes)``; ``None`` without a topology.
         """
         pruned_total = int(pruned.sum())
         self._cross_pairs_pruned += sign * pruned_total
@@ -941,36 +993,45 @@ class StreamingMerger:
             self._stats.pruned_pairs += pruned_total
         if self._topology is None:
             return None
-        pruned_by_node, kernel_by_node = (
-            self._topology.attribute(self._shard[rows[index]], self._shard[other])
+        pruned_by_row, kernel_by_row = (
+            self._topology.attribute(
+                self._shard[rows[index]], self._shard[other], row=index, num_rows=rows.size
+            )
             for index, other in map(np.nonzero, (pruned, band))
         )
-        self._node_pruned_pairs += sign * pruned_by_node
-        self._node_kernel_pairs += sign * kernel_by_node
-        return pruned_by_node, kernel_by_node
+        self._node_pruned_pairs += sign * pruned_by_row.sum(axis=0)
+        self._node_kernel_pairs += sign * kernel_by_row.sum(axis=0)
+        return pruned_by_row, kernel_by_row
 
-    def _emit_tree_events(
-        self, shard: int, observed_at: float, pruned: np.ndarray, kernel: np.ndarray
-    ) -> None:
-        """One ``merge_tree`` event per ancestor that gained pairs, leaf upwards."""
-        for ancestor_id in self._topology.path(shard)[1:]:
-            node_pruned, node_kernel = int(pruned[ancestor_id]), int(kernel[ancestor_id])
-            if not (node_pruned or node_kernel):
-                continue
-            ancestor = self._topology.nodes[ancestor_id]
-            self._obs.event(
-                "merge_tree",
-                ancestor.label,
-                observed_at,
-                client_id=f"level-{ancestor.level}",
-                shard=shard,
-                node=ancestor_id,
-                level=ancestor.level,
-                pruned_pairs=node_pruned,
-                kernel_pairs=node_kernel,
-            )
-            self._obs.count(f"merge.tree.level{ancestor.level}.pruned_pairs", node_pruned)
-            self._obs.count(f"merge.tree.level{ancestor.level}.kernel_pairs", node_kernel)
+    def _emit_tree_events(self, first: int, pruned: np.ndarray, kernel: np.ndarray) -> None:
+        """``merge_tree`` events of the block of nodes ``first..`` just priced.
+
+        One per (node, ancestor that gained pairs), leaf upwards, carrying
+        that node's own counts and stamped with its own observation time.
+        """
+        for row in np.flatnonzero((pruned + kernel).any(axis=1)).tolist():
+            shard, index = self._nodes[first + row]
+            emitted_at = self._streams[shard][index].emitted_at
+            observed_at = emitted_at if emitted_at is not None else 0.0
+            for ancestor_id in self._topology.path(shard)[1:]:
+                node_pruned = int(pruned[row, ancestor_id])
+                node_kernel = int(kernel[row, ancestor_id])
+                if not (node_pruned or node_kernel):
+                    continue
+                ancestor = self._topology.nodes[ancestor_id]
+                self._obs.event(
+                    "merge_tree",
+                    ancestor.label,
+                    observed_at,
+                    client_id=f"level-{ancestor.level}",
+                    shard=shard,
+                    node=ancestor_id,
+                    level=ancestor.level,
+                    pruned_pairs=node_pruned,
+                    kernel_pairs=node_kernel,
+                )
+                self._obs.count(f"merge.tree.level{ancestor.level}.pruned_pairs", node_pruned)
+                self._obs.count(f"merge.tree.level{ancestor.level}.kernel_pairs", node_kernel)
 
     # ----------------------------------------------------------------- kernel
     def _price_pairs(self, pair_a: np.ndarray, pair_b: np.ndarray) -> np.ndarray:
@@ -1155,6 +1216,7 @@ class StreamingMerger:
         kernel work into O(overlapping window).  Returns the number of
         repriced node pairs.
         """
+        self._price_pending()
         self._windows.invalidate_client(client_id)
         slots = np.asarray(self._client_slots.get(client_id, ()), dtype=np.int64)
         if not slots.size:
@@ -1206,6 +1268,7 @@ class StreamingMerger:
     def _linearise(self, start: float) -> MergeOutcome:
         """``result()`` with the caller's start time (an offline merge's
         wall clock includes its pricing)."""
+        self._price_pending()
         if not self._nodes:
             return _empty_outcome(start)
         return _merge_from_matrix(

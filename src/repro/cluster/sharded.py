@@ -289,6 +289,8 @@ class ShardedSequencer(Entity):
         The owner shard's online sequencer absorbs the update (invalidating
         its engine caches and rebuilding live rows) and the cross-shard
         merger re-prices future batch precedences with the new distribution.
+        (``register_client`` first prices the streaming merger's pending
+        rows, under the outgoing model; ``refresh_client`` then reprices.)
         """
         if client_id not in self._distributions:
             raise KeyError(
@@ -740,7 +742,10 @@ class ShardedSequencer(Entity):
         ]
 
     def engine_stats(self) -> EngineStats:
-        """Cluster-wide engine counters: every shard plus the merger."""
+        """Cluster-wide engine counters: every shard plus the merger.
+
+        Reading the merger's settles the streaming merger's pending rows first.
+        """
         combined = self._retired_engine_stats
         for shard in self._shards:
             combined = combined.merge(shard.sequencer.engine_stats())
@@ -759,9 +764,9 @@ class ShardedSequencer(Entity):
     def live_merge(self) -> MergeOutcome:
         """The cluster-wide order from the live streaming merger.
 
-        Every cross-shard batch pair was priced when its later batch was
-        emitted, so this only linearises and coalesces maintained state —
-        no re-merge of the full history.
+        Cross-shard batch pairs are priced in blocks while the shards emit,
+        so this prices at most the one pending block and then linearises and
+        coalesces maintained state — no re-merge of the full history.
         """
         if self._streaming is None:
             raise ValueError("streaming merge is disabled; construct with streaming_merge=True")

@@ -113,14 +113,26 @@ class MergeTopology:
         """Node id of the lowest common ancestor of two distinct shards."""
         return int(self._lca[shard_a, shard_b])
 
-    def attribute(self, shards_a: np.ndarray, shards_b: np.ndarray) -> np.ndarray:
+    def attribute(
+        self,
+        shards_a: np.ndarray,
+        shards_b: np.ndarray,
+        row: Optional[np.ndarray] = None,
+        num_rows: int = 1,
+    ) -> np.ndarray:
         """Per-node counts of the cross-shard pairs ``(shards_a[k], shards_b[k])``.
 
         Entry ``n`` is how many of the pairs have node ``n`` as their lowest
         common ancestor (leaves always count zero) — the whole contribution
         of the tree to the merge: a partition of the pairs, not a pricing.
+        With ``row`` (pair ``k`` belongs to merge row ``row[k] < num_rows``)
+        a whole block is attributed at once, as ``(num_rows, nodes)`` counts.
         """
-        return np.bincount(self._lca[shards_a, shards_b], minlength=len(self.nodes))
+        lca = self._lca[shards_a, shards_b]
+        width = len(self.nodes)
+        if row is None:
+            return np.bincount(lca, minlength=width)
+        return np.bincount(row * width + lca, minlength=num_rows * width).reshape(num_rows, width)
 
     def describe(self) -> List[Dict[str, object]]:
         """One row per node (report tables and the topology tests)."""

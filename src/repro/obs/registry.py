@@ -213,12 +213,14 @@ class MetricsRegistry:
     # -------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, object]:
         """One nested, JSON-serialisable view of every instrument and source."""
+        # sources first: reading one may settle lazily maintained state (the
+        # streaming merger prices its pending block) and bump instruments
+        sources = {
+            name: self._resolve_source(source) for name, source in sorted(self._sources.items())
+        }
         return {
             "counters": {name: c.value for name, c in sorted(self._counters.items())},
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {name: h.summary() for name, h in sorted(self._histograms.items())},
-            "sources": {
-                name: self._resolve_source(source)
-                for name, source in sorted(self._sources.items())
-            },
+            "sources": sources,
         }

@@ -7,10 +7,13 @@ the same streams — mid-stream and at the end, for Gaussian and grid-backed
 clients, through the cyclic fallback, and across distribution refreshes.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from merge_reference import reference_forward_matrix
 
+from repro.cluster import merge as merge_module
 from repro.cluster.merge import CrossShardMerger
 from repro.cluster.sharded import ShardedSequencer
 from repro.cluster.tree import MergeTopology
@@ -293,50 +296,179 @@ def test_refresh_pruning_is_bitwise_identical_to_full_repricing(seed):
     assert repriced + streaming.refresh_pairs_skipped == len(involved)
 
 
+#: EngineStats fields that count whole kernel rectangles, requested pairs or
+#: not.  The table-backed kernel groups a call's pairs into rectangles, so on a
+#: population with grid-backed clients these depend on how pairs are grouped
+#: into calls (``merge()`` and a streaming replay of the same streams never
+#: agreed on them).  The closed-form pass counts exact pairs: on an
+#: all-Gaussian population every field is schedule-invariant.
+RECTANGLE_COUNTERS = {"vectorized_evaluations", "table_evaluations", "pair_tables_built"}
+
+
+def with_budget(budget):
+    return mock.patch.object(merge_module, "_CHUNK_ELEMENTS", budget)
+
+
+def invariant_stats(stats, gaussian, drop=()):
+    dropped = set(drop) | (set() if gaussian else RECTANGLE_COUNTERS)
+    return {name: value for name, value in stats.as_dict().items() if name not in dropped}
+
+
+def refresh_distribution(kind, mean, sigma, rng):
+    if kind == "gaussian":
+        return GaussianDistribution(mean, sigma)
+    return EmpiricalDistribution.from_samples(rng.normal(mean, sigma, 600), bins=64)
+
+
+def refreshed_merger_run(before, after, tree, budget):
+    """Observe half, refresh one client with rows possibly pending, observe the rest."""
+    rng = np.random.default_rng(77)
+    num_shards = 4
+    model, shard_clients = build_model(num_shards, 2, rng)
+    refreshed = shard_clients[1][0]
+    model.register_client(refreshed, refresh_distribution(before, 0.001, 0.004, rng))
+    streams = build_streams(shard_clients, 6, rng)
+    topology = MergeTopology.balanced(num_shards, 2) if tree else None
+    observations = random_interleaving(streams, rng)
+    half = len(observations) // 2
+    assert any(refreshed in batch.clients for _, batch in observations[:half])
+    assert any(refreshed in batch.clients for _, batch in observations[half:])
+    with with_budget(budget):
+        merger = CrossShardMerger(model, seed=0)
+        streaming = merger.streaming_merger(num_shards=num_shards, topology=topology)
+        for shard, batch in observations[:half]:
+            streaming.observe_batch(shard, batch)
+        pending = streaming.pending_nodes
+        merger.register_client(refreshed, refresh_distribution(after, -0.002, 0.008, rng))
+        repriced = streaming.refresh_client(refreshed)
+        for shard, batch in observations[half:]:
+            streaming.observe_batch(shard, batch)
+        matrix = streaming.forward_matrix()
+    return {
+        "streams": streams,
+        "model": model,
+        "streaming": streaming,
+        "matrix": matrix,
+        "pending": pending,
+        "repriced": [repriced],
+        "stats": streaming.stats,
+    }
+
+
+def refreshed_cluster_run(before, after, tree, budget):
+    """The same through a live cluster: ``update_client_distribution`` mid-run."""
+    rng = np.random.default_rng(78)
+    distributions = {
+        f"client-{i}": GaussianDistribution(
+            float(rng.normal(0, 0.002)), float(rng.uniform(0.004, 0.01))
+        )
+        for i in range(8)
+    }
+    refreshed = "client-3"
+    distributions[refreshed] = refresh_distribution(before, 0.001, 0.004, rng)
+    loop = EventLoop()
+    with with_budget(budget):
+        cluster = ShardedSequencer(
+            loop,
+            distributions,
+            num_shards=4,
+            config=TommyConfig(completeness_mode="none", p_safe=0.9),
+            merge_topology="binary" if tree else "flat",
+        )
+        streaming = cluster.streaming_merger
+        clients = sorted(distributions)
+        t = 0.0
+        for message_id in range(80):
+            t += float(rng.exponential(0.01))
+            message = TimestampedMessage(
+                client_id=clients[message_id % len(clients)],
+                timestamp=t,
+                true_time=t,
+                message_id=message_id,
+            )
+            loop.schedule_at(t, cluster.receive, message)
+        pending = {}
+        repriced = []
+        register = cluster.merger.model.register_client
+        refresh_client = streaming.refresh_client
+
+        def recording_register(client_id, distribution):
+            pending["at the model swap"] = streaming.pending_nodes
+            register(client_id, distribution)
+
+        def recording_refresh(client_id):
+            repriced.append(refresh_client(client_id))
+            return repriced[-1]
+
+        def refresh():
+            pending["before the refresh"] = streaming.pending_nodes
+            cluster.update_client_distribution(
+                refreshed, refresh_distribution(after, -0.002, 0.008, rng)
+            )
+
+        with (
+            mock.patch.object(cluster.merger.model, "register_client", recording_register),
+            mock.patch.object(streaming, "refresh_client", recording_refresh),
+        ):
+            loop.schedule_at(t / 2, refresh)
+            loop.run()
+            cluster.flush()
+        matrix = streaming.forward_matrix()
+    # the table-backed kernel reads the model at pricing time: nothing may still
+    # be pending when the merge model changes
+    assert pending["at the model swap"] == 0
+    streams = cluster.shard_batches()
+    assert any(refreshed in batch.clients for stream in streams for batch in stream)
+    return {
+        "streams": streams,
+        "model": cluster.merger.model,
+        "streaming": streaming,
+        "matrix": matrix,
+        "pending": pending["before the refresh"],
+        "repriced": repriced,
+        "stats": cluster.engine_stats(),
+    }
+
+
+@pytest.mark.parametrize(
+    "run", [refreshed_merger_run, refreshed_cluster_run], ids=["refresh_client", "cluster"]
+)
 @pytest.mark.parametrize("tree", [False, True], ids=["flat", "binary"])
 @pytest.mark.parametrize(
     "before,after",
     [("gaussian", "gaussian"), ("gaussian", "empirical"), ("empirical", "gaussian")],
 )
-def test_observations_after_a_midstream_refresh_use_the_refreshed_model(before, after, tree):
+def test_observations_after_a_midstream_refresh_use_the_refreshed_model(before, after, tree, run):
     # the kernel's flattened per-message parameters are a cache of the model:
     # a refresh must rewrite them (and flip the closed-form / table choice), or
-    # every batch observed *after* the refresh is priced with the old model
-    rng = np.random.default_rng(77)
-    num_shards = 4
+    # every batch observed *after* the refresh is priced with the old model.
+    # And rows still pending when the refresh arrives must end up where
+    # pricing them on arrival (budget 1) would have left them.
+    blocks = run(before, after, tree, merge_module._CHUNK_ELEMENTS)
+    per_batch = run(before, after, tree, 1)
+    assert blocks["pending"] > 0 == per_batch["pending"]
 
-    def distribution(kind, mean, sigma):
-        if kind == "gaussian":
-            return GaussianDistribution(mean, sigma)
-        return EmpiricalDistribution.from_samples(rng.normal(mean, sigma, 600), bins=64)
-
-    model, shard_clients = build_model(num_shards, 2, rng)
-    refreshed = shard_clients[1][0]
-    model.register_client(refreshed, distribution(before, 0.001, 0.004))
-    streams = build_streams(shard_clients, 6, rng)
-    topology = MergeTopology.balanced(num_shards, 2) if tree else None
-    streaming = CrossShardMerger(model, seed=0).streaming_merger(
-        num_shards=num_shards, topology=topology
-    )
-    observations = random_interleaving(streams, rng)
-    half = len(observations) // 2
-    for shard, batch in observations[:half]:
-        streaming.observe_batch(shard, batch)
-    model.register_client(refreshed, distribution(after, -0.002, 0.008))
-    streaming.refresh_client(refreshed)
-    for shard, batch in observations[half:]:
-        streaming.observe_batch(shard, batch)
-
-    assert any(refreshed in batch.clients for _, batch in observations[:half])
-    assert any(refreshed in batch.clients for _, batch in observations[half:])
+    streams, model, streaming = blocks["streams"], blocks["model"], blocks["streaming"]
     assert np.array_equal(
-        streaming.forward_matrix(), reference_forward_matrix(streams, model), equal_nan=True
+        blocks["matrix"], reference_forward_matrix(streams, model), equal_nan=True
     )
+    assert np.array_equal(blocks["matrix"], per_batch["matrix"], equal_nan=True)
     oracle = CrossShardMerger(model, seed=0).merge(streams)
     live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     assert live.cross_pairs_evaluated == oracle.cross_pairs_evaluated
     assert live.cross_pairs_pruned == oracle.cross_pairs_pruned
+
+    settled = per_batch["streaming"]
+    assert blocks["repriced"] == per_batch["repriced"] and blocks["repriced"][0] > 0
+    assert streaming.refresh_pairs_skipped == settled.refresh_pairs_skipped
+    assert streaming.cross_pairs_evaluated == settled.cross_pairs_evaluated
+    assert streaming.cross_pairs_pruned == settled.cross_pairs_pruned
+    assert streaming.node_report() == settled.node_report()
+    gaussian = before == after == "gaussian"
+    assert invariant_stats(blocks["stats"], gaussian) == invariant_stats(
+        per_batch["stats"], gaussian
+    )
 
 
 def test_refresh_pruning_tracks_window_status_flips():

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from merge_reference import reference_forward_matrix
 
-from repro.cluster import merge as merge_module
 from repro.cluster.merge import CrossShardMerger
 from repro.cluster.router import RegionAffineSharding
 from repro.cluster.sharded import ShardedSequencer
@@ -340,24 +339,6 @@ def test_tree_forward_matrix_uniform_batches_bitwise_identical_to_flat_kernel():
             stream.append(SequencedBatch(rank=index, messages=tuple(messages), emitted_at=base))
         streams.append(stream)
     assert_matrices_match_reference(model, streams, num_shards, rng)
-
-
-def test_tree_merge_is_invariant_to_chunk_budget(monkeypatch):
-    # the element budget only groups kernel work; a degenerate one-element
-    # budget must still reproduce the default matrix bit for bit, on the
-    # closed-form pass (all Gaussian) and on the chunked table pass
-    for empirical_fraction in (0.0, 0.5):
-        rng = np.random.default_rng(31)
-        model, shard_clients = build_model(4, 2, rng, empirical_fraction)
-        streams = build_streams(shard_clients, 4, rng)
-        with monkeypatch.context() as patch:
-            default = CrossShardMerger(model, seed=0)._priced(streams)
-            patch.setattr(merge_module, "_CHUNK_ELEMENTS", 1)
-            tiny = CrossShardMerger(model, seed=0)._priced(streams)
-        assert np.array_equal(tiny.forward_matrix(), default.forward_matrix(), equal_nan=True)
-        assert fingerprint(tiny.result()) == fingerprint(default.result())
-        assert tiny.cross_pairs_evaluated == default.cross_pairs_evaluated
-        assert tiny.cross_pairs_pruned == default.cross_pairs_pruned
 
 
 def test_empty_and_missing_streams_merge_cleanly():
