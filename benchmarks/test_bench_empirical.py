@@ -105,9 +105,16 @@ def run_variant(distributions, arrivals, fast):
             cycle_policy=CONFIG.cycle_policy,
             rng=sequencer._rng,
         )
-        # the baseline predates the first-group prefix scan: its emission
-        # candidate is the head of the full tentative batching, as it was
-        engine.first_tentative_group = lambda: (engine.tentative_groups() or [None])[0]
+        # the baseline predates the first-group prefix scan and the kept
+        # candidate: its emission candidate is the head of the full tentative
+        # batching, recomputed (a new epoch) on every check, as it was
+        engine.candidate_epoch = 0
+
+        def first_tentative_group():
+            engine.candidate_epoch += 1
+            return (engine.tentative_groups() or [None])[0]
+
+        engine.first_tentative_group = first_tentative_group
         sequencer._engine = engine
     # warm the per-pair FFT convolutions outside the timed window: a
     # one-time cost identical for both variants (cached in the model)

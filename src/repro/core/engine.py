@@ -1,6 +1,6 @@
 """Incremental, vectorized precedence engine (the online hot path).
 
-The online sequencer must re-derive its tentative batching on every arrival.
+The online sequencer must know its first tentative batch after every arrival.
 The original implementation rebuilt the full
 :class:`~repro.core.relation.LikelyHappenedBefore` relation, the kept-edge
 tournament and the strict-boundary minima from scratch each time — ``O(n^2)``
@@ -26,7 +26,10 @@ keeps all of that state *incremental* and evaluates it in batched numpy:
   cumulative-minimum passes; the emission check uses
   :meth:`IncrementalPrecedenceEngine.first_tentative_group`, an ``O(k·n)``
   prefix scan (``k`` = first-batch size) that avoids materialising the full
-  permuted matrix on every arrival;
+  permuted matrix — and that runs only when an arrival could have changed
+  its answer: while every member of the batch confidently precedes each
+  newcomer the engine keeps the batch (the rule and its proof are on the
+  class), so a futile check costs ``O(k)``, not ``O(pending)``;
 * the safe-emission quantile ``Q_eps(1 - p_safe)`` is cached per
   ``(client, p_safe)`` so :meth:`safe_emission_time` is a subtraction, not a
   quantile search per message.
@@ -45,7 +48,7 @@ reads, so both agree bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -75,6 +78,7 @@ class EngineStats:
     rows_appended: int = 0
     rows_removed: int = 0
     group_computations: int = 0
+    candidate_reuses: int = 0
     cycle_resolutions: int = 0
     rebuilds: int = 0
     quantile_cache_hits: int = 0
@@ -84,21 +88,7 @@ class EngineStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Flat dictionary view (for result metadata and benchmarks)."""
-        return {
-            "vectorized_evaluations": self.vectorized_evaluations,
-            "table_evaluations": self.table_evaluations,
-            "scalar_evaluations": self.scalar_evaluations,
-            "pair_tables_built": self.pair_tables_built,
-            "rows_appended": self.rows_appended,
-            "rows_removed": self.rows_removed,
-            "group_computations": self.group_computations,
-            "cycle_resolutions": self.cycle_resolutions,
-            "rebuilds": self.rebuilds,
-            "quantile_cache_hits": self.quantile_cache_hits,
-            "quantile_cache_misses": self.quantile_cache_misses,
-            "block_appends": self.block_appends,
-            "pruned_pairs": self.pruned_pairs,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def merge(self, other: "EngineStats") -> "EngineStats":
         """Element-wise sum with ``other`` (for cluster-wide aggregation)."""
@@ -123,6 +113,11 @@ def batched_gaussian_probabilities(
     """
     variance = variances_i + variance_j
     gap = (timestamp_j - timestamps_i) - (mean_j - means_i)
+    if variance_j > 0:
+        # a registered variance is finite-or-infinite and non-negative
+        # (GaussianDistribution rejects NaN), so every summed variance is
+        # positive and the selection below would return ``phi`` throughout
+        return 0.5 * (1.0 + special.erf(gap / np.sqrt(variance) / _SQRT2))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = gap / np.sqrt(variance)
         phi = 0.5 * (1.0 + special.erf(z / _SQRT2))
@@ -529,6 +524,31 @@ class IncrementalPrecedenceEngine:
     flush), and :meth:`safe_emission_time` for the cached-quantile ``T^F``
     computation.  ``pair_tables=False`` disables the empirical fast path and
     reproduces the historical scalar fallback (the benchmark's baseline).
+
+    **The emission candidate stands until an arrival can change it.**
+    :meth:`first_tentative_group` keeps the batch ``G`` it computed when the
+    tournament was transitive and ``G`` ended at a real boundary (something
+    is pending behind it).  An arrival ``m`` with row ``P[a, m]`` keeps it
+    iff (i) every member of ``G`` is oriented before ``m`` (orientation, not
+    probability: inside ``tie_epsilon`` of 0.5 the message key decides),
+    (ii) ``min_{a in G} P[a, m] > threshold`` and (iii) the tournament is
+    still transitive — its old scores are a permutation of ``0..n-1``, so
+    with ``s`` nodes beating ``m`` that is ``scores @ wins == s(2n-s-1)/2``:
+    the beaters are exactly the top ``s``.  Why that is exact: under (iii)
+    the new order is the old one with ``m`` inserted after its beaters, under
+    (i) that is after ``G``, so ``G`` is still the prefix; a boundary
+    strength is a minimum over straddling pairs, so ``m`` can only lower it —
+    positions inside ``G`` stay at or below the threshold and ``G``'s own
+    boundary becomes ``min(old, min_{a in G} P[a, m])``, which (ii) keeps
+    above it.  Everything else drops the candidate: a removal (positions
+    shift), a burst append (one check follows it; nothing to save), and any
+    distribution refresh, tracked rows or not (a rebuild replays the rows,
+    and the safe-emission time the sequencer keeps per
+    :attr:`candidate_epoch` reads the quantiles a refresh replaces; refreshes
+    are rare, so the untracked case gets no branch of its own).  A cyclic
+    tournament is never cached: every check on one runs
+    :func:`~repro.core.cycles.break_cycles` and so draws from the shared
+    generator exactly as often as a recompute would.
     """
 
     def __init__(
@@ -561,6 +581,13 @@ class IncrementalPrecedenceEngine:
         self._means = np.empty(self._capacity, dtype=float)
         self._variances = np.empty(self._capacity, dtype=float)
         self._gaussian = np.empty(self._capacity, dtype=bool)
+        # tracked rows whose client has no closed form (``~_gaussian[:n]``)
+        self._grid_rows = 0
+        self._candidate: Optional[np.ndarray] = None
+        #: Increases every time :meth:`first_tentative_group` computes (rather
+        #: than reuses) its result: equal epochs mean the same candidate under
+        #: the same distributions.
+        self.candidate_epoch = 0
         self._positions_by_client: Dict[str, List[int]] = {}
         self._client_params: Dict[str, Optional[Tuple[float, float]]] = {}
         self._quantiles: Dict[Tuple[str, float], float] = {}
@@ -623,7 +650,11 @@ class IncrementalPrecedenceEngine:
         self._capacity = capacity
 
     def add_message(self, message: TimestampedMessage) -> None:
-        """Append one arrival: one vectorized row/column plus its edge directions."""
+        """Append one arrival: one vectorized row/column plus its edge directions.
+
+        With the row and its orientation in hand, the emission candidate is
+        kept or dropped by the survival rule in the class docstring.
+        """
         key = message.key
         if key in self._index:
             raise ValueError(f"message {key!r} already tracked by the engine")
@@ -647,8 +678,16 @@ class IncrementalPrecedenceEngine:
                     wins[position] = self._messages[position].key <= key
             self._direction[:n, n] = wins
             self._direction[n, :n] = ~wins
+            beaters = int(wins.sum())
+            candidate = self._candidate
+            if candidate is not None and not (
+                wins[candidate].all()
+                and row[candidate].min() > self._threshold
+                and int(self._scores[:n] @ wins) * 2 == beaters * (2 * n - beaters - 1)
+            ):
+                self._candidate = None
             self._scores[:n] += wins
-            self._scores[n] = int(n - int(wins.sum()))
+            self._scores[n] = n - beaters
         else:
             self._scores[n] = 0
         self._matrix[n, n] = 0.5
@@ -660,6 +699,7 @@ class IncrementalPrecedenceEngine:
         else:
             self._means[n] = self._variances[n] = 0.0
             self._gaussian[n] = False
+            self._grid_rows += 1
         self._messages.append(message)
         self._index[key] = n
         self._positions_by_client.setdefault(message.client_id, []).append(n)
@@ -695,6 +735,7 @@ class IncrementalPrecedenceEngine:
                 # raises KeyError for unregistered clients, mirroring the model
                 self._model.distribution_for(message.client_id)
             params_list.append(params)
+        self._candidate = None
         n0 = self.size
         k = len(burst)
         self._grow(n0 + k)
@@ -709,6 +750,7 @@ class IncrementalPrecedenceEngine:
             else:
                 self._means[position] = self._variances[position] = 0.0
                 self._gaussian[position] = False
+                self._grid_rows += 1
         block = self._compute_block(burst, params_list, n0)
         for offset, message in enumerate(burst):
             position = n0 + offset
@@ -825,6 +867,19 @@ class IncrementalPrecedenceEngine:
         n: int,
     ) -> np.ndarray:
         """``row[i] = P(existing_i precedes message)`` over current messages."""
+        if params is not None and not self._grid_rows:
+            # every pair is closed-form: the kernel reads the contiguous
+            # views, no mask gathers and no scatter into a staged row
+            mean_j, variance_j = params
+            self.stats.vectorized_evaluations += n
+            return batched_gaussian_probabilities(
+                self._timestamps[:n],
+                self._means[:n],
+                self._variances[:n],
+                message.timestamp,
+                mean_j,
+                variance_j,
+            )
         row = np.empty(n, dtype=float)
         if not n:
             return row
@@ -875,30 +930,40 @@ class IncrementalPrecedenceEngine:
 
     def remove_messages(self, keys: Set[MessageKey]) -> None:
         """Drop emitted messages: compact the matrix and direction state."""
-        drop = {key for key in keys if key in self._index}
-        if not drop:
+        index = self._index
+        dropped = sorted({index[key] for key in keys if key in index})
+        if not dropped:
             return
-        keep_positions = [
-            position
-            for position, message in enumerate(self._messages)
-            if message.key not in drop
-        ]
+        self._candidate = None
         n = self.size
-        m = len(keep_positions)
-        if m:
+        k = len(dropped)
+        m = n - k
+        if dropped[-1] == k - 1:
+            # the batch is the oldest k arrivals (the common emission): the
+            # survivors are one contiguous block, slid down with slices
+            keep = slice(k, n)
+            block = (keep, keep)
+            self._messages = self._messages[k:]
+        else:
+            gone = set(dropped)
+            keep_positions = [position for position in range(n) if position not in gone]
             keep = np.asarray(keep_positions, dtype=int)
-            self._matrix[:m, :m] = self._matrix[np.ix_(keep, keep)]
-            self._direction[:m, :m] = self._direction[np.ix_(keep, keep)]
+            block = np.ix_(keep, keep)
+            self._messages = [self._messages[position] for position in keep_positions]
+        if m:
+            self._matrix[:m, :m] = self._matrix[block]
+            self._direction[:m, :m] = self._direction[block]
             self._scores[:m] = self._direction[:m, :m].sum(axis=1)
             for name in ("_timestamps", "_means", "_variances", "_gaussian"):
                 array = getattr(self, name)
                 array[:m] = array[:n][keep]
-        self._messages = [self._messages[position] for position in keep_positions]
+        if self._grid_rows:
+            self._grid_rows = m - int(np.count_nonzero(self._gaussian[:m]))
         self._index = {message.key: position for position, message in enumerate(self._messages)}
         self._positions_by_client = {}
         for position, message in enumerate(self._messages):
             self._positions_by_client.setdefault(message.client_id, []).append(position)
-        self.stats.rows_removed += len(drop)
+        self.stats.rows_removed += k
 
     def invalidate_client(self, client_id: str) -> None:
         """React to a (re)registered client distribution (single client)."""
@@ -907,12 +972,14 @@ class IncrementalPrecedenceEngine:
     def invalidate_clients(self, client_ids: Iterable[str]) -> None:
         """React to refreshed client distributions.
 
-        Parameter, pair-table and quantile caches for the clients are
-        dropped; when any of them has tracked messages, the matrix, direction
-        state and scores are rebuilt once so every affected pair reflects the
-        new distributions (the reference path recomputes everything per
-        arrival and picks the change up implicitly).
+        Parameter, pair-table and quantile caches for the clients and the
+        emission candidate are dropped; when any of them has tracked
+        messages, the matrix, direction state and scores are rebuilt once so
+        every affected pair reflects the new distributions (the reference
+        path recomputes everything per arrival and picks the change up
+        implicitly).
         """
+        self._candidate = None  # unconditionally: see the class docstring
         affected = False
         for client_id in set(client_ids):
             self._client_params.pop(client_id, None)
@@ -932,6 +999,7 @@ class IncrementalPrecedenceEngine:
         self._messages = []
         self._index = {}
         self._positions_by_client = {}
+        self._grid_rows = 0
         for message in messages:
             self.add_message(message)
         self.stats.rebuilds += 1
@@ -951,8 +1019,9 @@ class IncrementalPrecedenceEngine:
             self.stats.quantile_cache_hits += 1
         return message.timestamp - quantile
 
-    def _order_permutation(self) -> np.ndarray:
-        """Message positions in linear order, matching the reference pipeline.
+    def _order_permutation(self) -> Tuple[np.ndarray, bool]:
+        """Message positions in the reference pipeline's linear order, and
+        whether the tournament was transitive.
 
         A tournament is transitive exactly when its out-degree (score)
         sequence is ``{0, .., n-1}``; in that case the unique topological
@@ -969,14 +1038,14 @@ class IncrementalPrecedenceEngine:
         if counts.size == n and bool((counts == 1).all()):
             permutation = np.empty(n, dtype=np.intp)
             permutation[n - 1 - scores] = np.arange(n, dtype=np.intp)
-            return permutation
+            return permutation, True
         keys = [message.key for message in self._messages]
         key_rank = np.empty(n, dtype=np.intp)
         key_rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
         edge = self._direction[:n, :n].copy()
         break_cycles(edge, self._matrix[:n, :n], self._cycle_policy, self._rng, rank=key_rank)
         self.stats.cycle_resolutions += 1
-        return _topological_order(edge, key_rank)
+        return _topological_order(edge, key_rank), False
 
     def first_tentative_group(self) -> Optional[List[TimestampedMessage]]:
         """The first strict-rule batch (the emission candidate), or ``None``.
@@ -985,15 +1054,22 @@ class IncrementalPrecedenceEngine:
         minima, same threshold comparison — but computed by an ``O(k·n)``
         prefix scan over the first ``k`` order positions instead of the full
         ``O(n^2)`` permuted-matrix pass, since the emission check only ever
-        consumes the first batch.
+        consumes the first batch.  A candidate no arrival since could have
+        changed (class docstring) is returned as it stands, in a fresh list:
+        ``stats.group_computations`` counts the computations,
+        ``stats.candidate_reuses`` the rest.
         """
         n = self.size
         if n == 0:
             return None
+        if self._candidate is not None:
+            self.stats.candidate_reuses += 1
+            return [self._messages[position] for position in self._candidate]
         self.stats.group_computations += 1
+        self.candidate_epoch += 1
         if n == 1:
             return [self._messages[0]]
-        permutation = self._order_permutation()
+        permutation, transitive = self._order_permutation()
         matrix = self._matrix
         threshold = self._threshold
         boundary = n - 1
@@ -1011,7 +1087,10 @@ class IncrementalPrecedenceEngine:
             if combined[k + 1] > threshold:
                 boundary = k
                 break
-        return [self._messages[position] for position in permutation[: boundary + 1]]
+        group = permutation[: boundary + 1]
+        if transitive and boundary < n - 1:
+            self._candidate = group
+        return [self._messages[position] for position in group]
 
     def tentative_groups(self) -> List[List[TimestampedMessage]]:
         """Strict-rule batching of the tracked set (online tentative groups)."""
@@ -1021,7 +1100,7 @@ class IncrementalPrecedenceEngine:
         self.stats.group_computations += 1
         if n == 1:
             return [[self._messages[0]]]
-        permutation = self._order_permutation()
+        permutation, _ = self._order_permutation()
         permuted = self._matrix[:n, :n][np.ix_(permutation, permutation)]
         strengths = strict_boundary_strengths_matrix(permuted)
         groups: List[List[TimestampedMessage]] = [[self._messages[permutation[0]]]]

@@ -14,14 +14,18 @@ arrival belongs in it or deserves a lower rank.  Two mechanisms interact:
   client has been heard from (message or heartbeat) with a timestamp > ``t``.
   A bounded-delay alternative waits ``max_network_delay`` instead.
 
-Every new arrival re-runs tentative batching over the pending set, so a
-high-uncertainty message automatically merges with (and thereby delays)
-messages it cannot be confidently ordered against — the Appendix C scenario.
-By default the re-run is served by the
-:class:`~repro.core.engine.IncrementalPrecedenceEngine` (one vectorized
-row/column append per arrival instead of an O(n^2) scalar recompute);
-``use_engine=False`` selects the original recompute-everything path, kept as
-the parity oracle for tests and benchmarks.
+Every new arrival is followed by an emission check over the pending set's
+first tentative batch, so a high-uncertainty message automatically merges
+with (and thereby delays) messages it cannot be confidently ordered against —
+the Appendix C scenario.  By default the batch comes from the
+:class:`~repro.core.engine.IncrementalPrecedenceEngine`: one vectorized
+row/column append per arrival instead of an O(n^2) scalar recompute, and the
+candidate batch is re-derived only when that arrival could have changed it —
+while every member confidently precedes the newcomer the engine keeps it and
+the check reads the candidate's cached safe-emission time and completeness
+horizon.  ``use_engine=False`` selects the original recompute-everything
+path, which re-runs tentative batching on every check and caches nothing,
+kept as the parity oracle for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -130,6 +134,8 @@ class OnlineTommySequencer(Entity):
         self._floor_value = float("inf")
         self._floor_client: Optional[str] = None
         self._floor_stale = False
+        # (engine candidate epoch, safe emission time, completeness horizon)
+        self._candidate_bounds: Optional[Tuple[int, float, float]] = None
         self._emitted: List[EmittedBatch] = []
         self._next_rank = 0
         self._check_event: Optional[Event] = None
@@ -352,7 +358,8 @@ class OnlineTommySequencer(Entity):
 
         Identical to ``_tentative_groups()[0]`` — the engine computes it with
         a prefix scan instead of the full boundary pass, since the emission
-        check never consumes the later groups.
+        check never consumes the later groups, and keeps it between checks
+        while no arrival could have changed it.
         """
         if not self._pending:
             return None
@@ -395,9 +402,9 @@ class OnlineTommySequencer(Entity):
         if self._unheard_clients:
             return -float("inf")
         if self._floor_stale:
-            self._floor_client, self._floor_value = min(
-                self._latest_client_timestamp.items(), key=lambda entry: entry[1]
-            )
+            latest = self._latest_client_timestamp
+            self._floor_client = min(latest, key=latest.__getitem__)
+            self._floor_value = latest[self._floor_client]
             self._floor_stale = False
         return self._floor_value
 
@@ -408,11 +415,27 @@ class OnlineTommySequencer(Entity):
             for client_id in self._known_clients
         )
 
-    def _completeness_satisfied(self, batch: Sequence[TimestampedMessage]) -> bool:
+    def _bounds(self, candidate: Sequence[TimestampedMessage]) -> Tuple[float, float]:
+        """``(safe emission time, completeness horizon)`` of the candidate.
+
+        Both are functions of the candidate's members and their clients'
+        quantiles alone, and the engine's ``candidate_epoch`` moves whenever
+        either can have changed, so they are computed once per epoch.
+        """
+        engine = self._engine
+        cached = self._candidate_bounds  # stays None on the reference path
+        if cached is not None and cached[0] == engine.candidate_epoch:
+            return cached[1], cached[2]
+        safe_time = self.safe_emission_time(candidate)
+        horizon = max(message.timestamp for message in candidate)
+        if engine is not None:
+            self._candidate_bounds = (engine.candidate_epoch, safe_time, horizon)
+        return safe_time, horizon
+
+    def _completeness_satisfied(self, batch_horizon: float) -> bool:
         mode = self._config.completeness_mode
         if mode == "none":
             return True
-        batch_horizon = max(message.timestamp for message in batch)
         if mode == "heartbeat":
             if not self._known_clients:
                 return True
@@ -467,7 +490,7 @@ class OnlineTommySequencer(Entity):
             candidate = self._first_tentative_group()
             if not candidate:
                 return
-            safe_time = self.safe_emission_time(candidate)
+            safe_time, horizon = self._bounds(candidate)
             max_age = self._config.max_batch_age
             # the guard must use the same float expression as the deadline it
             # schedules: ``now - oldest >= max_age`` can be false while
@@ -480,7 +503,7 @@ class OnlineTommySequencer(Entity):
                 self._emit(candidate, safe_time)
                 emitted_any = True
                 continue
-            if self.now >= safe_time and self._completeness_satisfied(candidate):
+            if self.now >= safe_time and self._completeness_satisfied(horizon):
                 self._emit(candidate, safe_time)
                 emitted_any = True
             elif self.now < safe_time:
@@ -488,7 +511,6 @@ class OnlineTommySequencer(Entity):
                 return
             elif self._config.completeness_mode == "bounded_delay":
                 # completeness will be satisfied by the passage of time alone
-                horizon = max(message.timestamp for message in candidate)
                 deadline = horizon + self._config.max_network_delay
                 self._schedule_check(min(deadline, self._forced_deadline(candidate, deadline)))
                 return

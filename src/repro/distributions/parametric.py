@@ -9,6 +9,7 @@ Student-t / shifted log-normal for heavy or skewed tails.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,6 +27,10 @@ class GaussianDistribution(OffsetDistribution):
     def __init__(self, mean: float, std: float) -> None:
         if std < 0:
             raise DistributionError(f"std must be non-negative, got {std!r}")
+        # NaN passes every ordered comparison: left in, the scalar closed form
+        # returns NaN where the vectorised kernels return 0 / 0.5 / 1
+        if math.isnan(mean) or math.isnan(std):
+            raise DistributionError(f"mean and std must not be NaN, got {mean!r}, {std!r}")
         self._mean = float(mean)
         self._std = float(std)
 

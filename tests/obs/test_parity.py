@@ -15,11 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.merge import CrossShardMerger, merge_fingerprint
+from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import SequencedBatch, TimestampedMessage
 from repro.obs.telemetry import Telemetry
 from repro.obs.workload import run_instrumented_workload
+from repro.runtime.base import ClusterWorkload
+from repro.runtime.sim import SimBackend
+from repro.workloads import build_cluster_scenario
 from repro.workloads.chaos import ChaosSettings, run_chaos_scenario
 
 SMALL = ChaosSettings(num_clients=6, num_shards=2, messages_per_client=3, seed=11)
@@ -42,6 +46,24 @@ def test_engine_counters_match_with_and_without_telemetry():
         for telemetry in (None, Telemetry())
     ]
     assert reports[0].as_row() == reports[1].as_row()
+
+
+def test_kept_emission_candidate_does_not_depend_on_telemetry():
+    # `repro serve` hard-wires Telemetry(): a saving that only exists with
+    # telemetry off (or on) would never reach the service
+    scenario = build_cluster_scenario(num_clients=16, messages_per_client=8, seed=13)
+    workload = ClusterWorkload.from_scenario(scenario, num_shards=4, config=TommyConfig(seed=13))
+    telemetry = Telemetry()
+    bare = SimBackend().run(workload)
+    traced = SimBackend(telemetry=telemetry).run(workload)
+    assert traced.fingerprint() == bare.fingerprint()
+    engine = traced.details["observability"]["engine"]
+    assert engine == bare.details["observability"]["engine"]
+    assert engine["candidate_reuses"] > 0
+    snapshot = telemetry.registry.snapshot()
+    assert snapshot["sources"]["cluster.engine"]["candidate_reuses"] == engine["candidate_reuses"]
+    # the counter keeps counting checks, not the computations that are left
+    assert snapshot["counters"]["sequencer.emission_checks"] > engine["group_computations"]
 
 
 def test_merge_cycle_event_names_the_refused_precedence():

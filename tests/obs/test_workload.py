@@ -77,6 +77,10 @@ def test_cli_telemetry_writes_artifacts_and_prints_table(tmp_path, capsys):
     assert {event["ph"] for event in trace["traceEvents"]} >= {"M", "X"}
     metrics = json.loads(metrics_path.read_text())
     assert metrics["records"]["stages"] > 0
+    # how often an arrival left the emission candidate standing is an
+    # operator-visible count, next to the computations it saved
+    engine = metrics["registry"]["sources"]["cluster.engine"]
+    assert engine["candidate_reuses"] > 0 and engine["group_computations"] > 0
 
 
 def test_cli_telemetry_chaos_fault_all_falls_back(capsys):
