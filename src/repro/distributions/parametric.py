@@ -5,6 +5,13 @@ The paper's evaluation seeds each client with a Gaussian offset distribution
 clock offsets are "Gaussian-like" yet skewed and long-tailed.  The families
 here cover both regimes: Gaussian/uniform/Laplace for light tails and
 Student-t / shifted log-normal for heavy or skewed tails.
+
+Every density, CDF and quantile is the closed form scipy's ``stats`` package
+evaluates for that family, written on ``scipy.special`` and numpy so that a
+process which serves, merges or runs an experiment never imports that package
+(+46 MiB resident, +0.65 s of import).  The values are the same floats:
+``tests/distributions/test_parametric_bits.py`` compares each function with
+the ``stats`` one bit for bit, support edges and NaN included.
 """
 
 from __future__ import annotations
@@ -13,10 +20,103 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri, poch, stdtr, stdtrit
 
 from repro.distributions.base import DistributionError, OffsetDistribution
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _require_finite(**parameters: float) -> None:
+    # NaN passes every ordered comparison: left in, it poisons the vectorised
+    # kernels (the scalar closed form returns NaN where they return 0 / 0.5 / 1)
+    for name, value in parameters.items():
+        if not math.isfinite(value):
+            raise DistributionError(f"{name} must be finite, got {value!r}")
+
+
+# One helper per family function, named after the ``stats`` method it equals.
+# ``[()]`` turns a 0-d result into the numpy scalar that method returns for a
+# scalar argument and leaves an n-d array as it is.
+
+
+def _norm_pdf(x, loc, scale):
+    y = (x - loc) / scale
+    return (np.exp(-(y * y) / 2.0) / _SQRT_2PI / scale)[()]
+
+
+def _norm_cdf(x, loc, scale):
+    return ndtr((x - loc) / scale)[()]
+
+
+def _norm_ppf(q, loc, scale):
+    return ndtri(q) * scale + loc
+
+
+def _uniform_pdf(x, loc, scale):
+    y = (x - loc) / scale
+    return np.where(np.isnan(y), np.nan, ((y >= 0.0) & (y <= 1.0)) / scale)[()]
+
+
+def _uniform_cdf(x, loc, scale):
+    y = (x - loc) / scale
+    inside = np.where(y >= 1.0, 1.0, np.where(y > 0.0, y, 0.0))
+    return np.where(np.isnan(y), np.nan, inside)[()]
+
+
+def _laplace_pdf(x, loc, scale):
+    y = (x - loc) / scale
+    return (0.5 * np.exp(-abs(y)) / scale)[()]
+
+
+def _laplace_cdf(x, loc, scale):
+    y = (x - loc) / scale
+    with np.errstate(over="ignore"):
+        return np.where(y > 0, 1.0 - 0.5 * np.exp(-y), 0.5 * np.exp(y))[()]
+
+
+def _laplace_ppf(q, loc, scale):
+    if q == 0.0 or q == 1.0:  # log(0) warns; the edges are the support's
+        return -math.inf if q == 0.0 else math.inf
+    return (-np.log(2 * (1 - q)) if q > 0.5 else np.log(2 * q)) * scale + loc
+
+
+def _t_pdf(x, df, loc, scale):
+    y = (x - loc) / scale
+    log_pdf = (
+        np.log(poch(0.5 * df, 0.5))
+        - 0.5 * (np.log(df) + np.log(np.pi))
+        - (df + 1) / 2 * np.log1p(y * y / df)
+    )
+    return (np.exp(log_pdf) / scale)[()]
+
+
+def _t_cdf(x, df, loc, scale):
+    return stdtr(df, (x - loc) / scale)[()]
+
+
+def _t_ppf(q, df, loc, scale):
+    if q == 0.0:  # stdtrit(df, 0.0) is +inf
+        return -math.inf
+    return stdtrit(df, q) * scale + loc
+
+
+def _lognorm_pdf(x, s, scale):
+    z = x / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_z = np.log(z)
+        log_pdf = -(log_z * log_z) / (2 * (s * s)) - np.log(s * z * _SQRT_2PI)
+        return np.where(z <= 0.0, 0.0, np.exp(log_pdf) / scale)[()]
+
+
+def _lognorm_cdf(x, s, scale):
+    z = x / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z <= 0.0, 0.0, ndtr(np.log(z) / s))[()]
+
+
+def _lognorm_ppf(q, s, scale):
+    return np.exp(s * ndtri(q)) * scale
 
 
 class GaussianDistribution(OffsetDistribution):
@@ -25,12 +125,11 @@ class GaussianDistribution(OffsetDistribution):
     family = "gaussian"
 
     def __init__(self, mean: float, std: float) -> None:
-        if std < 0:
+        # ``not >=`` so that NaN fails too; an infinite std stays legal:
+        # "nothing is known about this clock", priced 0.5 against everyone
+        if not std >= 0:
             raise DistributionError(f"std must be non-negative, got {std!r}")
-        # NaN passes every ordered comparison: left in, the scalar closed form
-        # returns NaN where the vectorised kernels return 0 / 0.5 / 1
-        if math.isnan(mean) or math.isnan(std):
-            raise DistributionError(f"mean and std must not be NaN, got {mean!r}, {std!r}")
+        _require_finite(mean=mean)
         self._mean = float(mean)
         self._std = float(std)
 
@@ -50,20 +149,20 @@ class GaussianDistribution(OffsetDistribution):
         x = np.asarray(x, dtype=float)
         if self._std == 0:
             return np.where(np.isclose(x, self._mean), np.inf, 0.0)
-        return stats.norm.pdf(x, loc=self._mean, scale=self._std)
+        return _norm_pdf(x, self._mean, self._std)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._std == 0:
             return np.where(x >= self._mean, 1.0, 0.0)
-        return stats.norm.cdf(x, loc=self._mean, scale=self._std)
+        return _norm_cdf(x, self._mean, self._std)
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise DistributionError(f"quantile level must be in [0, 1], got {q!r}")
         if self._std == 0:
             return self._mean
-        return float(stats.norm.ppf(q, loc=self._mean, scale=self._std))
+        return float(_norm_ppf(q, self._mean, self._std))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.normal(self._mean, self._std, size=size)
@@ -72,9 +171,6 @@ class GaussianDistribution(OffsetDistribution):
         if self._std == 0:
             return (self._mean - 1e-9, self._mean + 1e-9)
         tail = (1.0 - coverage) / 2.0
-        # ndtri == stats.norm.ppf for loc=0/scale=1 (same bits) without the
-        # generic distribution machinery — support() sits on the certainty-
-        # window hot path, priced once per client per merge
         half = -float(ndtri(max(tail, 1e-300))) * self._std
         return (self._mean - half, self._mean + half)
 
@@ -87,6 +183,7 @@ class UniformDistribution(OffsetDistribution):
     def __init__(self, low: float, high: float) -> None:
         if high <= low:
             raise DistributionError(f"require high > low, got [{low!r}, {high!r}]")
+        _require_finite(low=low, high=high)
         self._low = float(low)
         self._high = float(high)
 
@@ -110,11 +207,11 @@ class UniformDistribution(OffsetDistribution):
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return stats.uniform.pdf(x, loc=self._low, scale=self._high - self._low)
+        return _uniform_pdf(x, self._low, self._high - self._low)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return stats.uniform.cdf(x, loc=self._low, scale=self._high - self._low)
+        return _uniform_cdf(x, self._low, self._high - self._low)
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
@@ -136,6 +233,7 @@ class LaplaceDistribution(OffsetDistribution):
     def __init__(self, mean: float, scale: float) -> None:
         if scale <= 0:
             raise DistributionError(f"scale must be positive, got {scale!r}")
+        _require_finite(mean=mean, scale=scale)
         self._mean = float(mean)
         self._scale = float(scale)
 
@@ -148,22 +246,22 @@ class LaplaceDistribution(OffsetDistribution):
         return 2.0 * self._scale ** 2
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        return stats.laplace.pdf(np.asarray(x, dtype=float), loc=self._mean, scale=self._scale)
+        return _laplace_pdf(np.asarray(x, dtype=float), self._mean, self._scale)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return stats.laplace.cdf(np.asarray(x, dtype=float), loc=self._mean, scale=self._scale)
+        return _laplace_cdf(np.asarray(x, dtype=float), self._mean, self._scale)
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise DistributionError(f"quantile level must be in [0, 1], got {q!r}")
-        return float(stats.laplace.ppf(q, loc=self._mean, scale=self._scale))
+        return float(_laplace_ppf(q, self._mean, self._scale))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.laplace(self._mean, self._scale, size=size)
 
     def support(self, coverage: float = 1.0 - 1e-9) -> Tuple[float, float]:
         tail = (1.0 - coverage) / 2.0
-        half = float(-stats.laplace.ppf(max(tail, 1e-300), loc=0.0, scale=self._scale))
+        half = float(-_laplace_ppf(max(tail, 1e-300), 0.0, self._scale))
         return (self._mean - half, self._mean + half)
 
 
@@ -177,6 +275,7 @@ class StudentTDistribution(OffsetDistribution):
             raise DistributionError(f"scale must be positive, got {scale!r}")
         if dof <= 2:
             raise DistributionError(f"dof must exceed 2 for finite variance, got {dof!r}")
+        _require_finite(mean=mean, scale=scale, dof=dof)
         self._mean = float(mean)
         self._scale = float(scale)
         self._dof = float(dof)
@@ -195,29 +294,23 @@ class StudentTDistribution(OffsetDistribution):
         return self._scale ** 2 * self._dof / (self._dof - 2.0)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        return stats.t.pdf(
-            np.asarray(x, dtype=float), df=self._dof, loc=self._mean, scale=self._scale
-        )
+        return _t_pdf(np.asarray(x, dtype=float), self._dof, self._mean, self._scale)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return stats.t.cdf(
-            np.asarray(x, dtype=float), df=self._dof, loc=self._mean, scale=self._scale
-        )
+        return _t_cdf(np.asarray(x, dtype=float), self._dof, self._mean, self._scale)
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise DistributionError(f"quantile level must be in [0, 1], got {q!r}")
-        return float(stats.t.ppf(q, df=self._dof, loc=self._mean, scale=self._scale))
+        return float(_t_ppf(q, self._dof, self._mean, self._scale))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return self._mean + self._scale * rng.standard_t(self._dof, size=size)
 
     def support(self, coverage: float = 1.0 - 1e-9) -> Tuple[float, float]:
         tail = (1.0 - coverage) / 2.0
-        lo = float(stats.t.ppf(max(tail, 1e-300), df=self._dof, loc=self._mean, scale=self._scale))
-        hi = float(
-            stats.t.ppf(min(1.0 - tail, 1.0), df=self._dof, loc=self._mean, scale=self._scale)
-        )
+        lo = float(_t_ppf(max(tail, 1e-300), self._dof, self._mean, self._scale))
+        hi = float(_t_ppf(min(1.0 - tail, 1.0), self._dof, self._mean, self._scale))
         if not np.isfinite(lo) or not np.isfinite(hi):
             lo, hi = self._mean - 50 * self._scale, self._mean + 50 * self._scale
         return (lo, hi)
@@ -235,6 +328,7 @@ class ShiftedLogNormalDistribution(OffsetDistribution):
     def __init__(self, shift: float, mu: float, sigma: float) -> None:
         if sigma <= 0:
             raise DistributionError(f"sigma must be positive, got {sigma!r}")
+        _require_finite(shift=shift, mu=mu, sigma=sigma)
         self._shift = float(shift)
         self._mu = float(mu)
         self._sigma = float(sigma)
@@ -255,23 +349,21 @@ class ShiftedLogNormalDistribution(OffsetDistribution):
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return stats.lognorm.pdf(x - self._shift, s=self._sigma, scale=np.exp(self._mu))
+        return _lognorm_pdf(x - self._shift, self._sigma, np.exp(self._mu))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return stats.lognorm.cdf(x - self._shift, s=self._sigma, scale=np.exp(self._mu))
+        return _lognorm_cdf(x - self._shift, self._sigma, np.exp(self._mu))
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise DistributionError(f"quantile level must be in [0, 1], got {q!r}")
-        return self._shift + float(stats.lognorm.ppf(q, s=self._sigma, scale=np.exp(self._mu)))
+        return self._shift + float(_lognorm_ppf(q, self._sigma, np.exp(self._mu)))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return self._shift + rng.lognormal(self._mu, self._sigma, size=size)
 
     def support(self, coverage: float = 1.0 - 1e-9) -> Tuple[float, float]:
         tail = 1.0 - coverage
-        hi = self._shift + float(
-            stats.lognorm.ppf(1.0 - tail, s=self._sigma, scale=np.exp(self._mu))
-        )
+        hi = self._shift + float(_lognorm_ppf(1.0 - tail, self._sigma, np.exp(self._mu)))
         return (self._shift, hi)

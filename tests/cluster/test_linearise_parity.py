@@ -12,10 +12,6 @@ every policy.  For the engine it means the same emitted batches as the
 
 import dataclasses
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,42 +162,6 @@ def test_unknown_policy_is_rejected_before_any_input():
         CrossShardMerger(model, cycle_policy="nope")
     with pytest.raises(ValueError, match="unknown cycle policy 'nope'"):
         StreamingMerger(model, cycle_policy="nope")
-
-
-SERVICE_IMPORT_PROBE = """
-import sys
-import repro.edge
-import repro.runtime.live
-from repro.cluster.merge import CrossShardMerger
-from repro.core.probability import PrecedenceModel
-from repro.distributions.parametric import GaussianDistribution
-from repro.network.message import SequencedBatch, TimestampedMessage
-
-model = PrecedenceModel()
-for client in ("a", "b"):
-    model.register_client(client, GaussianDistribution(0.0, 0.5))
-streaming = CrossShardMerger(model).streaming_merger(num_shards=2)
-for shard, client, timestamp in ((0, "a", 10.0), (0, "a", 0.0), (1, "b", 5.0)):
-    message = TimestampedMessage(client_id=client, timestamp=timestamp)
-    rank = streaming.observation_cursor(shard)
-    streaming.observe_batch(shard, SequencedBatch(rank=rank, messages=(message,)))
-assert streaming.result().cycles_broken == 1
-assert "networkx" not in sys.modules, "the service path imported networkx"
-"""
-
-
-def test_the_service_path_does_not_import_networkx():
-    # a cyclic merge included: only the offline sequencer and the reference
-    # rung (TournamentGraph, the graph functions of core.cycles) need it
-    source = Path(__file__).resolve().parents[2] / "src"
-    completed = subprocess.run(
-        [sys.executable, "-c", SERVICE_IMPORT_PROBE],
-        env={**os.environ, "PYTHONPATH": str(source)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert completed.returncode == 0, completed.stderr
 
 
 # ------------------------------------------------------------------- engine

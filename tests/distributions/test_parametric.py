@@ -110,6 +110,38 @@ def test_student_t_variance_inflated_by_dof():
     assert dist.variance == pytest.approx(2.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "family,args",
+    [
+        (GaussianDistribution, (NAN, 1.0)),
+        (GaussianDistribution, (0.0, NAN)),
+        (GaussianDistribution, (INF, 1.0)),
+        (UniformDistribution, (NAN, 1.0)),
+        (UniformDistribution, (0.0, NAN)),
+        (UniformDistribution, (-INF, 1.0)),
+        (UniformDistribution, (0.0, INF)),
+        (LaplaceDistribution, (NAN, 1.0)),
+        (LaplaceDistribution, (0.0, NAN)),
+        (LaplaceDistribution, (0.0, INF)),
+        (StudentTDistribution, (NAN, 1.0, 5.0)),
+        (StudentTDistribution, (0.0, NAN, 5.0)),
+        (StudentTDistribution, (0.0, 1.0, NAN)),
+        (StudentTDistribution, (0.0, 1.0, INF)),
+        (ShiftedLogNormalDistribution, (NAN, 0.0, 1.0)),
+        (ShiftedLogNormalDistribution, (0.0, NAN, 1.0)),
+        (ShiftedLogNormalDistribution, (0.0, 0.0, NAN)),
+        (ShiftedLogNormalDistribution, (0.0, INF, 1.0)),
+    ],
+)
+def test_non_finite_parameters_rejected(family, args):
+    # ``nan <= 0`` is false, so the sign checks alone let NaN through
+    with pytest.raises(DistributionError):
+        family(*args)
+
+
 def test_lognormal_is_skewed_right():
     dist = ShiftedLogNormalDistribution(0.0, 0.0, 0.8)
     median = dist.quantile(0.5)
