@@ -41,8 +41,11 @@ pair-list kernel**, whoever asks:
   computes it.
 
 :class:`StreamingMerger` holds the priced state — per-node window arrays,
-the flattened per-message kernel parameters and the N×N forward matrix —
-and the rule and the kernel have two callers: the *block flush*
+the flattened per-message kernel parameters and the *pair store*: exactly
+the band pairs the kernel priced, O(band) not O(nodes²).  A pruned pair is
+never stored — ``earliest <= latest`` makes ``before`` and ``after`` exclusive,
+so ``result()``, ``forward_matrix()`` and a refresh read its exact 0/1 off the
+stored windows.  The rule and the kernel have two callers: the *block flush*
 ``_price_pending`` (every observed-but-unpriced row against every earlier
 cross-shard node) and ``refresh_client`` (the rows a distribution refresh can
 move).  ``observe_batch`` only appends: a pair's float does not depend on
@@ -55,11 +58,13 @@ state is *read* — ``result()``, ``forward_matrix()``, the pair counters,
 No reader can see a state that pricing on arrival would not have shown, the
 priced prefix trails observation by at most one block, and every mask of a
 flush stays inside the budget.  The offline :meth:`CrossShardMerger.merge`
-is the same walk over whole streams.  ``result()`` linearises the maintained
-matrix — byte-identical to a fresh :meth:`CrossShardMerger.merge` over the
-same streams in any observation interleaving and under any element budget;
-``tests/reference`` holds the unpruned per-pair oracle both are checked
-against.  A
+is the same walk over whole streams.  ``result()`` linearises windows plus
+store through one transient N×N *bool* direction matrix (a float square only
+on the cyclic path, for ``break_cycles``) — byte-identical to a fresh
+:meth:`CrossShardMerger.merge` over the same streams in any observation
+interleaving and under any element budget.  ``forward_matrix()`` materialises
+the dense matrix for ``tests/reference``, the unpruned per-pair oracle both
+are checked against; nothing in ``src/`` reads it.  A
 :class:`~repro.cluster.tree.MergeTopology` changes none of this: it only
 attributes the priced pairs to tree nodes.
 """
@@ -69,7 +74,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -111,9 +116,10 @@ def window_rule(
     Returns the ``(before, after, band)`` masks of shape ``(len(a), len(b))``:
     ``before`` — a's window closes before b's opens, so ``P(a before b)`` is
     exactly ``1.0``; ``after`` — the reverse, exactly ``0.0``; ``band`` —
-    the windows overlap and the pair needs the kernel.  This is the only
-    place the comparison is written; the block flush (streaming and offline
-    alike) and ``refresh_client`` both classify through it.
+    the windows overlap and the pair needs the kernel.  The block flush
+    (streaming and offline alike), ``refresh_client`` and ``forward_matrix()``
+    all classify through it; ``result()`` reads ``before`` alone, as the one
+    bool square it keeps.
     """
     before = earliest_b[None, :] > latest_a[:, None]
     after = earliest_a[:, None] > latest_b[None, :]
@@ -233,7 +239,8 @@ class _NodeLayout:
     """Shard-major node enumeration of the linearisation stage.
 
     One construction per merge: the node list, its shard lookup array and
-    the cross-shard upper-triangle mask (the canonical pair orientation).
+    the cross-shard upper-triangle mask (the canonical pair orientation;
+    shard-major ids make "lower shard" and "upper triangle" the same thing).
     """
 
     def __init__(self, streams: Sequence[Sequence[SequencedBatch]]) -> None:
@@ -242,9 +249,7 @@ class _NodeLayout:
         ]
         self.node_shard = np.asarray([shard for shard, _ in self.nodes], dtype=np.int64)
         self.shard_lengths = [len(stream) for stream in streams]
-        n = len(self.nodes)
-        cross = self.node_shard[:, None] != self.node_shard[None, :]
-        self.cross_upper = cross & np.triu(np.ones((n, n), dtype=bool), k=1)
+        self.cross_upper = self.node_shard[:, None] < self.node_shard[None, :]
 
 
 def _lexicographic_order(
@@ -293,24 +298,46 @@ def _lexicographic_order(
     return order
 
 
+class _Edges(NamedTuple):
+    """What the linearise/coalesce core reads of the priced pairs, by shard-major id."""
+
+    wins: np.ndarray  # cross-shard upper triangle: the lower-shard node precedes (forward >= 0.5)
+    probability: Callable[[], np.ndarray]  # kept-edge weights for break_cycles; built on a cycle
+    forward_of: Callable[[np.ndarray, np.ndarray], np.ndarray]  # P(previous before node) or NaN
+
+
+def _dense_edges(layout: _NodeLayout, forward_matrix: np.ndarray) -> _Edges:
+    """The core's view of a dense shard-major forward matrix: a kept edge weighs
+    ``forward`` above the diagonal, the complement of its mirror entry below."""
+    return _Edges(
+        layout.cross_upper & (forward_matrix >= 0.5),
+        lambda: np.where(layout.cross_upper, forward_matrix, (1.0 - forward_matrix).T),
+        lambda previous, node: forward_matrix[previous, node],
+    )
+
+
 def _linear_order(
-    layout: _NodeLayout,
-    forward_matrix: np.ndarray,
-    cycle_policy: str,
-    rng: np.random.Generator,
+    layout: _NodeLayout, forward_matrix: np.ndarray, cycle_policy: str, rng: np.random.Generator
+) -> Tuple[List[int], List[RemovedEdge]]:
+    """:func:`_kept_order` over a dense forward matrix."""
+    return _kept_order(layout, _dense_edges(layout, forward_matrix), cycle_policy, rng)
+
+
+def _kept_order(
+    layout: _NodeLayout, edges: _Edges, cycle_policy: str, rng: np.random.Generator
 ) -> Tuple[List[int], List[RemovedEdge]]:
     """Node ids in merged order, and the kept edges a cyclic tournament lost.
 
-    Kept-edge directions are the reference comparison (``forward >= 0.5``
-    orients lower-shard -> higher-shard).  An acyclic tournament is one Kahn
-    pass; a cyclic one first has :func:`~repro.core.cycles.break_cycles`
-    clear victims in the direction matrix (within-shard chain edges are
-    never candidates), then takes the same pass over what is left.
+    ``edges.wins`` is completed *in place* into the direction matrix of every
+    kept edge.  An acyclic tournament is one Kahn pass; a cyclic one first
+    has :func:`~repro.core.cycles.break_cycles` clear victims in the
+    direction matrix (within-shard chain edges are never candidates), then
+    takes the same pass over what is left.
     """
     shard_lengths = layout.shard_lengths
     n = len(layout.nodes)
-    wins = layout.cross_upper & (forward_matrix >= 0.5)
-    edge = wins | (layout.cross_upper & ~wins).T
+    edge = edges.wins
+    edge |= (layout.cross_upper ^ edge).T
     chain_next = np.full(n, -1, dtype=np.int64)
     base = 0
     for length in shard_lengths:
@@ -322,8 +349,8 @@ def _linear_order(
     order = _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out)
     if order is not None:
         return order, []
-    probability = np.where(wins, forward_matrix, (1.0 - forward_matrix).T)
-    removed = break_cycles(edge, probability, cycle_policy, rng, first_successor=chain_next)
+    weights = edges.probability()
+    removed = break_cycles(edge, weights, cycle_policy, rng, first_successor=chain_next)
     return _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out), removed
 
 
@@ -361,8 +388,19 @@ def _emit_cycle_events(
 
 
 def _merge_from_matrix(
+    streams: Sequence[Sequence[SequencedBatch]], forward_matrix: np.ndarray, *args, **kwargs
+) -> MergeOutcome:
+    """:func:`_merge_edges` (whose arguments follow) over a dense forward matrix,
+    indexed shard-major (:class:`_NodeLayout`).  The streaming merger never
+    builds one; tests and oracles hand arbitrary matrices to the core here."""
+    layout = _NodeLayout(streams)
+    return _merge_edges(streams, layout, _dense_edges(layout, forward_matrix), *args, **kwargs)
+
+
+def _merge_edges(
     streams: Sequence[Sequence[SequencedBatch]],
-    forward_matrix: np.ndarray,
+    layout: _NodeLayout,
+    edges: _Edges,
     threshold: float,
     cycle_policy: str,
     rng: np.random.Generator,
@@ -372,15 +410,13 @@ def _merge_from_matrix(
     stats: Optional[EngineStats] = None,
     obs=NO_TELEMETRY,
 ) -> MergeOutcome:
-    """Linearise + coalesce a node-level forward-probability matrix.
+    """Linearise + coalesce: the one core every merge ends in.
 
-    ``forward_matrix`` is indexed shard-major (:class:`_NodeLayout`).  The
-    offline merge and the streaming merger both end here, so they produce
-    byte-identical output from byte-identical matrices.
+    The pair store and a dense matrix describe the same floats through
+    ``edges``, so they produce byte-identical output.
     """
-    layout = _NodeLayout(streams)
     nodes = layout.nodes
-    order_ids, removed = _linear_order(layout, forward_matrix, cycle_policy, rng)
+    order_ids, removed = _kept_order(layout, edges, cycle_policy, rng)
     cycles_broken = len(removed)
     if removed:
         if stats is not None:
@@ -388,21 +424,27 @@ def _merge_from_matrix(
         if obs.enabled:
             _emit_cycle_events(obs, streams, nodes, cycle_policy, removed)
 
+    # forwards[k] is P(order_ids[k - 1] before order_ids[k]) where they differ in shard
+    order = np.asarray(order_ids)
+    crossing = np.flatnonzero(layout.node_shard[order[:-1]] != layout.node_shard[order[1:]])
+    forwards = np.full(order.size, np.nan)
+    forwards[crossing + 1] = edges.forward_of(order[crossing], order[crossing + 1])
+
     # probabilistic coalescing: a cross-shard boundary needs confidence.
     # Within-shard adjacency is rank-certain *by construction* (the shard
     # emitted the batches in order and the chain edges enforce it), so it is
     # made explicit here instead of hiding behind a dict-lookup default; a
-    # cross-shard pair missing from the matrix is a hard error.
+    # cross-shard pair with no recorded precedence is a hard error.
     groups: List[List[BatchNode]] = []
     merged_cross_shard = 0
     previous_id = -1
-    for node_id in order_ids:
+    for step, node_id in enumerate(order_ids):
         node = nodes[node_id]
         coalesce = False
         if groups:
             previous = nodes[previous_id]
             if previous[0] != node[0]:
-                forward = float(forward_matrix[previous_id, node_id])
+                forward = float(forwards[step])
                 if np.isnan(forward):
                     raise AssertionError(
                         f"no precedence recorded for cross-shard pair {previous} -> {node}"
@@ -620,15 +662,16 @@ class CrossShardMerger:
         return self._priced(shard_batches)._linearise(start)
 
 
-def _doubled(capacity: int, needed: int) -> int:
+def _fitted(arrays: Sequence[np.ndarray], needed: int) -> Sequence[np.ndarray]:
+    """Equal-length ``arrays``, zero-extended by doubling until they hold ``needed``."""
+    capacity = arrays[0].size
+    if needed <= capacity:
+        return arrays
     while capacity < needed:
         capacity *= 2
-    return capacity
-
-
-def _extended(array: np.ndarray, capacity: int) -> np.ndarray:
-    fresh = np.zeros(capacity, dtype=array.dtype)
-    fresh[: array.size] = array
+    fresh = [np.zeros(capacity, dtype=array.dtype) for array in arrays]
+    for grown, array in zip(fresh, arrays):
+        grown[: array.size] = array
     return fresh
 
 
@@ -644,10 +687,11 @@ class StreamingMerger:
     reach ``_CHUNK_ELEMENTS`` and whenever priced state is read, so the
     schedule depends on the node count alone (not on telemetry, not on the
     interleaving) and no reader can tell it from pricing on arrival.
-    ``result()`` linearises the maintained matrix; for the same observed
-    streams the output is byte-identical to :meth:`CrossShardMerger.merge`
-    (which is this class observing whole streams at once), regardless of
-    the order batches were observed in.
+    Only the band is stored (:attr:`stored_pairs`); ``result()`` linearises it
+    together with the windows, and for the same observed streams the output
+    is byte-identical to :meth:`CrossShardMerger.merge` (which is this class
+    observing whole streams at once), regardless of the order batches were
+    observed in.
 
     A row is priced by the model it was observed under; a mid-stream
     distribution refresh must be propagated with :meth:`refresh_client`,
@@ -702,16 +746,20 @@ class StreamingMerger:
         ]
         self._nodes: List[BatchNode] = []  # observation order
         self._priced = 0  # nodes below this position have their pairs priced
-        self._node_position: Dict[BatchNode, int] = {}
         self._node_messages: List[Tuple[TimestampedMessage, ...]] = []
         # per-node state the window rule and the kernel read, indexed by
-        # observation position; the arrays grow together with the matrix
+        # observation position
         self._shard = np.zeros(16, dtype=np.int64)
         self._size = np.zeros(16, dtype=np.int64)
         self._offset = np.zeros(16, dtype=np.int64)  # first message slot
         self._earliest = np.zeros(16)
         self._latest = np.zeros(16)
-        self._matrix = np.full((16, 16), np.nan)
+        # the pair store: exactly the band pairs the kernel priced, by
+        # observation position, a-side = lower shard; P(a before b)
+        self._stored = 0
+        self._pair_a = np.zeros(64, dtype=np.int64)
+        self._pair_b = np.zeros(64, dtype=np.int64)
+        self._forward = np.zeros(64)
         # the kernel's flattened per-message parameters, node-major: a cache
         # of the model, appended per observed node and rewritten per client
         # by refresh_client.  mean/variance are only meaningful while no
@@ -757,6 +805,12 @@ class StreamingMerger:
         return self._cross_pairs_pruned
 
     @property
+    def stored_pairs(self) -> int:
+        """Pairs held in the pair store: the band, ``cross_pairs_evaluated``."""
+        self._price_pending()
+        return self._stored
+
+    @property
     def stats(self) -> EngineStats:
         """Engine counters for the kernel work of every observed node."""
         self._price_pending()
@@ -798,20 +852,36 @@ class StreamingMerger:
             for tree_node in self._topology.interior_nodes
         ]
 
+    def _shard_major(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, pair_a, pair_b, forward)``: the observation position of
+        every shard-major node id (:class:`_NodeLayout`'s enumeration; a shard
+        is observed in rank order) and the store in those ids."""
+        order = np.argsort(self._shard[: len(self._nodes)], kind="stable")
+        ids = np.empty_like(order)
+        ids[order] = np.arange(order.size)
+        stored = self._stored
+        return order, ids[self._pair_a[:stored]], ids[self._pair_b[:stored]], self._forward[:stored]
+
     def forward_matrix(self) -> np.ndarray:
-        """The maintained forward probabilities, shard-major.
+        """The forward probabilities, shard-major, materialised.
 
         ``matrix[a][b]`` is ``P(a before b)`` for every cross-shard node
         pair, nodes enumerated shard by shard in rank order whatever order
-        they were observed in; within-shard entries are NaN.
+        they were observed in; within-shard entries are NaN.  A view for
+        tests and oracles — the window rule's exact 0/1 for every pruned
+        pair plus the stored band; ``result()`` never builds it.
         """
         self._price_pending()
-        permutation = [
-            self._node_position[(shard, index)]
-            for shard, stream in enumerate(self._streams)
-            for index in range(len(stream))
-        ]
-        return self._matrix[np.ix_(permutation, permutation)]
+        order, pair_a, pair_b, forward = self._shard_major()
+        earliest, latest, shard = self._earliest[order], self._latest[order], self._shard[order]
+        before, after, _ = window_rule(earliest, latest, earliest, latest)
+        cross = shard[:, None] != shard[None, :]
+        matrix = np.full(cross.shape, np.nan)
+        matrix[before & cross] = 1.0
+        matrix[after & cross] = 0.0
+        matrix[pair_a, pair_b] = forward
+        matrix[pair_b, pair_a] = 1.0 - forward
+        return matrix
 
     # ----------------------------------------------------------------- intake
     def observation_cursor(self, shard: int) -> int:
@@ -859,7 +929,6 @@ class StreamingMerger:
         self._streams[shard].append(batch)
         position = len(self._nodes)
         self._nodes.append(node)
-        self._node_position[node] = position
         self._node_messages.append(tuple(batch.messages))
         start = self._message_count
         self._message_count = start + batch.size
@@ -887,23 +956,13 @@ class StreamingMerger:
             self._mean[slots], self._variance[slots] = params
 
     def _grow(self, nodes: int, messages: int) -> None:
-        """Double the per-node arrays (and the matrix) or the per-message arrays."""
-        if nodes > self._shard.size:
-            used = self._shard.size
-            capacity = _doubled(used, nodes)
-            self._shard, self._size, self._offset, self._earliest, self._latest = (
-                _extended(array, capacity)
-                for array in (self._shard, self._size, self._offset, self._earliest, self._latest)
-            )
-            matrix = np.full((capacity, capacity), np.nan)
-            matrix[:used, :used] = self._matrix
-            self._matrix = matrix
-        if messages > self._timestamp.size:
-            capacity = _doubled(self._timestamp.size, messages)
-            self._timestamp, self._mean, self._variance, self._message_node = (
-                _extended(array, capacity)
-                for array in (self._timestamp, self._mean, self._variance, self._message_node)
-            )
+        """Double the per-node arrays or the per-message arrays."""
+        self._shard, self._size, self._offset, self._earliest, self._latest = _fitted(
+            (self._shard, self._size, self._offset, self._earliest, self._latest), nodes
+        )
+        self._timestamp, self._mean, self._variance, self._message_node = _fitted(
+            (self._timestamp, self._mean, self._variance, self._message_node), messages
+        )
 
     # ---------------------------------------------------------------- pricing
     def _price_pending(self) -> None:
@@ -921,6 +980,7 @@ class StreamingMerger:
         if self._obs.enabled:
             self._obs.count("merge.price_blocks")
             self._obs.gauge("merge.pending_nodes", 0)
+            self._obs.gauge("merge.stored_pairs", self._stored)
             if deltas is not None:
                 self._emit_tree_events(first, *deltas)
 
@@ -952,20 +1012,13 @@ class StreamingMerger:
         after: np.ndarray,
         band: np.ndarray,
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Write and count the rule's verdict for every candidate ``(rows[i], j)``.
+        """Count the rule's verdict for every candidate ``(rows[i], j)``.
 
-        ``before``/``after`` pairs get their exact 0/1 entries, ``band``
-        pairs their kernel mean, priced in canonical orientation (the
-        lower-shard node is the a-side).  Returns what :meth:`_count` does.
+        ``band`` pairs get their kernel mean, priced in canonical orientation
+        (the lower-shard node is the a-side) and appended to the pair store;
+        ``before``/``after`` pairs are only counted: the stored windows say
+        their exact 0/1 to whoever asks.  Returns what :meth:`_count` does.
         """
-        matrix = self._matrix
-        before = before & candidates
-        after = after & candidates
-        for mask, forward in ((before, 1.0), (after, 0.0)):
-            index, other = np.nonzero(mask)
-            node = rows[index]
-            matrix[node, other] = forward
-            matrix[other, node] = 1.0 - forward
         band = band & candidates
         index, other = np.nonzero(band)
         if index.size:
@@ -973,10 +1026,14 @@ class StreamingMerger:
             flipped = self._shard[other] < self._shard[node]
             pair_a = np.where(flipped, other, node)
             pair_b = np.where(flipped, node, other)
-            forwards = self._price_pairs(pair_a, pair_b)
-            matrix[pair_a, pair_b] = forwards
-            matrix[pair_b, pair_a] = 1.0 - forwards
-        return self._count(rows, before | after, band, 1)
+            fresh = slice(self._stored, self._stored + index.size)
+            self._pair_a, self._pair_b, self._forward = _fitted(
+                (self._pair_a, self._pair_b, self._forward), fresh.stop
+            )
+            self._pair_a[fresh], self._pair_b[fresh] = pair_a, pair_b
+            self._forward[fresh] = self._price_pairs(pair_a, pair_b)
+            self._stored = fresh.stop
+        return self._count(rows, (before | after) & candidates, band, 1)
 
     def _count(
         self, rows: np.ndarray, pruned: np.ndarray, band: np.ndarray, sign: int
@@ -1209,8 +1266,8 @@ class StreamingMerger:
         (the shared table cache and certainty windows detect the new version
         themselves).  Only pairs the refresh can actually change are
         repriced: a pair that was window-pruned before and remains
-        window-pruned in the same direction keeps its exact 0/1 entry, so
-        the kernel (and even the cheap 0/1 rewrite) is skipped — with
+        window-pruned in the same direction keeps its exact 0/1 value, so
+        the kernel (and even the recount) is skipped — with
         time-localised streams the bulk of a long run's history prunes
         against the refreshed batches, turning the refresh from O(history)
         kernel work into O(overlapping window).  Returns the number of
@@ -1243,8 +1300,8 @@ class StreamingMerger:
         candidates = (shard[None, :] != shard[rows, None]) & ~(
             refreshed[None, :] & (np.arange(count)[None, :] > rows[:, None])
         )
-        # window-pruned before, still pruned the same way: the stored entry is
-        # already the exact saturated float and nothing can move
+        # window-pruned before, still pruned the same way: the new windows
+        # say the same exact saturated float and nothing can move
         unmoved = candidates & ((was_before & before) | (was_after & after))
         self._refresh_pairs_skipped += int(unmoved.sum())
         candidates &= ~unmoved
@@ -1252,6 +1309,13 @@ class StreamingMerger:
         # classification before repricing it
         was_pruned = candidates & (was_before | was_after)
         self._count(rows, was_pruned, candidates & ~was_pruned, -1)
+        # ... and leave the store: a stored pair is band, so never ``unmoved``,
+        # and every one with a refreshed end is a candidate _price appends anew
+        stored = self._stored
+        keep = ~(refreshed[self._pair_a[:stored]] | refreshed[self._pair_b[:stored]])
+        self._stored = int(keep.sum())
+        for array in (self._pair_a, self._pair_b, self._forward):
+            array[: self._stored] = array[:stored][keep]
         self._price(rows, candidates, before, after, band)
         return int(candidates.sum())
 
@@ -1271,9 +1335,38 @@ class StreamingMerger:
         self._price_pending()
         if not self._nodes:
             return _empty_outcome(start)
-        return _merge_from_matrix(
-            [list(stream) for stream in self._streams],
-            self.forward_matrix(),
+        streams = [list(stream) for stream in self._streams]
+        layout = _NodeLayout(streams)
+        order, pair_a, pair_b, forward = self._shard_major()
+        earliest, latest = self._earliest[order], self._latest[order]
+        n = order.size
+        # a pruned pair is read off the windows, a band pair off the store
+        wins = earliest[None, :] > latest[:, None]
+        wins &= layout.cross_upper
+        wins[pair_a, pair_b] = forward >= 0.5
+
+        def probability() -> np.ndarray:
+            # a pruned kept edge weighs exactly 1.0, whichever way it points
+            weights = np.ones((n, n))
+            weights[pair_a, pair_b], weights[pair_b, pair_a] = forward, 1.0 - forward
+            return weights
+
+        keys = pair_a * n + pair_b
+        by_key = np.argsort(keys)
+
+        def forward_of(previous: np.ndarray, node: np.ndarray) -> np.ndarray:
+            pruned = [earliest[node] > latest[previous], earliest[previous] > latest[node]]
+            forwards = np.select(pruned, [1.0, 0.0], np.nan)
+            wanted = np.minimum(previous, node) * n + np.maximum(previous, node)
+            found = np.isin(wanted, keys)
+            stored = forward[by_key[np.searchsorted(keys, wanted[found], sorter=by_key)]]
+            forwards[found] = np.where(previous[found] < node[found], stored, 1.0 - stored)
+            return forwards
+
+        return _merge_edges(
+            streams,
+            layout,
+            _Edges(wins, probability, forward_of),
             self._threshold,
             self._cycle_policy,
             np.random.default_rng(self._seed),

@@ -29,6 +29,7 @@ testable without sockets.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -215,6 +216,16 @@ def _require(payload: Dict[str, object], fields: Tuple[str, ...]) -> Iterator[ob
         yield payload[name]
 
 
+def _finite(value: object, name: str) -> float:
+    """``float(value)``, refusing the NaN / ±Infinity ``json.loads`` accepts: a
+    batch with such a timestamp is both before and after every other, and such
+    a vtime pins its source's watermark — either costs the run, not the frame."""
+    number = float(value)  # type: ignore[arg-type]
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
+
+
 def parse_message(payload: Dict[str, object]) -> Tuple[TimestampedMessage, float]:
     """Reconstruct a :class:`TimestampedMessage` (and its vtime) from a MSG payload.
 
@@ -225,8 +236,8 @@ def parse_message(payload: Dict[str, object]) -> Tuple[TimestampedMessage, float
     try:
         message = TimestampedMessage(
             client_id=str(client),
-            timestamp=float(ts),  # type: ignore[arg-type]
-            true_time=float(vtime),  # type: ignore[arg-type]
+            timestamp=_finite(ts, "ts"),
+            true_time=_finite(vtime, "vtime"),
             payload=payload.get("data"),
             message_id=int(mid),  # type: ignore[arg-type]
             sequence_number=int(seq),  # type: ignore[arg-type]
@@ -242,8 +253,8 @@ def parse_heartbeat(payload: Dict[str, object]) -> Tuple[Heartbeat, float]:
     try:
         heartbeat = Heartbeat(
             client_id=str(client),
-            timestamp=float(ts),  # type: ignore[arg-type]
-            true_time=float(vtime),  # type: ignore[arg-type]
+            timestamp=_finite(ts, "ts"),
+            true_time=_finite(vtime, "vtime"),
             sequence_number=int(payload.get("seq", 0)),  # type: ignore[arg-type]
         )
     except (TypeError, ValueError) as exc:

@@ -58,6 +58,12 @@ LIVE_RUNTIMES: Tuple[str, ...] = ("sim", "procs")
 _NEG_INF = float("-inf")
 
 
+def _check_finite(item: TimestampedMessage | Heartbeat) -> None:
+    """A NaN timestamp has no certainty window; an infinite vtime pins a watermark."""
+    if not (math.isfinite(item.timestamp) and math.isfinite(item.true_time)):
+        raise ValueError(f"non-finite time in {item!r}")
+
+
 class LiveDispatcher:
     """Coordinator intake loop for live traffic on a selected runtime.
 
@@ -196,12 +202,14 @@ class LiveDispatcher:
         The decision is synchronous so the edge can ack it: an admitted
         message *will* be sequenced exactly once; a rejected one is a
         duplicate (same ``(client_id, message_id)`` key or below the
-        delivery horizon).
+        delivery horizon).  A non-finite ``timestamp`` or ``true_time`` is a
+        ``ValueError``: it would cost the run, not the message.
         """
         if self._finished is not None:
             raise RuntimeError("dispatcher already finished")
         if message.client_id not in self._spec.client_distributions:
             raise KeyError(f"unknown client {message.client_id!r}")
+        _check_finite(message)
         self._note_vtime(source_id, message.true_time)
         if self._gate.is_duplicate(message):
             return False
@@ -231,11 +239,12 @@ class LiveDispatcher:
     def submit_heartbeat(self, source_id: str, heartbeat: Heartbeat) -> None:
         """Buffer a live heartbeat; advances the source watermark and the
         gate's delivery horizon (idempotent; ``KeyError`` for an unprovisioned
-        client, like :meth:`submit`)."""
+        client and ``ValueError`` for a non-finite time, like :meth:`submit`)."""
         if self._finished is not None:
             raise RuntimeError("dispatcher already finished")
         if heartbeat.client_id not in self._spec.client_distributions:
             raise KeyError(f"unknown client {heartbeat.client_id!r}")
+        _check_finite(heartbeat)
         self._note_vtime(source_id, heartbeat.true_time)
         self._gate.is_duplicate(heartbeat)  # horizon advance only
         self._buffer.append(

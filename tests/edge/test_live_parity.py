@@ -8,8 +8,10 @@ import asyncio
 import pytest
 
 from repro.core.config import TommyConfig
-from repro.edge.client import EdgeClient, replay_workload
+from repro.edge import protocol
+from repro.edge.client import EdgeClient, EdgeError, replay_workload
 from repro.edge.server import EdgeServer
+from repro.network.message import Heartbeat
 from repro.obs import Telemetry
 from repro.runtime.base import ClusterWorkload
 from repro.runtime.live import LiveClusterSpec, LiveDispatcher
@@ -97,5 +99,53 @@ def test_retransmitted_frames_do_not_change_the_merge():
 
     duplicates, outcome = asyncio.run(run())
     assert duplicates == len(workload.messages)
+    assert outcome.message_count == len(workload.messages)
+    assert outcome.fingerprint() == reference
+
+
+@pytest.mark.parametrize(
+    "frame_type, field, value",
+    [
+        (protocol.MSG, "ts", float("nan")),
+        (protocol.MSG, "ts", float("inf")),
+        (protocol.MSG, "vtime", float("-inf")),
+        (protocol.HEARTBEAT, "ts", float("nan")),
+    ],
+)
+def test_non_finite_time_costs_its_connection_not_the_run(frame_type, field, value):
+    """``json.loads`` accepts NaN / Infinity.  A ``ts: NaN`` MSG used to be
+    acked ``admitted: true`` and then fail ``finish()`` for everyone ("no
+    precedence recorded": its certainty window is before *and* after every
+    other batch); now the frame gets ``bad-payload`` and the run goes on."""
+    workload = _workload(num_clients=8, num_shards=2)
+    reference = SimBackend().run(workload).fingerprint()
+    template = workload.messages_by_true_time()[len(workload.messages) // 2]
+    if frame_type == protocol.MSG:
+        payload = protocol.message_payload(template)
+        payload["id"] = 10**9
+    else:
+        payload = protocol.heartbeat_payload(
+            Heartbeat(template.client_id, template.timestamp, template.true_time)
+        )
+    payload[field] = value
+
+    async def run():
+        spec = LiveClusterSpec.from_workload(workload)
+        dispatcher = LiveDispatcher(spec, runtime="sim")
+        async with EdgeServer(dispatcher, max_inflight=8) as server:
+            offender = await EdgeClient.connect("127.0.0.1", server.port, source="offender")
+            offender.write_frame(frame_type, payload)
+            await offender.drain()
+            with pytest.raises(EdgeError) as excinfo:
+                await offender.read_frame()
+            await offender.abort()
+            admitted = await replay_workload("127.0.0.1", server.port, workload, connections=2)
+            outcome = await server.finish()
+        return excinfo.value, admitted, outcome
+
+    error, admitted, outcome = asyncio.run(run())
+    assert error.code == protocol.ERR_BAD_PAYLOAD
+    assert "must be finite" in error.detail
+    assert admitted == len(workload.messages)
     assert outcome.message_count == len(workload.messages)
     assert outcome.fingerprint() == reference

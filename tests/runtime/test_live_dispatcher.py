@@ -117,6 +117,41 @@ def test_unknown_client_heartbeat_raises_key_error():
         dispatcher.finish()
 
 
+@pytest.mark.parametrize(
+    "timestamp, true_time",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (1.0, math.nan)],
+)
+def test_non_finite_times_raise_value_error_and_leave_the_run_intact(timestamp, true_time):
+    # a NaN timestamp has the certainty window (+inf, -inf) -- before *and*
+    # after every other batch -- and an infinite vtime pins a watermark: one
+    # such message used to cost finish() the whole run
+    workload = _workload(num_clients=8, num_shards=2)
+    reference = SimBackend().run(workload).fingerprint()
+    spec = LiveClusterSpec.from_workload(workload)
+    client = sorted(spec.client_ids())[0]
+    with LiveDispatcher(spec, runtime="sim") as dispatcher:
+        dispatcher.open_source("a")
+        with pytest.raises(ValueError, match="non-finite"):
+            dispatcher.submit(
+                "a",
+                TimestampedMessage(
+                    client_id=client, timestamp=timestamp, true_time=true_time, message_id=10**9
+                ),
+            )
+        with pytest.raises(ValueError, match="non-finite"):
+            dispatcher.submit_heartbeat(
+                "a", Heartbeat(client_id=client, timestamp=timestamp, true_time=true_time)
+            )
+        # refused before anything was noted, gated or buffered
+        assert dispatcher.admitted == 0
+        assert math.isinf(dispatcher.watermark) and dispatcher.watermark < 0
+        dispatcher.close_source("a")
+        _feed(dispatcher, workload)
+        outcome = dispatcher.finish()
+    assert outcome.message_count == len(workload.messages)
+    assert outcome.fingerprint() == reference
+
+
 def test_watermark_is_min_over_open_sources():
     spec = LiveClusterSpec.from_workload(_workload(num_clients=4, num_shards=2))
     clients = sorted(spec.client_ids())
