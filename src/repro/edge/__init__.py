@@ -5,9 +5,10 @@ Contract: the edge accepts framed client connections
 HEARTBEAT/CLOSE with typed ERROR rejections), admits each message through
 the same exactly-once gate the cluster uses
 (:class:`~repro.cluster.intake.IntakeDedupeGate`, decision acked back to
-the sender), and applies backpressure through one bounded intake queue —
-when it fills, handlers stop reading their sockets and TCP flow control
-pushes back (:class:`~repro.edge.server.EdgeServer`).
+the sender) in the callback that read its frame, and bounds the items gated
+between two ``advance()`` calls — at the bound connections stop reading
+their sockets and TCP flow control pushes back
+(:class:`~repro.edge.server.EdgeServer`).
 
 Parity guarantee: a frozen workload streamed through real loopback sockets
 into either live runtime (``sim`` or ``procs``) yields a merge fingerprint

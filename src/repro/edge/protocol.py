@@ -72,6 +72,8 @@ FRAME_NAMES: Dict[int, str] = {
 # -------------------------------------------------------------- error codes
 ERR_UNSUPPORTED_VERSION = "unsupported-version"
 ERR_DUPLICATE_HELLO = "duplicate-hello"
+#: HELLO named a source another open connection holds (one CLOSE would release both)
+ERR_DUPLICATE_SOURCE = "duplicate-source"
 ERR_HELLO_REQUIRED = "hello-required"
 ERR_OVERSIZED_FRAME = "oversized-frame"
 ERR_MALFORMED_FRAME = "malformed-frame"
@@ -108,9 +110,14 @@ class Frame:
         return FRAME_NAMES.get(self.type, f"0x{self.type:02x}")
 
 
+#: One compact-separator encoder for every frame (what ``json.dumps(...,
+#: separators=(",", ":"))`` would build again on each call).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(frame_type: int, payload: Optional[Dict[str, object]] = None) -> bytes:
     """Serialise one frame to wire bytes (length prefix + type + JSON)."""
-    body = json.dumps(payload or {}, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(payload or {}).encode("utf-8")
     if 1 + len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(ERR_OVERSIZED_FRAME, f"frame body {len(body)}B exceeds cap")
     return _LENGTH.pack(1 + len(body)) + bytes([frame_type]) + body
@@ -137,43 +144,50 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Frame]:
-        """Absorb ``data`` and return every frame it completes."""
+        """Absorb ``data`` and return every frame it completes.
+
+        With nothing buffered the frames are decoded straight from ``data``;
+        only a trailing partial frame is copied into the buffer.
+        """
         if self._poisoned:
             raise ProtocolError(ERR_MALFORMED_FRAME, "decoder already failed")
-        self._buffer.extend(data)
+        buffer = self._buffer
+        if buffer:
+            buffer.extend(data)
+            data = buffer
         frames: List[Frame] = []
-        while True:
-            frame = self._try_decode()
-            if frame is None:
-                return frames
-            frames.append(frame)
+        offset = 0
+        end = len(data)
+        header = _LENGTH.size
+        while end - offset >= header:
+            (length,) = _LENGTH.unpack_from(data, offset)
+            if length > self._max:
+                raise self._poison(
+                    ERR_OVERSIZED_FRAME, f"length prefix {length}B exceeds {self._max}B cap"
+                )
+            if length < 1:
+                raise self._poison(ERR_MALFORMED_FRAME, "zero-length frame")
+            body = offset + header
+            stop = body + length
+            if stop > end:
+                break  # truncated: wait for more bytes
+            try:
+                payload = json.loads(data[body + 1 : stop].decode("utf-8")) if length > 1 else {}
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                raise self._poison(ERR_MALFORMED_FRAME, f"bad JSON payload: {exc}") from exc
+            if not isinstance(payload, dict):
+                raise self._poison(ERR_MALFORMED_FRAME, "payload must be a JSON object")
+            frames.append(Frame(type=data[body], payload=payload))
+            offset = stop
+        if data is buffer:
+            del buffer[:offset]
+        elif offset < end:
+            buffer.extend(memoryview(data)[offset:])
+        return frames
 
-    def _try_decode(self) -> Optional[Frame]:
-        if len(self._buffer) < _LENGTH.size:
-            return None
-        (length,) = _LENGTH.unpack_from(self._buffer)
-        if length > self._max:
-            self._poisoned = True
-            raise ProtocolError(
-                ERR_OVERSIZED_FRAME, f"length prefix {length}B exceeds {self._max}B cap"
-            )
-        if length < 1:
-            self._poisoned = True
-            raise ProtocolError(ERR_MALFORMED_FRAME, "zero-length frame")
-        if len(self._buffer) < _LENGTH.size + length:
-            return None  # truncated: wait for more bytes
-        body = bytes(self._buffer[_LENGTH.size : _LENGTH.size + length])
-        del self._buffer[: _LENGTH.size + length]
-        frame_type = body[0]
-        try:
-            payload = json.loads(body[1:].decode("utf-8")) if len(body) > 1 else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._poisoned = True
-            raise ProtocolError(ERR_MALFORMED_FRAME, f"bad JSON payload: {exc}") from exc
-        if not isinstance(payload, dict):
-            self._poisoned = True
-            raise ProtocolError(ERR_MALFORMED_FRAME, "payload must be a JSON object")
-        return Frame(type=frame_type, payload=payload)
+    def _poison(self, code: str, detail: str) -> ProtocolError:
+        self._poisoned = True
+        return ProtocolError(code, detail)
 
 
 # ---------------------------------------------------------- payload helpers
@@ -242,7 +256,7 @@ def parse_message(payload: Dict[str, object]) -> Tuple[TimestampedMessage, float
             message_id=int(mid),  # type: ignore[arg-type]
             sequence_number=int(seq),  # type: ignore[arg-type]
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(1e999) overflows
         raise ProtocolError(ERR_BAD_PAYLOAD, f"bad MSG field: {exc}") from exc
     return message, message.true_time
 
@@ -257,11 +271,15 @@ def parse_heartbeat(payload: Dict[str, object]) -> Tuple[Heartbeat, float]:
             true_time=_finite(vtime, "vtime"),
             sequence_number=int(payload.get("seq", 0)),  # type: ignore[arg-type]
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(ERR_BAD_PAYLOAD, f"bad HEARTBEAT field: {exc}") from exc
     return heartbeat, heartbeat.true_time
 
 
 def error_frame(code: str, detail: str = "") -> bytes:
-    """Encode a typed ERROR frame (the reject-don't-hang contract)."""
-    return encode_frame(ERROR, {"code": code, "detail": detail})
+    """Encode a typed ERROR frame (the reject-don't-hang contract).
+
+    ``detail`` is for a human and may quote what the peer sent: it is cut to
+    256 characters so the answer to a near-cap frame cannot itself exceed the cap.
+    """
+    return encode_frame(ERROR, {"code": code, "detail": detail[:256]})

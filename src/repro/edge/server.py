@@ -4,34 +4,52 @@
 length-prefixed frame protocol (:mod:`repro.edge.protocol`), and feeds
 admitted traffic into a :class:`~repro.runtime.live.LiveDispatcher`.
 
-Backpressure: every decoded MSG/HEARTBEAT goes through one *bounded* global
-intake queue (``max_inflight`` items).  When the queue is full the
-connection handler blocks on ``await queue.put(...)`` — it stops reading its
-socket, the kernel receive buffer fills, and TCP flow control pushes back to
-the client.  The queue depth is exported as the ``edge.intake_depth`` gauge
-(with ``edge.intake_depth_peak`` as its high-water mark), so "bounded" is an
-observable invariant: the peak can never exceed ``max_inflight``.  Each
-stall is counted in ``edge.backpressure_stalls``.
+Admit first: every connection is one :class:`asyncio.Protocol`.  The
+``data_received`` callback that reads a chunk decodes its frames, validates
+them, gates each MSG/HEARTBEAT through the dispatcher and writes its ack —
+all before it returns, with no task and no queue between the socket and the
+gate.  Sequence when the sockets go quiet: the first gated item arms one
+``call_soon`` callback.  When it runs and items were gated since it last
+looked, it re-arms itself, so the loop polls the sockets once more first;
+when a whole poll gated nothing new — or the intake bound is reached — it
+calls ``dispatcher.advance()``.
+
+Backpressure: ``max_inflight`` bounds the items gated since the last
+``advance()``.  At the bound a connection keeps the frames it has decoded,
+stops reading its socket (the kernel receive buffer fills and TCP flow
+control pushes back to the client) and is drained and resumed after the
+advance, in the order the connections stalled.  The depth is exported as the
+``edge.intake_depth`` gauge (with ``edge.intake_depth_peak`` as its
+high-water mark), so "bounded" is an observable invariant: the peak can
+never exceed ``max_inflight``.  Each stall is counted in
+``edge.backpressure_stalls``.  An ack waits at most one bound's worth of
+sequencing.  A client that does not read its acks is not read from either
+while its transport's write buffer is over the high-water mark.
 
 Disconnect policy (documented contract, tested in ``tests/edge``): messages
 *admitted* before a mid-stream disconnect are still sequenced — admission is
 a promise — while the dead connection's watermark hold is released so the
 rest of the cluster keeps advancing.  Protocol violations are answered with
-a typed ERROR frame and a close; the server never hangs on bad input.
+a typed ERROR frame and a close; the server never hangs on bad input.  Two
+open connections may not share a source name: the second HELLO is refused
+(``duplicate-source``) and the first holder is untouched.
 
 Failure policy: an exception out of the dispatcher (a dead procs worker
-surfaces on ``advance()``) kills the intake pump, and a dead pump is
+surfaces on ``advance()``) is caught in the callback it was raised in and is
 terminal and loud — every open connection gets a typed ``server-failure``
 ERROR frame and is closed, the listener stops accepting, and
 :meth:`EdgeServer.finish` / :meth:`EdgeServer.serve_until_idle` re-raise the
-pump's exception instead of waiting on a queue nobody drains.
+exception.  Only the dispatcher's own calls are terminal: anything else
+raised while decoding or validating what one peer sent costs that peer its
+connection (typed ERROR, close) and nobody else's.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional
+from collections import deque
+from typing import Deque, Dict, Optional, Set
 
 from repro.edge import protocol
 from repro.edge.protocol import Frame, FrameDecoder, ProtocolError
@@ -40,20 +58,194 @@ from repro.runtime.base import RuntimeOutcome
 from repro.runtime.live import LiveDispatcher
 
 
-class _Connection:
-    """Per-connection state: source identity, writer, handshake progress."""
+class _ServerFailed(Exception):
+    """A dispatcher call raised: ``_on_failure`` has run and every connection is shut."""
 
-    def __init__(self, index: int, writer: asyncio.StreamWriter) -> None:
+
+class _Connection(asyncio.Protocol):
+    """One client connection: decode, validate, gate and ack in the read callback."""
+
+    def __init__(self, server: "EdgeServer", index: int) -> None:
+        self._server = server
+        self._decoder = FrameDecoder(server._max_frame_bytes)
+        # decoded frames not yet handled: non-empty only at the intake bound
+        self._frames: Deque[Frame] = deque()
+        self.transport: Optional[asyncio.Transport] = None
         self.source = f"conn-{index}"
-        self.writer = writer
         self.hello_seen = False
-        self.peer = writer.get_extra_info("peername")
-        self.closed = asyncio.Event()
+        # HELLO accepted and the dispatcher not yet told the source is closed
+        self.holds_source = False
+        # CLOSE answered, failed or torn down: nothing more is handled
+        self.done = False
+        self.clean_close = False
+        self.stalled = False
+        self.write_paused = False
         self.messages = 0
+
+    # ------------------------------------------------------ transport callbacks
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self._server._on_open(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.done:
+            return
+        try:
+            frames = self._decoder.feed(data)
+        except ProtocolError as exc:
+            self._fail(exc.code, exc.detail)
+            return
+        except Exception as exc:  # bytes the decoder did not foresee: this peer's alone
+            self._fail(protocol.ERR_MALFORMED_FRAME, f"undecodable input: {exc!r}")
+            return
+        self._server._count("edge.frames", len(frames))
+        self._frames.extend(frames)
+        self.process()
+
+    def pause_writing(self) -> None:
+        """The peer is not reading its acks: read no more frames from it."""
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if not self.stalled:
+            self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._frames.clear()
+        self.done = True
+        self._server._on_lost(self)
+
+    # ------------------------------------------------------------------ frames
+    def process(self) -> None:
+        """Handle held frames in order; at the intake bound keep the rest and stall.
+
+        Never raises: what one peer sent can cost that peer its connection
+        (typed ERROR, close), and only an exception out of the dispatcher is
+        the server's failure.
+        """
+        server = self._server
+        frames = self._frames
+        while frames and not self.done:
+            # a HELLO gates nothing and never waits: its source must hold the
+            # watermark before the other connections' items are sequenced
+            if server._depth >= server._max_inflight and frames[0].type != protocol.HELLO:
+                server._stall(self)
+                return
+            try:
+                self._on_frame(frames.popleft())
+            except _ServerFailed:
+                return  # every connection, this one included, has been told and shut
+            except Exception as exc:  # input the validation did not foresee
+                self._fail(protocol.ERR_BAD_PAYLOAD, f"unhandled input: {exc!r}")
+
+    def _on_frame(self, frame: Frame) -> None:
+        server = self._server
+        dispatcher = server._dispatcher
+        if frame.type == protocol.HELLO:
+            self._on_hello(frame.payload)
+        elif not self.hello_seen:
+            self._fail(protocol.ERR_HELLO_REQUIRED, f"{frame.name} before HELLO")
+        elif frame.type == protocol.MSG:
+            message = self._parsed(protocol.parse_message, frame.payload)
+            if message is None:
+                return
+            self.messages += 1
+            admitted = server._dispatch(dispatcher.submit, self.source, message)
+            server._count("edge.messages_admitted" if admitted else "edge.duplicates_rejected")
+            self._ack(protocol.MSG_ACK, {"id": int(message.message_id), "admitted": admitted})
+            server._gated()
+        elif frame.type == protocol.HEARTBEAT:
+            heartbeat = self._parsed(protocol.parse_heartbeat, frame.payload)
+            if heartbeat is None:
+                return
+            server._dispatch(dispatcher.submit_heartbeat, self.source, heartbeat)
+            server._count("edge.heartbeats")
+            self._ack(protocol.HEARTBEAT_ACK, {"vtime": heartbeat.true_time})
+            server._gated()
+        elif frame.type == protocol.CLOSE:
+            server._release(self)
+            self.clean_close = True
+            # clean CLOSE: acknowledge before teardown
+            self._ack(protocol.CLOSE_ACK, {"messages": self.messages})
+            self.shut()
+        else:
+            self._fail(protocol.ERR_UNKNOWN_TYPE, f"unexpected frame type {frame.name}")
+
+    def _parsed(self, parse, payload: Dict[str, object]):
+        """The MSG / HEARTBEAT the payload carries, or ``None`` once it has been refused."""
+        try:
+            item, _ = parse(payload)
+        except ProtocolError as exc:
+            self._fail(exc.code, exc.detail)
+            return None
+        if item.client_id not in self._server._dispatcher.spec.client_distributions:
+            self._fail(
+                protocol.ERR_UNKNOWN_CLIENT, f"client {item.client_id!r} is not provisioned"
+            )
+            return None
+        return item
+
+    def _on_hello(self, payload: Dict[str, object]) -> None:
+        server = self._server
+        if self.hello_seen:
+            self._fail(protocol.ERR_DUPLICATE_HELLO, "HELLO already received")
+            return
+        version = payload.get("version")
+        if version != protocol.PROTOCOL_VERSION:
+            self._fail(
+                protocol.ERR_UNSUPPORTED_VERSION,
+                f"server speaks version {protocol.PROTOCOL_VERSION}, client sent {version!r}",
+            )
+            return
+        requested = payload.get("source")
+        source = requested if isinstance(requested, str) and requested else self.source
+        if any(other.holds_source and other.source == source for other in server._conns):
+            # one CLOSE would release the watermark hold of both
+            self._fail(
+                protocol.ERR_DUPLICATE_SOURCE,
+                f"source {source!r} is held by another open connection",
+            )
+            return
+        # encoded before anything is held: a name that escapes past the frame cap is refused
+        ack = protocol.encode_frame(
+            protocol.HELLO_ACK, {"version": protocol.PROTOCOL_VERSION, "source": source}
+        )
+        self.source = source
+        self.hello_seen = self.holds_source = True
+        server._dispatch(server._dispatcher.open_source, source)
+        server._event("hello", source=source)
+        self.transport.write(ack)
+
+    def _ack(self, frame_type: int, payload: Dict[str, object]) -> None:
+        if self.transport.is_closing():
+            return  # receiver gone; admitted traffic is still sequenced
+        self.transport.write(protocol.encode_frame(frame_type, payload))
+        self._server._count("edge.acks")
+
+    def _fail(self, code: str, detail: str) -> None:
+        """Reject-don't-hang: typed ERROR frame, then close the transport."""
+        server = self._server
+        server._count("edge.protocol_errors")
+        server._event("protocol_error", source=self.source, code=code)
+        if self.holds_source:
+            server._release(self)
+        self.shut(protocol.error_frame(code, detail))
+
+    def shut(self, farewell: bytes = b"") -> None:
+        """Handle nothing more; flush ``farewell`` and what is buffered, then close."""
+        if self.done:
+            return
+        self.done = True
+        self._frames.clear()
+        if farewell:
+            self.transport.write(farewell)
+        self.transport.close()
 
 
 class EdgeServer:
-    """Live ingestion edge: socket accept loop + bounded intake pump."""
+    """Live ingestion edge: admit in the read callback, sequence when the sockets go quiet."""
 
     def __init__(
         self,
@@ -63,7 +255,6 @@ class EdgeServer:
         max_inflight: int = 64,
         telemetry: Optional[Telemetry] = None,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        read_chunk: int = 65536,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be positive")
@@ -72,18 +263,20 @@ class EdgeServer:
         self._port = port
         self._max_inflight = int(max_inflight)
         self._max_frame_bytes = int(max_frame_bytes)
-        self._read_chunk = int(read_chunk)
         self._obs = resolve(telemetry)
         self._started_at = time.monotonic()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._intake: Optional[asyncio.Queue] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        self._handlers: Dict[_Connection, asyncio.Task] = {}
+        self._conns: Set[_Connection] = set()
+        # connections holding frames at the intake bound, in the order they stalled
+        self._stalled: Deque[_Connection] = deque()
+        self._depth = 0  # items gated since the last advance()
+        self._depth_peak = 0
+        self._turn: Optional[asyncio.Handle] = None  # the armed advance callback
+        self._fresh = False  # an item was gated since the armed callback last looked
+        self._no_conns: Optional[asyncio.Future] = None  # finish() waiting for the last close
         self._failure: Optional[BaseException] = None
         self._next_conn = 0
-        self._open_conns = 0
-        self._served_conns = 0
-        self._depth_peak = 0
+        self._served_conns = 0  # counted with connection_made, so never ahead of _conns
         self._finished: Optional[RuntimeOutcome] = None
 
     # ------------------------------------------------------------- properties
@@ -101,12 +294,12 @@ class EdgeServer:
 
     @property
     def max_inflight(self) -> int:
-        """Bound of the global intake queue (the backpressure knob)."""
+        """Bound on the items gated between two advances (the backpressure knob)."""
         return self._max_inflight
 
     @property
     def intake_depth_peak(self) -> int:
-        """High-water mark of the intake queue depth (never > ``max_inflight``)."""
+        """High-water mark of the intake depth (never > ``max_inflight``)."""
         return self._depth_peak
 
     @property
@@ -123,22 +316,24 @@ class EdgeServer:
         if self._obs.enabled:
             self._obs.count(name, value)
 
-    def _gauge_depth(self) -> None:
-        depth = self._intake.qsize() if self._intake is not None else 0
-        if depth > self._depth_peak:
-            self._depth_peak = depth
+    def _gauge_connections(self) -> None:
         if self._obs.enabled:
-            self._obs.gauge("edge.intake_depth", depth)
+            self._obs.gauge("edge.connections_open", len(self._conns))
+
+    def _gauge_depth(self) -> None:
+        if self._depth > self._depth_peak:
+            self._depth_peak = self._depth
+        if self._obs.enabled:
+            self._obs.gauge("edge.intake_depth", self._depth)
             self._obs.gauge("edge.intake_depth_peak", self._depth_peak)
 
     # ---------------------------------------------------------------- lifecycle
     async def start(self) -> "EdgeServer":
-        """Bind the listening socket and start the intake pump."""
+        """Bind the listening socket and start accepting connections."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._intake = asyncio.Queue(maxsize=self._max_inflight)
-        self._pump_task = asyncio.create_task(self._pump())
-        self._server = await asyncio.start_server(self._handle, self._host, self._port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(self._accept, self._host, self._port)
         self._event("listening", host=self._host, port=self.port)
         return self
 
@@ -149,37 +344,26 @@ class EdgeServer:
         await self.close()
 
     async def finish(self) -> RuntimeOutcome:
-        """Stop accepting, drain the intake queue, finalize the dispatcher.
+        """Stop accepting, sequence what was gated, finalize the dispatcher.
 
-        Waits for every open connection to wind down, pushes the remaining
-        queue contents through the dispatcher, then runs the drain protocol
-        (closing heartbeats + final flush) and returns the
-        :class:`RuntimeOutcome`.  Idempotent.
+        Waits for every open connection to wind down, flushes an armed
+        advance, then runs the drain protocol (closing heartbeats + final
+        flush) and returns the :class:`RuntimeOutcome`.  Idempotent.
         """
         if self._finished is not None:
             return self._finished
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._handlers:
-            await asyncio.gather(*self._handlers.values(), return_exceptions=True)
-        if self._intake is not None and self._pump_task is not None:
-            # the pump only ever returns by failing: wait for whichever comes
-            # first, a drained queue or a dead pump that will never drain it
-            drained = asyncio.ensure_future(self._intake.join())
-            await asyncio.wait(
-                {drained, self._pump_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            drained.cancel()
+        if self._conns:
+            # a failure closes every connection too, so this wait always ends
+            self._no_conns = asyncio.get_running_loop().create_future()
+            await self._no_conns
+        if self._turn is not None:
+            self._turn.cancel()
+            self._advance()
         if self._failure is not None:
             raise self._failure
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
         # the dispatcher drain can do real sequencing work (procs workers,
         # closing heartbeats) — keep the event loop responsive
         self._finished = await asyncio.to_thread(self._dispatcher.finish)
@@ -189,18 +373,14 @@ class EdgeServer:
         """Serve until every connection (at least one) has come and gone.
 
         Returns the finalized outcome once the server has been idle — no
-        open connections, empty intake queue — for ``idle_grace`` seconds
-        after serving at least one connection.  This is the ``repro serve``
-        CLI's default lifecycle (and what the loopback example drives).  A
-        dead intake pump ends the wait at once: :meth:`finish` re-raises it.
+        open connections — for ``idle_grace`` seconds after serving at least
+        one connection.  This is the ``repro serve`` CLI's default lifecycle
+        (and what the loopback example drives).  A dispatcher failure ends
+        the wait at once: :meth:`finish` re-raises it.
         """
         while True:
             await asyncio.sleep(idle_grace)
-            if self._failure is not None or (
-                self._served_conns > 0
-                and self._open_conns == 0
-                and (self._intake is None or self._intake.empty())
-            ):
+            if self._failure is not None or (self._served_conns > 0 and not self._conns):
                 return await self.finish()
 
     async def close(self) -> None:
@@ -209,241 +389,137 @@ class EdgeServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._handlers.values()):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*self._handlers.values(), return_exceptions=True)
-        self._handlers.clear()
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
+        for conn in list(self._conns):
+            conn.holds_source = False  # no dispatcher left to tell
+            conn.shut()
+        if self._turn is not None:
+            self._turn.cancel()
+            self._turn = None
         self._dispatcher.close()
 
-    # ------------------------------------------------------------- accept path
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(self._next_conn, writer)
+    # ------------------------------------------------------------- connections
+    def _accept(self) -> _Connection:
+        conn = _Connection(self, self._next_conn)
         self._next_conn += 1
-        self._open_conns += 1
+        return conn
+
+    def _on_open(self, conn: _Connection) -> None:
+        self._conns.add(conn)
         self._served_conns += 1
         self._count("edge.connections")
-        if self._obs.enabled:
-            self._obs.gauge("edge.connections_open", self._open_conns)
-        self._event("connection_open", source=conn.source, peer=str(conn.peer))
-        self._handlers[conn] = asyncio.current_task()
-        decoder = FrameDecoder(self._max_frame_bytes)
-        clean_close = False
-        try:
-            while True:
-                data = await reader.read(self._read_chunk)
-                if not data:
-                    break  # EOF: mid-stream disconnect (or post-CLOSE teardown)
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as exc:
-                    await self._fail(conn, exc.code, exc.detail)
-                    return
-                for frame in frames:
-                    self._count("edge.frames")
-                    done = await self._on_frame(conn, frame)
-                    if done:
-                        clean_close = True
-                        return
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._handlers.pop(conn, None)
-            self._open_conns -= 1
-            if self._obs.enabled:
-                self._obs.gauge("edge.connections_open", self._open_conns)
-            if conn.hello_seen and not clean_close:
-                # mid-stream disconnect: admitted messages stay sequenced,
-                # but the dead source must stop holding the watermark
-                self._count("edge.disconnects")
-                await self._enqueue(("close", conn, False))
-            self._event(
-                "connection_close",
-                source=conn.source,
-                clean=clean_close,
-                messages=conn.messages,
-            )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _on_frame(self, conn: _Connection, frame: Frame) -> bool:
-        """Process one frame; returns ``True`` when the connection is done."""
-        if self._failure is not None:
-            await self._fail(conn, protocol.ERR_SERVER_FAILURE, repr(self._failure))
-            return True
-        if frame.type == protocol.HELLO:
-            if conn.hello_seen:
-                await self._fail(conn, protocol.ERR_DUPLICATE_HELLO, "HELLO already received")
-                return True
-            version = frame.payload.get("version")
-            if version != protocol.PROTOCOL_VERSION:
-                await self._fail(
-                    conn,
-                    protocol.ERR_UNSUPPORTED_VERSION,
-                    f"server speaks version {protocol.PROTOCOL_VERSION}, client sent {version!r}",
-                )
-                return True
-            conn.hello_seen = True
-            requested = frame.payload.get("source")
-            if isinstance(requested, str) and requested:
-                conn.source = requested
-            self._dispatcher.open_source(conn.source)
-            self._event("hello", source=conn.source)
-            conn.writer.write(
-                protocol.encode_frame(
-                    protocol.HELLO_ACK,
-                    {"version": protocol.PROTOCOL_VERSION, "source": conn.source},
-                )
-            )
-            await conn.writer.drain()
-            return False
-        if not conn.hello_seen:
-            await self._fail(
-                conn, protocol.ERR_HELLO_REQUIRED, f"{frame.name} before HELLO"
-            )
-            return True
-        if frame.type == protocol.MSG:
-            try:
-                message, _ = protocol.parse_message(frame.payload)
-            except ProtocolError as exc:
-                await self._fail(conn, exc.code, exc.detail)
-                return True
-            if message.client_id not in self._dispatcher.spec.client_distributions:
-                await self._fail(
-                    conn,
-                    protocol.ERR_UNKNOWN_CLIENT,
-                    f"client {message.client_id!r} is not provisioned",
-                )
-                return True
-            conn.messages += 1
-            await self._enqueue(("msg", conn, message))
-            return False
-        if frame.type == protocol.HEARTBEAT:
-            try:
-                heartbeat, _ = protocol.parse_heartbeat(frame.payload)
-            except ProtocolError as exc:
-                await self._fail(conn, exc.code, exc.detail)
-                return True
-            if heartbeat.client_id not in self._dispatcher.spec.client_distributions:
-                await self._fail(
-                    conn,
-                    protocol.ERR_UNKNOWN_CLIENT,
-                    f"client {heartbeat.client_id!r} is not provisioned",
-                )
-                return True
-            await self._enqueue(("hb", conn, heartbeat))
-            return False
-        if frame.type == protocol.CLOSE:
-            await self._enqueue(("close", conn, True))
-            await conn.closed.wait()
-            return True
-        await self._fail(
-            conn, protocol.ERR_UNKNOWN_TYPE, f"unexpected frame type {frame.name}"
+        self._gauge_connections()
+        self._event(
+            "connection_open",
+            source=conn.source,
+            peer=str(conn.transport.get_extra_info("peername")),
         )
-        return True
+        if self._failure is not None:  # accepted while the failure was closing the listener
+            conn.shut(protocol.error_frame(protocol.ERR_SERVER_FAILURE, repr(self._failure)))
 
-    async def _enqueue(self, item) -> None:
-        """Bounded put: a full queue suspends this handler (TCP pushback)."""
-        assert self._intake is not None
-        if self._failure is not None:
-            return  # nobody drains the queue any more
+    def _on_lost(self, conn: _Connection) -> None:
+        self._conns.discard(conn)
+        self._gauge_connections()
+        if conn.hello_seen and not conn.clean_close:
+            # mid-stream disconnect (or a protocol error after HELLO): admitted
+            # messages stay sequenced
+            self._count("edge.disconnects")
+        if conn.holds_source:
+            # the dead source must stop holding the watermark
+            self._release(conn)
+        self._event(
+            "connection_close",
+            source=conn.source,
+            clean=conn.clean_close,
+            messages=conn.messages,
+        )
+        if not self._conns and self._no_conns is not None and not self._no_conns.done():
+            self._no_conns.set_result(None)
+
+    def _release(self, conn: _Connection) -> None:
+        """Close the connection's source; the watermark it held back can be sequenced."""
+        conn.holds_source = False
         try:
-            self._intake.put_nowait(item)
-        except asyncio.QueueFull:
-            self._count("edge.backpressure_stalls")
-            self._event("backpressure_stall", depth=self._intake.qsize())
-            await self._intake.put(item)
-        self._gauge_depth()
-
-    async def _fail(self, conn: _Connection, code: str, detail: str) -> None:
-        """Reject-don't-hang: typed ERROR frame, then close the transport."""
-        self._count("edge.protocol_errors")
-        self._event("protocol_error", source=conn.source, code=code)
-        try:
-            conn.writer.write(protocol.error_frame(code, detail))
-            await conn.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        if conn.hello_seen:
-            await self._enqueue(("close", conn, False))
-
-    # -------------------------------------------------------------- intake pump
-    async def _pump(self) -> None:
-        """Single consumer of the intake queue: gate, route, ack, advance.
-
-        Drains the queue in bursts — one ``dispatcher.advance()`` per burst
-        instead of per message — mirroring the burst-coalescing intake the
-        sim transport uses.
-        """
-        assert self._intake is not None
-        try:
-            while True:
-                batch = [await self._intake.get()]
-                while True:
-                    try:
-                        batch.append(self._intake.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                for kind, conn, payload in batch:
-                    if kind == "msg":
-                        admitted = self._dispatcher.submit(conn.source, payload)
-                        self._count(
-                            "edge.messages_admitted" if admitted else "edge.duplicates_rejected"
-                        )
-                        self._ack(
-                            conn,
-                            protocol.MSG_ACK,
-                            {"id": int(payload.message_id), "admitted": admitted},
-                        )
-                    elif kind == "hb":
-                        self._dispatcher.submit_heartbeat(conn.source, payload)
-                        self._count("edge.heartbeats")
-                        self._ack(conn, protocol.HEARTBEAT_ACK, {"vtime": payload.true_time})
-                    elif kind == "close":
-                        self._dispatcher.close_source(conn.source)
-                        if payload:  # clean CLOSE: acknowledge before teardown
-                            self._ack(conn, protocol.CLOSE_ACK, {"messages": conn.messages})
-                        conn.closed.set()
-                self._dispatcher.advance()
-                for _ in batch:
-                    self._intake.task_done()
-                self._gauge_depth()
+            self._dispatcher.close_source(conn.source)
         except Exception as exc:
-            self._on_pump_failure(exc)
+            self._on_failure(exc)
+        else:
+            self._arm()
 
-    def _on_pump_failure(self, exc: Exception) -> None:
-        """Terminal: tell every open connection, stop accepting, wake finish()."""
+    def _dispatch(self, call, *args):
+        """``call(*args)`` on the dispatcher; an exception out of it is the server's failure."""
+        try:
+            return call(*args)
+        except Exception as exc:
+            self._on_failure(exc)
+            raise _ServerFailed from exc
+
+    # ------------------------------------------------------------------ intake
+    def _gated(self) -> None:
+        """One more item went through the gate since the last ``advance()``."""
+        self._depth += 1
+        self._gauge_depth()
+        self._arm()
+
+    def _arm(self) -> None:
+        self._fresh = True
+        if self._turn is None and self._failure is None:
+            self._turn = asyncio.get_running_loop().call_soon(self._on_turn)
+
+    def _stall(self, conn: _Connection) -> None:
+        """``conn`` holds frames at the bound: stop reading it until the advance."""
+        if conn.stalled:
+            return
+        conn.stalled = True
+        self._stalled.append(conn)
+        self._count("edge.backpressure_stalls")
+        self._event("backpressure_stall", depth=self._depth)
+        conn.transport.pause_reading()
+
+    def _on_turn(self) -> None:
+        """Sequence once a whole poll of the sockets gated nothing, or at the bound."""
+        if self._fresh and self._depth < self._max_inflight:
+            self._fresh = False
+            self._turn = asyncio.get_running_loop().call_soon(self._on_turn)
+            return
+        self._advance()
+
+    def _advance(self) -> None:
+        """``dispatcher.advance()``, then drain the connections held at the bound."""
+        self._turn = None
+        self._fresh = False
+        try:
+            self._dispatcher.advance()
+        except Exception as exc:
+            self._on_failure(exc)
+            return
+        self._depth = 0
+        self._gauge_depth()
+        # first stalled, first drained; whoever reaches the bound again
+        # goes to the back, and the rest keep their place for the next advance
+        while self._stalled and self._depth < self._max_inflight:
+            conn = self._stalled.popleft()
+            conn.stalled = False
+            conn.process()
+            if not (conn.stalled or conn.write_paused):
+                conn.transport.resume_reading()
+
+    def _on_failure(self, exc: Exception) -> None:
+        """Terminal: tell every open connection, stop accepting, let finish() raise."""
+        if self._failure is not None:
+            return
         self._failure = exc
         self._count("edge.server_failures")
         self._event("server_failure", error=repr(exc))
         if self._server is not None:
             self._server.close()
-        for conn, handler in list(self._handlers.items()):
-            try:
-                conn.writer.write(
-                    protocol.error_frame(protocol.ERR_SERVER_FAILURE, repr(exc))
-                )
-            except (ConnectionResetError, BrokenPipeError, OSError, RuntimeError):
-                pass
-            # the handler's teardown closes the transport, flushing the frame
-            handler.cancel()
-
-    def _ack(self, conn: _Connection, frame_type: int, payload: Dict[str, object]) -> None:
-        try:
-            conn.writer.write(protocol.encode_frame(frame_type, payload))
-            self._count("edge.acks")
-        except (ConnectionResetError, BrokenPipeError, OSError, RuntimeError):
-            pass  # receiver gone; admitted traffic is still sequenced
+        if self._turn is not None:
+            self._turn.cancel()
+            self._turn = None
+        self._stalled.clear()
+        farewell = protocol.error_frame(protocol.ERR_SERVER_FAILURE, repr(exc))
+        for conn in list(self._conns):
+            conn.holds_source = False  # the dispatcher is dead: nothing to release
+            conn.shut(farewell)
 
 
 __all__ = ["EdgeServer"]
