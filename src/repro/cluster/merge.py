@@ -83,7 +83,7 @@ from repro.core.cycles import RemovedEdge, break_cycles, check_policy
 from repro.core.engine import (
     EngineStats,
     PairTableCache,
-    _gaussian_params,
+    _cached_gaussian_params,
     batched_gaussian_pairs,
     cross_probability_matrix,
 )
@@ -578,6 +578,9 @@ class CrossShardMerger:
         self._model.register_client(client_id, distribution)
         self._tables.invalidate_client(client_id)
         self._windows.invalidate_client(client_id)
+        for streaming in self._streaming:
+            # rows observed from here on read the new closed-form parameters
+            streaming._client_params.pop(client_id, None)
 
     def streaming_merger(
         self, num_shards: Optional[int] = None, topology: Optional[MergeTopology] = None
@@ -771,6 +774,8 @@ class StreamingMerger:
         self._variance = np.zeros(64)
         self._message_node = np.zeros(64, dtype=np.int64)
         self._client_slots: Dict[str, List[int]] = {}
+        # closed-form parameters per client; refresh_client drops the entry
+        self._client_params: Dict[str, Optional[Tuple[float, float]]] = {}
         self._grid_clients: Set[str] = set()
         self._cross_pairs_evaluated = 0
         self._cross_pairs_pruned = 0
@@ -948,7 +953,7 @@ class StreamingMerger:
 
     def _store_params(self, client_id: str, slots: Union[int, np.ndarray]) -> None:
         """Write ``client_id``'s closed-form parameters into ``slots``."""
-        params = _gaussian_params(self._model, client_id)
+        params = _cached_gaussian_params(self._model, self._client_params, client_id)
         if params is None:
             self._grid_clients.add(client_id)
         else:
@@ -1275,6 +1280,7 @@ class StreamingMerger:
         """
         self._price_pending()
         self._windows.invalidate_client(client_id)
+        self._client_params.pop(client_id, None)
         slots = np.asarray(self._client_slots.get(client_id, ()), dtype=np.int64)
         if not slots.size:
             return 0

@@ -572,7 +572,11 @@ class IncrementalPrecedenceEngine:
         self._tables = PairTableCache(model, stats=self.stats)
 
         self._messages: List[TimestampedMessage] = []
+        # key -> arrival ordinal; ``ordinal - _base`` is the row position, so
+        # emitting the oldest k arrivals pops k keys and adds k to ``_base``
+        # instead of renumbering every survivor
         self._index: Dict[MessageKey, int] = {}
+        self._base = 0
         self._capacity = 16
         self._matrix = np.empty((self._capacity, self._capacity), dtype=float)
         self._direction = np.zeros((self._capacity, self._capacity), dtype=bool)
@@ -588,6 +592,7 @@ class IncrementalPrecedenceEngine:
         #: than reuses) its result: equal epochs mean the same candidate under
         #: the same distributions.
         self.candidate_epoch = 0
+        # client -> arrival ordinals of its tracked messages, ascending
         self._positions_by_client: Dict[str, List[int]] = {}
         self._client_params: Dict[str, Optional[Tuple[float, float]]] = {}
         self._quantiles: Dict[Tuple[str, float], float] = {}
@@ -615,7 +620,8 @@ class IncrementalPrecedenceEngine:
 
     def probability(self, key_a: MessageKey, key_b: MessageKey) -> float:
         """``P(key_a precedes key_b)`` from the maintained matrix."""
-        return float(self._matrix[self._index[key_a], self._index[key_b]])
+        index, base = self._index, self._base
+        return float(self._matrix[index[key_a] - base, index[key_b] - base])
 
     def probability_matrix(self) -> np.ndarray:
         """Copy of the live pairwise matrix (arrival order, diagonal 0.5)."""
@@ -666,22 +672,11 @@ class IncrementalPrecedenceEngine:
         self._grow(n + 1)
         row = self._compute_row(message, params, n)
         if n:
-            self._matrix[:n, n] = row
-            self._matrix[n, :n] = 1.0 - row
-            # kept-edge orientation, exactly like TournamentGraph.from_relation:
-            # ties (within tie_epsilon of 0.5) orient by message key, the rest
-            # by the larger direction probability
-            wins = row > (1.0 - row)
-            ties = np.abs(row - 0.5) <= self._tie_epsilon
-            if ties.any():
-                for position in np.flatnonzero(ties):
-                    wins[position] = self._messages[position].key <= key
-            self._direction[:n, n] = wins
-            self._direction[n, :n] = ~wins
-            beaters = int(wins.sum())
+            wins = self._orient(row, n, key)
+            beaters = np.count_nonzero(wins)
             candidate = self._candidate
             if candidate is not None and not (
-                wins[candidate].all()
+                np.count_nonzero(wins[candidate]) == candidate.size
                 and row[candidate].min() > self._threshold
                 and int(self._scores[:n] @ wins) * 2 == beaters * (2 * n - beaters - 1)
             ):
@@ -701,9 +696,38 @@ class IncrementalPrecedenceEngine:
             self._gaussian[n] = False
             self._grid_rows += 1
         self._messages.append(message)
-        self._index[key] = n
-        self._positions_by_client.setdefault(message.client_id, []).append(n)
+        ordinal = self._base + n
+        self._index[key] = ordinal
+        self._positions_by_client.setdefault(message.client_id, []).append(ordinal)
         self.stats.rows_appended += 1
+
+    def _orient(self, row: np.ndarray, n: int, key: MessageKey) -> np.ndarray:
+        """Write column/row ``n`` from ``row[i] = P(i precedes n)``; return the wins.
+
+        ``wins[i]`` is the kept edge ``i -> n``, exactly like
+        :meth:`~repro.core.tournament.TournamentGraph.from_relation`: ties
+        (within ``tie_epsilon`` of 0.5) orient by message key, the rest by
+        the larger direction probability.  ``row > 0.5`` is that comparison,
+        ``row > 1.0 - row``, for every float: rounding is monotone, so
+        ``row > 0.5`` gives ``fl(1 - row) <= 0.5 < row`` and ``row < 0.5``
+        gives ``fl(1 - row) >= 0.5 > row``; at 0.5 and for NaN both are
+        false.  Likewise ``|row - 0.5| <= 0`` is ``row == 0.5``.
+        """
+        matrix, direction = self._matrix, self._direction
+        matrix[:n, n] = row
+        np.subtract(1.0, row, out=matrix[n, :n])
+        wins = row > 0.5
+        if self._tie_epsilon:
+            ties = np.abs(row - 0.5) <= self._tie_epsilon
+        else:
+            ties = row == 0.5
+        if np.count_nonzero(ties):
+            messages = self._messages
+            for position in np.flatnonzero(ties):
+                wins[position] = messages[position].key <= key
+        direction[:n, n] = wins
+        np.logical_not(wins, out=direction[n, :n])
+        return wins
 
     def add_messages(self, messages: Sequence[TimestampedMessage]) -> None:
         """Append a simultaneity burst as one vectorized ``k x n`` block.
@@ -756,25 +780,17 @@ class IncrementalPrecedenceEngine:
             position = n0 + offset
             key = message.key
             if position:
-                row = block[:position, offset]
-                self._matrix[:position, position] = row
-                self._matrix[position, :position] = 1.0 - row
-                wins = row > (1.0 - row)
-                ties = np.abs(row - 0.5) <= self._tie_epsilon
-                if ties.any():
-                    for tie_position in np.flatnonzero(ties):
-                        wins[tie_position] = self._messages[tie_position].key <= key
-                self._direction[:position, position] = wins
-                self._direction[position, :position] = ~wins
+                wins = self._orient(block[:position, offset], position, key)
                 self._scores[:position] += wins
-                self._scores[position] = int(position - int(wins.sum()))
+                self._scores[position] = position - np.count_nonzero(wins)
             else:
                 self._scores[position] = 0
             self._matrix[position, position] = 0.5
             self._direction[position, position] = False
             self._messages.append(message)
-            self._index[key] = position
-            self._positions_by_client.setdefault(message.client_id, []).append(position)
+            ordinal = self._base + position
+            self._index[key] = ordinal
+            self._positions_by_client.setdefault(message.client_id, []).append(ordinal)
         self.stats.rows_appended += k
         self.stats.block_appends += 1
 
@@ -812,8 +828,10 @@ class IncrementalPrecedenceEngine:
             )
         if gaussian_rows.all() and new_gaussian.all():
             return block
+        base = self._base
         positions_by_client = {
-            client: list(positions) for client, positions in self._positions_by_client.items()
+            client: [ordinal - base for ordinal in ordinals]
+            for client, ordinals in self._positions_by_client.items()
         }
         cols_by_client: Dict[str, List[int]] = {}
         for offset, message in enumerate(burst):
@@ -900,7 +918,8 @@ class IncrementalPrecedenceEngine:
         client_j = message.client_id
         timestamp_j = message.timestamp
         interpolated = False
-        for client_i, positions in self._positions_by_client.items():
+        base = self._base
+        for client_i, ordinals in self._positions_by_client.items():
             if params is not None and self._params_for(client_i) is not None:
                 continue  # covered by the closed-form block above
             table = (
@@ -909,7 +928,7 @@ class IncrementalPrecedenceEngine:
                 else None
             )
             if table is not None:
-                pos = np.asarray(positions, dtype=np.intp)
+                pos = np.asarray(ordinals, dtype=np.intp) - base
                 # raw interpolation per pair group; the scalar path's clip is
                 # applied once over the whole row below (bit-equal: clipping
                 # is idempotent and a no-op on the closed-form entries)
@@ -919,9 +938,9 @@ class IncrementalPrecedenceEngine:
                 interpolated = True
                 self.stats.table_evaluations += pos.size
             else:
-                for position in positions:
-                    row[position] = self._model.preceding_probability(
-                        self._messages[position], message
+                for ordinal in ordinals:
+                    row[ordinal - base] = self._model.preceding_probability(
+                        self._messages[ordinal - base], message
                     )
                     self.stats.scalar_evaluations += 1
         if interpolated:
@@ -929,40 +948,64 @@ class IncrementalPrecedenceEngine:
         return row
 
     def remove_messages(self, keys: Set[MessageKey]) -> None:
-        """Drop emitted messages: compact the matrix and direction state."""
-        index = self._index
-        dropped = sorted({index[key] for key in keys if key in index})
+        """Drop emitted messages: compact the matrix and direction state.
+
+        Only the *front* — rows up to the newest emitted one — is renumbered:
+        ``_base`` moves past the ``k`` emitted rows, which shifts every row
+        behind the front down by ``k`` without touching it, and the front's
+        survivors take fresh ordinals in front of those.  An emission of the
+        oldest ``k`` arrivals (the common case) therefore costs ``O(k)``
+        Python, and any emission ``O(front)``, never ``O(pending)``.
+        """
+        index, base = self._index, self._base
+        dropped = sorted({index[key] - base for key in keys if key in index})
         if not dropped:
             return
         self._candidate = None
         n = self.size
         k = len(dropped)
         m = n - k
-        if dropped[-1] == k - 1:
-            # the batch is the oldest k arrivals (the common emission): the
-            # survivors are one contiguous block, slid down with slices
+        front = self._messages[: dropped[-1] + 1]
+        gone = set(dropped)
+        self._base = ordinal = base + k
+        kept: List[int] = []
+        counts: Dict[str, int] = {}
+        renumbered: Dict[str, List[int]] = {}
+        for position, message in enumerate(front):
+            client_id = message.client_id
+            counts[client_id] = counts.get(client_id, 0) + 1
+            if position in gone:
+                del index[message.key]
+            else:
+                index[message.key] = ordinal
+                renumbered.setdefault(client_id, []).append(ordinal)
+                kept.append(position)
+                ordinal += 1
+        # a client's ordinals ascend, so its front rows are a prefix of its
+        # list, and the renumbered ones still precede the rest
+        by_client = self._positions_by_client
+        for client_id, count in counts.items():
+            ordinals = by_client[client_id]
+            ordinals[:count] = renumbered.get(client_id, ())
+            if not ordinals:
+                del by_client[client_id]
+        self._messages[: len(front)] = [front[position] for position in kept]
+        if kept:
+            keep = np.concatenate((kept, np.arange(len(front), n)))
+            block = np.ix_(keep, keep)
+        else:
+            # the oldest k arrivals: the survivors are one contiguous block,
+            # slid down with slices
             keep = slice(k, n)
             block = (keep, keep)
-            self._messages = self._messages[k:]
-        else:
-            gone = set(dropped)
-            keep_positions = [position for position in range(n) if position not in gone]
-            keep = np.asarray(keep_positions, dtype=int)
-            block = np.ix_(keep, keep)
-            self._messages = [self._messages[position] for position in keep_positions]
         if m:
             self._matrix[:m, :m] = self._matrix[block]
             self._direction[:m, :m] = self._direction[block]
             self._scores[:m] = self._direction[:m, :m].sum(axis=1)
-            for name in ("_timestamps", "_means", "_variances", "_gaussian"):
-                array = getattr(self, name)
+            for array in (self._timestamps, self._means, self._variances, self._gaussian):
                 array[:m] = array[:n][keep]
         if self._grid_rows:
             self._grid_rows = m - int(np.count_nonzero(self._gaussian[:m]))
-        self._index = {message.key: position for position, message in enumerate(self._messages)}
-        self._positions_by_client = {}
-        for position, message in enumerate(self._messages):
-            self._positions_by_client.setdefault(message.client_id, []).append(position)
         self.stats.rows_removed += k
 
     def invalidate_client(self, client_id: str) -> None:
@@ -998,6 +1041,7 @@ class IncrementalPrecedenceEngine:
         messages = self._messages
         self._messages = []
         self._index = {}
+        self._base = 0
         self._positions_by_client = {}
         self._grid_rows = 0
         for message in messages:

@@ -41,7 +41,7 @@ from repro.core.config import TommyConfig
 from repro.core.cycles import resolve_cycles
 from repro.core.engine import EngineStats, IncrementalPrecedenceEngine
 from repro.core.probability import PrecedenceModel
-from repro.core.relation import LikelyHappenedBefore
+from repro.core.relation import LikelyHappenedBefore, MessageKey
 from repro.core.tournament import TournamentGraph
 from repro.distributions.base import OffsetDistribution
 from repro.network.message import Heartbeat, SequencedBatch, TimestampedMessage
@@ -123,7 +123,8 @@ class OnlineTommySequencer(Entity):
         self._known_clients = (
             set(known_clients) if known_clients is not None else set(client_distributions)
         )
-        self._pending: List[TimestampedMessage] = []
+        # key -> message in arrival order: an emission deletes its k keys
+        self._pending: Dict[MessageKey, TimestampedMessage] = {}
         self._arrival_times: Dict[Tuple[str, int], float] = {}
         self._latest_client_timestamp: Dict[str, float] = {}
         # incremental completeness horizon: known clients never heard from,
@@ -167,7 +168,7 @@ class OnlineTommySequencer(Entity):
     @property
     def pending_messages(self) -> List[TimestampedMessage]:
         """Messages received but not yet emitted."""
-        return list(self._pending)
+        return list(self._pending.values())
 
     @property
     def emitted_batches(self) -> List[EmittedBatch]:
@@ -259,20 +260,20 @@ class OnlineTommySequencer(Entity):
         """Handle an arriving message or heartbeat.
 
         Designed to be wired directly into
-        :meth:`repro.network.transport.SequencerEndpoint.on_arrival`.
+        :meth:`repro.network.transport.SequencerEndpoint.on_arrival`.  A
+        message that is rejected (unregistered client, key already pending)
+        raises before any state changes.
         """
         arrival = self.now if arrival_time is None else float(arrival_time)
         if isinstance(item, Heartbeat):
             self._note_client_progress(item.client_id, item.timestamp)
         elif isinstance(item, TimestampedMessage):
-            if not self._model.has_client(item.client_id):
-                raise KeyError(
-                    f"client {item.client_id!r} has no registered clock-error distribution"
-                )
-            self._pending.append(item)
+            self._check_admissible(item)
+            key = item.key
             if self._engine is not None:
                 self._engine.add_message(item)
-            self._arrival_times[item.key] = arrival
+            self._pending[key] = item
+            self._arrival_times[key] = arrival
             self._note_client_progress(item.client_id, item.timestamp)
             if self._obs.enabled:
                 self._obs.stage("engine_append", item, arrival, shard=self._shard_index)
@@ -293,34 +294,47 @@ class OnlineTommySequencer(Entity):
         vectorized block append and exactly one emission check is scheduled —
         the fast path coalescing transports
         (:class:`~repro.network.transport.SequencerEndpoint`) deliver into.
+        The whole burst is validated first: one rejected item raises before
+        any of the burst is applied.
         """
         burst = list(items)
         if not burst:
             return
         arrival = self.now if arrival_time is None else float(arrival_time)
-        messages: List[TimestampedMessage] = []
+        heartbeats: List[Heartbeat] = []
+        messages: Dict[MessageKey, TimestampedMessage] = {}
         for item in burst:
             if isinstance(item, Heartbeat):
-                self._note_client_progress(item.client_id, item.timestamp)
+                heartbeats.append(item)
             elif isinstance(item, TimestampedMessage):
-                if not self._model.has_client(item.client_id):
-                    raise KeyError(
-                        f"client {item.client_id!r} has no registered clock-error distribution"
-                    )
-                messages.append(item)
+                self._check_admissible(item)
+                if item.key in messages:
+                    raise ValueError(f"message {item.key!r} appears twice in the burst")
+                messages[item.key] = item
             else:
                 raise TypeError(f"unsupported item type {type(item).__name__}")
+        for heartbeat in heartbeats:
+            self._note_client_progress(heartbeat.client_id, heartbeat.timestamp)
         if messages:
-            self._pending.extend(messages)
             if self._engine is not None:
-                self._engine.add_messages(messages)
-            for message in messages:
+                self._engine.add_messages(list(messages.values()))
+            self._pending.update(messages)
+            for message in messages.values():
                 self._arrival_times[message.key] = arrival
                 self._note_client_progress(message.client_id, message.timestamp)
             if self._obs.enabled:
-                for message in messages:
+                for message in messages.values():
                     self._obs.stage("engine_append", message, arrival, shard=self._shard_index)
         self._schedule_check()
+
+    def _check_admissible(self, message: TimestampedMessage) -> None:
+        """Raise unless ``message`` may join the pending set."""
+        if not self._model.has_client(message.client_id):
+            raise KeyError(
+                f"client {message.client_id!r} has no registered clock-error distribution"
+            )
+        if message.key in self._pending:
+            raise ValueError(f"message {message.key!r} is already pending")
 
     def _note_client_progress(self, client_id: str, timestamp: float) -> None:
         current = self._latest_client_timestamp.get(client_id)
@@ -370,7 +384,7 @@ class OnlineTommySequencer(Entity):
 
     def _reference_tentative_groups(self) -> List[List[TimestampedMessage]]:
         """The original recompute-everything path (parity oracle for the engine)."""
-        relation = LikelyHappenedBefore.from_model(self._pending, self._model)
+        relation = LikelyHappenedBefore.from_model(list(self._pending.values()), self._model)
         tournament = TournamentGraph.from_relation(relation, tie_epsilon=self._config.tie_epsilon)
         resolve_cycles(tournament.graph, self._config.cycle_policy, rng=self._rng)
         order = tournament.topological_order()
@@ -536,10 +550,10 @@ class OnlineTommySequencer(Entity):
         self._emitted.append(emitted)
         self._next_rank += 1
         emitted_keys = {message.key for message in candidate}
-        self._pending = [message for message in self._pending if message.key not in emitted_keys]
         # release per-message bookkeeping: without this the arrival-time dict
         # (and the engine's matrix row) would grow for the sequencer's lifetime
         for key in emitted_keys:
+            del self._pending[key]
             self._arrival_times.pop(key, None)
         if self._engine is not None:
             self._engine.remove_messages(emitted_keys)
@@ -572,7 +586,7 @@ class OnlineTommySequencer(Entity):
         durability item).
         """
         return {
-            "pending": tuple(self._pending),
+            "pending": tuple(self._pending.values()),
             "arrival_times": dict(self._arrival_times),
             "latest_client_timestamp": dict(self._latest_client_timestamp),
             "known_clients": tuple(sorted(self._known_clients)),
@@ -604,7 +618,7 @@ class OnlineTommySequencer(Entity):
         self._floor_client = None
         self._floor_stale = bool(self._latest_client_timestamp)
         pending = list(state["pending"])
-        self._pending = pending
+        self._pending = {message.key: message for message in pending}
         self._arrival_times = dict(state["arrival_times"])
         if self._engine is not None and pending:
             self._engine.add_messages(pending)

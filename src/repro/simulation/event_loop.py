@@ -5,6 +5,10 @@ scheduled at an absolute *true time* and executed in non-decreasing time
 order.  Ties are broken deterministically by a monotonically increasing
 sequence number so that two runs with the same seed produce the same
 execution order.
+
+The heap holds ``(time, priority, seq, event)`` tuples rather than the
+events themselves: ``seq`` is unique, so ``heapq`` settles every comparison
+on the first three fields in C and never reaches the :class:`Event`.
 """
 
 from __future__ import annotations
@@ -12,19 +16,19 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation is driven into an invalid state."""
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A single scheduled event.
+    """A single scheduled event: the handle :meth:`EventLoop.schedule_at` returns.
 
-    Events compare by ``(time, priority, seq)``; the callback and payload are
-    excluded from the ordering so arbitrary callables can be scheduled.
+    The loop executes events in ``(time, priority, seq)`` order; the heap
+    keys its entries on those fields, so events themselves never compare.
     """
 
     time: float
@@ -84,7 +88,7 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -154,16 +158,18 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule event at {when:.9f}, time is already {self._now:.9f}"
             )
+        at = float(when)
+        seq = next(self._seq)
         event = Event(
-            time=float(when),
+            time=at,
             priority=priority,
-            seq=next(self._seq),
+            seq=seq,
             callback=callback,
             args=args,
             kwargs=kwargs,
             label=label,
         )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (at, priority, seq, event))
         self._stats["scheduled"] += 1
         return event
 
@@ -203,7 +209,7 @@ class EventLoop:
             len(self._queue) >= self.COMPACTION_MIN_QUEUE
             and 2 * self._cancelled_pending > len(self._queue)
         ):
-            self._queue = [event for event in self._queue if not event.cancelled]
+            self._queue = [entry for entry in self._queue if not entry[3].cancelled]
             heapq.heapify(self._queue)
             self._cancelled_pending = 0
             self._stats["compactions"] += 1
@@ -216,7 +222,7 @@ class EventLoop:
         silently discarded.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
@@ -264,10 +270,10 @@ class EventLoop:
 
     def _peek(self) -> Optional[Event]:
         """Return the next non-cancelled event without removing it."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
             self._cancelled_pending -= 1
-        return self._queue[0] if self._queue else None
+        return self._queue[0][3] if self._queue else None
 
     def next_event_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` when idle."""

@@ -17,6 +17,7 @@ from repro.cluster import merge as merge_module
 from repro.cluster.merge import CrossShardMerger
 from repro.cluster.sharded import ShardedSequencer
 from repro.cluster.tree import MergeTopology
+from repro.core import engine as engine_module
 from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel
 from repro.distributions.empirical import EmpiricalDistribution
@@ -209,6 +210,37 @@ def test_streaming_refresh_client_reprices_pairs():
         **oracle.result.metadata,
         "merge_wall_seconds": live.result.metadata["merge_wall_seconds"],
     }
+
+
+def test_closed_form_parameters_are_read_once_per_client_until_a_refresh():
+    rng = np.random.default_rng(6)
+    model, shard_clients = build_model(2, 2, rng)
+    streams = build_streams(shard_clients, 6, rng)
+    merger = CrossShardMerger(model, seed=0)
+    streaming = merger.streaming_merger(num_shards=2)
+    observations = random_interleaving(streams, rng)
+    with mock.patch.object(
+        engine_module, "_gaussian_params", wraps=engine_module._gaussian_params
+    ) as derive:
+        for shard, batch in observations[:6]:
+            streaming.observe_batch(shard, batch)
+    assert streaming.pending_nodes == 6  # nothing priced: every call was a row store
+    messages = [message for _, batch in observations[:6] for message in batch.messages]
+    assert derive.call_count == len({message.client_id for message in messages}) < len(messages)
+    # a registration through the merger reaches the rows observed after it
+    refreshed = messages[0].client_id
+    wider = GaussianDistribution(0.0, 5.0)
+    merger.register_client(refreshed, wider)
+    for shard, batch in observations[6:]:
+        streaming.observe_batch(shard, batch)
+    assert streaming._client_params[refreshed] == (wider.mean, wider.variance)
+    # a registration on the model alone is picked up by refresh_client
+    narrower = GaussianDistribution(0.0, 0.001)
+    model.register_client(refreshed, narrower)
+    streaming.refresh_client(refreshed)
+    assert streaming._client_params[refreshed] == (narrower.mean, narrower.variance)
+    oracle = CrossShardMerger(model, seed=0).merge(streams)
+    assert fingerprint(streaming.result()) == fingerprint(oracle)
 
 
 def test_cluster_live_merge_matches_offline_merge():

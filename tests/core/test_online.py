@@ -207,3 +207,48 @@ def test_batch_age_still_tracks_oldest_pending_arrival():
     loop.run(until=2.0)
     sequencer.receive(second, arrival_time=2.0)
     assert sequencer._batch_age([first, second]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("use_engine", [True, False])
+def test_rejected_receive_leaves_no_trace(use_engine):
+    """Regression: a repeated key used to join the pending set before the
+    engine rejected it, leaving two pending copies of one message."""
+    loop = EventLoop()
+    distributions = {"a": GaussianDistribution(0.0, 1.0), "b": GaussianDistribution(0.0, 1.0)}
+    sequencer = OnlineTommySequencer(
+        loop, distributions, TommyConfig(completeness_mode="none"), use_engine=use_engine
+    )
+    message = make_message("a", 0.0)
+    sequencer.receive(message, arrival_time=0.0)
+    with pytest.raises(ValueError):
+        sequencer.receive(message, arrival_time=0.5)
+    assert sequencer.pending_messages == [message]
+    assert sequencer.arrival_time_of(message) == 0.0
+    if use_engine:
+        assert sequencer.engine.size == 1
+
+
+@pytest.mark.parametrize("use_engine", [True, False])
+def test_rejected_burst_leaves_no_trace(use_engine):
+    loop = EventLoop()
+    distributions = {"a": GaussianDistribution(0.0, 1.0), "b": GaussianDistribution(0.0, 1.0)}
+    sequencer = OnlineTommySequencer(
+        loop, distributions, TommyConfig(completeness_mode="heartbeat"), use_engine=use_engine
+    )
+    message = make_message("a", 0.0)
+    sequencer.receive_many([message], arrival_time=0.0)
+    fresh = make_message("b", 0.1)
+    for burst in (
+        [Heartbeat(client_id="b", timestamp=9.0), fresh, message],  # already pending
+        [fresh, Heartbeat(client_id="b", timestamp=9.0), fresh],  # twice in one burst
+        [fresh, make_message("unknown", 0.2)],  # unregistered client
+    ):
+        with pytest.raises((ValueError, KeyError)):
+            sequencer.receive_many(burst, arrival_time=1.0)
+        assert sequencer.pending_messages == [message]
+        assert sequencer.arrival_time_of(fresh) is None
+        assert sequencer._latest_client_timestamp == {"a": 0.0}
+        if use_engine:
+            assert sequencer.engine.size == 1
+    sequencer.receive_many([fresh], arrival_time=1.0)
+    assert sequencer.pending_messages == [message, fresh]

@@ -195,3 +195,53 @@ def test_small_queues_are_never_compacted():
     loop.cancel(event)
     assert loop.stats()["compactions"] == 0
     assert loop.pending_events == 2  # lazy removal still applies below the floor
+
+
+def test_equal_time_events_order_by_priority_then_by_scheduling_order():
+    loop = EventLoop()
+    fired = []
+    for label, priority in [("b1", 1), ("a1", 0), ("b2", 1), ("z", -1), ("a2", 0), ("b3", 1)]:
+        loop.schedule_at(1.0, fired.append, label, priority=priority)
+    loop.schedule_at(0.5, fired.append, "early", priority=9)
+    loop.run()
+    assert fired == ["early", "z", "a1", "a2", "b1", "b2", "b3"]
+
+
+def test_heap_entries_are_keyed_tuples_and_events_never_compare():
+    loop = EventLoop()
+    first = loop.schedule_at(2.0, lambda: None, priority=3, label="x")
+    second = loop.schedule_at(1.0, lambda: None)
+    assert (first.time, first.priority, first.seq, first.label) == (2.0, 3, 0, "x")
+    assert sorted(loop._queue) == [(1.0, 0, 1, second), (2.0, 3, 0, first)]
+    with pytest.raises(TypeError):
+        first < second  # the heap orders its keys; the handle has no ordering
+
+
+def test_peek_reaps_cancelled_heads_and_returns_the_event():
+    loop = EventLoop()
+    doomed = [loop.schedule_at(float(k), lambda: None) for k in range(3)]
+    survivor = loop.schedule_at(5.0, lambda: None, label="survivor")
+    for event in doomed:
+        loop.cancel(event)
+    assert loop.pending_events == 4
+    assert loop._peek() is survivor
+    assert loop.next_event_time() == 5.0
+    assert loop.pending_events == 1  # the three cancelled heads were popped
+    assert loop.step() is survivor
+    assert loop._peek() is None and loop.next_event_time() is None
+
+
+def test_compaction_keeps_the_live_entries_in_order():
+    loop = EventLoop()
+    fired = []
+    live = [loop.schedule_at(1.0, fired.append, k, priority=k % 3) for k in range(40)]
+    doomed = [loop.schedule_at(0.5, fired.append, -k) for k in range(60)]
+    for event in doomed:
+        loop.cancel(event)
+    assert loop.stats()["compactions"] == 1
+    assert loop.pending_events < 100
+    queued = [entry[3] for entry in loop._queue if not entry[3].cancelled]
+    assert sorted(queued, key=lambda event: event.seq) == live
+    loop.run()
+    expected = sorted(range(40), key=lambda k: (k % 3, k))
+    assert fired == expected
