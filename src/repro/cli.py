@@ -464,17 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight",
         type=_positive_int,
         default=64,
-        help="serve only: bound of the global intake queue — when full, "
-        "handlers stop reading their sockets and TCP flow control pushes "
-        "back to clients (default 64)",
+        help="serve only: bound on the items gated since the last advance() "
+        "— at the bound, connections stop reading their sockets until the "
+        "advance and TCP flow control pushes back to clients (default 64)",
     )
     parser.add_argument(
         "--idle-grace",
         type=float,
         default=0.2,
-        help="serve only: seconds of idleness (no connections, empty intake "
-        "queue, at least one connection served) before the edge drains and "
-        "prints the run summary (default 0.2)",
+        help="serve only: seconds of idleness (no open connection and "
+        "nothing gated, after at least one connection was served) before "
+        "the edge drains and prints the run summary (default 0.2)",
     )
     parser.add_argument(
         "experiment",

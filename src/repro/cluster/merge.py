@@ -12,12 +12,13 @@ the same probabilistic machinery the sequencer itself uses:
   probability over their message cross pairs — the batch-level analogue of
   :class:`~repro.core.relation.LikelyHappenedBefore` (the mean preserves
   complementarity: ``P(A<B) + P(B<A) = 1``);
-* the kept directions are held as a boolean matrix, never as a graph: a
-  Kahn pass with the deterministic tie-break of
-  :class:`~repro.core.tournament.TournamentGraph` linearises it, and when the
-  tournament is cyclic :func:`~repro.core.cycles.break_cycles` first clears
-  victims in that matrix under the configured policy — within-shard chain
-  edges are never candidates (``merge_cycle`` telemetry names each victim);
+* the kept directions are never materialised as a graph: a Kahn pass with
+  the deterministic tie-break of :class:`~repro.core.tournament.TournamentGraph`
+  reads them off the certainty windows and the pair store, and only when
+  that pass stalls on a cycle is a boolean direction matrix built, in which
+  :func:`~repro.core.cycles.break_cycles` clears victims under the
+  configured policy — within-shard chain edges are never candidates
+  (``merge_cycle`` telemetry names each victim);
 * finally, adjacent batches from *different* shards whose precedence
   probability does not exceed the threshold are coalesced into one
   cluster-wide rank — the probabilistic merge: the cluster refuses to
@@ -47,8 +48,9 @@ never stored — ``earliest <= latest`` makes ``before`` and ``after`` exclusive
 so ``result()``, ``forward_matrix()`` and a refresh read its exact 0/1 off the
 stored windows.  The rule and the kernel have two callers: the *block flush*
 ``_price_pending`` (every observed-but-unpriced row against every earlier
-cross-shard node) and ``refresh_client`` (the rows a distribution refresh can
-move).  ``observe_batch`` only appends: a pair's float does not depend on
+cross-shard node, enumerating only the window where the band can lie) and
+``refresh_client`` (the rows a distribution refresh can move).
+``observe_batch`` only appends: a pair's float does not depend on
 which call computes it, so pricing waits until pending rows × observed nodes
 reach the kernel's own element budget (``_CHUNK_ELEMENTS``) or until priced
 state is *read* — ``result()``, ``forward_matrix()``, the pair counters,
@@ -56,11 +58,11 @@ state is *read* — ``result()``, ``forward_matrix()``, the pair counters,
 :attr:`CrossShardMerger.engine_stats` and (before the model changes)
 :meth:`CrossShardMerger.register_client` all settle the pending block first.
 No reader can see a state that pricing on arrival would not have shown, the
-priced prefix trails observation by at most one block, and every mask of a
-flush stays inside the budget.  The offline :meth:`CrossShardMerger.merge`
-is the same walk over whole streams.  ``result()`` linearises windows plus
-store through one transient N×N *bool* direction matrix (a float square only
-on the cyclic path, for ``break_cycles``) — byte-identical to a fresh
+priced prefix trails observation by at most one block.  The offline
+:meth:`CrossShardMerger.merge` is the same walk over whole streams.
+``result()`` linearises windows plus store in O(nodes + band) — one N×N
+*bool* direction matrix only on the cyclic path, for ``break_cycles``, which
+reads edge weights through a view over the store — byte-identical to a fresh
 :meth:`CrossShardMerger.merge` over the same streams in any observation
 interleaving and under any element budget.  ``forward_matrix()`` materialises
 the dense matrix for ``tests/reference``, the unpruned per-pair oracle both
@@ -116,10 +118,9 @@ def window_rule(
     Returns the ``(before, after, band)`` masks of shape ``(len(a), len(b))``:
     ``before`` — a's window closes before b's opens, so ``P(a before b)`` is
     exactly ``1.0``; ``after`` — the reverse, exactly ``0.0``; ``band`` —
-    the windows overlap and the pair needs the kernel.  The block flush
-    (streaming and offline alike), ``refresh_client`` and ``forward_matrix()``
-    all classify through it; ``result()`` reads ``before`` alone, as the one
-    bool square it keeps.
+    the windows overlap and the pair needs the kernel.  ``refresh_client``
+    and ``forward_matrix()`` classify through it; the block flush and
+    ``result()`` apply the same two comparisons to the pairs they enumerate.
     """
     before = earliest_b[None, :] > latest_a[:, None]
     after = earliest_a[:, None] > latest_b[None, :]
@@ -238,9 +239,11 @@ def _empty_outcome(start: float) -> MergeOutcome:
 class _NodeLayout:
     """Shard-major node enumeration of the linearisation stage.
 
-    One construction per merge: the node list, its shard lookup array and
-    the cross-shard upper-triangle mask (the canonical pair orientation;
-    shard-major ids make "lower shard" and "upper triangle" the same thing).
+    One construction per merge: the node list, its shard lookup array, each
+    shard's first id and every node's within-shard chain successor (``-1``
+    for a shard's last batch).  Shard-major ids make "lower shard" and
+    "lower id" the same thing for a cross-shard pair: the canonical pair
+    orientation.
     """
 
     def __init__(self, streams: Sequence[Sequence[SequencedBatch]]) -> None:
@@ -249,109 +252,240 @@ class _NodeLayout:
         ]
         self.node_shard = np.asarray([shard for shard, _ in self.nodes], dtype=np.int64)
         self.shard_lengths = [len(stream) for stream in streams]
-        self.cross_upper = self.node_shard[:, None] < self.node_shard[None, :]
+        bounds = np.cumsum([0] + self.shard_lengths)
+        self.bases: List[int] = bounds[:-1].tolist()
+        ids = np.arange(len(self.nodes), dtype=np.int64)
+        ends = np.repeat(bounds[1:], self.shard_lengths)
+        self.chain_next = np.where(ids + 1 < ends, ids + 1, -1)
 
 
-def _lexicographic_order(
-    layout: _NodeLayout, edge: np.ndarray, out_degree: np.ndarray
+class _Band(NamedTuple):
+    """What the linearise/coalesce core reads of the priced pairs, by shard-major id.
+
+    A cross-shard pair is either *pruned* — ``earliest[v] > latest[u]`` is
+    the kept edge ``u -> v`` with probability exactly 1 — or *stored*:
+    ``forward`` of the pair ``(a, b)``, lower id on the a-side, under
+    ``keys = a * n + b`` in ascending order.
+    """
+
+    earliest: np.ndarray
+    latest: np.ndarray
+    keys: np.ndarray
+    forward: np.ndarray
+
+    @classmethod
+    def of(
+        cls, earliest: np.ndarray, latest: np.ndarray, keys: np.ndarray, forward: np.ndarray
+    ) -> "_Band":
+        """The band of stored pairs given by key in any order."""
+        by_key = np.argsort(keys)
+        return cls(earliest, latest, keys[by_key], forward[by_key])
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pair_a, pair_b)`` of the stored pairs, in key order."""
+        return np.divmod(self.keys, self.earliest.size)
+
+    def stored(self, sources: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(found, P(source before target))`` of each pair, read off the store:
+        ``found`` marks the stored pairs, and only their entries are meaningful."""
+        lower, upper = np.minimum(sources, targets), np.maximum(sources, targets)
+        wanted = lower * self.earliest.size + upper
+        slot = np.searchsorted(self.keys, wanted)
+        found = slot < self.keys.size
+        found[found] = self.keys[slot[found]] == wanted[found]
+        forward = np.full(found.shape, np.nan)
+        stored = self.forward[slot[found]]
+        forward[found] = np.where(sources[found] < targets[found], stored, 1.0 - stored)
+        return found, forward
+
+    def forward_of(self, previous: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """``P(previous before node)`` of cross-shard pairs: the exact 0/1 of a
+        pruned pair, the stored mean of a band pair, NaN for neither."""
+        earliest, latest = self.earliest, self.latest
+        pruned = [earliest[node] > latest[previous], earliest[previous] > latest[node]]
+        forwards = np.select(pruned, [1.0, 0.0], np.nan)
+        found, stored = self.stored(previous, node)
+        forwards[found] = stored[found]
+        return forwards
+
+
+class _EdgeWeights:
+    """``probability[sources, targets]`` of kept edges, for ``break_cycles``.
+
+    A view over the store: a stored pair weighs its ``forward`` or
+    ``1 - forward`` by orientation, and a pruned kept edge weighs exactly
+    ``1.0`` whichever way it points.  Nothing of size N² is built.
+    """
+
+    def __init__(self, band: _Band) -> None:
+        self._band = band
+
+    def __getitem__(self, index: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        sources, targets = (np.atleast_1d(side) for side in index)
+        found, stored = self._band.stored(sources, targets)
+        weights = np.where(found, stored, 1.0)
+        return weights if np.ndim(index[0]) else weights[0]
+
+
+def _matrix_band(layout: _NodeLayout, forward_matrix: np.ndarray) -> _Band:
+    """A dense shard-major forward matrix as a band: nothing prunes (infinite
+    windows) and every cross-shard pair is stored with its entry above the
+    diagonal."""
+    pair_a, pair_b = np.triu_indices(len(layout.nodes), k=1)
+    cross = layout.node_shard[pair_a] != layout.node_shard[pair_b]
+    pair_a, pair_b = pair_a[cross], pair_b[cross]
+    unbounded = np.full(len(layout.nodes), np.inf)
+    keys = pair_a * unbounded.size + pair_b
+    return _Band.of(-unbounded, unbounded, keys, forward_matrix[pair_a, pair_b])
+
+
+def _kahn(
+    layout: _NodeLayout,
+    earliest: np.ndarray,
+    latest: np.ndarray,
+    out_degree: np.ndarray,
+    in_degree: np.ndarray,
+    successors: Callable[[int], np.ndarray],
 ) -> Optional[List[int]]:
     """Kahn's algorithm with the reference lexicographical tie-break.
 
-    ``edge[u][v]`` holds the directed cross-shard kept edges; the
-    within-shard emission chains are modelled implicitly: only the earliest
-    unplaced batch of each shard is ever a candidate.  Returns node ids in
-    order, or ``None`` when the graph is cyclic.  The candidate choice
-    minimises ``(-out_degree, node)`` — the key of a lexicographical
-    topological sort over the materialised graph
-    (``tests/reference/linearise_reference.py``), unique per node, so both
-    orders agree node for node.
+    Kept cross-shard edges come two ways: *explicit* ones — ``in_degree``
+    counts them (and is consumed), ``successors(u)`` lists their targets out
+    of ``u`` — and *pruned* ones, ``y -> h`` for every ``y`` in another shard
+    whose window closes before ``h``'s opens.  The within-shard chains are
+    modelled implicitly: only the earliest unplaced batch of each shard, its
+    head, is ever a candidate.  A shard's unplaced nodes are therefore a
+    suffix of it, so a head has an unplaced pruned predecessor iff another
+    shard's *floor* — the minimum ``latest`` over that suffix — is below the
+    head's ``earliest``.  Returns node ids in order, or ``None`` when the
+    graph is cyclic.  The candidate choice minimises ``(-out_degree, node)``
+    — the key of a lexicographical topological sort over the materialised
+    graph (``tests/reference/linearise_reference.py``); shard-major ids
+    order like the nodes, so both orders agree node for node.
     """
-    node_shard, shard_lengths, nodes = layout.node_shard, layout.shard_lengths, layout.nodes
-    num_shards = len(shard_lengths)
-    bases: List[int] = []
-    base = 0
-    for length in shard_lengths:
-        bases.append(base)
-        base += length
-    next_index = [0] * num_shards
-    indegree = edge.sum(axis=0).astype(np.int64)
+    heads = list(layout.bases)
+    ends = [base + length for base, length in zip(heads, layout.shard_lengths)]
+    floors = [
+        np.minimum.accumulate(latest[base:end][::-1])[::-1].tolist() + [np.inf]
+        for base, end in zip(heads, ends)
+    ]
+    floor = [suffix[0] for suffix in floors]
+    rank = (-out_degree).tolist()
+    opens = earliest.tolist()
+    shards = range(len(heads))
     order: List[int] = []
-    total = len(nodes)
-    for _ in range(total):
-        best_id = -1
-        best_key: Optional[Tuple[int, BatchNode]] = None
-        for shard in range(num_shards):
-            if next_index[shard] >= shard_lengths[shard]:
+    for _ in range(len(layout.nodes)):
+        # a head is blocked by the lowest floor of the *other* shards
+        low, low_shard, second = np.inf, -1, np.inf
+        for shard in shards:
+            if floor[shard] < low:
+                low, low_shard, second = floor[shard], shard, low
+            elif floor[shard] < second:
+                second = floor[shard]
+        best = best_shard = -1
+        for shard in shards:
+            head = heads[shard]
+            if head == ends[shard] or in_degree[head]:
                 continue
-            head = bases[shard] + next_index[shard]
-            if indegree[head]:
+            if (second if shard == low_shard else low) < opens[head]:
                 continue
-            key = (-int(out_degree[head]), nodes[head])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_id = head
-        if best_id < 0:
+            if best < 0 or (rank[head], head) < (rank[best], best):
+                best, best_shard = head, shard
+        if best < 0:
             return None  # cyclic: some unplaced head still has predecessors
-        order.append(best_id)
-        next_index[node_shard[best_id]] += 1
-        indegree[edge[best_id]] -= 1
+        order.append(best)
+        heads[best_shard] += 1
+        floor[best_shard] = floors[best_shard][heads[best_shard] - layout.bases[best_shard]]
+        in_degree[successors(best)] -= 1
     return order
 
 
-class _Edges(NamedTuple):
-    """What the linearise/coalesce core reads of the priced pairs, by shard-major id."""
+def _band_order(layout: _NodeLayout, band: _Band) -> Optional[List[int]]:
+    """:func:`_kahn` straight off the windows and the store, in O(nodes + band).
 
-    wins: np.ndarray  # cross-shard upper triangle: the lower-shard node precedes (forward >= 0.5)
-    probability: Callable[[], np.ndarray]  # kept-edge weights for break_cycles; built on a cycle
-    forward_of: Callable[[np.ndarray, np.ndarray], np.ndarray]  # P(previous before node) or NaN
-
-
-def _dense_edges(layout: _NodeLayout, forward_matrix: np.ndarray) -> _Edges:
-    """The core's view of a dense shard-major forward matrix: a kept edge weighs
-    ``forward`` above the diagonal, the complement of its mirror entry below."""
-    return _Edges(
-        layout.cross_upper & (forward_matrix >= 0.5),
-        lambda: np.where(layout.cross_upper, forward_matrix, (1.0 - forward_matrix).T),
-        lambda previous, node: forward_matrix[previous, node],
+    Every cross-shard pair keeps exactly one direction, so of any two shard
+    heads one precedes the other: at most one head at a time is free of
+    unplaced predecessors.  The ``(-out_degree, node)`` tie-break therefore
+    never decides on this pass, and no out-degree is computed; it decides
+    only once ``break_cycles`` has removed edges (see :func:`_kept_order`).
+    The band's edges are CSR arrays.
+    """
+    n = len(layout.nodes)
+    band_out, in_degree, by_source = _band_edges(band)
+    bounds = np.concatenate(([0], np.cumsum(band_out))).tolist()
+    return _kahn(
+        layout,
+        band.earliest,
+        band.latest,
+        np.zeros(n, dtype=np.int64),
+        in_degree,
+        lambda node: by_source[bounds[node] : bounds[node + 1]],
     )
+
+
+def _band_edges(band: _Band) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(out_degree, in_degree, targets)`` of the stored pairs' kept edges,
+    the targets grouped by source in ascending source order (CSR).  A
+    function of its own so its temporaries are freed before the walk."""
+    n = band.earliest.size
+    sources, targets = band.pairs()
+    losers = ~(band.forward >= 0.5)  # the b-side precedes
+    sources[losers], targets[losers] = targets[losers], sources[losers]
+    by_source = targets[np.argsort(sources, kind="stable")]
+    return np.bincount(sources, minlength=n), np.bincount(targets, minlength=n), by_source
+
+
+def _direction_matrix(layout: _NodeLayout, band: _Band) -> np.ndarray:
+    """``edge[u, v]`` is the kept edge ``u -> v``: one bool square, built only
+    for ``break_cycles`` on the cyclic path."""
+    n = len(layout.nodes)
+    edge = band.earliest[None, :] > band.latest[:, None]
+    for base, length in zip(layout.bases, layout.shard_lengths):
+        edge[base : base + length, base : base + length] = False
+    # neither window comparison holds for a stored pair: set its kept
+    # direction, a row's worth of pairs at a time so no transient outgrows O(n)
+    flat = edge.reshape(-1)
+    for lo in range(0, band.keys.size, n):
+        keys = band.keys[lo : lo + n]
+        pair_a, pair_b = np.divmod(keys, n)
+        flat[np.where(band.forward[lo : lo + n] >= 0.5, keys, pair_b * n + pair_a)] = True
+    return edge
 
 
 def _linear_order(
     layout: _NodeLayout, forward_matrix: np.ndarray, cycle_policy: str, rng: np.random.Generator
 ) -> Tuple[List[int], List[RemovedEdge]]:
     """:func:`_kept_order` over a dense forward matrix."""
-    return _kept_order(layout, _dense_edges(layout, forward_matrix), cycle_policy, rng)
+    return _kept_order(layout, _matrix_band(layout, forward_matrix), cycle_policy, rng)
 
 
 def _kept_order(
-    layout: _NodeLayout, edges: _Edges, cycle_policy: str, rng: np.random.Generator
+    layout: _NodeLayout, band: _Band, cycle_policy: str, rng: np.random.Generator
 ) -> Tuple[List[int], List[RemovedEdge]]:
     """Node ids in merged order, and the kept edges a cyclic tournament lost.
 
-    ``edges.wins`` is completed *in place* into the direction matrix of every
-    kept edge.  An acyclic tournament is one Kahn pass; a cyclic one first
-    has :func:`~repro.core.cycles.break_cycles` clear victims in the
-    direction matrix (within-shard chain edges are never candidates), then
-    takes the same pass over what is left.
+    An acyclic tournament is one :func:`_band_order` pass.  A cyclic one
+    stalls there; then, and only then, the direction matrix of every kept
+    edge is built, :func:`~repro.core.cycles.break_cycles` clears victims in
+    it (within-shard chain edges are never candidates; weights come through
+    :class:`_EdgeWeights`) and the same Kahn core runs over what is left.
     """
-    shard_lengths = layout.shard_lengths
-    n = len(layout.nodes)
-    edge = edges.wins
-    edge |= (layout.cross_upper ^ edge).T
-    chain_next = np.full(n, -1, dtype=np.int64)
-    base = 0
-    for length in shard_lengths:
-        if length > 1:
-            chain_next[base : base + length - 1] = np.arange(base + 1, base + length)
-        base += length
-    chain_out = (chain_next >= 0).astype(np.int64)
-
-    order = _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out)
+    order = _band_order(layout, band)
     if order is not None:
         return order, []
-    weights = edges.probability()
-    removed = break_cycles(edge, weights, cycle_policy, rng, first_successor=chain_next)
-    return _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out), removed
+    chain_next = layout.chain_next
+    edge = _direction_matrix(layout, band)
+    removed = break_cycles(edge, _EdgeWeights(band), cycle_policy, rng, first_successor=chain_next)
+    unbounded = np.full(len(layout.nodes), np.inf)
+    order = _kahn(
+        layout,
+        -unbounded,
+        unbounded,
+        edge.sum(axis=1) + (chain_next >= 0),
+        edge.sum(axis=0),
+        lambda node: np.flatnonzero(edge[node]),
+    )
+    return order, removed
 
 
 def _emit_cycle_events(
@@ -394,13 +528,13 @@ def _merge_from_matrix(
     indexed shard-major (:class:`_NodeLayout`).  The streaming merger never
     builds one; tests and oracles hand arbitrary matrices to the core here."""
     layout = _NodeLayout(streams)
-    return _merge_edges(streams, layout, _dense_edges(layout, forward_matrix), *args, **kwargs)
+    return _merge_edges(streams, layout, _matrix_band(layout, forward_matrix), *args, **kwargs)
 
 
 def _merge_edges(
     streams: Sequence[Sequence[SequencedBatch]],
     layout: _NodeLayout,
-    edges: _Edges,
+    band: _Band,
     threshold: float,
     cycle_policy: str,
     rng: np.random.Generator,
@@ -413,10 +547,10 @@ def _merge_edges(
     """Linearise + coalesce: the one core every merge ends in.
 
     The pair store and a dense matrix describe the same floats through
-    ``edges``, so they produce byte-identical output.
+    ``band``, so they produce byte-identical output.
     """
     nodes = layout.nodes
-    order_ids, removed = _kept_order(layout, edges, cycle_policy, rng)
+    order_ids, removed = _kept_order(layout, band, cycle_policy, rng)
     cycles_broken = len(removed)
     if removed:
         if stats is not None:
@@ -424,42 +558,36 @@ def _merge_edges(
         if obs.enabled:
             _emit_cycle_events(obs, streams, nodes, cycle_policy, removed)
 
-    # forwards[k] is P(order_ids[k - 1] before order_ids[k]) where they differ in shard
-    order = np.asarray(order_ids)
-    crossing = np.flatnonzero(layout.node_shard[order[:-1]] != layout.node_shard[order[1:]])
-    forwards = np.full(order.size, np.nan)
-    forwards[crossing + 1] = edges.forward_of(order[crossing], order[crossing + 1])
-
     # probabilistic coalescing: a cross-shard boundary needs confidence.
     # Within-shard adjacency is rank-certain *by construction* (the shard
     # emitted the batches in order and the chain edges enforce it), so it is
-    # made explicit here instead of hiding behind a dict-lookup default; a
-    # cross-shard pair with no recorded precedence is a hard error.
-    groups: List[List[BatchNode]] = []
-    merged_cross_shard = 0
-    previous_id = -1
-    for step, node_id in enumerate(order_ids):
-        node = nodes[node_id]
-        coalesce = False
-        if groups:
-            previous = nodes[previous_id]
-            if previous[0] != node[0]:
-                forward = float(forwards[step])
-                if np.isnan(forward):
-                    raise AssertionError(
-                        f"no precedence recorded for cross-shard pair {previous} -> {node}"
-                    )
-                coalesce = not forward > threshold
-            elif previous[1] >= node[1]:
-                raise AssertionError(
-                    f"within-shard emission order violated: {previous} placed before {node}"
-                )
-        if coalesce:
-            groups[-1].append(node)
-            merged_cross_shard += 1
-        else:
-            groups.append([node])
-        previous_id = node_id
+    # checked explicitly instead of hiding behind a default; a cross-shard
+    # pair with no recorded precedence is a hard error.
+    order = np.asarray(order_ids, dtype=np.int64)
+    previous, following = order[:-1], order[1:]
+    crossing = layout.node_shard[previous] != layout.node_shard[following]
+    forwards = np.full(previous.size, np.nan)  # P(previous before following) across shards
+    forwards[crossing] = band.forward_of(previous[crossing], following[crossing])
+    unrecorded = crossing & np.isnan(forwards)
+    reversed_chain = ~crossing & (previous >= following)  # shard-major ids follow the rank
+    broken = np.flatnonzero(unrecorded | reversed_chain)
+    if broken.size:
+        step = int(broken[0])
+        first, second = nodes[previous[step]], nodes[following[step]]
+        if unrecorded[step]:
+            raise AssertionError(
+                f"no precedence recorded for cross-shard pair {first} -> {second}"
+            )
+        raise AssertionError(
+            f"within-shard emission order violated: {first} placed before {second}"
+        )
+    coalesce = crossing & ~(forwards > threshold)
+    merged_cross_shard = int(coalesce.sum())
+    starts = np.flatnonzero(np.concatenate(([True], ~coalesce)))[: order.size]
+    bounds = starts.tolist() + [order.size]
+    groups: List[List[BatchNode]] = [
+        [nodes[node_id] for node_id in order_ids[lo:hi]] for lo, hi in zip(bounds, bounds[1:])
+    ]
 
     batches: List[SequencedBatch] = []
     for rank, group in enumerate(groups):
@@ -678,15 +806,61 @@ def _fitted(arrays: Sequence[np.ndarray], needed: int) -> Sequence[np.ndarray]:
     return fresh
 
 
+def _element_indices(
+    offsets: np.ndarray,
+    p_a: np.ndarray,
+    p_b: np.ndarray,
+    s_a: np.ndarray,
+    s_b: np.ndarray,
+    counts: np.ndarray,
+    total: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_index, col_index, row_starts, pair_starts)`` of one kernel slice:
+    the message slots of every (pair, row message, col message) element in
+    pair-major / row-major / col-within order, and the two ``reduceat``
+    boundaries.  A function of its own so the per-element temporaries are
+    freed before the kernel's own are made."""
+    span_a = int(s_a[0])
+    span_b_0 = int(s_b[0])
+    if np.all(s_a == span_a) and np.all(s_b == span_b_0):
+        # uniform spans (the wide-cluster common case): pair-major /
+        # row-major / col-within element order built by broadcasting —
+        # identical order and reduceat boundaries to the generic path
+        # below, just without the per-element division
+        shape = (p_a.size, span_a, span_b_0)
+        row_index = np.broadcast_to(
+            (offsets[p_a][:, None] + np.arange(span_a, dtype=np.int64))[:, :, None],
+            shape,
+        ).ravel()
+        col_index = np.broadcast_to(
+            (offsets[p_b][:, None] + np.arange(span_b_0, dtype=np.int64))[:, None, :],
+            shape,
+        ).ravel()
+        row_starts = np.arange(0, total, span_b_0, dtype=np.int64)
+        pair_starts = np.arange(0, p_a.size * span_a, span_a, dtype=np.int64)
+    else:
+        pair_of = np.repeat(np.arange(p_a.size, dtype=np.int64), counts)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        local = np.arange(total, dtype=np.int64) - starts[pair_of]
+        span_b = s_b[pair_of]
+        i_local = local // span_b
+        j_local = local - i_local * span_b
+        row_index = offsets[p_a][pair_of] + i_local
+        col_index = offsets[p_b][pair_of] + j_local
+        row_starts = np.flatnonzero(j_local == 0)
+        pair_starts = np.concatenate(([0], np.cumsum(s_a)[:-1]))
+    return row_index, col_index, row_starts, pair_starts
+
+
 class StreamingMerger:
     """Incrementally maintained cross-shard merge.
 
     ``observe_batch(shard, batch)`` appends one node; its pairs against
     every earlier cross-shard node are priced with its *block*, in one pass:
-    one :func:`window_rule` call resolves the pairs whose certainty windows
-    cannot overlap to exact 0/1, and only the overlapping band reaches the
-    pair-list kernel — time-localised streams only ever evaluate a band of
-    recent batches.  A block is flushed when pending rows × observed nodes
+    the pairs whose certainty windows cannot overlap resolve to exact 0/1 —
+    most without being enumerated — and only the overlapping band reaches
+    the pair-list kernel, so time-localised streams only ever classify and
+    evaluate a band of recent batches.  A block is flushed when pending rows × observed nodes
     reach ``_CHUNK_ELEMENTS`` and whenever priced state is read, so the
     schedule depends on the node count alone (not on telemetry, not on the
     interleaving) and no reader can tell it from pricing on arrival.
@@ -867,6 +1041,13 @@ class StreamingMerger:
         stored = self._stored
         return order, ids[self._pair_a[:stored]], ids[self._pair_b[:stored]], self._forward[:stored]
 
+    def _band(self) -> _Band:
+        """The priced state as the linearisation core reads it."""
+        order, keys, pair_b, forward = self._shard_major()
+        keys *= order.size
+        keys += pair_b  # in place: a * n + b
+        return _Band.of(self._earliest[order], self._latest[order], keys, forward)
+
     def forward_matrix(self) -> np.ndarray:
         """The forward probabilities, shard-major, materialised.
 
@@ -992,74 +1173,112 @@ class StreamingMerger:
     def _price_from(self, first: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Price nodes ``first..`` against every earlier cross-shard node.
 
-        Returns what :meth:`_count` does for the block: the pair counts just
-        added, per priced node and tree node (``None`` without a topology).
+        Only the window :meth:`_window_from` enumerates is classified, by the
+        two comparisons of :func:`window_rule`; its band is stored in
+        row-major order — the order a full ``rows x nodes`` mask lists it —
+        and every other earlier cross-shard node counts as pruned.  Returns
+        what :meth:`_count` does for the block.
+        """
+        row, node, earlier = self._window_from(first)
+        position = first + row
+        earliest, latest = self._earliest, self._latest
+        band = ~((earliest[node] > latest[position]) | (earliest[position] > latest[node]))
+        row, node = row[band], node[band]
+        row_major = np.lexsort((node, row))
+        row, node = row[row_major], node[row_major]
+        self._store_band(first + row, node)
+        num_shards = earlier.shape[1]
+        kernel = np.bincount(row * num_shards + self._shard[node], minlength=earlier.size)
+        kernel = kernel.reshape(earlier.shape)
+        return self._count(np.arange(first, len(self._nodes)), earlier - kernel, kernel, 1)
+
+    def _window_from(self, first: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the band of nodes ``first..`` can lie among the earlier nodes.
+
+        For a row and another shard, a running maximum of ``latest`` over
+        that shard's nodes in observation order bounds where the band can
+        start: every node before the first one whose running maximum reaches
+        the row's ``earliest`` closes before the row opens, a pruned pair
+        that is never looked at.  Returns ``(row, node, earlier)``: the pairs
+        from there up to the row — row index (counted from ``first``) and
+        node position — and ``earlier[i, s]``, how many nodes of shard ``s``
+        precede row ``i`` (zero for its own shard).  A one-shard run has no
+        window at all.
         """
         count = len(self._nodes)
-        rows = np.arange(first, count)
-        shard = self._shard[:count]
-        candidates = (shard[None, :] != shard[rows, None]) & (
-            np.arange(count)[None, :] < rows[:, None]
-        )
-        masks = window_rule(
-            self._earliest[rows],
-            self._latest[rows],
-            self._earliest[:count],
-            self._latest[:count],
-        )
-        return self._price(rows, candidates, *masks)
+        shard, latest = self._shard[:count], self._latest[:count]
+        row_shard, row_opens = shard[first:], self._earliest[first:count]
+        num_shards = len(self._streams)
+        earlier = np.zeros((count - first, num_shards), dtype=np.int64)
+        by_shard = np.argsort(shard, kind="stable")
+        bounds = np.cumsum(np.bincount(shard, minlength=num_shards)).tolist()
+        rows = [np.zeros(0, dtype=np.int64)]
+        nodes = [np.zeros(0, dtype=np.int64)]
+        for other, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+            positions = by_shard[lo:hi]
+            index = np.flatnonzero(row_shard != other)
+            if not (positions.size and index.size):
+                continue
+            seen = np.searchsorted(positions, first + index)
+            reach = np.maximum.accumulate(latest[positions])
+            start = np.minimum(np.searchsorted(reach, row_opens[index]), seen)
+            earlier[index, other] = seen
+            # row k's window is positions[start[k]:seen[k]], laid end to end
+            lengths = seen - start
+            offset = np.cumsum(lengths) - lengths
+            rows.append(np.repeat(index, lengths))
+            nodes.append(positions[np.arange(lengths.sum()) + np.repeat(start - offset, lengths)])
+        return np.concatenate(rows), np.concatenate(nodes), earlier
 
-    def _price(
-        self,
-        rows: np.ndarray,
-        candidates: np.ndarray,
-        before: np.ndarray,
-        after: np.ndarray,
-        band: np.ndarray,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Count the rule's verdict for every candidate ``(rows[i], j)``.
+    def _store_band(self, node: np.ndarray, other: np.ndarray) -> None:
+        """Price the band pairs ``(node[k], other[k])`` and append them to the
+        store in canonical orientation (the lower-shard node is the a-side)."""
+        if not node.size:
+            return
+        flipped = self._shard[other] < self._shard[node]
+        pair_a = np.where(flipped, other, node)
+        pair_b = np.where(flipped, node, other)
+        fresh = slice(self._stored, self._stored + node.size)
+        self._pair_a, self._pair_b, self._forward = _fitted(
+            (self._pair_a, self._pair_b, self._forward), fresh.stop
+        )
+        self._pair_a[fresh], self._pair_b[fresh] = pair_a, pair_b
+        self._forward[fresh] = self._price_pairs(pair_a, pair_b)
+        self._stored = fresh.stop
 
-        ``band`` pairs get their kernel mean, priced in canonical orientation
-        (the lower-shard node is the a-side) and appended to the pair store;
-        ``before``/``after`` pairs are only counted: the stored windows say
-        their exact 0/1 to whoever asks.  Returns what :meth:`_count` does.
-        """
-        band = band & candidates
-        index, other = np.nonzero(band)
-        if index.size:
-            node = rows[index]
-            flipped = self._shard[other] < self._shard[node]
-            pair_a = np.where(flipped, other, node)
-            pair_b = np.where(flipped, node, other)
-            fresh = slice(self._stored, self._stored + index.size)
-            self._pair_a, self._pair_b, self._forward = _fitted(
-                (self._pair_a, self._pair_b, self._forward), fresh.stop
-            )
-            self._pair_a[fresh], self._pair_b[fresh] = pair_a, pair_b
-            self._forward[fresh] = self._price_pairs(pair_a, pair_b)
-            self._stored = fresh.stop
-        return self._count(rows, (before | after) & candidates, band, 1)
+    def _by_shard(self, mask: np.ndarray) -> np.ndarray:
+        """Pair counts of a ``(rows, nodes)`` mask per row and node shard."""
+        index, other = np.nonzero(mask)
+        num_shards = len(self._streams)
+        counts = np.bincount(
+            index * num_shards + self._shard[other], minlength=mask.shape[0] * num_shards
+        )
+        return counts.reshape(mask.shape[0], num_shards)
 
     def _count(
-        self, rows: np.ndarray, pruned: np.ndarray, band: np.ndarray, sign: int
+        self, rows: np.ndarray, pruned: np.ndarray, kernel: np.ndarray, sign: int
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Add (``sign=-1``: retract) masked pairs to the totals and the tree.
+        """Add (``sign=-1``: retract) pair counts to the totals and the tree.
 
-        Returns the ``(pruned, kernel)`` counts of the masks, each of shape
-        ``(len(rows), tree nodes)``; ``None`` without a topology.
+        ``pruned`` and ``kernel`` count the pairs of each row per partner
+        shard, shape ``(len(rows), shards)``.  Returns them per tree node
+        instead, each of shape ``(len(rows), tree nodes)``; ``None`` without
+        a topology.
         """
         pruned_total = int(pruned.sum())
         self._cross_pairs_pruned += sign * pruned_total
-        self._cross_pairs_evaluated += sign * int(band.sum())
+        self._cross_pairs_evaluated += sign * int(kernel.sum())
         if sign > 0:
             self._stats.pruned_pairs += pruned_total
         if self._topology is None:
             return None
+        index, partner = np.nonzero(pruned + kernel)
+        row_shard = self._shard[rows[index]]
         pruned_by_row, kernel_by_row = (
             self._topology.attribute(
-                self._shard[rows[index]], self._shard[other], row=index, num_rows=rows.size
+                row_shard, partner, row=index, num_rows=rows.size, weights=counts[index, partner]
             )
-            for index, other in map(np.nonzero, (pruned, band))
+            for counts in (pruned, kernel)
         )
         self._node_pruned_pairs += sign * pruned_by_row.sum(axis=0)
         self._node_kernel_pairs += sign * kernel_by_row.sum(axis=0)
@@ -1138,35 +1357,9 @@ class StreamingMerger:
             s_b = sizes_b[start:stop]
             counts = elements[start:stop]
             total = int(counts.sum())
-            span_a = int(s_a[0])
-            span_b_0 = int(s_b[0])
-            if np.all(s_a == span_a) and np.all(s_b == span_b_0):
-                # uniform spans (the wide-cluster common case): pair-major /
-                # row-major / col-within element order built by broadcasting —
-                # identical order and reduceat boundaries to the generic path
-                # below, just without the per-element division
-                shape = (p_a.size, span_a, span_b_0)
-                row_index = np.broadcast_to(
-                    (offsets[p_a][:, None] + np.arange(span_a, dtype=np.int64))[:, :, None],
-                    shape,
-                ).ravel()
-                col_index = np.broadcast_to(
-                    (offsets[p_b][:, None] + np.arange(span_b_0, dtype=np.int64))[:, None, :],
-                    shape,
-                ).ravel()
-                row_starts = np.arange(0, total, span_b_0, dtype=np.int64)
-                pair_starts = np.arange(0, p_a.size * span_a, span_a, dtype=np.int64)
-            else:
-                pair_of = np.repeat(np.arange(p_a.size, dtype=np.int64), counts)
-                starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                local = np.arange(total, dtype=np.int64) - starts[pair_of]
-                span_b = s_b[pair_of]
-                i_local = local // span_b
-                j_local = local - i_local * span_b
-                row_index = offsets[p_a][pair_of] + i_local
-                col_index = offsets[p_b][pair_of] + j_local
-                row_starts = np.flatnonzero(j_local == 0)
-                pair_starts = np.concatenate(([0], np.cumsum(s_a)[:-1]))
+            row_index, col_index, row_starts, pair_starts = _element_indices(
+                offsets, p_a, p_b, s_a, s_b, counts, total
+            )
             probabilities = batched_gaussian_pairs(
                 ts[row_index],
                 mu[row_index],
@@ -1314,15 +1507,18 @@ class StreamingMerger:
         # replace, don't double-count: retract each pair's previous
         # classification before repricing it
         was_pruned = candidates & (was_before | was_after)
-        self._count(rows, was_pruned, candidates & ~was_pruned, -1)
+        self._count(rows, self._by_shard(was_pruned), self._by_shard(candidates & ~was_pruned), -1)
         # ... and leave the store: a stored pair is band, so never ``unmoved``,
-        # and every one with a refreshed end is a candidate _price appends anew
+        # and every one with a refreshed end is a candidate stored anew below
         stored = self._stored
         keep = ~(refreshed[self._pair_a[:stored]] | refreshed[self._pair_b[:stored]])
         self._stored = int(keep.sum())
         for array in (self._pair_a, self._pair_b, self._forward):
             array[: self._stored] = array[:stored][keep]
-        self._price(rows, candidates, before, after, band)
+        band &= candidates
+        index, other = np.nonzero(band)
+        self._store_band(rows[index], other)
+        self._count(rows, self._by_shard((before | after) & candidates), self._by_shard(band), 1)
         return int(candidates.sum())
 
     # ---------------------------------------------------------------- results
@@ -1342,37 +1538,10 @@ class StreamingMerger:
         if not self._nodes:
             return _empty_outcome(start)
         streams = [list(stream) for stream in self._streams]
-        layout = _NodeLayout(streams)
-        order, pair_a, pair_b, forward = self._shard_major()
-        earliest, latest = self._earliest[order], self._latest[order]
-        n = order.size
-        # a pruned pair is read off the windows, a band pair off the store
-        wins = earliest[None, :] > latest[:, None]
-        wins &= layout.cross_upper
-        wins[pair_a, pair_b] = forward >= 0.5
-
-        def probability() -> np.ndarray:
-            # a pruned kept edge weighs exactly 1.0, whichever way it points
-            weights = np.ones((n, n))
-            weights[pair_a, pair_b], weights[pair_b, pair_a] = forward, 1.0 - forward
-            return weights
-
-        keys = pair_a * n + pair_b
-        by_key = np.argsort(keys)
-
-        def forward_of(previous: np.ndarray, node: np.ndarray) -> np.ndarray:
-            pruned = [earliest[node] > latest[previous], earliest[previous] > latest[node]]
-            forwards = np.select(pruned, [1.0, 0.0], np.nan)
-            wanted = np.minimum(previous, node) * n + np.maximum(previous, node)
-            found = np.isin(wanted, keys)
-            stored = forward[by_key[np.searchsorted(keys, wanted[found], sorter=by_key)]]
-            forwards[found] = np.where(previous[found] < node[found], stored, 1.0 - stored)
-            return forwards
-
         return _merge_edges(
             streams,
-            layout,
-            _Edges(wins, probability, forward_of),
+            _NodeLayout(streams),
+            self._band(),
             self._threshold,
             self._cycle_policy,
             np.random.default_rng(self._seed),

@@ -119,6 +119,7 @@ class MergeTopology:
         shards_b: np.ndarray,
         row: Optional[np.ndarray] = None,
         num_rows: int = 1,
+        weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-node counts of the cross-shard pairs ``(shards_a[k], shards_b[k])``.
 
@@ -127,12 +128,17 @@ class MergeTopology:
         of the tree to the merge: a partition of the pairs, not a pricing.
         With ``row`` (pair ``k`` belongs to merge row ``row[k] < num_rows``)
         a whole block is attributed at once, as ``(num_rows, nodes)`` counts.
+        ``weights[k]`` (integers) counts entry ``k`` as that many pairs.
         """
         lca = self._lca[shards_a, shards_b]
         width = len(self.nodes)
-        if row is None:
-            return np.bincount(lca, minlength=width)
-        return np.bincount(row * width + lca, minlength=num_rows * width).reshape(num_rows, width)
+        if row is not None:
+            lca = row * width + lca
+            width *= num_rows
+        counts = np.bincount(lca, weights=weights, minlength=width)
+        if weights is not None:
+            counts = counts.astype(np.int64)  # integer sums, exact below 2**53
+        return counts if row is None else counts.reshape(num_rows, -1)
 
     def describe(self) -> List[Dict[str, object]]:
         """One row per node (report tables and the topology tests)."""

@@ -31,9 +31,9 @@ then every kept edge pair by pair in ascending index order — so the walk
 starts at the lowest unfinished index and a node's successors come in
 ascending index order, preceded (in the merger) by the node's within-shard
 chain successor, whose edge was inserted before any cross-shard pair.  That
-is one ``np.flatnonzero`` over the node's matrix row.  The walk reports the
-first edge that returns to the active path; edges into finished nodes change
-nothing, so they are dropped a row at a time instead of visited.  The victim
+is a scan of the node's matrix row from a per-node cursor.  The walk reports
+the first edge that returns to the active path; edges into finished nodes
+change nothing, so the scan skips them instead of visiting them.  The victim
 is then chosen from the cycle's probabilities by the same expressions in the
 same order, so ties, floats and generator draws all agree
 (``tests/reference/linearise_reference.py`` keeps the graph form of the
@@ -217,11 +217,26 @@ class RemovedEdge(NamedTuple):
     cycle_length: int
 
 
-def _successors(edge: np.ndarray, first_successor: np.ndarray, node: int) -> np.ndarray:
-    scan = np.flatnonzero(edge[node])
-    if first_successor[node] >= 0:
-        return np.concatenate(([first_successor[node]], scan))
-    return scan
+def _next_successor(
+    edge: np.ndarray, first_successor: np.ndarray, finished: np.ndarray, node: int, cursor: int
+) -> Tuple[int, int]:
+    """``node``'s first unfinished successor from ``cursor`` on, and the cursor
+    past it (``-1`` when there is none).
+
+    A node's successors are its ``first_successor`` (cursor ``-1``) and then
+    its matrix row in ascending index order.  Scanning the row from the
+    cursor keeps the walk's memory O(nodes) whatever the depth of its path.
+    """
+    if cursor < 0:
+        chained = int(first_successor[node])
+        if chained >= 0 and not finished[chained]:
+            return chained, 0
+        cursor = 0
+    unfinished = edge[node, cursor:] & ~finished[cursor:]
+    step = int(unfinished.argmax()) if unfinished.size else 0
+    if not unfinished.size or not unfinished[step]:
+        return -1, edge.shape[0]
+    return cursor + step, cursor + step + 1
 
 
 def _find_cycle_nodes(edge: np.ndarray, first_successor: np.ndarray) -> Optional[List[int]]:
@@ -236,23 +251,21 @@ def _find_cycle_nodes(edge: np.ndarray, first_successor: np.ndarray) -> Optional
             continue
         path = [start]
         on_path = {start}
-        untried = [_successors(edge, first_successor, start)]
+        cursors = [-1]  # per path node: where its untried successors begin
         while path:
-            successors = untried[-1]
-            successors = successors[~finished[successors]]
-            if not successors.size:
-                untried.pop()
-                node = path.pop()
+            node = path[-1]
+            head, cursors[-1] = _next_successor(edge, first_successor, finished, node, cursors[-1])
+            if head < 0:
+                cursors.pop()
+                path.pop()
                 on_path.discard(node)
                 finished[node] = True
                 continue
-            head = int(successors[0])
             if head in on_path:
                 return path[path.index(head) :]
-            untried[-1] = successors[1:]
             path.append(head)
             on_path.add(head)
-            untried.append(_successors(edge, first_successor, head))
+            cursors.append(-1)
     return None
 
 

@@ -3,8 +3,9 @@
 :class:`StreamingMerger` keeps exactly the cross-shard pairs the kernel
 priced (``stored pairs == cross_pairs_evaluated``) and reads every pruned
 pair off the certainty windows.  Three things are held here: the store's
-invariants after every mutation, the footprint as a count (no N x N float64
-on the acyclic path, one on the cyclic path) and the pinned ledger-size runs.
+invariants after every mutation, the footprint as a count (no square at all
+on the acyclic path, one bool square and no float one on the cyclic path)
+and the pinned ledger-size runs.
 """
 
 import dataclasses
@@ -159,18 +160,18 @@ def test_refresh_of_a_client_in_two_pending_nodes():
 
 # ------------------------------------------------------------------ footprint
 def squares(merger, n):
-    """float64 arrays with n*n or more elements among the merger's attributes."""
+    """Arrays with n*n or more elements among the merger's attributes."""
     return [
         name
         for name, value in vars(merger).items()
-        if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.size >= n * n
+        if isinstance(value, np.ndarray) and value.size >= n * n
     ]
 
 
-def test_acyclic_merge_never_holds_a_float_square():
+def test_acyclic_merge_holds_no_square():
     # a count, not a clock: the dense design needed 8 N^2 bytes for the
-    # matrix alone (twice that through result()); the band and two or three
-    # transient bool squares fit in half of one
+    # matrix alone, and result() then built three N^2 bool squares; the
+    # band flush and the band Kahn pass fit below one bool square
     rng = np.random.default_rng(17)
     model, shard_clients = build_model(4, 2, rng)
     # batches a shard emits are well separated in time: no chain edge can close a cycle
@@ -188,7 +189,7 @@ def test_acyclic_merge_never_holds_a_float_square():
     finally:
         tracemalloc.stop()
     assert outcome.cycles_broken == 0
-    assert peak < n * n * 8 // 2
+    assert peak < n * n
     assert squares(streaming, n) == []
     assert 0 < streaming.stored_pairs == outcome.cross_pairs_evaluated < n * n // 20
 
@@ -220,7 +221,7 @@ def ledger_run(messages_per_client, seed):
 PINNED_CYCLIC_DIGEST = "c1580908daa5ca6397d476a899f980630ae711e6d15f3e9d26ff99add8644781"
 
 
-def test_cyclic_merge_builds_exactly_one_float_square():
+def test_cyclic_merge_hands_break_cycles_the_weight_view():
     workload, outcome, digest = ledger_run(20, seed=4)
     assert digest == PINNED_CYCLIC_DIGEST
     streams = outcome.shard_batches
@@ -233,12 +234,22 @@ def test_cyclic_merge_builds_exactly_one_float_square():
     for shard, batch in random_interleaving(streams, np.random.default_rng(4)):
         streaming.observe_batch(shard, batch)
     assert streaming.stored_pairs == counts[0]
-    handed = []
+    handed, indexed = [], []
     break_cycles = merge_module.break_cycles
 
+    class Recording:
+        def __init__(self, view):
+            self.view = view
+
+        def __getitem__(self, index):
+            indexed.append(np.size(index[0]))
+            return self.view[index]
+
     def recording(edge, probability, *args, **kwargs):
-        handed.append((probability.shape, probability.dtype))
-        return break_cycles(edge, probability, *args, **kwargs)
+        handed.append((type(probability), edge.shape, edge.dtype))
+        removed = break_cycles(edge, Recording(probability), *args, **kwargs)
+        handed.append(removed)
+        return removed
 
     tracemalloc.start()
     try:
@@ -249,9 +260,12 @@ def test_cyclic_merge_builds_exactly_one_float_square():
         tracemalloc.stop()
     assert merge_fingerprint(shuffled) == outcome.fingerprint()
     assert shuffled.cycles_broken == 1
-    assert handed == [((n, n), np.dtype(np.float64))]
-    # one float square and the bool ones; a second float square does not fit
-    assert n * n * 8 <= peak < 2 * n * n * 8
+    (kind, shape, dtype), removed = handed
+    assert (kind, shape, dtype) == (merge_module._EdgeWeights, (n, n), np.dtype(bool))
+    # the weights are read for the edges of each cycle found, nothing else
+    assert sum(indexed) == sum(victim.cycle_length for victim in removed) > 0
+    # the direction square and the band; a float square could not fit
+    assert n * n <= peak < 2 * n * n
     assert squares(streaming, n) == []
 
 

@@ -1,4 +1,4 @@
-"""The reference oracle for cyclic cross-shard linearisation.
+"""The reference oracles for cross-shard linearisation.
 
 ``_resolve_order_via_graph`` and ``_resolve_cycles_protected`` are the
 materialised-graph path ``repro.cluster.merge`` used before
@@ -8,16 +8,99 @@ materialised-graph path ``repro.cluster.merge`` used before
 ``nx.lexicographical_topological_sort``.  ``tests/cluster/test_linearise_parity.py``
 requires the matrix breaker to return the same order, remove the same number
 of edges and leave the generator in the same state.
+
+``_lexicographic_order`` and ``_dense_kept_order`` are the dense matrix path
+the merger took before its Kahn pass read the windows and the pair store
+directly, moved here verbatim: the direction matrix of every kept edge as
+N x N bools, the weights ``break_cycles`` reads as N x N floats.
+``tests/cluster/test_band_parity.py`` requires the band pass to return the
+same order, stall on the same inputs and remove the same edges.
 """
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.cluster.merge import BatchNode
-from repro.core.cycles import eades_linear_arrangement
+from repro.core.cycles import RemovedEdge, break_cycles, eades_linear_arrangement
 from repro.network.message import SequencedBatch
+
+
+def _lexicographic_order(layout, edge: np.ndarray, out_degree: np.ndarray) -> Optional[List[int]]:
+    """Kahn's algorithm with the reference lexicographical tie-break.
+
+    ``edge[u][v]`` holds the directed cross-shard kept edges; the
+    within-shard emission chains are modelled implicitly: only the earliest
+    unplaced batch of each shard is ever a candidate.  Returns node ids in
+    order, or ``None`` when the graph is cyclic.  The candidate choice
+    minimises ``(-out_degree, node)``.
+    """
+    node_shard, shard_lengths, nodes = layout.node_shard, layout.shard_lengths, layout.nodes
+    num_shards = len(shard_lengths)
+    bases: List[int] = []
+    base = 0
+    for length in shard_lengths:
+        bases.append(base)
+        base += length
+    next_index = [0] * num_shards
+    indegree = edge.sum(axis=0).astype(np.int64)
+    order: List[int] = []
+    total = len(nodes)
+    for _ in range(total):
+        best_id = -1
+        best_key: Optional[Tuple[int, BatchNode]] = None
+        for shard in range(num_shards):
+            if next_index[shard] >= shard_lengths[shard]:
+                continue
+            head = bases[shard] + next_index[shard]
+            if indegree[head]:
+                continue
+            key = (-int(out_degree[head]), nodes[head])
+            if best_key is None or key < best_key:
+                best_key = key
+                best_id = head
+        if best_id < 0:
+            return None  # cyclic: some unplaced head still has predecessors
+        order.append(best_id)
+        next_index[node_shard[best_id]] += 1
+        indegree[edge[best_id]] -= 1
+    return order
+
+
+def _dense_direction(layout, earliest, latest, pair_a, pair_b, forward):
+    """``(edge, chain_out, weights)`` of windows plus a store, as squares.
+
+    ``pair_a < pair_b`` (shard-major ids) are the stored pairs; every other
+    cross-shard pair is pruned and its windows say its direction.
+    """
+    cross_upper = layout.node_shard[:, None] < layout.node_shard[None, :]
+    wins = earliest[None, :] > latest[:, None]
+    wins &= cross_upper
+    wins[pair_a, pair_b] = forward >= 0.5
+    edge = wins | (cross_upper ^ wins).T
+    n = len(layout.nodes)
+    chain_out = np.zeros(n, dtype=np.int64)
+    for base, length in zip(np.cumsum([0] + layout.shard_lengths), layout.shard_lengths):
+        if length > 1:
+            chain_out[base : base + length - 1] = 1
+    weights = np.ones((n, n))
+    weights[pair_a, pair_b], weights[pair_b, pair_a] = forward, 1.0 - forward
+    return edge, chain_out, weights
+
+
+def _dense_kept_order(
+    layout, earliest, latest, pair_a, pair_b, forward, cycle_policy, rng
+) -> Tuple[Optional[List[int]], List[RemovedEdge]]:
+    """The merged order off the dense squares: Kahn, and on a stall
+    ``break_cycles`` over the float weight square and Kahn again."""
+    edge, chain_out, weights = _dense_direction(layout, earliest, latest, pair_a, pair_b, forward)
+    order = _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out)
+    if order is not None:
+        return order, []
+    chain_next = np.where(chain_out > 0, np.arange(chain_out.size) + 1, -1)
+    removed = break_cycles(edge, weights, cycle_policy, rng, first_successor=chain_next)
+    return _lexicographic_order(layout, edge, edge.sum(axis=1) + chain_out), removed
 
 
 def _resolve_cycles_protected(

@@ -6,10 +6,15 @@ No window rule, no pair lists, no chunking, no caches shared with the code
 under test — so equality with the production matrix re-proves, on every test
 input, both the kernel's reduction order and the soundness of pruning (a
 pruned entry must be the float the kernel would have saturated to).
+
+``reference_flush`` is the block flush as it was before it enumerated only
+the band's window: every pending row against every observed node as full
+``window_rule`` masks.
 """
 
 import numpy as np
 
+from repro.cluster.merge import window_rule
 from repro.core.engine import cross_probability_matrix
 
 
@@ -26,3 +31,25 @@ def reference_forward_matrix(streams, model):
                 matrix[a, b] = total / pairs.size
                 matrix[b, a] = 1.0 - matrix[a, b]
     return matrix
+
+
+def reference_flush(streaming, first):
+    """What a flush of nodes ``first..`` must store and count, from full masks.
+
+    Returns ``(pair_a, pair_b, pruned, band)``: the band pairs in the order
+    ``np.nonzero`` lists the mask (row-major), oriented lower shard first,
+    and the ``(rows, nodes)`` masks of the pruned and the band candidates.
+    """
+    count = streaming.node_count
+    rows = np.arange(first, count)
+    shard = streaming._shard[:count]
+    earliest, latest = streaming._earliest[:count], streaming._latest[:count]
+    candidates = (shard[None, :] != shard[rows, None]) & (np.arange(count)[None, :] < rows[:, None])
+    before, after, band = window_rule(earliest[rows], latest[rows], earliest, latest)
+    band &= candidates
+    index, other = np.nonzero(band)
+    node = rows[index]
+    flipped = shard[other] < shard[node]
+    pair_a = np.where(flipped, other, node)
+    pair_b = np.where(flipped, node, other)
+    return pair_a, pair_b, (before | after) & candidates, band
