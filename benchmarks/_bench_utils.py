@@ -18,7 +18,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from pathlib import Path
 from typing import Dict, Optional, Sequence
+
+# the frozen baselines and the reference-path benches import the test oracles
+# (``graph_reference``, ``online_reference``) by bare module name, the way
+# ``tests/conftest.py`` makes them importable for the test suite
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "reference"))
 
 #: Root seed shared by the client-count and shard-count scaling benchmarks.
 BENCH_SEED = 13

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.core.cycles import resolve_cycles
+from graph_reference import resolve_cycles
 from repro.core.engine import EngineStats, PairTableCache, cross_probability_matrix
 from repro.core.probability import PrecedenceModel
 from repro.distributions.base import OffsetDistribution

@@ -57,7 +57,7 @@ import networkx as nx
 import numpy as np
 from scipy import special
 
-from repro.core.cycles import resolve_cycles
+from graph_reference import resolve_cycles
 from repro.core.probability import PrecedenceModel
 from repro.core.relation import LikelyHappenedBefore, MessageKey
 from repro.distributions.parametric import GaussianDistribution

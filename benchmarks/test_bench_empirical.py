@@ -33,9 +33,10 @@ import time
 
 import numpy as np
 
-import _scalar_fallback_baseline as baseline
-
+# _bench_utils first: it makes the baseline's graph oracle importable
 from _bench_utils import BENCH_CLUSTER_CLIENTS, BENCH_SEED, emit
+
+import _scalar_fallback_baseline as baseline
 
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
@@ -97,7 +98,7 @@ def run_variant(distributions, arrivals, fast):
     else:
         # the frozen scalar-fallback engine, attached behind the same online
         # sequencer so both variants share intake/emission machinery
-        sequencer = OnlineTommySequencer(loop, distributions, CONFIG, use_engine=False)
+        sequencer = OnlineTommySequencer(loop, distributions, CONFIG)
         engine = baseline.IncrementalPrecedenceEngine(
             sequencer.model,
             threshold=CONFIG.threshold,

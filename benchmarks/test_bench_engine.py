@@ -2,7 +2,8 @@
 
 Streams the same seeded arrival workload (64 clients, 2k messages by
 default) through the engine-backed online sequencer and through the original
-recompute-everything reference path (``use_engine=False``), then asserts:
+recompute-everything reference path (``ReferenceOnlineSequencer`` in
+``tests/reference/online_reference.py``), then asserts:
 
 * **parity** — the emitted batch streams are byte-identical (ranks, message
   keys, emission times, safe-emission times);
@@ -21,6 +22,7 @@ import time
 import numpy as np
 
 from _bench_utils import BENCH_CLUSTER_CLIENTS, BENCH_SEED, emit
+from online_reference import ReferenceOnlineSequencer
 
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
@@ -66,8 +68,8 @@ def build_workload():
 
 def run_variant(distributions, arrivals, use_engine):
     loop = EventLoop()
-    sequencer = OnlineTommySequencer(
-        loop, distributions, CONFIG, use_engine=use_engine
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, CONFIG
     )
     for arrival_time, message in arrivals:
         loop.schedule_at(arrival_time, sequencer.receive, message)

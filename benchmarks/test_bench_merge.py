@@ -36,9 +36,10 @@ import time
 
 import numpy as np
 
-import _pairwise_merge_baseline as baseline
-
+# _bench_utils first: it makes the baseline's graph oracle importable
 from _bench_utils import BENCH_SEED, emit
+
+import _pairwise_merge_baseline as baseline
 
 from repro.cluster.merge import CrossShardMerger
 from repro.core.probability import PrecedenceModel

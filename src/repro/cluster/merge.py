@@ -13,7 +13,8 @@ the same probabilistic machinery the sequencer itself uses:
   :class:`~repro.core.relation.LikelyHappenedBefore` (the mean preserves
   complementarity: ``P(A<B) + P(B<A) = 1``);
 * the kept directions are never materialised as a graph: a Kahn pass with
-  the deterministic tie-break of :class:`~repro.core.tournament.TournamentGraph`
+  the sequencer's deterministic tie-break (highest score first, then by
+  node; see :func:`~repro.core.engine.tournament_order`)
   reads them off the certainty windows and the pair store, and only when
   that pass stalls on a cycle is a boolean direction matrix built, in which
   :func:`~repro.core.cycles.break_cycles` clears victims under the

@@ -100,7 +100,6 @@ class ShardedSequencer(Entity):
         heartbeat_interval: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
         name: str = "cluster",
-        use_engine: bool = True,
         streaming_merge: bool = True,
         dedupe_intake: bool = False,
         dedupe_prune_horizon: bool = True,
@@ -112,7 +111,6 @@ class ShardedSequencer(Entity):
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive when given")
         self._config = config if config is not None else TommyConfig()
-        self._use_engine = use_engine
         self._telemetry = telemetry
         self._obs = resolve(telemetry)
         self._distributions = dict(client_distributions)
@@ -127,7 +125,6 @@ class ShardedSequencer(Entity):
                 config=self._config,
                 known_clients=shard_clients,
                 name=f"{name}-shard-{index}",
-                use_engine=use_engine,
                 telemetry=telemetry,
                 shard_index=index,
             )
@@ -675,7 +672,6 @@ class ShardedSequencer(Entity):
             config=self._config,
             known_clients=reclaimed,
             name=f"{self.name}-shard-{shard_index}-gen{shard.generation}",
-            use_engine=self._use_engine,
             telemetry=self._telemetry,
             shard_index=shard_index,
         )

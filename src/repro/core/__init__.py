@@ -8,10 +8,11 @@ Pipeline (paper §3):
    arbitrary distributions).
 2. :class:`LikelyHappenedBefore` wraps those probabilities as the
    ``likely-happened-before`` relation.
-3. :class:`TournamentGraph` keeps, for every pair, the direction with the
-   higher probability and extracts a linear order (topological order of the
-   transitive tournament; cycle-breaking heuristics from
-   :mod:`repro.core.cycles` otherwise, §3.4).
+3. A boolean direction matrix keeps, for every pair, the direction with
+   the higher probability (the kept-edge tournament), and
+   :func:`~repro.core.engine.tournament_order` extracts a linear order
+   (topological order of the transitive tournament;
+   :func:`~repro.core.cycles.break_cycles` first otherwise, §3.4).
 4. :func:`form_batches` inserts a batch boundary between adjacent messages
    whose preceding-probability exceeds the confidence threshold (§3.4).
 5. :class:`TommySequencer` packages 1–4 as an offline sequencer;
@@ -35,13 +36,6 @@ learners and the sequencer agree without sign gymnastics at call sites.
 from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel, gaussian_preceding_probability
 from repro.core.relation import LikelyHappenedBefore, PairProbability
-from repro.core.tournament import TournamentGraph
-from repro.core.cycles import (
-    CycleResolution,
-    break_cycles_greedy,
-    break_cycles_stochastic,
-    eades_linear_arrangement,
-)
 from repro.core.batching import BatchingOutcome, form_batches
 from repro.core.engine import (
     EngineStats,
@@ -62,11 +56,6 @@ __all__ = [
     "gaussian_preceding_probability",
     "LikelyHappenedBefore",
     "PairProbability",
-    "TournamentGraph",
-    "CycleResolution",
-    "break_cycles_greedy",
-    "break_cycles_stochastic",
-    "eades_linear_arrangement",
     "BatchingOutcome",
     "form_batches",
     "EngineStats",

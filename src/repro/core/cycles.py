@@ -1,56 +1,48 @@
-"""Cycle-breaking policies for intransitive likely-happened-before relations.
+"""Cycle breaking for intransitive likely-happened-before relations.
 
 The paper (§3.4) observes that the likely-happened-before relation is not
 necessarily transitive, so the kept-edge tournament may be cyclic and a
-minimum feedback arc set is NP-hard to find.  Three practical policies are
-provided:
+minimum feedback arc set is NP-hard to find.  :func:`break_cycles` makes a
+boolean *direction matrix* acyclic in place under one of three practical
+policies (:data:`CYCLE_POLICIES`):
 
-* :func:`break_cycles_greedy` — repeatedly remove the lowest-probability edge
-  that participates in a cycle (a deterministic approximation of the minimum
+* ``"greedy"`` — repeatedly remove the lowest-probability edge of the cycle
+  a depth-first walk finds (a deterministic approximation of the minimum
   feedback arc set, biased toward ignoring the least-confident precedences).
-* :func:`break_cycles_stochastic` — remove a random cycle edge with
-  probability proportional to ``1 - p``; over many sequencing rounds no
-  client's confident precedences are systematically discarded, realising the
+* ``"stochastic"`` — remove a random cycle edge with probability
+  proportional to ``1 - p``; over many sequencing rounds no client's
+  confident precedences are systematically discarded, realising the
   "stochastic fairness" direction the paper sketches.
-* :func:`eades_linear_arrangement` — the Eades–Lin–Smyth greedy linear
-  arrangement; edges pointing backwards in that arrangement form a feedback
-  arc set.
+* ``"eades"`` — the Eades–Lin–Smyth greedy linear arrangement; edges pointing
+  backwards in that arrangement form a feedback arc set.
 
-Each policy exists in two forms.  The graph-taking functions are the paper's
-offline pipeline (:class:`~repro.core.tournament.TournamentGraph`, the
-``use_engine=False`` rung) and import :mod:`networkx` on first use.
-:func:`break_cycles` applies the same policies to a boolean *direction
-matrix* and is what the online engine and the cross-shard merger call; it
-needs numpy only.
+The offline sequencer, the online engine (both through
+:func:`repro.core.engine.tournament_order`) and the cross-shard merger all
+call it; it needs numpy only.
 
-Why the matrix form removes exactly the edges the graph form removes: which
-cycle ``networkx.find_cycle`` reports depends only on where its depth-first
-walk starts and in which order it tries a node's successors.  Both callers
-used to build their graph the same way — nodes added in matrix-index order,
-then every kept edge pair by pair in ascending index order — so the walk
-starts at the lowest unfinished index and a node's successors come in
-ascending index order, preceded (in the merger) by the node's within-shard
-chain successor, whose edge was inserted before any cross-shard pair.  That
-is a scan of the node's matrix row from a per-node cursor.  The walk reports
-the first edge that returns to the active path; edges into finished nodes
-change nothing, so the scan skips them instead of visiting them.  The victim
-is then chosen from the cycle's probabilities by the same expressions in the
-same order, so ties, floats and generator draws all agree
-(``tests/reference/linearise_reference.py`` keeps the graph form of the
-merger's linearisation as the oracle).
+It removes exactly the edges the paper's graph pipeline removes
+(``tests/reference/graph_reference.py`` keeps that pipeline, on a
+:mod:`networkx` graph, as the oracle).  Which cycle ``networkx.find_cycle``
+reports depends only on where its depth-first walk starts and in which
+order it tries a node's successors.  The graph is built with nodes in
+matrix-index order, then every kept edge pair by pair in ascending index
+order, so the walk starts at the lowest unfinished index and a node's
+successors come in ascending index order, preceded (in the merger) by the
+node's within-shard chain successor, whose edge was inserted before any
+cross-shard pair.  That is a scan of the node's matrix row from a per-node
+cursor.  The walk reports the first edge that returns to the active path;
+edges into finished nodes change nothing, so the scan skips them instead of
+visiting them.  The victim is then chosen from the cycle's probabilities by
+the same expressions in the same order, so ties, floats and generator draws
+all agree (``tests/reference/linearise_reference.py`` keeps the graph form
+of the merger's linearisation as the oracle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-
-from repro.core.relation import MessageKey, PairProbability
-
-if TYPE_CHECKING:  # the graph functions import networkx on first use
-    import networkx as nx
 
 #: The cycle-breaking policies every entry point accepts.
 CYCLE_POLICIES = ("greedy", "stochastic", "eades")
@@ -62,150 +54,6 @@ def check_policy(policy: str) -> None:
         raise ValueError(f"unknown cycle policy {policy!r}")
 
 
-@dataclass(frozen=True)
-class CycleResolution:
-    """Outcome of a cycle-breaking pass."""
-
-    removed_edges: Tuple[PairProbability, ...]
-    policy: str
-    was_cyclic: bool
-
-    @property
-    def removed_probability_mass(self) -> float:
-        """Sum of probabilities of the removed (ignored) edges."""
-        return float(sum(edge.probability for edge in self.removed_edges))
-
-
-def _find_cycle(graph: nx.DiGraph) -> Optional[List[Tuple[MessageKey, MessageKey]]]:
-    import networkx as nx
-
-    try:
-        return [(u, v) for u, v, _direction in nx.find_cycle(graph, orientation="original")]
-    except nx.NetworkXNoCycle:
-        return None
-
-
-def break_cycles_greedy(graph: nx.DiGraph) -> CycleResolution:
-    """Remove the minimum-probability edge of some cycle until acyclic.
-
-    Mutates ``graph`` in place and returns the removed edges.
-    """
-    import networkx as nx
-
-    removed: List[PairProbability] = []
-    was_cyclic = not nx.is_directed_acyclic_graph(graph)
-    while True:
-        cycle = _find_cycle(graph)
-        if cycle is None:
-            break
-        weakest = min(cycle, key=lambda edge: graph.edges[edge]["probability"])
-        probability = float(graph.edges[weakest]["probability"])
-        graph.remove_edge(*weakest)
-        removed.append(
-            PairProbability(source=weakest[0], target=weakest[1], probability=probability)
-        )
-    return CycleResolution(removed_edges=tuple(removed), policy="greedy", was_cyclic=was_cyclic)
-
-
-def break_cycles_stochastic(graph: nx.DiGraph, rng: np.random.Generator) -> CycleResolution:
-    """Remove a randomly chosen edge of each cycle, biased toward low probability.
-
-    Each cycle edge is selected with probability proportional to ``1 - p``
-    (plus a small floor so certain edges are never impossible to remove),
-    yielding long-run stochastic fairness across repeated sequencing rounds.
-    """
-    import networkx as nx
-
-    removed: List[PairProbability] = []
-    was_cyclic = not nx.is_directed_acyclic_graph(graph)
-    while True:
-        cycle = _find_cycle(graph)
-        if cycle is None:
-            break
-        weights = np.asarray(
-            [1.0 - float(graph.edges[edge]["probability"]) + 1e-6 for edge in cycle], dtype=float
-        )
-        weights = weights / weights.sum()
-        index = int(rng.choice(len(cycle), p=weights))
-        victim = cycle[index]
-        probability = float(graph.edges[victim]["probability"])
-        graph.remove_edge(*victim)
-        removed.append(PairProbability(source=victim[0], target=victim[1], probability=probability))
-    return CycleResolution(removed_edges=tuple(removed), policy="stochastic", was_cyclic=was_cyclic)
-
-
-def eades_linear_arrangement(graph: nx.DiGraph) -> List[MessageKey]:
-    """Eades–Lin–Smyth greedy linear arrangement of a directed graph.
-
-    Produces an ordering of the nodes such that the set of edges pointing
-    backwards (from a later to an earlier node) is a small feedback arc set.
-    The input graph is not modified.
-    """
-    working = graph.copy()
-    left: List[MessageKey] = []
-    right: List[MessageKey] = []
-    while working.number_of_nodes():
-        # peel off sinks to the right
-        progressed = True
-        while progressed:
-            progressed = False
-            sinks = [node for node in working.nodes if working.out_degree(node) == 0]
-            for sink in sorted(sinks):
-                right.append(sink)
-                working.remove_node(sink)
-                progressed = True
-            sources = [node for node in working.nodes if working.in_degree(node) == 0]
-            for source in sorted(sources):
-                left.append(source)
-                working.remove_node(source)
-                progressed = True
-        if not working.number_of_nodes():
-            break
-        # pick the node maximising out-degree minus in-degree
-        best = max(
-            working.nodes,
-            key=lambda node: (working.out_degree(node) - working.in_degree(node), node),
-        )
-        left.append(best)
-        working.remove_node(best)
-    return left + list(reversed(right))
-
-
-def remove_backward_edges(graph: nx.DiGraph, order: List[MessageKey]) -> CycleResolution:
-    """Remove every edge pointing backwards with respect to ``order``."""
-    import networkx as nx
-
-    position: Dict[MessageKey, int] = {node: index for index, node in enumerate(order)}
-    was_cyclic = not nx.is_directed_acyclic_graph(graph)
-    removed: List[PairProbability] = []
-    for source, target in list(graph.edges):
-        if position[source] > position[target]:
-            probability = float(graph.edges[source, target]["probability"])
-            graph.remove_edge(source, target)
-            removed.append(PairProbability(source=source, target=target, probability=probability))
-    return CycleResolution(removed_edges=tuple(removed), policy="eades", was_cyclic=was_cyclic)
-
-
-def resolve_cycles(
-    graph: nx.DiGraph, policy: str, rng: Optional[np.random.Generator] = None
-) -> CycleResolution:
-    """Apply the configured cycle-breaking ``policy`` to ``graph`` in place."""
-    import networkx as nx
-
-    check_policy(policy)
-    if nx.is_directed_acyclic_graph(graph):
-        return CycleResolution(removed_edges=(), policy=policy, was_cyclic=False)
-    if policy == "greedy":
-        return break_cycles_greedy(graph)
-    if policy == "stochastic":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return break_cycles_stochastic(graph, rng)
-    order = eades_linear_arrangement(graph)
-    return remove_backward_edges(graph, order)
-
-
-# --------------------------------------------------------------- matrix form
 class RemovedEdge(NamedTuple):
     """One edge :func:`break_cycles` cleared, by matrix index."""
 
@@ -272,7 +120,12 @@ def _find_cycle_nodes(edge: np.ndarray, first_successor: np.ndarray) -> Optional
 def _eades_positions(
     edge: np.ndarray, first_successor: np.ndarray, rank: np.ndarray
 ) -> np.ndarray:
-    """Each node's place in :func:`eades_linear_arrangement`, on degree vectors."""
+    """Each node's place in the Eades–Lin–Smyth arrangement, on degree vectors.
+
+    Sinks peel off to the right and sources to the left, each sweep in
+    ``rank`` order; when neither is left, the node with the largest
+    out-degree minus in-degree (the highest ``rank`` among equals) goes left.
+    """
     n = edge.shape[0]
     edge = edge.copy()
     chained = np.flatnonzero(first_successor >= 0)
@@ -329,7 +182,7 @@ def break_cycles(
     ``rank`` orders the nodes wherever the Eades arrangement breaks a tie
     (default: the matrix index).
 
-    Removes what :func:`resolve_cycles` removes from the equivalent graph,
+    Removes what the graph pipeline removes from the equivalent graph,
     drawing from ``rng`` identically; when a policy's victim is a
     ``first_successor`` edge, the cycle's weakest removable edge goes
     instead.  Returns the removed edges in removal order.

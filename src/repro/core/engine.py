@@ -15,13 +15,12 @@ keeps all of that state *incremental* and evaluates it in batched numpy:
   every message of that pair), so non-Gaussian clients no longer fall back
   to per-pair scalar FFT evaluations;
 * the kept-edge tournament is maintained as a boolean *direction matrix*
-  plus an out-degree (score) vector — pure numpy per arrival.  When the
-  tournament is intransitive (cyclic), :func:`~repro.core.cycles.break_cycles`
-  clears victims in a copy of that matrix — the edges the reference
-  pipeline (:meth:`~repro.core.tournament.TournamentGraph.from_relation`,
-  ``resolve_cycles``) removes from its graph, with the same draws from the
-  shared generator — and a Kahn pass with the reference tie-break orders
-  what is left;
+  plus an out-degree (score) vector — pure numpy per arrival.
+  :func:`tournament_order` linearises it — the one lineariser, which offline
+  :class:`~repro.core.sequencer.TommySequencer` shares: when the tournament
+  is intransitive (cyclic), :func:`~repro.core.cycles.break_cycles` clears
+  victims in a copy of that matrix, drawing from the shared generator, and a
+  Kahn pass with the message-key tie-break orders what is left;
 * the strict batching rule's boundary strengths are vectorized
   cumulative-minimum passes; the emission check uses
   :meth:`IncrementalPrecedenceEngine.first_tentative_group`, an ``O(k·n)``
@@ -36,9 +35,10 @@ keeps all of that state *incremental* and evaluates it in batched numpy:
 
 The engine is *behavior preserving*: for the same arrival stream it yields
 byte-identical tentative groups, safe-emission times and therefore emitted
-batches as the reference recompute-everything path (kept available via
-``OnlineTommySequencer(..., use_engine=False)`` and property-tested against
-it).  Gaussian probabilities reuse the exact floating-point expression of
+batches as the recompute-everything path it replaced (kept as the test
+oracle ``ReferenceOnlineSequencer`` in ``tests/reference/online_reference.py``
+and property-tested against it).  Gaussian probabilities reuse the exact
+floating-point expression of
 :func:`~repro.core.probability.gaussian_preceding_probability`; table-backed
 probabilities evaluate ``np.interp`` against the *same* grid/CDF arrays the
 scalar :class:`~repro.distributions.difference.DifferenceDistribution` path
@@ -54,7 +54,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 from scipy import special
 
-from repro.core.cycles import break_cycles
+from repro.core.cycles import RemovedEdge, break_cycles
 from repro.core.probability import PrecedenceModel
 from repro.core.relation import LikelyHappenedBefore, MessageKey
 from repro.distributions.parametric import GaussianDistribution
@@ -493,12 +493,31 @@ def strict_boundary_strengths_matrix(matrix: np.ndarray) -> np.ndarray:
     return suffix_min[positions, positions + 1]
 
 
+def kept_edges(forward: np.ndarray, tie_epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(wins, ties)`` of the tournament's pairs ``forward[k] = P(i_k precedes j_k)``.
+
+    ``wins[k]`` keeps the edge ``i_k -> j_k``: the direction with the larger
+    probability.  ``ties[k]`` marks a pair within ``tie_epsilon`` of 0.5,
+    which the caller orients by message key instead (``i_k -> j_k`` iff
+    ``key(i_k) <= key(j_k)``), so the result stays a tournament.
+    ``forward > 0.5`` is the comparison ``forward > 1.0 - forward`` for every
+    float: rounding is monotone, so ``forward > 0.5`` gives
+    ``fl(1 - forward) <= 0.5 < forward`` and ``forward < 0.5`` gives
+    ``fl(1 - forward) >= 0.5 > forward``; at 0.5 and for NaN both are false.
+    Likewise ``|forward - 0.5| <= 0`` is ``forward == 0.5``.
+    """
+    wins = forward > 0.5
+    if tie_epsilon:
+        return wins, np.abs(forward - 0.5) <= tie_epsilon
+    return wins, forward == 0.5
+
+
 def _topological_order(edge: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Kahn's algorithm over an acyclic direction matrix.
 
     Among the nodes with no unplaced predecessor the next is the one
-    minimising ``(-out_degree, rank)`` — the key, unique per node, of the
-    reference graph's lexicographical topological sort.
+    minimising ``(-out_degree, rank)``: the highest remaining score first,
+    ties by ``rank`` (unique per node).
     """
     n = edge.shape[0]
     priority = np.empty(n, dtype=np.intp)
@@ -514,6 +533,39 @@ def _topological_order(edge: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return order
 
 
+def tournament_order(
+    direction: np.ndarray,
+    scores: np.ndarray,
+    probability: np.ndarray,
+    messages: Sequence[TimestampedMessage],
+    cycle_policy: str,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, Optional[List[RemovedEdge]]]:
+    """The linear order of a tournament, and the edges cycle breaking removed.
+
+    ``direction[u, v]`` is the kept edge ``u -> v``, ``scores`` its row sums
+    and ``probability[u, v]`` the edge's weight; ``messages`` supply the keys
+    that rank ties.  A tournament is transitive exactly when its score
+    sequence is ``{0, .., n-1}``; its unique topological order is then the
+    score-descending order, an ``O(n)`` bucket placement, and the removed
+    edges are ``None``.  Otherwise the tournament is cyclic:
+    :func:`~repro.core.cycles.break_cycles` clears victims in a copy of
+    ``direction`` (drawing from ``rng``) and a Kahn pass orders what is left,
+    the highest remaining score first, ties by message key.
+    """
+    n = scores.size
+    counts = np.bincount(scores, minlength=n)
+    if counts.size == n and bool((counts == 1).all()):
+        permutation = np.empty(n, dtype=np.intp)
+        permutation[n - 1 - scores] = np.arange(n, dtype=np.intp)
+        return permutation, None
+    key_rank = np.empty(n, dtype=np.intp)
+    key_rank[sorted(range(n), key=lambda position: messages[position].key)] = np.arange(n)
+    edge = direction.copy()
+    removed = break_cycles(edge, probability, cycle_policy, rng, rank=key_rank)
+    return _topological_order(edge, key_rank), removed
+
+
 class IncrementalPrecedenceEngine:
     """Incrementally maintained precedence state over a pending message set.
 
@@ -522,8 +574,7 @@ class IncrementalPrecedenceEngine:
     :meth:`first_tentative_group` whenever an emission check needs the next
     candidate batch (:meth:`tentative_groups` for the full batching, e.g. at
     flush), and :meth:`safe_emission_time` for the cached-quantile ``T^F``
-    computation.  ``pair_tables=False`` disables the empirical fast path and
-    reproduces the historical scalar fallback (the benchmark's baseline).
+    computation.
 
     **The emission candidate stands until an arrival can change it.**
     :meth:`first_tentative_group` keeps the batch ``G`` it computed when the
@@ -558,7 +609,6 @@ class IncrementalPrecedenceEngine:
         tie_epsilon: float = 0.0,
         cycle_policy: str = "greedy",
         rng: Optional[np.random.Generator] = None,
-        pair_tables: bool = True,
     ) -> None:
         if not 0.5 <= threshold < 1.0:
             raise ValueError(f"threshold must be in [0.5, 1), got {threshold!r}")
@@ -568,7 +618,6 @@ class IncrementalPrecedenceEngine:
         self._cycle_policy = cycle_policy
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = EngineStats()
-        self._pair_tables_enabled = bool(pair_tables)
         self._tables = PairTableCache(model, stats=self.stats)
 
         self._messages: List[TimestampedMessage] = []
@@ -704,23 +753,12 @@ class IncrementalPrecedenceEngine:
     def _orient(self, row: np.ndarray, n: int, key: MessageKey) -> np.ndarray:
         """Write column/row ``n`` from ``row[i] = P(i precedes n)``; return the wins.
 
-        ``wins[i]`` is the kept edge ``i -> n``, exactly like
-        :meth:`~repro.core.tournament.TournamentGraph.from_relation`: ties
-        (within ``tie_epsilon`` of 0.5) orient by message key, the rest by
-        the larger direction probability.  ``row > 0.5`` is that comparison,
-        ``row > 1.0 - row``, for every float: rounding is monotone, so
-        ``row > 0.5`` gives ``fl(1 - row) <= 0.5 < row`` and ``row < 0.5``
-        gives ``fl(1 - row) >= 0.5 > row``; at 0.5 and for NaN both are
-        false.  Likewise ``|row - 0.5| <= 0`` is ``row == 0.5``.
+        ``wins[i]`` is the kept edge ``i -> n`` under :func:`kept_edges`.
         """
         matrix, direction = self._matrix, self._direction
         matrix[:n, n] = row
         np.subtract(1.0, row, out=matrix[n, :n])
-        wins = row > 0.5
-        if self._tie_epsilon:
-            ties = np.abs(row - 0.5) <= self._tie_epsilon
-        else:
-            ties = row == 0.5
+        wins, ties = kept_edges(row, self._tie_epsilon)
         if np.count_nonzero(ties):
             messages = self._messages
             for position in np.flatnonzero(ties):
@@ -842,11 +880,7 @@ class IncrementalPrecedenceEngine:
             for client_j, col_offsets in cols_by_client.items():
                 if params_i is not None and self._params_for(client_j) is not None:
                     continue  # served by the closed-form block above
-                table = (
-                    self._tables.table(client_i, client_j)
-                    if self._pair_tables_enabled
-                    else None
-                )
+                table = self._tables.table(client_i, client_j)
                 if table is not None:
                     rows = np.asarray(row_positions, dtype=np.intp)
                     cols = np.asarray(col_offsets, dtype=np.intp)
@@ -922,11 +956,7 @@ class IncrementalPrecedenceEngine:
         for client_i, ordinals in self._positions_by_client.items():
             if params is not None and self._params_for(client_i) is not None:
                 continue  # covered by the closed-form block above
-            table = (
-                self._tables.table(client_i, client_j)
-                if self._pair_tables_enabled
-                else None
-            )
+            table = self._tables.table(client_i, client_j)
             if table is not None:
                 pos = np.asarray(ordinals, dtype=np.intp) - base
                 # raw interpolation per pair group; the scalar path's clip is
@@ -1064,32 +1094,22 @@ class IncrementalPrecedenceEngine:
         return message.timestamp - quantile
 
     def _order_permutation(self) -> Tuple[np.ndarray, bool]:
-        """Message positions in the reference pipeline's linear order, and
-        whether the tournament was transitive.
-
-        A tournament is transitive exactly when its out-degree (score)
-        sequence is ``{0, .., n-1}``; in that case the unique topological
-        order is the score-descending order — an ``O(n)`` bucket placement
-        over the maintained score vector.  Otherwise the tournament is cyclic:
-        ``break_cycles`` removes from a copy of the direction matrix the
-        edges ``resolve_cycles`` removes from the reference graph (consuming
-        the shared RNG identically), and what is left is ordered by the
-        reference's lexicographical topological sort, ties by message key.
-        """
+        """Message positions in :func:`tournament_order`'s linear order, and
+        whether the tournament was transitive (the cyclic case draws from the
+        shared generator and counts a cycle resolution)."""
         n = self.size
-        scores = self._scores[:n]
-        counts = np.bincount(scores, minlength=n)
-        if counts.size == n and bool((counts == 1).all()):
-            permutation = np.empty(n, dtype=np.intp)
-            permutation[n - 1 - scores] = np.arange(n, dtype=np.intp)
+        permutation, removed = tournament_order(
+            self._direction[:n, :n],
+            self._scores[:n],
+            self._matrix[:n, :n],
+            self._messages,
+            self._cycle_policy,
+            self._rng,
+        )
+        if removed is None:
             return permutation, True
-        keys = [message.key for message in self._messages]
-        key_rank = np.empty(n, dtype=np.intp)
-        key_rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
-        edge = self._direction[:n, :n].copy()
-        break_cycles(edge, self._matrix[:n, :n], self._cycle_policy, self._rng, rank=key_rank)
         self.stats.cycle_resolutions += 1
-        return _topological_order(edge, key_rank), False
+        return permutation, False
 
     def first_tentative_group(self) -> Optional[List[TimestampedMessage]]:
         """The first strict-rule batch (the emission candidate), or ``None``.

@@ -17,15 +17,15 @@ arrival belongs in it or deserves a lower rank.  Two mechanisms interact:
 Every new arrival is followed by an emission check over the pending set's
 first tentative batch, so a high-uncertainty message automatically merges
 with (and thereby delays) messages it cannot be confidently ordered against —
-the Appendix C scenario.  By default the batch comes from the
+the Appendix C scenario.  The batch comes from the
 :class:`~repro.core.engine.IncrementalPrecedenceEngine`: one vectorized
 row/column append per arrival instead of an O(n^2) scalar recompute, and the
 candidate batch is re-derived only when that arrival could have changed it —
 while every member confidently precedes the newcomer the engine keeps it and
 the check reads the candidate's cached safe-emission time and completeness
-horizon.  ``use_engine=False`` selects the original recompute-everything
-path, which re-runs tentative batching on every check and caches nothing,
-kept as the parity oracle for tests and benchmarks.
+horizon.  The original recompute-everything path, which re-runs tentative
+batching on every check and caches nothing, is the parity oracle
+``ReferenceOnlineSequencer`` in ``tests/reference/online_reference.py``.
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 
 import numpy as np
 
-from repro.core.batching import form_batches
 from repro.core.config import TommyConfig
-from repro.core.cycles import resolve_cycles
 from repro.core.engine import EngineStats, IncrementalPrecedenceEngine
 from repro.core.probability import PrecedenceModel
-from repro.core.relation import LikelyHappenedBefore, MessageKey
-from repro.core.tournament import TournamentGraph
+from repro.core.relation import MessageKey
 from repro.distributions.base import OffsetDistribution
 from repro.network.message import Heartbeat, SequencedBatch, TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
@@ -91,8 +88,6 @@ class OnlineTommySequencer(Entity):
         config: Optional[TommyConfig] = None,
         known_clients: Optional[Sequence[str]] = None,
         name: str = "tommy-online",
-        use_engine: bool = True,
-        engine_pair_tables: bool = True,
         telemetry: Optional[Telemetry] = None,
         shard_index: Optional[int] = None,
     ) -> None:
@@ -108,17 +103,12 @@ class OnlineTommySequencer(Entity):
         for client_id, distribution in client_distributions.items():
             self._model.register_client(client_id, distribution)
         self._rng = np.random.default_rng(self._config.seed if self._config.seed is not None else 0)
-        self._engine: Optional[IncrementalPrecedenceEngine] = (
-            IncrementalPrecedenceEngine(
-                self._model,
-                threshold=self._config.threshold,
-                tie_epsilon=self._config.tie_epsilon,
-                cycle_policy=self._config.cycle_policy,
-                rng=self._rng,
-                pair_tables=engine_pair_tables,
-            )
-            if use_engine
-            else None
+        self._engine = IncrementalPrecedenceEngine(
+            self._model,
+            threshold=self._config.threshold,
+            tie_epsilon=self._config.tie_epsilon,
+            cycle_policy=self._config.cycle_policy,
+            rng=self._rng,
         )
         self._known_clients = (
             set(known_clients) if known_clients is not None else set(client_distributions)
@@ -157,13 +147,13 @@ class OnlineTommySequencer(Entity):
         return self._model
 
     @property
-    def engine(self) -> Optional[IncrementalPrecedenceEngine]:
-        """The incremental precedence engine (``None`` on the reference path)."""
+    def engine(self) -> IncrementalPrecedenceEngine:
+        """The incremental precedence engine."""
         return self._engine
 
     def engine_stats(self) -> EngineStats:
-        """Engine counters (all-zero when running the reference path)."""
-        return self._engine.stats if self._engine is not None else EngineStats()
+        """Engine counters."""
+        return self._engine.stats
 
     @property
     def pending_messages(self) -> List[TimestampedMessage]:
@@ -203,8 +193,7 @@ class OnlineTommySequencer(Entity):
     def register_client(self, client_id: str, distribution: OffsetDistribution) -> None:
         """Register a (new) client's clock-error distribution."""
         self._model.register_client(client_id, distribution)
-        if self._engine is not None:
-            self._engine.invalidate_client(client_id)
+        self._engine.invalidate_client(client_id)
         if client_id not in self._known_clients:
             self._known_clients.add(client_id)
             if client_id not in self._latest_client_timestamp:
@@ -221,7 +210,7 @@ class OnlineTommySequencer(Entity):
         the client's cached Gaussian parameters, pair-CDF tables and
         safe-emission quantiles, and rebuilds any live matrix rows involving
         the client, so the very next tentative batching reflects the update —
-        exactly like the reference path, which recomputes per arrival.
+        exactly like a recompute per arrival would.
         """
         self.update_client_distributions({client_id: distribution})
 
@@ -245,8 +234,7 @@ class OnlineTommySequencer(Entity):
             return
         for client_id, distribution in distributions.items():
             self._model.register_client(client_id, distribution)
-        if self._engine is not None:
-            self._engine.invalidate_clients(distributions)
+        self._engine.invalidate_clients(distributions)
         self._distribution_refreshes += len(distributions)
         # the refreshed distributions can change safe-emission times and
         # tentative batching of the pending set, so re-run the emission check
@@ -270,8 +258,7 @@ class OnlineTommySequencer(Entity):
         elif isinstance(item, TimestampedMessage):
             self._check_admissible(item)
             key = item.key
-            if self._engine is not None:
-                self._engine.add_message(item)
+            self._engine.add_message(item)
             self._pending[key] = item
             self._arrival_times[key] = arrival
             self._note_client_progress(item.client_id, item.timestamp)
@@ -316,8 +303,7 @@ class OnlineTommySequencer(Entity):
         for heartbeat in heartbeats:
             self._note_client_progress(heartbeat.client_id, heartbeat.timestamp)
         if messages:
-            if self._engine is not None:
-                self._engine.add_messages(list(messages.values()))
+            self._engine.add_messages(list(messages.values()))
             self._pending.update(messages)
             for message in messages.values():
                 self._arrival_times[message.key] = arrival
@@ -363,9 +349,7 @@ class OnlineTommySequencer(Entity):
         """
         if not self._pending:
             return []
-        if self._engine is not None:
-            return self._engine.tentative_groups()
-        return self._reference_tentative_groups()
+        return self._engine.tentative_groups()
 
     def _first_tentative_group(self) -> Optional[List[TimestampedMessage]]:
         """First tentative batch (the emission candidate), or ``None``.
@@ -377,31 +361,14 @@ class OnlineTommySequencer(Entity):
         """
         if not self._pending:
             return None
-        if self._engine is not None:
-            return self._engine.first_tentative_group()
-        groups = self._reference_tentative_groups()
-        return groups[0] if groups else None
-
-    def _reference_tentative_groups(self) -> List[List[TimestampedMessage]]:
-        """The original recompute-everything path (parity oracle for the engine)."""
-        relation = LikelyHappenedBefore.from_model(list(self._pending.values()), self._model)
-        tournament = TournamentGraph.from_relation(relation, tie_epsilon=self._config.tie_epsilon)
-        resolve_cycles(tournament.graph, self._config.cycle_policy, rng=self._rng)
-        order = tournament.topological_order()
-        outcome = form_batches(order, relation, self._config.threshold, mode="strict")
-        return [list(batch.messages) for batch in outcome.batches]
+        return self._engine.first_tentative_group()
 
     def safe_emission_time(self, batch: Sequence[TimestampedMessage]) -> float:
         """``T_b = max_k T^F_k`` over the batch (paper §3.5)."""
         if not batch:
             raise ValueError("cannot compute a safe emission time for an empty batch")
-        if self._engine is not None:
-            return max(
-                self._engine.safe_emission_time(message, self._config.p_safe)
-                for message in batch
-            )
         return max(
-            self._model.safe_emission_time(message, self._config.p_safe) for message in batch
+            self._engine.safe_emission_time(message, self._config.p_safe) for message in batch
         )
 
     def _completeness_floor(self) -> float:
@@ -410,8 +377,8 @@ class OnlineTommySequencer(Entity):
         ``-inf`` while any known client has never been heard from.  The
         minimum is cached and only recomputed when the floor-defining client
         itself advances, so the per-check cost is O(1) amortised instead of
-        a scan over every known client (``_completeness_scan``, kept as the
-        parity oracle).
+        a scan over every known client (``completeness_scan`` in
+        ``tests/reference/online_reference.py``, kept as the parity oracle).
         """
         if self._unheard_clients:
             return -float("inf")
@@ -422,13 +389,6 @@ class OnlineTommySequencer(Entity):
             self._floor_stale = False
         return self._floor_value
 
-    def _completeness_scan(self, batch_horizon: float) -> bool:
-        """The original O(known clients) completeness scan (parity oracle)."""
-        return all(
-            self._latest_client_timestamp.get(client_id, -float("inf")) >= batch_horizon
-            for client_id in self._known_clients
-        )
-
     def _bounds(self, candidate: Sequence[TimestampedMessage]) -> Tuple[float, float]:
         """``(safe emission time, completeness horizon)`` of the candidate.
 
@@ -436,14 +396,13 @@ class OnlineTommySequencer(Entity):
         quantiles alone, and the engine's ``candidate_epoch`` moves whenever
         either can have changed, so they are computed once per epoch.
         """
-        engine = self._engine
-        cached = self._candidate_bounds  # stays None on the reference path
-        if cached is not None and cached[0] == engine.candidate_epoch:
+        epoch = self._engine.candidate_epoch
+        cached = self._candidate_bounds
+        if cached is not None and cached[0] == epoch:
             return cached[1], cached[2]
         safe_time = self.safe_emission_time(candidate)
         horizon = max(message.timestamp for message in candidate)
-        if engine is not None:
-            self._candidate_bounds = (engine.candidate_epoch, safe_time, horizon)
+        self._candidate_bounds = (epoch, safe_time, horizon)
         return safe_time, horizon
 
     def _completeness_satisfied(self, batch_horizon: float) -> bool:
@@ -555,8 +514,7 @@ class OnlineTommySequencer(Entity):
         for key in emitted_keys:
             del self._pending[key]
             self._arrival_times.pop(key, None)
-        if self._engine is not None:
-            self._engine.remove_messages(emitted_keys)
+        self._engine.remove_messages(emitted_keys)
         if self._obs.enabled:
             for message in candidate:
                 self._obs.stage(
@@ -620,7 +578,7 @@ class OnlineTommySequencer(Entity):
         pending = list(state["pending"])
         self._pending = {message.key: message for message in pending}
         self._arrival_times = dict(state["arrival_times"])
-        if self._engine is not None and pending:
+        if pending:
             self._engine.add_messages(pending)
         self._next_rank = int(state["next_rank"])
         self._extension_count = int(state["extension_count"])
@@ -671,9 +629,8 @@ class OnlineTommySequencer(Entity):
             "forced_emissions": self._forced_emissions,
             "distribution_refreshes": self._distribution_refreshes,
             "pending": len(self._pending),
+            "engine": self._engine.stats.as_dict(),
         }
-        if self._engine is not None:
-            metadata["engine"] = self._engine.stats.as_dict()
         return SequencingResult(batches=batches, metadata=metadata)
 
     def emission_latencies(self) -> List[float]:

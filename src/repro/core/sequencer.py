@@ -5,7 +5,8 @@ assumption, lifted by :mod:`repro.core.online`), computes the
 likely-happened-before relation over them, extracts a linear order from the
 kept-edge tournament (breaking cycles per the configured policy when the
 relation is intransitive) and forms ranked batches at the confidence
-threshold.
+threshold.  The tournament is linearised by the online engine's own path,
+:func:`~repro.core.engine.tournament_order` over a direction matrix.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import numpy as np
 
 from repro.core.batching import form_batches
 from repro.core.config import TommyConfig
-from repro.core.cycles import resolve_cycles
-from repro.core.engine import EngineStats, build_relation
+from repro.core.engine import EngineStats, build_relation, kept_edges, tournament_order
 from repro.core.probability import PrecedenceModel
 from repro.core.relation import LikelyHappenedBefore
-from repro.core.tournament import TournamentGraph
 from repro.distributions.base import OffsetDistribution
 from repro.network.message import TimestampedMessage
 from repro.sequencers.base import OfflineSequencer, SequencingResult
@@ -94,25 +93,52 @@ class TommySequencer(OfflineSequencer):
         """Sequence messages given an already-computed relation.
 
         This entry point supports the Appendix-B style workflow where the
-        pairwise probabilities are supplied directly as a matrix.
+        pairwise probabilities are supplied directly as a matrix.  Each pair
+        ``i < j`` (in the relation's message order) is read once, as
+        ``forward = P(i precedes j)``; the reverse direction weighs
+        ``1 - forward``.  A tournament is transitive exactly when it is
+        acyclic, so ``transitive`` and ``was_cyclic`` are one test.
         """
-        tournament = TournamentGraph.from_relation(relation, tie_epsilon=self._config.tie_epsilon)
-        transitive = tournament.is_transitive_tournament()
-        resolution = resolve_cycles(tournament.graph, self._config.cycle_policy, rng=self._rng)
-        order = tournament.topological_order()
+        keys = relation.message_keys
+        n = len(keys)
+        rows, cols = np.triu_indices(n, 1)
+        forward = np.array(
+            [relation.probability(keys[i], keys[j]) for i, j in zip(rows.tolist(), cols.tolist())],
+            dtype=float,
+        )
+        wins, ties = kept_edges(forward, self._config.tie_epsilon)
+        for pair in np.flatnonzero(ties):
+            wins[pair] = keys[rows[pair]] <= keys[cols[pair]]
+        direction = np.zeros((n, n), dtype=bool)
+        direction[rows, cols] = wins
+        direction[cols, rows] = ~wins
+        probability = np.full((n, n), 0.5)
+        probability[rows, cols] = forward
+        probability[cols, rows] = 1.0 - forward
+        permutation, removed = tournament_order(
+            direction,
+            direction.sum(axis=1),
+            probability,
+            relation.messages(),
+            self._config.cycle_policy,
+            self._rng,
+        )
+        order = [keys[position] for position in permutation]
         outcome = form_batches(
             order, relation, self._config.threshold, mode=self._config.batching_mode
         )
+        transitive = removed is None
+        removed = removed or []
         metadata = {
             "sequencer": self.name,
             "threshold": self._config.threshold,
             "transitive": transitive,
-            "was_cyclic": resolution.was_cyclic,
-            "cycle_policy": resolution.policy,
-            "removed_edges": len(resolution.removed_edges),
-            "removed_probability_mass": resolution.removed_probability_mass,
-            "tie_count": tournament.tie_count,
-            "linear_order": [key for key in order],
+            "was_cyclic": not transitive,
+            "cycle_policy": self._config.cycle_policy,
+            "removed_edges": len(removed),
+            "removed_probability_mass": float(sum(edge.probability for edge in removed)),
+            "tie_count": int(np.count_nonzero(ties)),
+            "linear_order": order,
             "boundary_probabilities": list(outcome.boundary_probabilities),
             "batch_sizes": list(outcome.batch_sizes),
         }

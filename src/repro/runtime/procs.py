@@ -225,7 +225,6 @@ class _ShardHost:
             config=spec.config,
             known_clients=list(clients),
             name=f"cluster-shard-{shard}",
-            use_engine=True,
             telemetry=self._telemetry,
             shard_index=shard,
         )

@@ -4,10 +4,10 @@
 ``networkx`` walk it replaced.  For the merger that means: the same order,
 the same number of removed edges and the same generator state afterwards as
 ``tests/reference/linearise_reference.py`` on every forward matrix, under
-every policy.  For the engine it means the same emitted batches as the
-``use_engine=False`` rung (which still builds a
-:class:`~repro.core.tournament.TournamentGraph`), and the same order as
-``resolve_cycles`` on that graph for tournaments no model would produce.
+every policy.  For the engine it means the same emitted batches as
+``ReferenceOnlineSequencer`` (which builds a ``graph_reference.TournamentGraph``),
+and the same order as ``resolve_cycles`` on that graph for tournaments no
+model would produce.
 """
 
 import dataclasses
@@ -16,8 +16,10 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from graph_reference import TournamentGraph, resolve_cycles
 from hypothesis import strategies as st
 from linearise_reference import _resolve_order_via_graph
+from online_reference import ReferenceOnlineSequencer
 
 from repro.cluster.merge import (
     CrossShardMerger,
@@ -28,12 +30,11 @@ from repro.cluster.merge import (
 )
 from repro.cluster.recipe import build_merge, build_router
 from repro.core.config import TommyConfig
-from repro.core.cycles import CYCLE_POLICIES, break_cycles, resolve_cycles
+from repro.core.cycles import CYCLE_POLICIES, break_cycles
 from repro.core.engine import _topological_order
 from repro.core.online import OnlineTommySequencer
 from repro.core.probability import PrecedenceModel
 from repro.core.relation import LikelyHappenedBefore
-from repro.core.tournament import TournamentGraph
 from repro.distributions.mixtures import MixtureDistribution
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import SequencedBatch, TimestampedMessage
@@ -230,8 +231,8 @@ def online_flush_run(use_engine, policy, seed):
         cycle_policy=policy,
         seed=seed,
     )
-    sequencer = OnlineTommySequencer(
-        EventLoop(), skewed_mixtures(rng, 4), config, use_engine=use_engine
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        EventLoop(), skewed_mixtures(rng, 4), config
     )
     for k in range(9):
         sequencer.receive(

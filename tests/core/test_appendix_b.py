@@ -6,12 +6,12 @@ and with threshold 0.75 the batches {A}, {B, C}, {D}.
 """
 
 import pytest
+from graph_reference import TournamentGraph
 
 from repro.core.batching import form_batches
 from repro.core.config import TommyConfig
 from repro.core.relation import LikelyHappenedBefore
 from repro.core.sequencer import TommySequencer
-from repro.core.tournament import TournamentGraph
 from tests.conftest import make_message
 
 APPENDIX_B_MATRIX = [

@@ -9,6 +9,7 @@ transport must not change the emitted stream — only the amount of work.
 
 import numpy as np
 import pytest
+from online_reference import completeness_scan
 
 from repro.core.config import TommyConfig
 from repro.core.engine import IncrementalPrecedenceEngine
@@ -280,14 +281,14 @@ def test_completeness_floor_matches_scan():
         sequencer._note_client_progress(client, timestamp)
         for horizon in horizons:
             incremental = sequencer._completeness_floor() >= horizon
-            assert incremental == sequencer._completeness_scan(horizon), (
+            assert incremental == completeness_scan(sequencer, horizon), (
                 f"floor diverged from scan at step {step}, horizon {horizon}"
             )
     # a brand-new known client resets completeness until it is heard from
     sequencer.register_client("late-joiner", GaussianDistribution(0.0, 0.005))
     assert sequencer._completeness_floor() == -float("inf")
-    assert not sequencer._completeness_scan(0.0)
+    assert not completeness_scan(sequencer, 0.0)
     sequencer._note_client_progress("late-joiner", 5.0)
     assert sequencer._completeness_floor() == sequencer._completeness_floor()
     for horizon in horizons:
-        assert (sequencer._completeness_floor() >= horizon) == sequencer._completeness_scan(horizon)
+        assert (sequencer._completeness_floor() >= horizon) == completeness_scan(sequencer, horizon)

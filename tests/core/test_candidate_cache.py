@@ -7,7 +7,7 @@ distribution refreshes the returned group equals the head of a full
 ``tentative_groups()`` pass on a deep copy — the full pass never reads the
 candidate, so the copy is a cache-free oracle with no knob — the shared
 generator has been drawn from exactly as often, and an engine-backed
-sequencer still matches ``use_engine=False`` down to the loop's event counts.
+sequencer still matches ``ReferenceOnlineSequencer`` down to the loop's event counts.
 """
 
 import copy
@@ -26,6 +26,7 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
+from online_reference import ReferenceOnlineSequencer
 from test_engine import fingerprint, skewed_mixtures
 
 from repro.core.config import TommyConfig
@@ -375,7 +376,9 @@ def timed_run(use_engine, seed, completeness_mode, max_batch_age, num_messages=7
         cycle_policy="stochastic",
         seed=7,
     )
-    sequencer = OnlineTommySequencer(loop, distributions, config, use_engine=use_engine)
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
+    )
     t = 0.0
     for k in range(num_messages):
         t += float(rng.exponential(0.05))

@@ -7,6 +7,7 @@ topological order.
 """
 
 import numpy as np
+from graph_reference import TournamentGraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel, gaussian_preceding_probability
 from repro.core.relation import LikelyHappenedBefore
 from repro.core.sequencer import TommySequencer
-from repro.core.tournament import TournamentGraph
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import TimestampedMessage
 

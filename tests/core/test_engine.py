@@ -2,13 +2,14 @@
 
 The contract under test is *behavior preservation*: an engine-backed online
 sequencer must emit byte-identical batches to the reference
-recompute-everything path (``use_engine=False``) for the same arrival
+recompute-everything path (``ReferenceOnlineSequencer``) for the same arrival
 stream, while performing no scalar probability evaluations on Gaussian
 workloads.
 """
 
 import numpy as np
 import pytest
+from online_reference import ReferenceOnlineSequencer
 
 from repro.core.batching import _strict_boundary_strengths
 from repro.core.config import TommyConfig
@@ -61,7 +62,9 @@ def stream_run(use_engine, seed, completeness_mode, num_clients=10, num_messages
         max_network_delay=0.5,
         seed=7,
     )
-    sequencer = OnlineTommySequencer(loop, distributions, config, use_engine=use_engine)
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
+    )
     t = 0.0
     for k in range(num_messages):
         t += float(rng.exponential(0.05))
@@ -126,7 +129,9 @@ def cyclic_flush_run(use_engine, cycle_policy, seed=3):
         cycle_policy=cycle_policy,
         seed=3,
     )
-    sequencer = OnlineTommySequencer(loop, distributions, config, use_engine=use_engine)
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
+    )
     for k in range(10):
         client = f"c{int(rng.integers(4))}"
         sequencer.receive(
@@ -163,7 +168,9 @@ def test_engine_parity_timed_run_with_cycles_and_shared_rng():
             cycle_policy="stochastic",
             seed=3,
         )
-        sequencer = OnlineTommySequencer(loop, distributions, config, use_engine=use_engine)
+        sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+            loop, distributions, config
+        )
         t = 0.0
         for k in range(20):
             t += float(rng.exponential(0.05))
@@ -196,7 +203,9 @@ def test_engine_parity_across_client_reregistration():
             "b": GaussianDistribution(0.0, 0.2),
         }
         config = TommyConfig(p_safe=0.9, completeness_mode="none", seed=0)
-        sequencer = OnlineTommySequencer(loop, distributions, config, use_engine=use_engine)
+        sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+            loop, distributions, config
+        )
         sequencer.receive(TimestampedMessage("a", 100.0, message_id=1), arrival_time=0.0)
         sequencer.receive(TimestampedMessage("b", 100.05, message_id=2), arrival_time=0.0)
         # widen a's clock while its message is still pending: the pair is no
@@ -238,8 +247,8 @@ def test_engine_groups_match_reference_groups_directly():
     loop = EventLoop()
     distributions = gaussian_distributions(rng, 6)
     config = TommyConfig(p_safe=0.99, completeness_mode="none", seed=1)
-    engine_seq = OnlineTommySequencer(loop, distributions, config, use_engine=True)
-    reference_seq = OnlineTommySequencer(loop, distributions, config, use_engine=False)
+    engine_seq = OnlineTommySequencer(loop, distributions, config)
+    reference_seq = ReferenceOnlineSequencer(loop, distributions, config)
     for k in range(30):
         message = TimestampedMessage(
             f"c{int(rng.integers(6))}", float(rng.normal(0, 0.5)), message_id=500 + k

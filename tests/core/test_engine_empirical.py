@@ -9,6 +9,7 @@ replaces the scalar FFT fallback bit-for-bit.
 
 import numpy as np
 import pytest
+from online_reference import ReferenceOnlineSequencer
 
 from repro.core.config import TommyConfig
 from repro.core.engine import (
@@ -67,7 +68,7 @@ def mixed_distributions(rng, num_clients):
     return distributions
 
 
-def stream_run(distribution_factory, use_engine, seed, pair_tables=True, num_messages=60):
+def stream_run(distribution_factory, use_engine, seed, num_messages=60):
     rng = np.random.default_rng(seed)
     distributions = distribution_factory(rng, 6)
     loop = EventLoop()
@@ -76,8 +77,8 @@ def stream_run(distribution_factory, use_engine, seed, pair_tables=True, num_mes
     config = TommyConfig(
         p_safe=0.99, completeness_mode="none", seed=7, convolution_points=512
     )
-    sequencer = OnlineTommySequencer(
-        loop, distributions, config, use_engine=use_engine, engine_pair_tables=pair_tables
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
     )
     t = 0.0
     for k in range(num_messages):
@@ -117,17 +118,6 @@ def test_empirical_stream_parity_with_zero_scalar_evaluations(factory, seed, num
     assert stats.scalar_evaluations == 0
     assert engine_run.model.probability_evaluations == 0
     assert reference_run.model.probability_evaluations > 100
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_scalar_fallback_mode_still_matches_reference(seed):
-    """``pair_tables=False`` (the benchmark baseline mode) stays correct."""
-    fallback_run = stream_run(empirical_distributions, True, seed, pair_tables=False)
-    reference_run = stream_run(empirical_distributions, False, seed)
-    assert fingerprint(fallback_run) == fingerprint(reference_run)
-    stats = fallback_run.engine_stats()
-    assert stats.scalar_evaluations > 0
-    assert stats.table_evaluations == 0
 
 
 def test_first_tentative_group_equals_full_batching_head():

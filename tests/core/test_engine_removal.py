@@ -6,7 +6,7 @@ emitted one.  After any mix of oldest-k slides, out-of-order removals and
 further appends the engine must equal a fresh engine fed the survivors in
 arrival order: the same probabilities, the same per-client row lists, the
 same batches.  And a sequencer running on it must emit exactly what the
-recompute-everything reference path (``use_engine=False``) emits.
+recompute-everything reference path (``ReferenceOnlineSequencer``) emits.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from online_reference import ReferenceOnlineSequencer
 from test_engine import fingerprint, gaussian_distributions
 from test_engine_empirical import empirical_distributions
 
@@ -158,7 +159,9 @@ def interleaved_run(use_engine, plan, completeness_mode):
     distributions = gaussian_distributions(np.random.default_rng(3), 4, 0.002, 0.03)
     loop = EventLoop()
     config = TommyConfig(p_safe=0.95, completeness_mode=completeness_mode, seed=5)
-    sequencer = OnlineTommySequencer(loop, distributions, config, use_engine=use_engine)
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
+    )
     now = 0.0
     for index, (kind, client, amount) in enumerate(plan):
         client_id = f"c{client}"

@@ -9,6 +9,7 @@ recompute-everything path produces with the refreshed model.
 
 import numpy as np
 import pytest
+from online_reference import ReferenceOnlineSequencer
 
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
@@ -44,7 +45,9 @@ def refreshing_run(use_engine, seed=3, num_clients=5, num_messages=50, refresh_e
     config = TommyConfig(
         p_safe=0.99, completeness_mode="none", seed=7, convolution_points=512
     )
-    sequencer = OnlineTommySequencer(loop, distributions, config, use_engine=use_engine)
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
+    )
     t = 0.0
     for k in range(num_messages):
         t += float(rng.exponential(0.05))

@@ -1,6 +1,7 @@
 """Tests for the online Tommy sequencer (paper §3.5)."""
 
 import pytest
+from online_reference import ReferenceOnlineSequencer
 
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
@@ -178,11 +179,10 @@ def test_emission_releases_per_message_bookkeeping(use_engine):
     self.now)`` default in ``_batch_age`` masked the leak)."""
     loop = EventLoop()
     distributions = {"a": GaussianDistribution(0.0, 0.1), "b": GaussianDistribution(0.0, 0.1)}
-    sequencer = OnlineTommySequencer(
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
         loop,
         distributions,
         TommyConfig(completeness_mode="none", p_safe=0.9),
-        use_engine=use_engine,
     )
     for index in range(20):
         message = make_message("a" if index % 2 == 0 else "b", float(10 * index))
@@ -215,8 +215,8 @@ def test_rejected_receive_leaves_no_trace(use_engine):
     engine rejected it, leaving two pending copies of one message."""
     loop = EventLoop()
     distributions = {"a": GaussianDistribution(0.0, 1.0), "b": GaussianDistribution(0.0, 1.0)}
-    sequencer = OnlineTommySequencer(
-        loop, distributions, TommyConfig(completeness_mode="none"), use_engine=use_engine
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, TommyConfig(completeness_mode="none")
     )
     message = make_message("a", 0.0)
     sequencer.receive(message, arrival_time=0.0)
@@ -232,8 +232,8 @@ def test_rejected_receive_leaves_no_trace(use_engine):
 def test_rejected_burst_leaves_no_trace(use_engine):
     loop = EventLoop()
     distributions = {"a": GaussianDistribution(0.0, 1.0), "b": GaussianDistribution(0.0, 1.0)}
-    sequencer = OnlineTommySequencer(
-        loop, distributions, TommyConfig(completeness_mode="heartbeat"), use_engine=use_engine
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, TommyConfig(completeness_mode="heartbeat")
     )
     message = make_message("a", 0.0)
     sequencer.receive_many([message], arrival_time=0.0)

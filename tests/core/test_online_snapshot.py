@@ -28,7 +28,6 @@ def _make_sequencer(loop, seed=13):
         loop,
         distributions,
         TommyConfig(completeness_mode="none", p_safe=0.99, seed=seed),
-        use_engine=True,
     )
 
 

@@ -1,10 +1,10 @@
 """Tests for tournament construction and linear-order extraction."""
 
 import pytest
+from graph_reference import TournamentGraph
 
 from repro.core.probability import PrecedenceModel
 from repro.core.relation import LikelyHappenedBefore
-from repro.core.tournament import TournamentGraph
 from repro.distributions.parametric import GaussianDistribution
 from tests.conftest import make_message
 

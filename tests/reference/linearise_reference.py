@@ -21,9 +21,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
+from graph_reference import eades_linear_arrangement
 
 from repro.cluster.merge import BatchNode
-from repro.core.cycles import RemovedEdge, break_cycles, eades_linear_arrangement
+from repro.core.cycles import RemovedEdge, break_cycles
 from repro.network.message import SequencedBatch
 
 

@@ -1,8 +1,7 @@
 """What a serving process imports: numpy, ``scipy.special``, asyncio, ``repro``.
 
 ``scipy.stats`` (+46 MiB resident, +0.65 s of import) and ``networkx``
-(+12.7 MiB) are needed by tests, the offline sequencer and the reference rung
-only.  The probe runs in a fresh interpreter and drives every layer a request
+(+12.7 MiB) are needed by tests and their reference oracles only.  The probe runs in a fresh interpreter and drives every layer a request
 touches, the non-Gaussian families included, then reads ``sys.modules``.
 """
 
@@ -88,6 +87,37 @@ def test_the_service_path_imports_neither_scipy_stats_nor_networkx():
     source = Path(__file__).resolve().parents[2] / "src"
     completed = subprocess.run(
         [sys.executable, "-c", SERVICE_IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+OFFLINE_IMPORT_PROBE = """
+import sys
+
+from repro.core.config import TommyConfig
+from repro.core.relation import LikelyHappenedBefore
+from repro.core.sequencer import TommySequencer
+from repro.network.message import TimestampedMessage
+
+messages = [TimestampedMessage(client_id=c, timestamp=0.0, message_id=i) for i, c in enumerate("abc")]
+relation = LikelyHappenedBefore.from_matrix(
+    messages, [[0.0, 0.9, 0.2], [0.1, 0.0, 0.8], [0.8, 0.2, 0.0]]
+)
+for policy in ("greedy", "stochastic", "eades"):
+    config = TommyConfig(cycle_policy=policy)
+    assert TommySequencer(config=config).sequence_relation(relation).metadata["was_cyclic"]
+assert "networkx" not in sys.modules, "offline sequencing imported networkx"
+"""
+
+
+def test_offline_sequencing_of_a_cycle_imports_no_networkx():
+    source = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", OFFLINE_IMPORT_PROBE],
         env={**os.environ, "PYTHONPATH": str(source)},
         capture_output=True,
         text=True,
