@@ -8,7 +8,7 @@ topological order.
 
 import numpy as np
 from graph_reference import TournamentGraph
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batching import form_batches
@@ -42,6 +42,21 @@ def build_messages_and_model(specs):
     return messages, model
 
 
+def linear_order(relation):
+    """The production linear order (cycle breaking included) over ``relation``.
+
+    Exact Gaussian relations are transitive, but near-ties evaluated in
+    floating point can still close a cycle (see the pinned example below),
+    so the batching properties take their order from the sequencer rather
+    than from a bare topological sort.
+    """
+    return TommySequencer().sequence_relation(relation).metadata["linear_order"]
+
+
+# three equal timestamps whose pairwise probabilities round to a 3-cycle
+NEAR_TIE_CYCLE = [(0.0, -2.220446049250313e-16, 1.0), (0.0, 0.0, 4.0), (0.0, 0.0, 1.0)]
+
+
 @given(specs=client_specs)
 @settings(max_examples=60, deadline=None)
 def test_gaussian_relation_is_transitive_appendix_a(specs):
@@ -70,24 +85,25 @@ def test_topological_order_sorts_by_bias_corrected_timestamp(specs):
 
 
 @given(specs=client_specs, threshold=st.floats(min_value=0.5, max_value=0.99))
+@example(specs=NEAR_TIE_CYCLE, threshold=0.75)
 @settings(max_examples=40, deadline=None)
 def test_batches_partition_messages(specs, threshold):
     """Every message lands in exactly one batch and ranks are consecutive."""
     messages, model = build_messages_and_model(specs)
     relation = LikelyHappenedBefore.from_model(messages, model)
-    tournament = TournamentGraph.from_relation(relation)
-    outcome = form_batches(tournament.topological_order(), relation, threshold=min(threshold, 0.999))
+    outcome = form_batches(linear_order(relation), relation, threshold=min(threshold, 0.999))
     seen = [message.key for batch in outcome.batches for message in batch.messages]
     assert sorted(seen) == sorted(message.key for message in messages)
     assert [batch.rank for batch in outcome.batches] == list(range(len(outcome.batches)))
 
 
 @given(specs=client_specs)
+@example(specs=NEAR_TIE_CYCLE)
 @settings(max_examples=30, deadline=None)
 def test_strict_batches_never_finer_than_adjacent(specs):
     messages, model = build_messages_and_model(specs)
     relation = LikelyHappenedBefore.from_model(messages, model)
-    order = TournamentGraph.from_relation(relation).topological_order()
+    order = linear_order(relation)
     adjacent = form_batches(order, relation, threshold=0.75, mode="adjacent")
     strict = form_batches(order, relation, threshold=0.75, mode="strict")
     assert strict.batch_count <= adjacent.batch_count
