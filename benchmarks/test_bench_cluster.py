@@ -23,15 +23,10 @@ SHARD_COUNTS = (1, 2, 4)
 def test_cluster_shard_scaling(benchmark):
     start = time.perf_counter()
     rows = benchmark.pedantic(
-        # streaming=False: this benchmark gates *sharded sequencing*
-        # throughput; the live streaming merge prices cross-shard pairs
-        # inside the timed loop and has its own parity/speed gates in
-        # benchmarks/test_bench_merge.py
         lambda: run_cluster_sweep(
             shard_counts=SHARD_COUNTS,
             client_counts=(BENCH_CLUSTER_CLIENTS,),
             seed=BENCH_SEED,
-            streaming=False,
         ),
         rounds=1,
         iterations=1,

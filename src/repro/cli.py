@@ -123,7 +123,6 @@ def _cluster_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
         shard_counts=_shard_counts_up_to(args.shards),
         client_counts=(args.num_clients,),
         seed=args.seed,
-        streaming=not args.no_streaming_merge,
         merge_topology=args.merge_topology,
         merge_fanout=args.fanout,
         runtime=args.runtime,
@@ -156,7 +155,6 @@ def _chaos_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
         shard_counts=(args.shards,),
         num_clients=effective,
         seed=args.seed,
-        streaming=not args.no_streaming_merge,
     )
 
 
@@ -357,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=4,
         help="max shard count for the cluster sweep (swept 1, 2, ... up to this; default 4)",
-    )
-    parser.add_argument(
-        "--no-streaming-merge",
-        action="store_true",
-        help="cluster/chaos sweeps: disable the live streaming cross-shard merge "
-        "(skips the streaming_ms / streaming_parity columns)",
     )
     parser.add_argument(
         "--merge-topology",

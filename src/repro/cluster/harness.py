@@ -33,7 +33,6 @@ from repro.network.message import Heartbeat, TimestampedMessage
 from repro.network.transport import ClientEndpoint, Transport
 from repro.obs.telemetry import Telemetry
 from repro.runtime.base import Scheduler, clock_of
-from repro.simulation.trace import TraceRecorder
 
 if TYPE_CHECKING:  # imported lazily: workloads.chaos drives this harness
     from repro.workloads.scenario import Scenario
@@ -55,35 +54,19 @@ class ClusterTransport:
         loop: Scheduler,
         cluster: ShardedSequencer,
         rng_factory: Callable[[str], np.random.Generator],
-        trace: Optional[TraceRecorder] = None,
-        coalesce_bursts: bool = False,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._loop = loop
         self._cluster = cluster
         self._transports: List[Transport] = []
         for shard_index in range(cluster.num_shards):
-            transport = Transport(
-                loop, rng_factory, trace, coalesce_bursts=coalesce_bursts, telemetry=telemetry
-            )
+            transport = Transport(loop, rng_factory, telemetry=telemetry)
             transport.sequencer.on_arrival(self._fan_in(shard_index))
-            if coalesce_bursts:
-                # same-instant deliveries reach the shard as one burst: one
-                # engine block append and one emission check instead of k
-                transport.sequencer.on_burst(self._fan_in_burst(shard_index))
             self._transports.append(transport)
 
     def _fan_in(self, shard_index: int):
         def deliver(item: Union[TimestampedMessage, Heartbeat], arrival_time: float) -> None:
             self._cluster.receive_at(shard_index, item, arrival_time)
-
-        return deliver
-
-    def _fan_in_burst(self, shard_index: int):
-        def deliver(
-            items: List[Union[TimestampedMessage, Heartbeat]], arrival_time: float
-        ) -> None:
-            self._cluster.receive_many_at(shard_index, items, arrival_time)
 
         return deliver
 

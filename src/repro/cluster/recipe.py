@@ -25,17 +25,9 @@ def build_router(
     client_distributions: Dict[str, OffsetDistribution],
     num_shards: int,
     policy: Optional[ShardingPolicy] = None,
-    router: Optional[ShardRouter] = None,
 ) -> ShardRouter:
-    """The routing table: every provisioned client assigned in sorted order.
-
-    ``router`` populates an existing table (it must have ``num_shards``
-    shards) instead of constructing one from ``policy``.
-    """
-    if router is None:
-        router = ShardRouter(num_shards, policy)
-    elif router.num_shards != num_shards:
-        raise ValueError(f"router has {router.num_shards} shards, cluster expects {num_shards}")
+    """The routing table: every provisioned client assigned in sorted order."""
+    router = ShardRouter(num_shards, policy)
     for client_id in sorted(client_distributions):
         router.assign(client_id)
     return router
@@ -48,7 +40,6 @@ def build_merge(
     merge_topology: str = "flat",
     merge_fanout: int = 2,
     telemetry: Optional[Telemetry] = None,
-    merge_threshold: Optional[float] = None,
 ) -> Tuple[CrossShardMerger, Optional[MergeTopology], StreamingMerger]:
     """The merge stack: ``(merger, topology, streaming merger)``.
 
@@ -65,7 +56,7 @@ def build_merge(
         model.register_client(client_id, distribution)
     merger = CrossShardMerger(
         model,
-        threshold=config.threshold if merge_threshold is None else merge_threshold,
+        threshold=config.threshold,
         cycle_policy=config.cycle_policy,
         seed=config.seed if config.seed is not None else 0,
         telemetry=telemetry,

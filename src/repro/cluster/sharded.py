@@ -20,7 +20,7 @@ cluster history and participate in the final merge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.intake import IntakeDedupeGate
 from repro.cluster.merge import CrossShardMerger, MergeOutcome, StreamingMerger
@@ -95,12 +95,9 @@ class ShardedSequencer(Entity):
         num_shards: int,
         config: Optional[TommyConfig] = None,
         policy: Optional[ShardingPolicy] = None,
-        router: Optional[ShardRouter] = None,
-        merge_threshold: Optional[float] = None,
         heartbeat_interval: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
         name: str = "cluster",
-        streaming_merge: bool = True,
         dedupe_intake: bool = False,
         dedupe_prune_horizon: bool = True,
         telemetry: Optional[Telemetry] = None,
@@ -114,7 +111,7 @@ class ShardedSequencer(Entity):
         self._telemetry = telemetry
         self._obs = resolve(telemetry)
         self._distributions = dict(client_distributions)
-        self._router = build_router(self._distributions, num_shards, policy, router=router)
+        self._router = build_router(self._distributions, num_shards, policy)
 
         self._shards: List[ShardState] = []
         for index in range(num_shards):
@@ -134,23 +131,20 @@ class ShardedSequencer(Entity):
 
         self._merge_topology_kind = merge_topology
         self._merge_fanout = int(merge_fanout)
-        self._merger, self._topology, streaming = build_merge(
+        self._merger, self._topology, self._streaming = build_merge(
             self._distributions,
             self._config,
             self._router,
             merge_topology=merge_topology,
             merge_fanout=merge_fanout,
             telemetry=telemetry,
-            merge_threshold=merge_threshold,
         )
         # live merged order: every shard emission streams into an incremental
         # merger, so draining the cluster is a linearisation of maintained
         # state instead of an O(everything) re-merge; merge() stays available
         # as the offline parity oracle
-        self._streaming: Optional[StreamingMerger] = streaming if streaming_merge else None
-        if streaming_merge:
-            for shard in self._shards:
-                shard.sequencer.subscribe_emissions(self._emission_observer(shard.index))
+        for shard in self._shards:
+            shard.sequencer.subscribe_emissions(self._emission_observer(shard.index))
 
         self._failover_events: List[FailoverEvent] = []
         self._rejoin_events: List[RejoinEvent] = []
@@ -211,8 +205,8 @@ class ShardedSequencer(Entity):
         return self._merger
 
     @property
-    def streaming_merger(self) -> Optional[StreamingMerger]:
-        """The live incremental merger (``None`` when streaming is disabled)."""
+    def streaming_merger(self) -> StreamingMerger:
+        """The live incremental merger every shard emission streams into."""
         return self._streaming
 
     @property
@@ -224,23 +218,17 @@ class ShardedSequencer(Entity):
         """Merge-layer topology + per-node pruning/kernel accounting.
 
         ``nodes`` carries one row per merge node: the streaming merger's
-        attribution of every priced pair to its lowest common ancestor
-        (empty with streaming off — the offline merge does not attribute).
+        attribution of every priced pair to its lowest common ancestor.
         Attached to the metrics registry as ``cluster.merge``.
         """
-        report: Dict[str, object] = {
+        return {
             "topology": self._merge_topology_kind,
             "fanout": self._merge_fanout if self._topology is not None else self.num_shards,
             "depth": self._topology.depth if self._topology is not None else 1,
-            "cross_pairs_evaluated": (
-                self._streaming.cross_pairs_evaluated if self._streaming is not None else 0
-            ),
-            "cross_pairs_pruned": (
-                self._streaming.cross_pairs_pruned if self._streaming is not None else 0
-            ),
-            "nodes": self._streaming.node_report() if self._streaming is not None else [],
+            "cross_pairs_evaluated": self._streaming.cross_pairs_evaluated,
+            "cross_pairs_pruned": self._streaming.cross_pairs_pruned,
+            "nodes": self._streaming.node_report(),
         }
-        return report
 
     def _emission_observer(self, shard_index: int):
         def observe(emitted: EmittedBatch) -> None:
@@ -295,8 +283,7 @@ class ShardedSequencer(Entity):
             )
         self._distributions[client_id] = distribution
         self._merger.register_client(client_id, distribution)
-        if self._streaming is not None:
-            self._streaming.refresh_client(client_id)
+        self._streaming.refresh_client(client_id)
         shard = self._live_owner(client_id)
         self._shards[shard].sequencer.update_client_distribution(client_id, distribution)
         self._distribution_refreshes += 1
@@ -426,38 +413,6 @@ class ShardedSequencer(Entity):
             return
         self._route_at(shard_index, item, arrival_time)
 
-    def receive_many(
-        self,
-        items: Iterable[Union[TimestampedMessage, Heartbeat]],
-        arrival_time: Optional[float] = None,
-    ) -> None:
-        """Route a simultaneity burst to the owner shards in one pass.
-
-        Items are grouped by live owner (preserving per-client order) and
-        each shard absorbs its sub-burst through
-        :meth:`~repro.core.online.OnlineTommySequencer.receive_many` — one
-        vectorized block append and one emission check per shard instead of
-        one per message.
-        """
-        burst = [item for item in items if not self._is_duplicate(item)]
-        self._route_many(burst, arrival_time)
-
-    def receive_many_at(
-        self,
-        shard_index: int,
-        items: Iterable[Union[TimestampedMessage, Heartbeat]],
-        arrival_time: Optional[float] = None,
-    ) -> None:
-        """Deliver a burst to a specific shard's fan-in endpoint.
-
-        The burst counterpart of :meth:`receive_at`, with the same
-        crashed/backlog semantics; coalescing
-        :class:`~repro.network.transport.Transport` endpoints wire their
-        burst callback here.
-        """
-        burst = [item for item in items if not self._is_duplicate(item)]
-        self._route_many_at(shard_index, burst, arrival_time)
-
     def _route(
         self, item: Union[TimestampedMessage, Heartbeat], arrival_time: Optional[float] = None
     ) -> None:
@@ -494,52 +449,6 @@ class ShardedSequencer(Entity):
         if self._obs.enabled and isinstance(item, TimestampedMessage):
             self._obs.stage("shard_intake", item, self.now, shard=shard_index)
         shard.sequencer.receive(item, arrival_time)
-
-    def _route_many(
-        self,
-        items: Iterable[Union[TimestampedMessage, Heartbeat]],
-        arrival_time: Optional[float] = None,
-    ) -> None:
-        by_shard: Dict[int, List[Union[TimestampedMessage, Heartbeat]]] = {}
-        for item in items:
-            by_shard.setdefault(self._live_owner(item.client_id), []).append(item)
-        for shard_index, shard_items in by_shard.items():
-            self._route_many_at(shard_index, shard_items, arrival_time)
-
-    def _route_many_at(
-        self,
-        shard_index: int,
-        items: Iterable[Union[TimestampedMessage, Heartbeat]],
-        arrival_time: Optional[float] = None,
-    ) -> None:
-        burst = list(items)
-        if not burst:
-            return
-        shard = self._shards[shard_index]
-        if shard.crashed and shard.alive:
-            shard.backlog.extend(burst)
-            return
-        if not shard.alive:
-            self._route_many(burst, arrival_time)
-            return
-        if any(not shard.sequencer.model.has_client(item.client_id) for item in burst):
-            # stale channel after a rejoin: peel off items whose clients this
-            # shard no longer owns (see _route_at) and deliver the rest as
-            # one burst
-            deliverable: List[Union[TimestampedMessage, Heartbeat]] = []
-            for item in burst:
-                if shard.sequencer.model.has_client(item.client_id):
-                    deliverable.append(item)
-                else:
-                    self._route_at(shard_index, item, arrival_time)
-            burst = deliverable
-            if not burst:
-                return
-        if self._obs.enabled:
-            for item in burst:
-                if isinstance(item, TimestampedMessage):
-                    self._obs.stage("shard_intake", item, self.now, shard=shard_index)
-        shard.sequencer.receive_many(burst, arrival_time)
 
     # --------------------------------------------------------------- failover
     def fail_shard(self, shard_index: int) -> None:
@@ -647,8 +556,8 @@ class ShardedSequencer(Entity):
         fresh sequencer starts empty and, when ``clients`` are given, those
         clients are reclaimed from their failover owners (new arrivals route
         here; messages already pending on the temporary owner are emitted
-        there and ordered by the cross-shard merge).  Heartbeats and — when
-        streaming merge is on — the emission subscription are re-armed.
+        there and ordered by the cross-shard merge).  Heartbeats and the
+        emission subscription are re-armed.
         """
         shard = self._shards[shard_index]
         if shard.alive and not shard.crashed:
@@ -682,8 +591,7 @@ class ShardedSequencer(Entity):
         shard.last_heartbeat = self.now
         for client_id in reclaimed:
             self._router.reassign(client_id, shard_index)
-        if self._streaming is not None:
-            sequencer.subscribe_emissions(self._emission_observer(shard_index))
+        sequencer.subscribe_emissions(self._emission_observer(shard_index))
         if self._heartbeat_interval is not None:
             self.call_after(
                 self._heartbeat_interval,
@@ -750,10 +658,11 @@ class ShardedSequencer(Entity):
     def merge(self) -> MergeOutcome:
         """Merge every shard's emitted batches into the cluster-wide order.
 
-        The offline path: reprices the whole merge from the emitted streams,
-        whatever the topology (a merge tree attributes pairs, it does not
-        price them).  With streaming enabled, :meth:`live_merge` linearises
-        the incrementally maintained state instead and is byte-identical.
+        The offline parity oracle: reprices the whole merge from the emitted
+        streams, whatever the topology (a merge tree attributes pairs, it
+        does not price them), and adds that repricing to the merger's
+        counters.  :meth:`live_merge` linearises the incrementally maintained
+        state instead and is byte-identical.
         """
         return self._merger.merge(self.shard_batches())
 
@@ -764,13 +673,14 @@ class ShardedSequencer(Entity):
         so this prices at most the one pending block and then linearises and
         coalesces maintained state — no re-merge of the full history.
         """
-        if self._streaming is None:
-            raise ValueError("streaming merge is disabled; construct with streaming_merge=True")
         return self._streaming.result()
 
     def result(self) -> SequencingResult:
-        """The merged cluster-wide order as a :class:`SequencingResult`."""
-        outcome = self.merge()
+        """The merged cluster-wide order as a :class:`SequencingResult`.
+
+        Linearises the live merge, so repeated calls price nothing new.
+        """
+        outcome = self.live_merge()
         metadata = dict(outcome.result.metadata)
         metadata.update(
             {

@@ -40,7 +40,6 @@ def run_chaos_sweep(
     num_clients: int = 24,
     messages_per_client: int = 4,
     seed: int = 7,
-    streaming: bool = True,
     learning: bool = True,
 ) -> List[Dict[str, object]]:
     """Run the fault × intensity × shards matrix and return report rows.
@@ -61,9 +60,7 @@ def run_chaos_sweep(
             messages_per_client=messages_per_client,
             seed=seed,
         )
-        control = run_chaos_scenario(
-            fault="none", settings=settings, streaming=streaming, learning=learning
-        )
+        control = run_chaos_scenario(fault="none", settings=settings, learning=learning)
         for fault in faults:
             if fault == "none":
                 rows.append(chaos_row(control, control))
@@ -75,7 +72,6 @@ def run_chaos_sweep(
                     fault=fault,
                     intensity=intensity,
                     settings=settings,
-                    streaming=streaming,
                     learning=learning,
                 )
                 rows.append(chaos_row(report, control))

@@ -1,8 +1,8 @@
 """Cluster scaling experiment: shard count × client count sweep.
 
 For every combination the sweep builds a multi-region cluster scenario,
-replays it through a :class:`~repro.cluster.sharded.ShardedSequencer` with
-region-affine placement, merges the per-shard streams, and reports:
+runs it through an execution backend (:mod:`repro.runtime`) with
+region-affine placement, re-merges the per-shard streams, and reports:
 
 * cross-shard fairness — the Rank Agreement Score of the *merged* order
   against ground truth (and the single-sequencer delta a 1-shard row gives);
@@ -14,18 +14,15 @@ region-affine placement, merges the per-shard streams, and reports:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.harness import replay_scenario
 from repro.cluster.merge import MergeOutcome, merge_fingerprint
+from repro.cluster.recipe import build_merge
 from repro.cluster.router import HashSharding, ShardingPolicy
-from repro.cluster.sharded import ShardedSequencer
 from repro.core.config import TommyConfig
 from repro.experiments.runner import SequencerComparison, evaluate_result
 from repro.runtime.base import ClusterWorkload, resolve_backend
-from repro.simulation.event_loop import EventLoop
 from repro.workloads.cluster import build_cluster_scenario, region_affine_policy
 
 
@@ -42,9 +39,9 @@ class ClusterRunOutcome:
     message_count: int
     per_shard_emitted: List[int]
     failovers: int
-    streaming_wall_seconds: Optional[float] = None
-    streaming_parity: Optional[bool] = None
-    #: Unified stats snapshot (:meth:`ShardedSequencer.observability_report`).
+    streaming_wall_seconds: float
+    streaming_parity: bool
+    #: The backend's run details under ``"runtime"`` (:attr:`RuntimeOutcome.details`).
     observability: Optional[Dict[str, object]] = None
     merge_topology: str = "flat"
     #: Which execution backend ran the scenario (``"sim"`` or ``"procs"``).
@@ -86,11 +83,7 @@ class ClusterRunOutcome:
             "merged_cross_shard": self.merge.merged_cross_shard,
             "merge_latency_ms": round(self.merge.wall_seconds * 1e3, 3),
             "pruned_pairs": self.merge.cross_pairs_pruned,
-            "streaming_ms": (
-                round(self.streaming_wall_seconds * 1e3, 3)
-                if self.streaming_wall_seconds is not None
-                else None
-            ),
+            "streaming_ms": round(self.streaming_wall_seconds * 1e3, 3),
             "streaming_parity": self.streaming_parity,
             "restarts": self.worker_restarts,
             "lost_shards": list(self.lost_shards),
@@ -107,7 +100,6 @@ def run_cluster_scenario(
     config: Optional[TommyConfig] = None,
     policy: Optional[ShardingPolicy] = None,
     num_regions: int = 4,
-    streaming: bool = True,
     merge_topology: str = "flat",
     merge_fanout: int = 2,
     runtime: str = "sim",
@@ -119,105 +111,28 @@ def run_cluster_scenario(
 
     ``policy`` defaults to region-affine placement derived from the
     generated scenario (pass e.g. :class:`HashSharding` to ablate it).
-    With ``streaming`` (the default) the cluster additionally maintains the
-    live incremental merge; the reported ``streaming_ms`` is the cost of
-    linearising that maintained state at drain time and
-    ``streaming_parity`` checks it against the offline re-merge.
     ``merge_topology``/``merge_fanout`` select the merge tree the priced
     pairs are attributed to (``"binary"`` or ``"region"``; same pricing and
     merged order as ``"flat"``).
 
-    ``runtime`` selects the execution backend: ``"sim"`` (this function's
-    historical single-loop path, kept verbatim as the oracle) or ``"procs"``
-    (each shard sequences in its own worker process via
+    ``runtime`` selects the execution backend: ``"sim"``
+    (:class:`~repro.runtime.sim.SimBackend`, one deterministic event loop)
+    or ``"procs"`` (each shard sequences in its own worker process via
     :class:`~repro.runtime.procs.ProcBackend`; ``num_workers`` caps the
     process count).  Same seed ⇒ bitwise-identical merged order either way.
     ``max_restarts``/``on_shard_loss`` tune the procs supervisor's
     :class:`~repro.runtime.procs.RestartPolicy` budget and its degraded mode
     once that budget is exhausted (ignored on the sim backend).
+
+    ``run_wall_seconds`` is the backend's wall time on every runtime.  The
+    reported merge (``merge_latency_ms``, ``pruned_pairs``) is one offline
+    re-merge of the emitted shard streams; ``streaming_ms`` is the cost of
+    the backend's live merge at drain time and ``streaming_parity`` checks
+    the two orders are equal.
     """
     placement = build_cluster_scenario(num_clients, num_regions=num_regions, seed=seed)
-    scenario = placement.scenario
     if policy is None:
         policy = region_affine_policy(placement) if num_shards > 1 else HashSharding()
-    config = config if config is not None else TommyConfig()
-
-    if runtime != "sim":
-        return _run_backend_scenario(
-            runtime,
-            placement,
-            num_clients=num_clients,
-            num_shards=num_shards,
-            config=config,
-            policy=policy,
-            merge_topology=merge_topology,
-            merge_fanout=merge_fanout,
-            num_workers=num_workers,
-            max_restarts=max_restarts,
-            on_shard_loss=on_shard_loss,
-        )
-
-    loop = EventLoop()
-    cluster = ShardedSequencer(
-        loop,
-        scenario.client_distributions,
-        num_shards=num_shards,
-        config=config,
-        policy=policy,
-        streaming_merge=streaming,
-        merge_topology=merge_topology,
-        merge_fanout=merge_fanout,
-    )
-    replay_scenario(loop, cluster, scenario)
-
-    start = time.perf_counter()
-    loop.run()
-    cluster.flush()
-    run_wall = time.perf_counter() - start
-
-    merge = cluster.merge()
-    streaming_wall: Optional[float] = None
-    streaming_parity: Optional[bool] = None
-    if streaming:
-        streaming_start = time.perf_counter()
-        live = cluster.live_merge()
-        streaming_wall = time.perf_counter() - streaming_start
-        streaming_parity = merge_fingerprint(live) == merge_fingerprint(merge)
-    messages = list(scenario.messages)
-    comparison = evaluate_result(f"cluster@{num_shards}", merge.result, messages)
-    observability = cluster.observability_report()
-    cluster_snapshot = observability["cluster"]
-    return ClusterRunOutcome(
-        comparison=comparison,
-        merge=merge,
-        num_shards=num_shards,
-        num_clients=num_clients,
-        policy_name=policy.name,
-        run_wall_seconds=run_wall,
-        message_count=len(messages),
-        per_shard_emitted=list(cluster_snapshot["emitted_counts"]),
-        failovers=int(cluster_snapshot["failovers"]),
-        streaming_wall_seconds=streaming_wall,
-        streaming_parity=streaming_parity,
-        observability=observability,
-        merge_topology=merge_topology,
-    )
-
-
-def _run_backend_scenario(
-    runtime: str,
-    placement,
-    num_clients: int,
-    num_shards: int,
-    config: TommyConfig,
-    policy: ShardingPolicy,
-    merge_topology: str,
-    merge_fanout: int,
-    num_workers: Optional[int],
-    max_restarts: Optional[int] = None,
-    on_shard_loss: str = "raise",
-) -> ClusterRunOutcome:
-    """Run one scenario through a non-sim execution backend."""
     workload = ClusterWorkload.from_scenario(
         placement,
         num_shards=num_shards,
@@ -237,13 +152,13 @@ def _run_backend_scenario(
         kwargs["on_shard_loss"] = on_shard_loss
     with resolve_backend(runtime, **kwargs) as backend:
         outcome = backend.run(workload)
+    merger = build_merge(workload.client_distributions, workload.config, workload.build_router())[0]
+    merge = merger.merge(outcome.shard_batches)
     messages = list(workload.messages)
-    comparison = evaluate_result(
-        f"cluster@{num_shards}-{runtime}", outcome.merge.result, messages
-    )
+    comparison = evaluate_result(f"cluster@{num_shards}-{runtime}", merge.result, messages)
     return ClusterRunOutcome(
         comparison=comparison,
-        merge=outcome.merge,
+        merge=merge,
         num_shards=num_shards,
         num_clients=num_clients,
         policy_name=policy.name,
@@ -253,6 +168,8 @@ def _run_backend_scenario(
             sum(batch.size for batch in batches) for batches in outcome.shard_batches
         ],
         failovers=0,
+        streaming_wall_seconds=outcome.merge.wall_seconds,
+        streaming_parity=merge_fingerprint(merge) == outcome.fingerprint(),
         observability={"runtime": outcome.details},
         merge_topology=merge_topology,
         runtime=runtime,
@@ -267,7 +184,6 @@ def run_cluster_sweep(
     client_counts: Sequence[int] = (32, 64),
     seed: int = 21,
     config: Optional[TommyConfig] = None,
-    streaming: bool = True,
     merge_topology: str = "flat",
     merge_fanout: int = 2,
     runtime: str = "sim",
@@ -284,7 +200,6 @@ def run_cluster_sweep(
                 num_shards=num_shards,
                 seed=seed,
                 config=config,
-                streaming=streaming,
                 merge_topology=merge_topology if num_shards > 1 else "flat",
                 merge_fanout=merge_fanout,
                 runtime=runtime,

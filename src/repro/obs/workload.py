@@ -129,7 +129,6 @@ def run_instrumented_workload(
         fault=fault,
         intensity=intensity,
         settings=settings,
-        streaming=True,
         learning=learning,
         telemetry=telemetry,
     )

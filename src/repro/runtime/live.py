@@ -119,7 +119,6 @@ class LiveDispatcher:
                 num_shards=spec.num_shards,
                 config=spec.config,
                 policy=spec.policy,
-                streaming_merge=True,
                 dedupe_intake=False,  # the dispatcher's gate already admitted
                 telemetry=telemetry,
                 merge_topology=spec.merge_topology,

@@ -31,16 +31,9 @@ class SimBackend(RuntimeBackend):
 
     name = "sim"
 
-    def __init__(
-        self,
-        telemetry: Optional[Telemetry] = None,
-        dedupe_intake: bool = False,
-        start_time: float = 0.0,
-    ) -> None:
+    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
         self._telemetry = telemetry
-        self._dedupe_intake = dedupe_intake
-        self._start_time = start_time
-        self._loop = EventLoop(start_time)
+        self._loop = EventLoop()
 
     @property
     def clock(self) -> ClockHandle:
@@ -58,15 +51,13 @@ class SimBackend(RuntimeBackend):
         if loop.processed_events:
             # each run gets a pristine clock so replay times line up with the
             # workload's frozen true times
-            loop = self._loop = EventLoop(self._start_time)
+            loop = self._loop = EventLoop()
         cluster = ShardedSequencer(
             loop,
             workload.client_distributions,
             num_shards=workload.num_shards,
             config=workload.config,
             policy=workload.policy,
-            streaming_merge=True,
-            dedupe_intake=self._dedupe_intake,
             telemetry=self._telemetry,
             merge_topology=workload.merge_topology,
             merge_fanout=workload.merge_fanout,

@@ -89,7 +89,7 @@ class ChaosReport:
     merged_cross_shard: int
     pruned_pairs: int
     exactly_once: bool
-    streaming_parity: Optional[bool]
+    streaming_parity: bool
     ras_normalized: float
 
     def as_row(self) -> Dict[str, object]:
@@ -224,7 +224,6 @@ def run_chaos_scenario(
     fault: str = "partition",
     intensity: float = 1.0,
     settings: Optional[ChaosSettings] = None,
-    streaming: bool = True,
     learning: bool = True,
     telemetry=None,
 ) -> ChaosReport:
@@ -272,7 +271,6 @@ def run_chaos_scenario(
         ),
         heartbeat_interval=heartbeat,
         heartbeat_timeout=3.0 * heartbeat,
-        streaming_merge=streaming,
         dedupe_intake=True,
         telemetry=telemetry,
         merge_topology=settings.merge_topology,
@@ -330,10 +328,7 @@ def run_chaos_scenario(
     cluster.flush()
 
     merge = cluster.merge()
-    streaming_parity: Optional[bool] = None
-    if streaming:
-        live = cluster.live_merge()
-        streaming_parity = merge_fingerprint(live) == merge_fingerprint(merge)
+    streaming_parity = merge_fingerprint(cluster.live_merge()) == merge_fingerprint(merge)
 
     merged_keys = [
         message.key for batch in merge.result.batches for message in batch.messages

@@ -1,7 +1,5 @@
 """Properties of the sharded cluster: equivalence, determinism, routing."""
 
-import pytest
-
 from repro.cluster import (
     ClusterTransport,
     HashSharding,
@@ -81,6 +79,17 @@ def test_merged_order_contains_every_message_exactly_once():
     assert merged_keys == sorted(message.key for message in scenario.messages)
 
 
+def test_result_linearises_the_live_merge_without_repricing():
+    """``result()`` reads the streaming merger; it adds no pricing work."""
+    scenario = seeded_scenario(num_clients=16, seed=2)
+    cluster = run_cluster(scenario, num_shards=2, policy=LoadAwareSharding())
+    before = cluster.engine_stats().as_dict()
+    cluster.result()
+    cluster.result()
+    assert cluster.engine_stats().as_dict() == before
+    assert fingerprint(cluster.result()) == fingerprint(cluster.merge().result)
+
+
 def test_shards_only_sequence_their_own_clients():
     scenario = seeded_scenario(num_clients=12, seed=7)
     cluster = run_cluster(scenario, num_shards=3, policy=LoadAwareSharding())
@@ -114,18 +123,6 @@ def test_register_client_after_construction(loop):
     shard = cluster.router.shard_of("b")
     assert cluster.sequencer_of(shard).model.has_client("b")
     assert cluster.merger.model.has_client("b")
-
-
-def test_router_shard_count_mismatch_rejected(loop):
-    from repro.cluster.router import ShardRouter
-
-    with pytest.raises(ValueError):
-        ShardedSequencer(
-            loop,
-            {"a": GaussianDistribution(0.0, 1.0)},
-            num_shards=2,
-            router=ShardRouter(3),
-        )
 
 
 # ----------------------------------------------------------- transport fan-in

@@ -271,19 +271,6 @@ def test_cluster_live_merge_matches_offline_merge():
     assert live.result.metadata["shards"] == cluster.num_shards
 
 
-def test_cluster_streaming_can_be_disabled():
-    loop = EventLoop()
-    cluster = ShardedSequencer(
-        loop,
-        {"a": GaussianDistribution(0.0, 0.01)},
-        num_shards=1,
-        streaming_merge=False,
-    )
-    assert cluster.streaming_merger is None
-    with pytest.raises(ValueError, match="streaming merge is disabled"):
-        cluster.live_merge()
-
-
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_refresh_pruning_is_bitwise_identical_to_full_repricing(seed):
     # window pruning must only skip pairs whose stored entry cannot move: the

@@ -446,7 +446,6 @@ def _run_live_cluster(seed, num_shards, fanout, kind, crash):
         num_shards=num_shards,
         policy=RegionAffineSharding(region_of),
         config=TommyConfig(completeness_mode="none", p_safe=0.9),
-        streaming_merge=True,
         dedupe_intake=True,
         merge_topology=kind,
         merge_fanout=fanout,
@@ -511,7 +510,6 @@ def test_merge_report_and_telemetry_surface_tree_nodes():
         distributions,
         num_shards=4,
         config=TommyConfig(completeness_mode="none", p_safe=0.9),
-        streaming_merge=True,
         merge_topology="binary",
         merge_fanout=2,
         telemetry=telemetry,

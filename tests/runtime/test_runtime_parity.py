@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.merge import merge_fingerprint
+from repro.cluster.recipe import build_merge
 from repro.core.config import TommyConfig
 from repro.obs.telemetry import Telemetry
 from repro.runtime.base import ClusterWorkload
@@ -70,21 +71,12 @@ def test_tree_topology_parity_across_backends():
 
 def test_procs_matches_offline_oracle_merge():
     """The streamed coordinator merge equals an offline re-merge of the
-    collected per-shard streams through the cluster's own merger."""
-    from repro.cluster.sharded import ShardedSequencer
-    from repro.simulation.event_loop import EventLoop
-
+    collected per-shard streams through the one cluster recipe's merger."""
     workload = _workload(num_shards=2, num_clients=6, messages_per_client=3)
     with ProcBackend() as backend:
         procs = backend.run(workload)
-    cluster = ShardedSequencer(
-        EventLoop(),
-        workload.client_distributions,
-        num_shards=workload.num_shards,
-        config=workload.config,
-        streaming_merge=False,
-    )
-    offline = cluster.merger.merge(procs.shard_batches)
+    merger = build_merge(workload.client_distributions, workload.config, workload.build_router())[0]
+    offline = merger.merge(procs.shard_batches)
     assert merge_fingerprint(offline) == procs.fingerprint()
 
 
