@@ -35,12 +35,13 @@ pair-list kernel**, whoever asks:
   float;
 * the remaining *band* goes through :meth:`StreamingMerger._price_pairs`,
   which prices exactly the requested ``(a, b)`` node pairs: all-Gaussian
-  message sets in one 1-D closed-form pass, anything grid-backed in chunked
-  rectangles through :func:`~repro.core.engine.cross_probability_matrix`
-  (shared :class:`~repro.core.engine.PairTableCache` difference-CDF
-  tables).  Either way a pair's mean is two sequential ``np.add.reduceat``
-  segment sums over the same floats, so it is bit-identical whichever call
-  computes it.
+  message sets in 1-D closed-form passes over slices of whole rows,
+  anything grid-backed in chunked rectangles through
+  :func:`~repro.core.engine.cross_probability_matrix` (shared
+  :class:`~repro.core.engine.PairTableCache` difference-CDF tables), both
+  bounded by ``_SLICE_ELEMENTS``.  Either way a pair's mean is two
+  sequential ``np.add.reduceat`` segment sums over the same floats, so it is
+  bit-identical whichever call or slice computes it.
 
 :class:`StreamingMerger` holds the priced state — per-node window arrays,
 the flattened per-message kernel parameters and the *pair store*: exactly
@@ -53,8 +54,8 @@ cross-shard node, enumerating only the window where the band can lie) and
 ``refresh_client`` (the rows a distribution refresh can move).
 ``observe_batch`` only appends: a pair's float does not depend on
 which call computes it, so pricing waits until pending rows × observed nodes
-reach the kernel's own element budget (``_CHUNK_ELEMENTS``) or until priced
-state is *read* — ``result()``, ``forward_matrix()``, the pair counters,
+reach the flush cadence (``_CHUNK_ELEMENTS``) or until priced state is
+*read* — ``result()``, ``forward_matrix()``, the pair counters,
 ``stats``, ``node_report()``, ``refresh_client``,
 :attr:`CrossShardMerger.engine_stats` and (before the model changes)
 :meth:`CrossShardMerger.register_client` all settle the pending block first.
@@ -65,9 +66,9 @@ priced prefix trails observation by at most one block.  The offline
 *bool* direction matrix only on the cyclic path, for ``break_cycles``, which
 reads edge weights through a view over the store — byte-identical to a fresh
 :meth:`CrossShardMerger.merge` over the same streams in any observation
-interleaving and under any element budget.  ``forward_matrix()`` materialises
-the dense matrix for ``tests/reference``, the unpruned per-pair oracle both
-are checked against; nothing in ``src/`` reads it.  A
+interleaving, under any flush cadence and any slice.  ``forward_matrix()``
+materialises the dense matrix for ``tests/reference``, the unpruned per-pair
+oracle both are checked against; nothing in ``src/`` reads it.  A
 :class:`~repro.cluster.tree.MergeTopology` changes none of this: it only
 attributes the priced pairs to tree nodes.
 """
@@ -77,7 +78,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -104,11 +105,18 @@ BatchNode = Tuple[int, int]
 #: comfortable margin, verified by the pruning soundness tests).
 _GAUSSIAN_SATURATION_Z = 9.0
 
-#: Element budget (row·col message pairs) of one kernel pass.  Large enough
-#: to amortise per-call overhead, small enough that the temporaries stay
-#: cache-resident and a rectangle's b-side union stays inside the time-local
-#: band.  It only groups work: no pair's additions are ever regrouped.
+#: Flush cadence: the pending block is priced once pending rows × observed
+#: nodes reach this many node pairs.  It decides *when* pricing runs, never
+#: how much one kernel pass holds (that is ``_SLICE_ELEMENTS``).
 _CHUNK_ELEMENTS = 1 << 18
+
+#: Slice size (row·col message pairs) of one kernel pass: the closed-form
+#: pass walks a block in slices of whole rows this large, and a grid-backed
+#: rectangle stops growing here.  Large enough to amortise per-call
+#: overhead, small enough that a flush's temporaries stay near 1 MiB
+#: however wide the block is.  It only groups work: no pair's additions are
+#: ever regrouped.
+_SLICE_ELEMENTS = 1 << 12
 
 
 def window_rule(
@@ -807,50 +815,60 @@ def _fitted(arrays: Sequence[np.ndarray], needed: int) -> Sequence[np.ndarray]:
     return fresh
 
 
-def _element_indices(
+def _row_cuts(
+    rows: np.ndarray, spans: np.ndarray, budget: int
+) -> Iterator[Tuple[int, int, int, int]]:
+    """Cut one kernel call's pair-major rows into slices of whole rows.
+
+    Pair ``k`` contributes ``rows[k]`` rows of ``spans[k]`` elements each.
+    Yields ``(k, r, k_end, r_end)``: a slice runs from row ``r`` of pair ``k``
+    up to, excluding, row ``r_end`` of pair ``k_end`` (``(len(rows), 0)`` is
+    the end) and holds at most ``budget`` elements — or one row, where a row
+    alone is longer.
+    """
+    bounds = np.concatenate(([0], np.cumsum(rows * spans)))
+    total = int(bounds[-1])
+    k = r = 0
+    while k < rows.size:
+        target = int(bounds[k]) + r * int(spans[k]) + budget
+        if target >= total:
+            k_end, r_end = rows.size, 0
+        else:
+            k_end = int(np.searchsorted(bounds, target, side="right")) - 1
+            r_end = (target - int(bounds[k_end])) // int(spans[k_end])
+            if (k_end, r_end) == (k, r):
+                r_end += 1
+                if r_end == rows[k]:
+                    k_end, r_end = k + 1, 0
+        yield k, r, k_end, r_end
+        k, r = k_end, r_end
+
+
+def _slice_indices(
     offsets: np.ndarray,
     p_a: np.ndarray,
     p_b: np.ndarray,
-    s_a: np.ndarray,
-    s_b: np.ndarray,
-    counts: np.ndarray,
-    total: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(row_index, col_index, row_starts, pair_starts)`` of one kernel slice:
-    the message slots of every (pair, row message, col message) element in
-    pair-major / row-major / col-within order, and the two ``reduceat``
-    boundaries.  A function of its own so the per-element temporaries are
-    freed before the kernel's own are made."""
-    span_a = int(s_a[0])
-    span_b_0 = int(s_b[0])
-    if np.all(s_a == span_a) and np.all(s_b == span_b_0):
-        # uniform spans (the wide-cluster common case): pair-major /
-        # row-major / col-within element order built by broadcasting —
-        # identical order and reduceat boundaries to the generic path
-        # below, just without the per-element division
-        shape = (p_a.size, span_a, span_b_0)
-        row_index = np.broadcast_to(
-            (offsets[p_a][:, None] + np.arange(span_a, dtype=np.int64))[:, :, None],
-            shape,
-        ).ravel()
-        col_index = np.broadcast_to(
-            (offsets[p_b][:, None] + np.arange(span_b_0, dtype=np.int64))[:, None, :],
-            shape,
-        ).ravel()
-        row_starts = np.arange(0, total, span_b_0, dtype=np.int64)
-        pair_starts = np.arange(0, p_a.size * span_a, span_a, dtype=np.int64)
-    else:
-        pair_of = np.repeat(np.arange(p_a.size, dtype=np.int64), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        local = np.arange(total, dtype=np.int64) - starts[pair_of]
-        span_b = s_b[pair_of]
-        i_local = local // span_b
-        j_local = local - i_local * span_b
-        row_index = offsets[p_a][pair_of] + i_local
-        col_index = offsets[p_b][pair_of] + j_local
-        row_starts = np.flatnonzero(j_local == 0)
-        pair_starts = np.concatenate(([0], np.cumsum(s_a)[:-1]))
-    return row_index, col_index, row_starts, pair_starts
+    first_row: int,
+    rows: np.ndarray,
+    spans: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_index, col_index, row_starts)`` of one kernel slice.
+
+    The slice holds ``rows[k]`` rows of pair ``(p_a[k], p_b[k])``, the first
+    pair's starting at its row ``first_row``; ``spans[k]`` is the size of
+    ``p_b[k]``.  Returns the message slots of every (row message, col message)
+    element in pair-major / row-major / col-within order and the row
+    ``reduceat`` boundaries.
+    """
+    row_base = offsets[p_a] - (np.cumsum(rows) - rows)
+    row_base[0] += first_row
+    row_slot = np.repeat(row_base, rows) + np.arange(int(rows.sum()))
+    row_span = np.repeat(spans, rows)
+    row_starts = np.cumsum(row_span) - row_span
+    row_index = np.repeat(row_slot, row_span)
+    col_index = np.repeat(np.repeat(offsets[p_b], rows) - row_starts, row_span)
+    col_index += np.arange(col_index.size)
+    return row_index, col_index, row_starts
 
 
 class StreamingMerger:
@@ -1102,7 +1120,7 @@ class StreamingMerger:
     def _append(self, shard: int, batch: SequencedBatch) -> int:
         """Record ``batch`` as ``shard``'s next node; returns its position.
 
-        Flushes the pending block once it reaches the kernel's element budget.
+        Flushes the pending block once it reaches the flush cadence.
         """
         if shard < 0:
             raise ValueError(f"shard index must be non-negative, got {shard!r}")
@@ -1155,7 +1173,7 @@ class StreamingMerger:
     def _price_pending(self) -> None:
         """Price every observed node past the cursor: the one flush.
 
-        ``_append`` calls it when the block fills the element budget, every
+        ``_append`` calls it when the block reaches the flush cadence, every
         reader of priced state before anything else.  Telemetry rides along;
         it never decides when a block is priced.
         """
@@ -1331,35 +1349,31 @@ class StreamingMerger:
         return self._price_pairs_gaussian(pair_a, pair_b)
 
     def _price_pairs_gaussian(self, pair_a: np.ndarray, pair_b: np.ndarray) -> np.ndarray:
-        """Closed-form pair pricing without rectangle slack.
+        """Closed-form pair pricing without rectangle slack, in bounded slices.
 
-        Builds the exact (row message, col message) index pairs of every
-        requested node pair, evaluates them in one 1-D closed-form pass, and
-        reduces per-pair means in two ``np.add.reduceat`` stages — first per
-        (pair, row-message) segment, then per pair.  Pairs are sliced to the
-        element budget only to bound the temporaries; slicing never regroups
-        a pair's additions.
+        Walks the exact (row message, col message) index pairs of every
+        requested node pair in slices of whole rows — a row is one a-side
+        message against its partner's b-side messages — of at most
+        ``_SLICE_ELEMENTS`` elements, so a block's temporaries are a slice's,
+        not the block's.  Each slice is one 1-D closed-form pass whose row
+        sums come from one ``np.add.reduceat``; a pair's second-stage
+        ``reduceat`` runs once over its complete row-sum vector, carried
+        across slices when the pair spans several.  Slicing never regroups a
+        pair's additions.
         """
         ts, mu, var = self._timestamp, self._mean, self._variance
-        offsets = self._offset
         sizes_a = self._size[pair_a]
         sizes_b = self._size[pair_b]
-        elements = sizes_a * sizes_b
-        budget = max(_CHUNK_ELEMENTS, int(elements.max()))
-        bounds = np.concatenate(([0], np.cumsum(elements)))
         forwards = np.empty(pair_a.size)
-        start = 0
-        while start < pair_a.size:
-            stop = int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1
-            stop = max(stop, start + 1)
-            p_a = pair_a[start:stop]
-            p_b = pair_b[start:stop]
-            s_a = sizes_a[start:stop]
-            s_b = sizes_b[start:stop]
-            counts = elements[start:stop]
-            total = int(counts.sum())
-            row_index, col_index, row_starts, pair_starts = _element_indices(
-                offsets, p_a, p_b, s_a, s_b, counts, total
+        held: List[np.ndarray] = []  # row sums of the pair left open by the last slice
+        for k, r, k_end, r_end in _row_cuts(sizes_a, sizes_b, _SLICE_ELEMENTS):
+            stop = k_end + 1 if r_end else k_end
+            rows = sizes_a[k:stop].copy()
+            if r_end:
+                rows[-1] = r_end
+            rows[0] -= r
+            row_index, col_index, row_starts = _slice_indices(
+                self._offset, pair_a[k:stop], pair_b[k:stop], r, rows, sizes_b[k:stop]
             )
             probabilities = batched_gaussian_pairs(
                 ts[row_index],
@@ -1369,11 +1383,19 @@ class StreamingMerger:
                 mu[col_index],
                 var[col_index],
             )
-            self._stats.vectorized_evaluations += total
+            self._stats.vectorized_evaluations += probabilities.size
             row_sums = np.add.reduceat(probabilities, row_starts)
-            pair_sums = np.add.reduceat(row_sums, pair_starts)
-            forwards[start:stop] = pair_sums / counts
-            start = stop
+            if k_end == k:
+                held.append(row_sums)
+                continue
+            # pairs k..k_end-1 are complete: every one of their rows is held
+            # or in this slice
+            done = int(rows[: k_end - k].sum())
+            sums = np.concatenate(held + [row_sums[:done]]) if held else row_sums[:done]
+            held = [row_sums[done:]] if r_end else []
+            pair_rows = sizes_a[k:k_end]
+            pair_sums = np.add.reduceat(sums, np.cumsum(pair_rows) - pair_rows)
+            forwards[k:k_end] = pair_sums / (pair_rows * sizes_b[k:k_end])
         return forwards
 
     def _price_pairs_tables(self, pair_a: np.ndarray, pair_b: np.ndarray) -> np.ndarray:
@@ -1381,10 +1403,12 @@ class StreamingMerger:
 
         Pairs are grouped by a-side node, a-side groups are chunked in
         certainty-window order (so each rectangle's b-side union stays
-        inside the time-local band), and each chunk is one
-        :func:`cross_probability_matrix` call reduced by two
+        inside the time-local band) up to ``_SLICE_ELEMENTS``, and each chunk
+        is one :func:`cross_probability_matrix` call reduced by two
         ``np.add.reduceat`` segment reductions — each pair's mean is the
-        identical float sequence no matter which chunk computes it.  A group
+        identical float sequence no matter which chunk computes it.  One
+        a-side group always stays one rectangle, because its axis-0 sum runs
+        over the group's rows in sequence.  A group
         that shares no partner with the open chunk starts its own rectangle:
         joining would add nothing but unrequested pairs (one observed batch
         is two exact rectangles, its lower-shard partners × itself and
@@ -1424,7 +1448,7 @@ class StreamingMerger:
             projected = (chunk_rows + group_rows[group]) * (
                 b_messages + sum(partner_size[slot] for slot in fresh)
             )
-            if chunk and (projected > _CHUNK_ELEMENTS or len(fresh) == len(span)):
+            if chunk and (projected > _SLICE_ELEMENTS or len(fresh) == len(span)):
                 flush()
                 fresh = span
             chunk.append(group)

@@ -1,16 +1,21 @@
 """The block pricing schedule of :class:`StreamingMerger` is unobservable.
 
 ``observe_batch`` appends; the pending rows are priced when they fill the
-kernel's element budget and whenever priced state is read.  Nothing a caller
-can see may depend on where those flushes fall: under any budget — ``1`` is
-the schedule that prices every batch on arrival — every matrix entry equals
-``tests/reference/merge_reference.py``, every counter read mid-stream equals
-the budget-1 run's at the same observation, and the schedule itself is a
-function of the node count alone (telemetry on or off).
+flush budget (``_CHUNK_ELEMENTS``) and whenever priced state is read.
+Nothing a caller can see may depend on where those flushes fall: under any
+budget — ``1`` is the schedule that prices every batch on arrival — every
+matrix entry equals ``tests/reference/merge_reference.py``, every counter
+read mid-stream equals the budget-1 run's at the same observation, and the
+schedule itself is a function of the node count alone (telemetry on or off).
+Nor may it depend on the kernel's slice (``_SLICE_ELEMENTS``), which only
+bounds how much one kernel pass holds: under any slice every stored float
+and every engine counter is the same, and a flush's temporaries stay near a
+slice's whatever the block's width.
 """
 
 import dataclasses
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,8 +30,10 @@ from test_streaming_merge import (
     invariant_stats,
     random_interleaving,
     with_budget,
+    with_slice,
 )
 
+from repro.cluster import merge as merge_module
 from repro.cluster.merge import CrossShardMerger, StreamingMerger, merge_fingerprint
 from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.sharded import ShardedSequencer
@@ -41,6 +48,8 @@ from repro.simulation.event_loop import EventLoop
 from repro.workloads import build_cluster_scenario
 
 BUDGETS = (1, 7, 97, 1 << 18)
+SLICES = (1, 7, 97, merge_module._SLICE_ELEMENTS)
+
 
 def record_price_calls(calls):
     """Patch ``_price_from`` to log ``(first, observed nodes)`` per pricing pass."""
@@ -53,9 +62,13 @@ def record_price_calls(calls):
     return mock.patch.object(StreamingMerger, "_price_from", recording)
 
 
-def replay(model, observations, num_shards, topology, budget, read_every, result_at):
-    """One streaming run under ``budget``; everything a caller could look at."""
-    with with_budget(budget):
+def replay(
+    model, observations, num_shards, topology, budget, read_every, result_at,
+    slice_elements=SLICES[-1],
+):  # fmt: skip
+    """One streaming run under ``budget`` and a kernel slice; everything a
+    caller could look at, and the pair store."""
+    with with_budget(budget), with_slice(slice_elements):
         streaming = CrossShardMerger(model, seed=0).streaming_merger(
             num_shards=num_shards, topology=topology
         )
@@ -68,7 +81,13 @@ def replay(model, observations, num_shards, topology, budget, read_every, result
                 assert streaming.pending_nodes == 0
             if position == result_at:
                 reads.append(fingerprint(streaming.result()))
+        stored = streaming.stored_pairs
         return {
+            "store": (
+                streaming._pair_a[:stored].tolist(),
+                streaming._pair_b[:stored].tolist(),
+                streaming._forward[:stored].tobytes(),
+            ),
             "matrix": streaming.forward_matrix(),
             "fingerprint": fingerprint(streaming.result()),
             "pairs": (streaming.cross_pairs_evaluated, streaming.cross_pairs_pruned),
@@ -78,21 +97,26 @@ def replay(model, observations, num_shards, topology, budget, read_every, result
         }
 
 
-def check_schedule_is_unobservable(seed, num_shards, tree, mixed, budget, read_every, result_at):
+def check_schedule_is_unobservable(
+    seed, num_shards, tree, mixed, budget, read_every, result_at,
+    slice_elements=SLICES[-1], sizes=(1, 4),
+):  # fmt: skip
+    """A run under ``budget`` and ``slice_elements`` against the run that
+    prices every batch on arrival at the real slice."""
     rng = np.random.default_rng(seed)
     model, shard_clients = build_model(num_shards, 2, rng, 0.5 if mixed else 0.0)
-    streams = build_streams(shard_clients, int(rng.integers(3, 7)), rng)
+    streams = build_streams(shard_clients, int(rng.integers(3, 7)), rng, sizes=sizes)
     observations = random_interleaving(streams, rng)
     topology = MergeTopology.balanced(num_shards, 2) if tree else None
     result_at = int(result_at * len(observations))
     arguments = (model, observations, num_shards, topology)
     per_batch = replay(*arguments, 1, read_every, result_at)
-    blocks = replay(*arguments, budget, read_every, result_at)
+    blocks = replay(*arguments, budget, read_every, result_at, slice_elements)
 
     reference = reference_forward_matrix(streams, model)
     assert np.array_equal(blocks["matrix"], reference, equal_nan=True)
     assert np.array_equal(per_batch["matrix"], reference, equal_nan=True)
-    for key in ("fingerprint", "pairs", "report", "reads"):
+    for key in ("store", "fingerprint", "pairs", "report", "reads"):
         assert blocks[key] == per_batch[key], key
     gaussian = not mixed
     assert invariant_stats(blocks["stats"], gaussian) == invariant_stats(
@@ -100,8 +124,8 @@ def check_schedule_is_unobservable(seed, num_shards, tree, mixed, budget, read_e
     )
 
     # offline is the same walk: same matrix, order and counts under the same
-    # budget (which is also the kernel's own chunk size)
-    with with_budget(budget):
+    # budget and slice
+    with with_budget(budget), with_slice(slice_elements):
         offline = CrossShardMerger(model, seed=0)._priced(streams)
         assert np.array_equal(offline.forward_matrix(), reference, equal_nan=True)
         outcome = CrossShardMerger(model, seed=0).merge(streams)
@@ -112,6 +136,9 @@ def check_schedule_is_unobservable(seed, num_shards, tree, mixed, budget, read_e
     assert invariant_stats(offline.stats, gaussian, linearised) == invariant_stats(
         blocks["stats"], gaussian, linearised
     )
+    sizes = [batch.size for _, batch in observations]
+    pair_a, pair_b, _ = blocks["store"]
+    return max((sizes[a] * sizes[b] for a, b in zip(pair_a, pair_b)), default=0)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -134,11 +161,14 @@ def test_block_schedule_is_unobservable_seeded_sweep(num_shards, tree, mixed, bu
     budget=st.sampled_from(BUDGETS),
     read_every=st.sampled_from([0, 1, 3, 5]),
     result_at=st.floats(0.0, 1.0),
+    slice_elements=st.sampled_from(SLICES),
 )
 def test_block_schedule_is_unobservable(
-    seed, num_shards, tree, mixed, budget, read_every, result_at
+    seed, num_shards, tree, mixed, budget, read_every, result_at, slice_elements
 ):
-    check_schedule_is_unobservable(seed, num_shards, tree, mixed, budget, read_every, result_at)
+    check_schedule_is_unobservable(
+        seed, num_shards, tree, mixed, budget, read_every, result_at, slice_elements
+    )
 
 
 def test_flush_points_depend_on_the_node_count_alone():
@@ -166,6 +196,34 @@ def test_flush_points_depend_on_the_node_count_alone():
     assert schedules[0] == schedules[1] == schedules[2]
     assert schedules[0][:3] == [(0, 10), (10, 17), (17, 22)]
     assert schedules[0][-1][1] == 32
+
+
+# ---------------------------------------------------------------------- slice
+# the slice bounds one kernel pass and nothing else: varied independently of
+# the cadence it changes no stored float, no order and no counter (on
+# grid-backed populations the rectangle counters aside)
+
+
+@pytest.mark.parametrize("slice_elements", SLICES[:-1])
+@pytest.mark.parametrize("budget", (7, 1 << 18))
+@pytest.mark.parametrize("mixed", [False, True], ids=["gaussian", "mixed"])
+def test_kernel_slice_is_unobservable(mixed, budget, slice_elements):
+    check_schedule_is_unobservable(
+        seed=1104, num_shards=4, tree=False, mixed=mixed, budget=budget,
+        read_every=3, result_at=0.5, slice_elements=slice_elements, sizes=(1, 12),
+    )  # fmt: skip
+
+
+@pytest.mark.parametrize("slice_elements", SLICES)
+@pytest.mark.parametrize("mixed", [False, True], ids=["gaussian", "mixed"])
+def test_a_pair_wider_than_the_slice_spans_slices_unobserved(mixed, slice_elements):
+    # batches of up to 90 messages: some stored pair outgrows even the real
+    # slice, so its rows are priced across several slices and reduced once
+    widest = check_schedule_is_unobservable(
+        seed=1200, num_shards=3, tree=False, mixed=mixed, budget=1 << 18,
+        read_every=0, result_at=0.0, slice_elements=slice_elements, sizes=(1, 90),
+    )  # fmt: skip
+    assert widest > SLICES[-1]
 
 
 # ------------------------------------------------------------------ telemetry
@@ -358,3 +416,55 @@ def test_pinned_acked_cluster_run_at_ledger_size():
     assert (shuffled.cross_pairs_evaluated, shuffled.cross_pairs_pruned) == counts[1:]
     # a count, not a time: 1009 nodes are three blocks, not 1008 passes
     assert calls == [(0, 512), (512, 829), (829, 1009)]
+
+
+#: the same digest at the deep-regime shapes, computed at the last commit
+#: that priced a block in slices of 2^18 elements
+PINNED_DEEP_DIGESTS = {
+    5e-3: "c710b73a4516ff205f731ad9a10f35b464edd4998c35b180b75a3bbc41db1dac",
+    2e-3: "220e59b3c20612723881e5869a7ba99ea626049876d8946f81e7e5d4005fd38c",
+}
+
+
+def record_flush_peaks(peaks):
+    """Patch ``_price_pending`` to log the bytes each flush allocates at its peak."""
+    price_pending = StreamingMerger._price_pending
+
+    def measured(self):
+        if not self.pending_nodes:
+            return price_pending(self)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            price_pending(self)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return mock.patch.object(StreamingMerger, "_price_pending", measured)
+
+
+@pytest.mark.parametrize("gap", sorted(PINNED_DEEP_DIGESTS))
+def test_a_flush_holds_a_slice_not_the_block(gap):
+    # wide clock error: 8 (gap 5e-3) and 94 (gap 2e-3) messages per batch, so
+    # one block is millions of message pairs; its temporaries stay a slice's
+    scenario = build_cluster_scenario(num_clients=64, messages_per_client=22, seed=13, gap=gap)
+    workload = ClusterWorkload.from_scenario(scenario, num_shards=4, config=TommyConfig(seed=13))
+    workload = dataclasses.replace(
+        workload,
+        messages=tuple(
+            dataclasses.replace(message, message_id=index)
+            for index, message in enumerate(workload.messages)
+        ),
+    )
+    peaks = []
+    with record_flush_peaks(peaks):
+        outcome = SimBackend().run(workload)
+    assert peaks
+    assert max(peaks) <= 2 << 20
+    digest = hashlib.sha256(repr(outcome.fingerprint()).encode()).hexdigest()
+    assert digest == PINNED_DEEP_DIGESTS[gap]

@@ -61,7 +61,7 @@ def build_model(num_shards, clients_per_shard, rng, empirical_fraction=0.0):
     return model, shard_clients
 
 
-def build_streams(shard_clients, batches_per_shard, rng, gap=0.015, spread=1.0):
+def build_streams(shard_clients, batches_per_shard, rng, gap=0.015, spread=1.0, sizes=(1, 4)):
     streams = []
     message_id = int(rng.integers(40_000_000, 50_000_000))
     for shard, clients in enumerate(shard_clients):
@@ -69,7 +69,7 @@ def build_streams(shard_clients, batches_per_shard, rng, gap=0.015, spread=1.0):
         for index in range(batches_per_shard):
             base = index * gap + float(rng.uniform(0.0, spread * gap))
             messages = []
-            for _ in range(int(rng.integers(1, 4))):
+            for _ in range(int(rng.integers(*sizes))):
                 timestamp = base + float(rng.uniform(0, 0.5 * gap))
                 messages.append(
                     TimestampedMessage(
@@ -325,7 +325,13 @@ RECTANGLE_COUNTERS = {"vectorized_evaluations", "table_evaluations", "pair_table
 
 
 def with_budget(budget):
+    """Patch the flush cadence: when a pending block is priced."""
     return mock.patch.object(merge_module, "_CHUNK_ELEMENTS", budget)
+
+
+def with_slice(elements):
+    """Patch the kernel slice: how many elements one kernel pass evaluates."""
+    return mock.patch.object(merge_module, "_SLICE_ELEMENTS", elements)
 
 
 def invariant_stats(stats, gaussian, drop=()):
