@@ -38,10 +38,10 @@ pair-list kernel**, whoever asks:
   message sets in 1-D closed-form passes over slices of whole rows,
   anything grid-backed in chunked rectangles through
   :func:`~repro.core.engine.cross_probability_matrix` (shared
-  :class:`~repro.core.engine.PairTableCache` difference-CDF tables), both
-  bounded by ``_SLICE_ELEMENTS``.  Either way a pair's mean is two
-  sequential ``np.add.reduceat`` segment sums over the same floats, so it is
-  bit-identical whichever call or slice computes it.
+  :class:`~repro.core.engine.PairTableCache` difference-CDF tables); the
+  closed-form passes are bounded by ``_SLICE_ELEMENTS``.  Either way a
+  pair's mean is two sequential ``np.add.reduceat`` segment sums over the
+  same floats, so it is bit-identical whichever call or slice computes it.
 
 :class:`StreamingMerger` holds the priced state — per-node window arrays,
 the flattened per-message kernel parameters and the *pair store*: exactly
@@ -106,16 +106,20 @@ BatchNode = Tuple[int, int]
 _GAUSSIAN_SATURATION_Z = 9.0
 
 #: Flush cadence: the pending block is priced once pending rows × observed
-#: nodes reach this many node pairs.  It decides *when* pricing runs, never
-#: how much one kernel pass holds (that is ``_SLICE_ELEMENTS``).
+#: nodes reach this many node pairs.  It decides *when* pricing runs; the
+#: closed-form pass is bounded by ``_SLICE_ELEMENTS`` instead.  It also still
+#: caps a grid-backed rectangle: there the pair tables, not the rectangle,
+#: set the footprint, and a 4096-element cap made the table-backed merge of
+#: the 64 × 22 cluster population about 30% slower (per-call cost).
 _CHUNK_ELEMENTS = 1 << 18
 
-#: Slice size (row·col message pairs) of one kernel pass: the closed-form
-#: pass walks a block in slices of whole rows this large, and a grid-backed
-#: rectangle stops growing here.  Large enough to amortise per-call
-#: overhead, small enough that a flush's temporaries stay near 1 MiB
-#: however wide the block is.  It only groups work: no pair's additions are
-#: ever regrouped.
+#: Slice size (row·col message pairs) of one closed-form kernel pass, which
+#: walks a block in slices of whole rows this large.  Large enough to
+#: amortise per-call overhead, small enough that an all-Gaussian flush's
+#: temporaries stay near 1 MiB however wide the block is, as long as no
+#: single row is longer than a slice (such a row is priced whole); what
+#: still grows with the block is one row-sum float per row.  It only groups
+#: work: no pair's additions are ever regrouped.
 _SLICE_ELEMENTS = 1 << 12
 
 
@@ -1356,16 +1360,16 @@ class StreamingMerger:
         message against its partner's b-side messages — of at most
         ``_SLICE_ELEMENTS`` elements, so a block's temporaries are a slice's,
         not the block's.  Each slice is one 1-D closed-form pass whose row
-        sums come from one ``np.add.reduceat``; a pair's second-stage
-        ``reduceat`` runs once over its complete row-sum vector, carried
-        across slices when the pair spans several.  Slicing never regroups a
-        pair's additions.
+        sums come from one ``np.add.reduceat`` into a buffer of one float per
+        row of the call; one second-stage ``reduceat`` over that buffer then
+        sums each pair's complete row-sum vector, however many slices its
+        rows spanned.  Slicing never regroups a pair's additions.
         """
         ts, mu, var = self._timestamp, self._mean, self._variance
         sizes_a = self._size[pair_a]
         sizes_b = self._size[pair_b]
-        forwards = np.empty(pair_a.size)
-        held: List[np.ndarray] = []  # row sums of the pair left open by the last slice
+        row_sums = np.empty(int(sizes_a.sum()))
+        filled = 0
         for k, r, k_end, r_end in _row_cuts(sizes_a, sizes_b, _SLICE_ELEMENTS):
             stop = k_end + 1 if r_end else k_end
             rows = sizes_a[k:stop].copy()
@@ -1384,32 +1388,23 @@ class StreamingMerger:
                 var[col_index],
             )
             self._stats.vectorized_evaluations += probabilities.size
-            row_sums = np.add.reduceat(probabilities, row_starts)
-            if k_end == k:
-                held.append(row_sums)
-                continue
-            # pairs k..k_end-1 are complete: every one of their rows is held
-            # or in this slice
-            done = int(rows[: k_end - k].sum())
-            sums = np.concatenate(held + [row_sums[:done]]) if held else row_sums[:done]
-            held = [row_sums[done:]] if r_end else []
-            pair_rows = sizes_a[k:k_end]
-            pair_sums = np.add.reduceat(sums, np.cumsum(pair_rows) - pair_rows)
-            forwards[k:k_end] = pair_sums / (pair_rows * sizes_b[k:k_end])
-        return forwards
+            row_sums[filled : filled + row_starts.size] = np.add.reduceat(probabilities, row_starts)
+            filled += row_starts.size
+        pair_sums = np.add.reduceat(row_sums, np.cumsum(sizes_a) - sizes_a)
+        return pair_sums / (sizes_a * sizes_b)
 
     def _price_pairs_tables(self, pair_a: np.ndarray, pair_b: np.ndarray) -> np.ndarray:
         """Pair pricing through chunked rectangular engine calls.
 
         Pairs are grouped by a-side node, a-side groups are chunked in
         certainty-window order (so each rectangle's b-side union stays
-        inside the time-local band) up to ``_SLICE_ELEMENTS``, and each chunk
+        inside the time-local band) up to ``_CHUNK_ELEMENTS``, and each chunk
         is one :func:`cross_probability_matrix` call reduced by two
         ``np.add.reduceat`` segment reductions — each pair's mean is the
         identical float sequence no matter which chunk computes it.  One
-        a-side group always stays one rectangle, because its axis-0 sum runs
-        over the group's rows in sequence.  A group
-        that shares no partner with the open chunk starts its own rectangle:
+        a-side group always stays one rectangle, of its rows × its b-side
+        union, because its axis-0 sum runs over the group's rows in sequence.
+        A group that shares no partner with the open chunk starts its own rectangle:
         joining would add nothing but unrequested pairs (one observed batch
         is two exact rectangles, its lower-shard partners × itself and
         itself × its higher-shard partners).
@@ -1448,7 +1443,7 @@ class StreamingMerger:
             projected = (chunk_rows + group_rows[group]) * (
                 b_messages + sum(partner_size[slot] for slot in fresh)
             )
-            if chunk and (projected > _SLICE_ELEMENTS or len(fresh) == len(span)):
+            if chunk and (projected > _CHUNK_ELEMENTS or len(fresh) == len(span)):
                 flush()
                 fresh = span
             chunk.append(group)

@@ -8,9 +8,11 @@ matrix entry equals ``tests/reference/merge_reference.py``, every counter
 read mid-stream equals the budget-1 run's at the same observation, and the
 schedule itself is a function of the node count alone (telemetry on or off).
 Nor may it depend on the kernel's slice (``_SLICE_ELEMENTS``), which only
-bounds how much one kernel pass holds: under any slice every stored float
-and every engine counter is the same, and a flush's temporaries stay near a
-slice's whatever the block's width.
+bounds how much one closed-form pass holds: under any slice every stored
+float and every engine counter is the same (grid-backed rectangles are
+grouped by the cadence, so there the rectangle counters move with the
+budget and never with the slice), and an all-Gaussian flush's temporaries
+stay near a slice's whatever the block's width.
 """
 
 import dataclasses
@@ -199,9 +201,10 @@ def test_flush_points_depend_on_the_node_count_alone():
 
 
 # ---------------------------------------------------------------------- slice
-# the slice bounds one kernel pass and nothing else: varied independently of
-# the cadence it changes no stored float, no order and no counter (on
-# grid-backed populations the rectangle counters aside)
+# the slice bounds one closed-form pass and nothing else: varied
+# independently of the cadence it changes no stored float, no order and no
+# counter (against the budget-1 run, grid-backed populations leave out the
+# rectangle counters, which follow the cadence)
 
 
 @pytest.mark.parametrize("slice_elements", SLICES[:-1])
