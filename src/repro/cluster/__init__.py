@@ -13,7 +13,7 @@ attributes each priced pair to its lowest common ancestor (which aggregator
 of a hierarchy carries how much work); it never changes the merged order.
 """
 
-from repro.cluster.harness import ClusterTransport, replay_scenario
+from repro.cluster.harness import ClusterTransport
 from repro.cluster.intake import IntakeDedupeGate
 from repro.cluster.merge import CertaintyWindows, CrossShardMerger, MergeOutcome, StreamingMerger
 from repro.cluster.recipe import build_merge, build_router
@@ -46,7 +46,6 @@ __all__ = [
     "MergeTopology",
     "TreeNode",
     "ClusterTransport",
-    "replay_scenario",
     "IntakeDedupeGate",
     "build_router",
     "build_merge",

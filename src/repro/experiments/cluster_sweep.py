@@ -116,7 +116,7 @@ def run_cluster_scenario(
     merged order as ``"flat"``).
 
     ``runtime`` selects the execution backend: ``"sim"``
-    (:class:`~repro.runtime.sim.SimBackend`, one deterministic event loop)
+    (:class:`~repro.runtime.sim.SimBackend`, every shard hosted in process)
     or ``"procs"`` (each shard sequences in its own worker process via
     :class:`~repro.runtime.procs.ProcBackend`; ``num_workers`` caps the
     process count).  Same seed ⇒ bitwise-identical merged order either way.

@@ -4,15 +4,17 @@
 source, scheduling, channel delivery, endpoint lifecycle — so the same
 frozen :class:`ClusterWorkload` runs on
 
-* :class:`~repro.runtime.sim.SimBackend` — the deterministic event-loop
-  substrate (the parity/chaos oracle), and
-* :class:`~repro.runtime.procs.ProcBackend` — shard worker processes under
-  the one :class:`~repro.runtime.procs.ShardCoordinator` (supervision,
-  cursor-gated streaming merge; throughput scales with cores),
+* :class:`~repro.runtime.sim.SimBackend` — every shard hosted in this
+  process on its own virtual-time loop (the parity oracle), and
+* :class:`~repro.runtime.procs.ProcBackend` — shards hosted in worker
+  processes under a supervisor (restart-with-replay; throughput scales with
+  cores),
 
-with a bitwise-equal merged order (``RuntimeOutcome.fingerprint()``)
-asserted across backends in ``tests/runtime`` and
-``benchmarks/test_bench_runtime.py``.
+both through the one :class:`~repro.runtime.procs.ShardCoordinator`
+(cursor-gated streaming merge) and the one shard host of
+:mod:`repro.runtime.host`, with a bitwise-equal merged order
+(``RuntimeOutcome.fingerprint()``) asserted across backends in
+``tests/runtime`` and ``benchmarks/test_bench_runtime.py``.
 
 Workloads come in two shapes: the frozen :class:`ClusterWorkload`
 (messages generated once, replayed at their recorded virtual times — the
@@ -20,8 +22,8 @@ parity oracle's input) and the live path
 (:class:`~repro.runtime.live.LiveDispatcher`), where traffic is submitted
 one message at a time by the socket edge (:mod:`repro.edge`) and sequenced
 incrementally under a per-source watermark discipline.  Both are shaped by
-one :class:`LiveClusterSpec`, and on ``procs`` both drive the same
-coordinator and the same wave-driven worker: a frozen replay is a live
+one :class:`LiveClusterSpec`, and on either runtime both drive the same
+coordinator and the same wave-driven shard host: a frozen replay is a live
 dispatch whose only source is already closed.  The parity guarantee extends
 to the live path: a frozen workload streamed through ``submit()`` — or
 through real sockets — produces the same fingerprint as the one-shot

@@ -17,8 +17,8 @@ run on different execution substrates:
 * :class:`RuntimeBackend` — the execution backend: given a
   :class:`ClusterWorkload` (messages generated *once*, timestamps frozen) it
   sequences every shard, merges the per-shard streams and returns a
-  :class:`RuntimeOutcome`.  :class:`~repro.runtime.sim.SimBackend` runs the
-  whole cluster inside one deterministic event loop (the parity/chaos
+  :class:`RuntimeOutcome`.  :class:`~repro.runtime.sim.SimBackend` hosts
+  every shard in this process on its own virtual-time loop (the parity
   oracle); :class:`~repro.runtime.procs.ProcBackend` runs each shard in its
   own worker process so throughput scales with cores while the merged order
   stays bitwise identical (``RuntimeOutcome.fingerprint`` equality is the
@@ -315,8 +315,8 @@ class RuntimeOutcome:
 class RuntimeBackend:
     """Base class for execution backends.
 
-    A backend owns a clock source and an endpoint lifecycle: ``run`` builds
-    whatever endpoints it needs (simulated entities or worker processes),
+    A backend owns an endpoint lifecycle: ``run`` builds whatever endpoints
+    it needs (in-process shard hosts or worker processes),
     executes the workload to completion and tears the endpoints down;
     ``close`` releases anything still held (idempotent — backends are
     context managers).
@@ -324,11 +324,6 @@ class RuntimeBackend:
 
     #: short identifier, also the CLI ``--runtime`` value
     name: str = "abstract"
-
-    @property
-    def clock(self) -> ClockHandle:
-        """The backend's time source (simulated or wall)."""
-        raise NotImplementedError
 
     def run(self, workload: ClusterWorkload) -> RuntimeOutcome:
         """Execute ``workload`` to completion and return the outcome."""

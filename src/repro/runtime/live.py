@@ -4,18 +4,15 @@
 does *not* exist up front: messages are submitted one at a time (by the
 socket edge in :mod:`repro.edge`, or directly by tests), gated through the
 same exactly-once :class:`~repro.cluster.intake.IntakeDedupeGate` the sharded
-cluster uses, and sequenced incrementally on the selected runtime —
+cluster uses, and sequenced incrementally by the one
+:class:`~repro.runtime.procs.ShardCoordinator` (the very object the frozen
+backends replay a workload through), fed one wave per watermark advance.
+The runtime only places the shard hosts (:mod:`repro.runtime.host`):
 
-* ``runtime="sim"`` — a :class:`~repro.cluster.sharded.ShardedSequencer` on a
-  private deterministic :class:`~repro.simulation.event_loop.EventLoop`,
-  routed through the cluster's public ``receive`` wrapper;
-* ``runtime="procs"`` — the :class:`~repro.runtime.procs.ShardCoordinator`
-  (the very object :class:`~repro.runtime.procs.ProcBackend` replays a frozen
-  workload through), fed one wave per watermark advance.
-
-Both runtimes execute a wave with the same two routines
-(:func:`~repro.runtime.procs.run_wave` / :func:`~repro.runtime.procs.run_close`),
-so the wave semantics exist once.
+* ``runtime="sim"`` — every shard hosted in this process (``num_workers=0``,
+  as :class:`~repro.runtime.sim.SimBackend` does);
+* ``runtime="procs"`` — shards hosted in worker processes (as
+  :class:`~repro.runtime.procs.ProcBackend` does).
 
 Parity contract: virtual time is carried on every submitted message
 (``true_time``); each source (connection) promises per-source monotone
@@ -24,8 +21,8 @@ sources' high-water marks — bounds every future arrival.  Buffered arrivals
 are released up to the watermark in ``(true_time, timestamp, client_id,
 sequence, submission)`` order and the runtime advances *strictly below* it,
 so a frozen workload streamed through ``submit()`` executes the identical
-event sequence as :func:`~repro.cluster.harness.replay_messages` and yields a
-bitwise-equal ``RuntimeOutcome.fingerprint()`` (pinned in ``tests/edge`` /
+event sequence as the one-wave frozen replay and yields a bitwise-equal
+``RuntimeOutcome.fingerprint()`` (pinned in ``tests/edge`` /
 ``tests/runtime/test_live_dispatcher.py``).  With equal ``true_time`` ties
 across *different* sources the relative order is submission order (the
 generated workloads draw continuous unique times, so ties never arise
@@ -45,12 +42,10 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.intake import IntakeDedupeGate
-from repro.cluster.sharded import ShardedSequencer
 from repro.network.message import Heartbeat, TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
 from repro.runtime.base import LiveClusterSpec, RuntimeOutcome
-from repro.runtime.procs import RestartPolicy, ShardCoordinator, run_close, run_wave
-from repro.simulation.event_loop import EventLoop
+from repro.runtime.procs import RestartPolicy, ShardCoordinator
 
 #: Runtime modes the live dispatcher can host.
 LIVE_RUNTIMES: Tuple[str, ...] = ("sim", "procs")
@@ -88,6 +83,8 @@ class LiveDispatcher:
     ) -> None:
         if runtime not in LIVE_RUNTIMES:
             raise ValueError(f"unknown live runtime {runtime!r}; expected one of {LIVE_RUNTIMES}")
+        if runtime == "procs" and num_workers is not None and num_workers < 1:
+            raise ValueError("num_workers must be positive when given")
         self._spec = spec
         self._runtime = runtime
         self._telemetry = telemetry
@@ -109,35 +106,17 @@ class LiveDispatcher:
         self._admitted = 0
         self._late = 0
         self._finished: Optional[RuntimeOutcome] = None
-
-        self._coordinator: Optional[ShardCoordinator] = None
-        if runtime == "sim":
-            self._loop = EventLoop(0.0)
-            self._cluster = ShardedSequencer(
-                self._loop,
-                dict(spec.client_distributions),
-                num_shards=spec.num_shards,
-                config=spec.config,
-                policy=spec.policy,
-                dedupe_intake=False,  # the dispatcher's gate already admitted
-                telemetry=telemetry,
-                merge_topology=spec.merge_topology,
-                merge_fanout=spec.merge_fanout,
-            )
-            self._num_workers = 1
-        else:
-            # fail fast: without a replayable intake log there is nothing to
-            # re-send a replacement worker (ROADMAP), so no restart budget
-            self._coordinator = ShardCoordinator(
-                spec,
-                num_workers=num_workers,
-                telemetry=telemetry,
-                mp_context=mp_context,
-                poll_timeout=poll_timeout,
-                join_timeout=join_timeout,
-                restart_policy=RestartPolicy(max_restarts=0),
-            )
-            self._num_workers = self._coordinator.num_workers
+        # fail fast: without a replayable intake log there is nothing to
+        # re-send a replacement worker (ROADMAP), so no restart budget
+        self._coordinator = ShardCoordinator(
+            spec,
+            num_workers=0 if runtime == "sim" else num_workers,
+            telemetry=telemetry,
+            mp_context=mp_context,
+            poll_timeout=poll_timeout,
+            join_timeout=join_timeout,
+            restart_policy=RestartPolicy(max_restarts=0),
+        )
 
     # ------------------------------------------------------------- properties
     @property
@@ -202,14 +181,10 @@ class LiveDispatcher:
         message *will* be sequenced exactly once; a rejected one is a
         duplicate (same ``(client_id, message_id)`` key or below the
         delivery horizon).  A non-finite ``timestamp`` or ``true_time`` is a
-        ``ValueError``: it would cost the run, not the message.
+        ``ValueError``: it would cost the run, not the message.  An
+        unprovisioned client or a source that is not open is a ``KeyError``.
         """
-        if self._finished is not None:
-            raise RuntimeError("dispatcher already finished")
-        if message.client_id not in self._spec.client_distributions:
-            raise KeyError(f"unknown client {message.client_id!r}")
-        _check_finite(message)
-        self._note_vtime(source_id, message.true_time)
+        self._note(source_id, message)
         if self._gate.is_duplicate(message):
             return False
         vtime = message.true_time
@@ -237,14 +212,8 @@ class LiveDispatcher:
 
     def submit_heartbeat(self, source_id: str, heartbeat: Heartbeat) -> None:
         """Buffer a live heartbeat; advances the source watermark and the
-        gate's delivery horizon (idempotent; ``KeyError`` for an unprovisioned
-        client and ``ValueError`` for a non-finite time, like :meth:`submit`)."""
-        if self._finished is not None:
-            raise RuntimeError("dispatcher already finished")
-        if heartbeat.client_id not in self._spec.client_distributions:
-            raise KeyError(f"unknown client {heartbeat.client_id!r}")
-        _check_finite(heartbeat)
-        self._note_vtime(source_id, heartbeat.true_time)
+        gate's delivery horizon (idempotent; refused like :meth:`submit`)."""
+        self._note(source_id, heartbeat)
         self._gate.is_duplicate(heartbeat)  # horizon advance only
         self._buffer.append(
             (
@@ -258,10 +227,20 @@ class LiveDispatcher:
         )
         self._buffer_seq += 1
 
-    def _note_vtime(self, source_id: str, vtime: float) -> None:
-        current = self._sources.get(source_id, _NEG_INF)
-        if vtime > current:
-            self._sources[source_id] = vtime
+    def _note(self, source_id: str, item: TimestampedMessage | Heartbeat) -> None:
+        """Refuse ``item`` before any state changes, else raise its source's
+        high-water mark: a source that is not open must not hold the
+        watermark again."""
+        if self._finished is not None:
+            raise RuntimeError("dispatcher already finished")
+        if item.client_id not in self._spec.client_distributions:
+            raise KeyError(f"unknown client {item.client_id!r}")
+        high = self._sources.get(source_id)
+        if high is None:
+            raise KeyError(f"source {source_id!r} is not open")
+        _check_finite(item)
+        if item.true_time > high:
+            self._sources[source_id] = item.true_time
 
     # ---------------------------------------------------------------- advance
     def advance(self) -> float:
@@ -278,8 +257,7 @@ class LiveDispatcher:
         self._flush_wave(watermark)
         if self._obs.enabled and math.isfinite(watermark):
             self._obs.gauge("live.watermark", watermark)
-        if self._coordinator is not None:
-            self._coordinator.drain(block=False)
+        self._coordinator.drain(block=False)
         return watermark
 
     def _take_wave(self, watermark: float) -> List[object]:
@@ -306,10 +284,7 @@ class LiveDispatcher:
                 self._late += 1
                 if self._obs.enabled:
                     self._obs.count("live.late_arrivals")
-        if self._coordinator is not None:
-            self._coordinator.wave(wave, run_to)
-        else:
-            run_wave(self._loop, self._cluster, wave, delay, run_to)
+        self._coordinator.wave(wave, run_to)
         if run_to is not None:
             self._advanced_to = run_to
 
@@ -342,38 +317,20 @@ class LiveDispatcher:
         self._sources.clear()
         self._flush_wave(math.inf)
         heartbeat_time, heartbeat_timestamp = self.closing_heartbeat() or (None, None)
+        self._coordinator.close_shards(heartbeat_time, heartbeat_timestamp)
+        merge = self._coordinator.finish()
         details: Dict[str, object] = {
             "late_arrivals": self._late,
             "duplicates_rejected": self._gate.duplicates_suppressed,
+            **self._coordinator.details(),
         }
-        if self._coordinator is not None:
-            self._coordinator.close_shards(heartbeat_time, heartbeat_timestamp)
-            merge = self._coordinator.finish()
-            details.update(self._coordinator.details())
-            shard_batches = self._coordinator.shard_batches
-        else:
-            run_close(
-                self._loop,
-                self._cluster,
-                self._spec.client_distributions,
-                heartbeat_time,
-                heartbeat_timestamp,
-            )
-            self._cluster.flush()
-            merge = self._cluster.live_merge()
-            details.update(
-                loop=self._loop.stats(),
-                sim_end_time=self._loop.clock.now(),
-                emitted_counts=self._cluster.emitted_counts(),
-            )
-            shard_batches = self._cluster.shard_batches()
         self._finished = RuntimeOutcome(
             backend=f"live-{self._runtime}",
             merge=merge,
-            shard_batches=shard_batches,
+            shard_batches=self._coordinator.shard_batches,
             message_count=self._admitted,
             wall_seconds=time.perf_counter() - self._started,
-            num_workers=self._num_workers,
+            num_workers=self._coordinator.num_workers,
             telemetry=self._telemetry,
             details=details,
         )
@@ -381,9 +338,8 @@ class LiveDispatcher:
 
     # ------------------------------------------------------------------ close
     def close(self) -> None:
-        """Tear down live workers and queues (idempotent; sim mode is a no-op)."""
-        if self._coordinator is not None:
-            self._coordinator.close()
+        """Tear down live workers and queues (idempotent)."""
+        self._coordinator.close()
 
     def __enter__(self) -> "LiveDispatcher":
         return self

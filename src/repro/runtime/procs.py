@@ -1,24 +1,27 @@
-"""The procs runtime: one shard worker, one coordinator, two thin drivers.
+"""The procs runtime and the one coordinator every runtime drives shards through.
 
-Every shard's :class:`~repro.core.online.OnlineTommySequencer` runs on a
-private event loop inside a worker process (:func:`_shard_worker_main`) that
-is driven by *waves*: ``("wave", items_by_shard, run_to)`` schedules new
-arrivals and advances every hosted shard strictly below ``run_to + delay``;
-``("close", heartbeat_time, heartbeat_timestamp)`` injects the global closing
+Every shard runs on the one shard host of :mod:`repro.runtime.host`: its
+:class:`~repro.core.online.OnlineTommySequencer` on a private event loop,
+driven by *waves* — ``("wave", items_by_shard, run_to)`` schedules new
+arrivals and advances strictly below ``run_to + delay``; ``("close",
+heartbeat_time, heartbeat_timestamp)`` injects the global closing
 heartbeats, runs to completion and flushes.  Emissions stream back as
 ``("batch", shard, batch)`` and the :class:`ShardCoordinator` folds them into
 the recipe's :class:`~repro.cluster.merge.StreamingMerger`.
 
-A frozen replay is a live dispatch whose only source is already closed:
-:class:`ProcBackend` sends one wave carrying the whole
+The coordinator places the hosts.  On the procs runtime they live in worker
+processes (:func:`_shard_worker_main`) under a :class:`WorkerSupervisor`;
+with ``num_workers=0`` — the sim runtimes — they live in the coordinator's
+own process and a command is a direct call.  A frozen replay is a live
+dispatch whose only source is already closed: :class:`ProcBackend` and
+:class:`~repro.runtime.sim.SimBackend` send one wave carrying the whole
 :class:`~repro.runtime.base.ClusterWorkload` (no watermark) and then the
-close, while ``LiveDispatcher(runtime="procs")`` drives the very same
-coordinator wave by wave.  The merged order is *bitwise equal* to
-:class:`~repro.runtime.sim.SimBackend` because
+close (:meth:`ShardCoordinator.run_frozen`), while
+:class:`~repro.runtime.live.LiveDispatcher` drives the very same coordinator
+wave by wave.  The merged order is *bitwise equal* across all of them
+because
 
-* arrivals are scheduled at their frozen ``true_time + delay`` ahead of
-  same-instant emission checks, so each shard executes the event sequence
-  :func:`~repro.cluster.harness.replay_messages` would have scheduled;
+* every runtime executes each shard on the same host with the same waves;
 * every shard receives the *global* closing-heartbeat instant/beacon;
 * per-shard sequencer RNG streams depend only on ``config.seed``, and router
   and merger come from the one recipe in :mod:`repro.cluster.recipe`;
@@ -45,29 +48,21 @@ orphaned processes or stuck feeder threads outlive a run.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass
-from queue import Empty
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from queue import Empty, SimpleQueue
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster.merge import MergeOutcome
 from repro.cluster.recipe import build_merge, build_router
-from repro.core.online import OnlineTommySequencer
-from repro.network.message import Heartbeat, SequencedBatch, TimestampedMessage
+from repro.core.engine import EngineStats
+from repro.network.message import SequencedBatch
 from repro.obs.telemetry import Telemetry, resolve
-from repro.runtime.base import (
-    ClockHandle,
-    ClusterWorkload,
-    LiveClusterSpec,
-    RuntimeBackend,
-    RuntimeOutcome,
-    WallClock,
-)
-from repro.simulation.event_loop import EventLoop
+from repro.runtime.base import ClusterWorkload, LiveClusterSpec, RuntimeBackend, RuntimeOutcome
+from repro.runtime.host import Arrival, Checkpoint, _ShardHost
 
 #: Crash-injection modes: ``exit`` (hard non-zero death, models OOM-kill /
 #: segfault), ``error`` (exception inside the shard loop, shipped back as a
@@ -86,8 +81,6 @@ SHARD_LOSS_MODES: Tuple[str, ...] = ("raise", "exclude")
 #: Consecutive empty polls a dead worker must stay silent for before the
 #: death verdict (its buffered queue items are consumed first).
 DRAIN_GRACE = 3
-
-Arrival = Union[TimestampedMessage, Heartbeat]
 
 
 class WorkerCrashed(RuntimeError):
@@ -129,50 +122,6 @@ class RestartPolicy:
         return min(self.backoff_base * (2.0 ** restarts_used), self.backoff_cap)
 
 
-# ------------------------------------------------------------ wave semantics
-def run_wave(
-    loop: EventLoop, receiver, items: Iterable[Arrival], delay: float, run_to: Optional[float]
-) -> None:
-    """Schedule ``items`` as arrivals, then advance strictly below ``run_to + delay``.
-
-    Arrivals land at ``max(true_time + delay, now)`` — the clamp of
-    :func:`~repro.cluster.harness.replay_messages` — with priority ``-1`` so
-    they beat same-instant emission checks, exactly as pre-scheduled arrivals
-    beat mid-run-scheduled checks in a one-shot replay.  The advance is
-    exclusive: a well-behaved source may still send another message *at* its
-    current watermark, and that twin must be schedulable before anything at
-    that instant executes.  ``run_to=None`` schedules without advancing.
-    """
-    now = loop.now
-    for item in items:
-        loop.schedule_at(max(item.true_time + delay, now), receiver.receive, item, priority=-1)
-    if run_to is not None:
-        loop.run(until=math.nextafter(run_to + delay, -math.inf))
-
-
-def run_close(
-    loop: EventLoop,
-    receiver,
-    client_ids: Iterable[str],
-    heartbeat_time: Optional[float],
-    heartbeat_timestamp: Optional[float],
-) -> None:
-    """Inject the closing heartbeats (sorted clients) and run to completion.
-
-    The heartbeat instant is clamped to ``max(heartbeat_time, now)``: a
-    source's ordinary trailing ``HEARTBEAT`` may already have advanced the
-    loop past the closing horizon computed over admitted *messages*.
-    """
-    if heartbeat_time is not None and heartbeat_timestamp is not None:
-        when = max(heartbeat_time, loop.now)
-        for client_id in sorted(client_ids):
-            heartbeat = Heartbeat(
-                client_id=client_id, timestamp=heartbeat_timestamp, true_time=heartbeat_time
-            )
-            loop.schedule_at(when, receiver.receive, heartbeat, priority=-1)
-    loop.run()
-
-
 # -------------------------------------------------------------------- worker
 #: Crash injection spec shipped to first-incarnation workers only:
 #: ``(shard_index, mode, point)``.  Replacements never receive one — a
@@ -198,81 +147,17 @@ def _injected_crash(mode: str, shard: int, results) -> None:
     os._exit(exit_code)
 
 
-class _ShardHost:
-    """One shard sequencer on a private loop inside a worker process."""
+def _crash_checkpoint(crash_spec: _CrashSpec, shard: int, results) -> Optional[Checkpoint]:
+    """The host checkpoint that dies at the injected point (``None`` elsewhere)."""
+    if crash_spec is None or crash_spec[0] != shard:
+        return None
+    _, mode, point = crash_spec
 
-    def __init__(
-        self,
-        shard: int,
-        spec: LiveClusterSpec,
-        clients: Sequence[str],
-        collect_telemetry: bool,
-        results,
-        crash: Optional[Tuple[str, str]],
-    ) -> None:
-        self.shard = shard
-        self._clients = clients
-        self._delay = spec.delay
-        self._results = results
-        self._crash = crash
-        self._crash_at("start")
-        self._loop = EventLoop()
-        self._telemetry = Telemetry() if collect_telemetry else None
-        self._obs = resolve(self._telemetry)
-        self._sequencer = OnlineTommySequencer(
-            self._loop,
-            {client: spec.client_distributions[client] for client in clients},
-            config=spec.config,
-            known_clients=list(clients),
-            name=f"cluster-shard-{shard}",
-            telemetry=self._telemetry,
-            shard_index=shard,
-        )
-        self._sequencer.subscribe_emissions(self._on_emit)
-        self._received = 0
-        self._streamed = 0
-        self._busy = 0.0
+    def checkpoint(reached: str) -> None:
+        if reached == point:
+            _injected_crash(mode, shard, results)
 
-    def _crash_at(self, point: str) -> None:
-        if self._crash is not None and self._crash[1] == point:
-            _injected_crash(self._crash[0], self.shard, self._results)
-
-    def _on_emit(self, emitted) -> None:
-        self._results.put(("batch", self.shard, emitted.batch))
-        self._streamed += 1
-        if self._streamed == 1:
-            self._crash_at("mid")
-
-    def receive(self, item: Arrival, arrival_time: Optional[float] = None) -> None:
-        """Shard intake: record the stage the cluster router records on the
-        sim path, then forward into the sequencer — per-stage tables stay
-        comparable across backends."""
-        if self._obs.enabled and isinstance(item, TimestampedMessage):
-            self._obs.stage("shard_intake", item, self._sequencer.now, shard=self.shard)
-        self._sequencer.receive(item, arrival_time)
-
-    def wave(self, items: Sequence[Arrival], run_to: Optional[float]) -> None:
-        started = time.perf_counter()
-        self._received += sum(isinstance(item, TimestampedMessage) for item in items)
-        run_wave(self._loop, self, items, self._delay, run_to)
-        self._busy += time.perf_counter() - started
-
-    def close(self, heartbeat_time: Optional[float], heartbeat_timestamp: Optional[float]) -> None:
-        started = time.perf_counter()
-        run_close(self._loop, self, self._clients, heartbeat_time, heartbeat_timestamp)
-        self._sequencer.flush()
-        self._crash_at("end")
-        telemetry = self._telemetry
-        summary = {
-            "message_count": self._received,
-            "batch_count": len(self._sequencer.emitted_batches),
-            # busy time: spent inside this shard's schedule/run/flush calls
-            "wall_seconds": self._busy + time.perf_counter() - started,
-            "loop": self._loop.stats(),
-            "stages": telemetry.stage_records if telemetry is not None else [],
-            "events": telemetry.event_records if telemetry is not None else [],
-        }
-        self._results.put(("done", self.shard, summary))
+    return checkpoint
 
 
 def _shard_worker_main(
@@ -283,32 +168,33 @@ def _shard_worker_main(
     results,
     crash_spec: _CrashSpec,
 ) -> None:
-    """Worker entry point: host the slot's shard sequencers, consume commands.
+    """Worker entry point: host the slot's shards, execute commands.
 
-    ``("wave", items_by_shard, run_to)`` feeds every hosted shard its new
-    arrivals and advances it; ``("close", heartbeat_time,
-    heartbeat_timestamp)`` closes every hosted shard in turn (each ships its
-    ``("done", shard, summary)``) and ends the process.  Any exception is
-    shipped back as ``("error", shard, traceback)`` naming the shard at work.
+    Every command runs on every hosted shard in turn; a ``"close"`` posts each
+    shard's ``("done", shard, summary)`` — with the stage and event records of
+    the shard's private telemetry hub — and ends the process.  Any exception
+    is shipped back as ``("error", shard, traceback)`` naming the shard at
+    work.
     """
     current = next(iter(clients_of))
     try:
         hosts: List[_ShardHost] = []
         for current, clients in clients_of.items():
-            crash = crash_spec[1:] if crash_spec is not None and crash_spec[0] == current else None
-            hosts.append(_ShardHost(current, spec, clients, collect_telemetry, results, crash))
+            telemetry = Telemetry() if collect_telemetry else None
+            checkpoint = _crash_checkpoint(crash_spec, current, results)
+            hosts.append(_ShardHost(current, spec, clients, telemetry, results.put, checkpoint))
         while True:
             command = commands.get()
-            if command[0] == "wave":
-                _, items_by_shard, run_to = command
-                for host in hosts:
-                    current = host.shard
-                    host.wave(items_by_shard.get(current, ()), run_to)
-            else:
-                _, heartbeat_time, heartbeat_timestamp = command
-                for host in hosts:
-                    current = host.shard
-                    host.close(heartbeat_time, heartbeat_timestamp)
+            for host in hosts:
+                current = host.shard
+                summary = host.execute(command)
+                if summary is None:
+                    continue
+                if host.telemetry is not None:
+                    summary["stages"] = host.telemetry.stage_records
+                    summary["events"] = host.telemetry.event_records
+                results.put(("done", host.shard, summary))
+            if command[0] == "close":
                 return
     except Exception:
         results.put(("error", current, traceback.format_exc()))
@@ -456,9 +342,10 @@ class WorkerSupervisor:
             slot.log.append(command)
         slot.commands.put(command)
 
-    def command_queues(self) -> List[object]:
-        """The live command queue of every slot (for the teardown)."""
-        return [slot.commands for slot in self._slots if slot.commands is not None]
+    def queues(self) -> List[object]:
+        """The result queue and every slot's live command queue (for the teardown)."""
+        commands = [slot.commands for slot in self._slots if slot.commands is not None]
+        return [self._results, *commands]
 
     # -------------------------------------------------------------- liveness
     def _unfinished(self, slot: _WorkerSlot) -> List[int]:
@@ -570,6 +457,55 @@ class WorkerSupervisor:
         self._event("shard_loss", worker=slot.index, shards=unfinished)
 
 
+class _InProcessHosts:
+    """The supervisor of ``num_workers=0``: every shard hosted in this process.
+
+    A command is a direct call into each shard's
+    :class:`~repro.runtime.host._ShardHost`, and results land on the
+    coordinator's local channel before the call returns.  There is no process
+    to spawn, watch, restart or join, so the supervision hooks are no-ops and
+    a failing shard raises in the caller.
+    """
+
+    processes: Tuple[multiprocessing.process.BaseProcess, ...] = ()
+    worker_restarts = 0
+    lost_shards: FrozenSet[int] = frozenset()
+    shards_recovered: FrozenSet[int] = frozenset()
+
+    def __init__(self, spec: LiveClusterSpec, router, telemetry: Optional[Telemetry], results):
+        self._results = results
+        self._hosts = [
+            _ShardHost(shard, spec, router.clients_of(shard), telemetry, results.put)
+            for shard in range(spec.num_shards)
+        ]
+
+    def send(self, worker: int, command: tuple) -> None:
+        """Execute ``command`` on every shard now."""
+        for host in self._hosts:
+            summary = host.execute(command)
+            if summary is not None:
+                self._results.put(("done", host.shard, summary))
+
+    def queues(self) -> List[object]:
+        """Nothing to close: the local channel holds no process resources."""
+        return []
+
+    def start(self) -> None:
+        """Nothing to spawn."""
+
+    def pump(self) -> None:
+        """Nothing to respawn."""
+
+    def tick(self) -> None:
+        """Nothing can die unnoticed."""
+
+    def note_queue_activity(self, shard: int) -> None:
+        """No drain grace to restart."""
+
+    def note_shard_done(self, shard: int) -> None:
+        """No recovery to record."""
+
+
 # --------------------------------------------------------------- coordinator
 def worker_count(requested: Optional[int], num_shards: int) -> int:
     """Worker processes used for ``num_shards`` shards (one per shard by default)."""
@@ -579,11 +515,17 @@ def worker_count(requested: Optional[int], num_shards: int) -> int:
 
 
 class ShardCoordinator:
-    """The one procs coordinator: workers, queues, cursor-gated merge, teardown.
+    """The one coordinator: shard hosts, cursor-gated merge, teardown.
 
     Built from a :class:`~repro.runtime.base.LiveClusterSpec`; drivers feed
-    it :meth:`wave` commands, :meth:`drain` worker results into the streaming
+    it :meth:`wave` commands, :meth:`drain` shard results into the streaming
     merge between waves, then :meth:`close_shards` and :meth:`finish`.
+
+    ``num_workers`` places the shard hosts: ``None`` is one worker process
+    per shard, ``n`` spreads the shards round-robin over ``min(n, shards)``
+    worker processes under a :class:`WorkerSupervisor`, and ``0`` hosts every
+    shard in this process (no fork; the ``sim`` runtimes), where the
+    supervision options do not apply.
     """
 
     def __init__(
@@ -602,9 +544,10 @@ class ShardCoordinator:
         self._poll_timeout = poll_timeout
         self._join_timeout = join_timeout
         self._num_shards = spec.num_shards
-        self.num_workers = worker_count(num_workers, spec.num_shards)
+        in_process = num_workers == 0
+        self.num_workers = 0 if in_process else worker_count(num_workers, spec.num_shards)
         self.router = build_router(spec.client_distributions, spec.num_shards, spec.policy)
-        _, _, self._streaming = build_merge(
+        self._merger, _, self._streaming = build_merge(
             spec.client_distributions,
             spec.config,
             self.router,
@@ -616,28 +559,34 @@ class ShardCoordinator:
         self._summaries: Dict[int, dict] = {}
         self._done: Set[int] = set()
         self._replayed_deduped = 0
-        try:
-            ctx = multiprocessing.get_context(mp_context)
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        self._results = ctx.Queue()
-        self._shards_of = [
-            list(range(worker, spec.num_shards, self.num_workers))
-            for worker in range(self.num_workers)
-        ]
-        self._supervisor = WorkerSupervisor(
-            ctx,
-            self._results,
-            spec,
-            self.router,
-            self._shards_of,
-            self._done,
-            policy=restart_policy if restart_policy is not None else RestartPolicy(),
-            on_shard_loss=on_shard_loss,
-            crash_spec=crash_spec,
-            telemetry=telemetry,
-        )
+        # shard s is hosted by slot s mod slots; in process, one slot hosts all
+        slots = max(self.num_workers, 1)
+        self._shards_of = [list(range(slot, spec.num_shards, slots)) for slot in range(slots)]
         self._closed = False
+        self._supervisor: Union[WorkerSupervisor, _InProcessHosts]
+        if in_process:
+            self._results = SimpleQueue()
+            self._supervisor = _InProcessHosts(spec, self.router, telemetry, self._results)
+        else:
+            try:
+                ctx = multiprocessing.get_context(mp_context)
+            except ValueError:
+                ctx = multiprocessing.get_context()
+            self._results = ctx.Queue()
+            self._supervisor = WorkerSupervisor(
+                ctx,
+                self._results,
+                spec,
+                self.router,
+                self._shards_of,
+                self._done,
+                policy=restart_policy if restart_policy is not None else RestartPolicy(),
+                on_shard_loss=on_shard_loss,
+                crash_spec=crash_spec,
+                telemetry=telemetry,
+            )
+        if telemetry is not None:
+            telemetry.attach("cluster.engine", self.engine_stats)
         try:
             self._supervisor.start()
         except BaseException:
@@ -646,25 +595,25 @@ class ShardCoordinator:
 
     # --------------------------------------------------------------- commands
     def wave(self, items: Iterable[Arrival], run_to: Optional[float]) -> None:
-        """Route ``items`` (kept in order per shard) to their workers as one wave."""
-        by_worker: List[Dict[int, List[Arrival]]] = [{} for _ in range(self.num_workers)]
+        """Route ``items`` (kept in order per shard) to their hosts as one wave."""
+        slots = len(self._shards_of)
+        by_slot: List[Dict[int, List[Arrival]]] = [{} for _ in range(slots)]
         for item in items:
             shard = self.router.shard_of(item.client_id)
-            # round-robin placement: shard s lives on worker s mod W
-            by_worker[shard % self.num_workers].setdefault(shard, []).append(item)
-        for worker, items_by_shard in enumerate(by_worker):
-            self._supervisor.send(worker, ("wave", items_by_shard, run_to))
+            by_slot[shard % slots].setdefault(shard, []).append(item)
+        for slot, items_by_shard in enumerate(by_slot):
+            self._supervisor.send(slot, ("wave", items_by_shard, run_to))
 
     def close_shards(
         self, heartbeat_time: Optional[float], heartbeat_timestamp: Optional[float]
     ) -> None:
-        """Tell every worker to close its shards at the global heartbeat horizon."""
-        for worker in range(self.num_workers):
-            self._supervisor.send(worker, ("close", heartbeat_time, heartbeat_timestamp))
+        """Close every shard at the global heartbeat horizon."""
+        for slot in range(len(self._shards_of)):
+            self._supervisor.send(slot, ("close", heartbeat_time, heartbeat_timestamp))
 
     # ------------------------------------------------------------------ drain
     def drain(self, block: bool) -> None:
-        """Fold worker results into the merge; supervise on every poll.
+        """Fold shard results into the merge; supervise on every poll.
 
         ``block=True`` polls until every shard is done (or lost);
         ``block=False`` consumes what is already queued and returns.  Either
@@ -724,27 +673,69 @@ class ShardCoordinator:
             self.close()
         merge = self._streaming.result()
         if self._telemetry is not None:
+            # records a worker kept in its private hub (in-process hosts
+            # recorded straight into this one and ship none)
             for shard in sorted(self._summaries):
                 summary = self._summaries[shard]
-                self._telemetry.absorb(summary["stages"], summary["events"])
+                self._telemetry.absorb(summary.get("stages", ()), summary.get("events", ()))
         return merge
 
+    def run_frozen(self, workload: ClusterWorkload, backend: str, started: float) -> RuntimeOutcome:
+        """Sequence a frozen workload and collect the outcome.
+
+        The workload is one wave from an already-closed source: nothing to
+        wait for, so no watermark — the close runs it all.  ``started`` is
+        the ``perf_counter`` reading the outcome's wall time counts from.
+        """
+        self.wave(workload.messages_by_true_time(), run_to=None)
+        self.close_shards(*(workload.closing_heartbeat() or (None, None)))
+        merge = self.finish()
+        return RuntimeOutcome(
+            backend=backend,
+            merge=merge,
+            shard_batches=self.shard_batches,
+            message_count=len(workload.messages),
+            wall_seconds=time.perf_counter() - started,
+            num_workers=self.num_workers,
+            telemetry=self._telemetry,
+            details=self.details(),
+        )
+
+    def engine_stats(self) -> EngineStats:
+        """Engine counters of every finished shard plus the merger's.
+
+        Reading the merger's settles the streaming merger's pending rows first.
+        """
+        combined = EngineStats()
+        for shard in sorted(self._summaries):
+            combined = combined.merge(self._summaries[shard]["engine"])
+        return combined.merge(self._merger.engine_stats)
+
     def details(self) -> Dict[str, object]:
-        """Supervision counters and per-shard summaries for the outcome."""
+        """Supervision counters, per-shard summaries and their totals for the outcome.
+
+        ``loop`` sums the per-shard event-loop stats and
+        ``observability["engine"]`` is :meth:`engine_stats`.
+        """
         supervisor = self._supervisor
+        keys = ("message_count", "batch_count", "wall_seconds", "loop")
+        per_shard = {
+            shard: {key: summary[key] for key in keys}
+            for shard, summary in sorted(self._summaries.items())
+        }
+        loop: Dict[str, int] = {}
+        for summary in per_shard.values():
+            for key, value in summary["loop"].items():
+                loop[key] = loop.get(key, 0) + value
         return {
             "shards_per_worker": [len(shards) for shards in self._shards_of],
             "worker_restarts": supervisor.worker_restarts,
             "shards_recovered": sorted(supervisor.shards_recovered),
             "lost_shards": sorted(supervisor.lost_shards),
             "replayed_batches_deduped": self._replayed_deduped,
-            "per_shard": {
-                shard: {
-                    key: summary[key]
-                    for key in ("message_count", "batch_count", "wall_seconds", "loop")
-                }
-                for shard, summary in sorted(self._summaries.items())
-            },
+            "per_shard": per_shard,
+            "loop": loop,
+            "observability": {"engine": self.engine_stats().as_dict()},
         }
 
     # --------------------------------------------------------------- teardown
@@ -770,7 +761,7 @@ class ShardCoordinator:
             pass
         for process in processes:
             process.join(timeout=self._join_timeout)
-        for queue in [self._results, *self._supervisor.command_queues()]:
+        for queue in self._supervisor.queues():
             _discard_queue(queue)
 
 
@@ -817,13 +808,7 @@ class ProcBackend(RuntimeBackend):
                 (inject_crash, crash_mode, crash_point) if inject_crash is not None else None
             ),
         )
-        self._clock = WallClock()
         self._coordinator: Optional[ShardCoordinator] = None
-
-    @property
-    def clock(self) -> ClockHandle:
-        """Wall-clock handle (real processes run in real time)."""
-        return self._clock
 
     @property
     def restart_policy(self) -> RestartPolicy:
@@ -837,27 +822,13 @@ class ProcBackend(RuntimeBackend):
     def run(self, workload: ClusterWorkload) -> RuntimeOutcome:
         """Execute the workload across worker processes and merge live."""
         started = time.perf_counter()
-        coordinator = self._coordinator = ShardCoordinator(
+        self._coordinator = ShardCoordinator(
             LiveClusterSpec.from_workload(workload),
             num_workers=self._num_workers,
             telemetry=self._telemetry,
             **self._coordinator_options,
         )
-        # the whole workload is one wave from an already-closed source:
-        # nothing to wait for, so no watermark — the close runs it all
-        coordinator.wave(workload.messages_by_true_time(), run_to=None)
-        coordinator.close_shards(*(workload.closing_heartbeat() or (None, None)))
-        merge = coordinator.finish()
-        return RuntimeOutcome(
-            backend=self.name,
-            merge=merge,
-            shard_batches=coordinator.shard_batches,
-            message_count=len(workload.messages),
-            wall_seconds=time.perf_counter() - started,
-            num_workers=coordinator.num_workers,
-            telemetry=self._telemetry,
-            details=coordinator.details(),
-        )
+        return self._coordinator.run_frozen(workload, self.name, started)
 
     def close(self) -> None:
         """Terminate any worker processes still alive (idempotent)."""
@@ -875,6 +846,4 @@ __all__ = [
     "ShardCoordinator",
     "WorkerCrashed",
     "WorkerSupervisor",
-    "run_close",
-    "run_wave",
 ]

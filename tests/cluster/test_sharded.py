@@ -1,17 +1,13 @@
 """Properties of the sharded cluster: equivalence, determinism, routing."""
 
-from repro.cluster import (
-    ClusterTransport,
-    HashSharding,
-    LoadAwareSharding,
-    ShardedSequencer,
-    replay_scenario,
-)
+from repro.cluster import ClusterTransport, HashSharding, LoadAwareSharding, ShardedSequencer
 from repro.clocks.local import LocalClock
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.link import UniformJitterDelay
+from repro.runtime.base import ClusterWorkload
+from repro.runtime.host import run_close, run_wave
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.random_source import RandomSource
 from repro.workloads.arrivals import UniformGapArrivals
@@ -33,6 +29,14 @@ def fingerprint(result):
     return [(batch.rank, tuple(message.key for message in batch.messages)) for batch in result.batches]
 
 
+def replay(loop, target, scenario):
+    """Sequence the scenario as every runtime does: one wave from an already
+    closed source, then the close at the workload's heartbeat horizon."""
+    workload = ClusterWorkload.from_scenario(scenario, num_shards=1)
+    run_wave(loop, target, workload.messages_by_true_time(), delay=0.0, run_to=None)
+    run_close(loop, target, workload.client_ids, *workload.closing_heartbeat())
+
+
 def run_cluster(scenario, num_shards, config=None, policy=None):
     loop = EventLoop()
     cluster = ShardedSequencer(
@@ -42,8 +46,7 @@ def run_cluster(scenario, num_shards, config=None, policy=None):
         config=config if config is not None else TommyConfig(),
         policy=policy,
     )
-    replay_scenario(loop, cluster, scenario)
-    loop.run()
+    replay(loop, cluster, scenario)
     cluster.flush()
     return cluster
 
@@ -55,8 +58,7 @@ def test_one_shard_cluster_is_byte_identical_to_single_sequencer():
 
     loop = EventLoop()
     single = OnlineTommySequencer(loop, scenario.client_distributions, config=TommyConfig())
-    replay_scenario(loop, single, scenario)
-    loop.run()
+    replay(loop, single, scenario)
     single.flush()
 
     cluster = run_cluster(scenario, num_shards=1)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import TimestampedMessage
@@ -14,6 +15,14 @@ from repro.simulation.event_loop import EventLoop
 
 # the reference oracles (``merge_reference``) import by bare module name
 sys.path.insert(0, str(Path(__file__).parent / "reference"))
+
+# Tier-1 is deterministic: every property test draws the same examples on
+# every run, and no example database replays what an earlier run found.  The
+# nightly run searches afresh with ``--hypothesis-profile randomized``; a
+# case it finds is fixed in the code or pinned with ``@example``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("randomized", derandomize=False, database=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

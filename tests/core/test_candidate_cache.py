@@ -201,9 +201,7 @@ def test_candidate_matches_cache_free_oracle_under_any_traffic(population, polic
     tally = []
     run_state_machine_as_test(
         lambda: CandidateMachine(population, policy, tally),
-        settings=settings(
-            max_examples=20, stateful_step_count=30, deadline=None, derandomize=True
-        ),
+        settings=settings(max_examples=20, stateful_step_count=30, deadline=None),
     )
     total = EngineStats()
     for stats in tally:

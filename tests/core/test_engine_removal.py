@@ -183,7 +183,7 @@ def interleaved_run(use_engine, plan, completeness_mode):
 
 
 @pytest.mark.parametrize("completeness_mode", ["none", "heartbeat"])
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 @given(plan=steps)
 def test_engine_matches_reference_under_any_arrival_and_emission_interleaving(
     completeness_mode, plan

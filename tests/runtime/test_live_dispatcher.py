@@ -314,3 +314,33 @@ def test_procs_worker_death_is_detected_on_advance():
     for child in mp.active_children():
         child.join(timeout=2.0)
     assert not mp.active_children()
+
+
+def test_a_source_that_is_not_open_is_refused_before_any_state_changes():
+    # regression: submit / submit_heartbeat re-registered a closed or never
+    # opened source, which then held the watermark until finish()
+    spec = LiveClusterSpec.from_workload(_workload(num_clients=4, num_shards=2))
+    clients = sorted(spec.client_ids())
+    with LiveDispatcher(spec, runtime="sim") as dispatcher:
+        dispatcher.open_source("a")
+        dispatcher.open_source("b")
+        first = TimestampedMessage(client_id=clients[0], timestamp=1.0, true_time=1.0, message_id=1)
+        dispatcher.submit("a", first)
+        dispatcher.close_source("a")
+        late = TimestampedMessage(client_id=clients[1], timestamp=2.0, true_time=2.0, message_id=2)
+        for source in ("a", "ghost"):
+            with pytest.raises(KeyError, match="not open"):
+                dispatcher.submit(source, late)
+            with pytest.raises(KeyError, match="not open"):
+                dispatcher.submit_heartbeat(
+                    source, Heartbeat(client_id=clients[1], timestamp=2.0, true_time=2.0)
+                )
+        assert dispatcher.open_sources == 1
+        assert dispatcher.admitted == 1
+        # the refused message never reached the exactly-once gate
+        assert dispatcher.submit("b", late) is True
+        dispatcher.close_source("b")
+        # the last open source is closed: nothing pins the watermark
+        assert dispatcher.watermark == math.inf
+        outcome = dispatcher.finish()
+    assert outcome.message_count == 2

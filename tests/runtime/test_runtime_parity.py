@@ -123,3 +123,44 @@ def test_telemetry_absorbed_from_workers_covers_pipeline_stages():
     busy = sum(shard["wall_seconds"] for shard in serial.details["per_shard"].values())
     assert sorted(serial.details["per_shard"]) == [0, 1, 2, 3]
     assert 0.0 < busy <= serial.wall_seconds * serial.num_workers
+
+
+def test_every_runtime_drives_each_shard_through_the_same_events():
+    """One shard host under one coordinator: beyond the merged order, each
+    shard's loop schedules, cancels and executes the same events and emits
+    the same batches whichever runtime hosts it."""
+    workload = _workload(num_shards=4, num_clients=12, messages_per_client=5)
+    outcomes = {"sim": SimBackend().run(workload)}
+    for num_workers in (1, 2):
+        with ProcBackend(num_workers=num_workers) as backend:
+            outcomes[f"procs-{num_workers}"] = backend.run(workload)
+    for runtime in ("sim", "procs"):
+        spec = LiveClusterSpec.from_workload(workload)
+        with LiveDispatcher(spec, runtime=runtime) as dispatcher:
+            sources = [f"src-{index}" for index in range(3)]
+            for source in sources:
+                dispatcher.open_source(source)
+            for index, message in enumerate(workload.messages_by_true_time()):
+                dispatcher.submit(sources[index % 3], message)
+                if index % 4 == 3:
+                    dispatcher.advance()
+            for source in sources:
+                dispatcher.close_source(source)
+            outcomes[f"live-{runtime}"] = dispatcher.finish()
+
+    def per_shard(outcome):
+        return {
+            shard: (summary["loop"], summary["batch_count"])
+            for shard, summary in outcome.details["per_shard"].items()
+        }
+
+    reference = outcomes["sim"]
+    assert sorted(reference.details["per_shard"]) == [0, 1, 2, 3]
+    assert all(shard["loop"]["executed"] > 0 for shard in reference.details["per_shard"].values())
+    for name, outcome in outcomes.items():
+        assert outcome.fingerprint() == reference.fingerprint(), name
+        assert per_shard(outcome) == per_shard(reference), name
+        assert outcome.details["loop"] == reference.details["loop"], name
+        assert [len(stream) for stream in outcome.shard_batches] == [
+            summary["batch_count"] for summary in reference.details["per_shard"].values()
+        ], name
