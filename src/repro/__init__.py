@@ -54,34 +54,46 @@ refresh the *running* sequencer live; the engine serves the learned
 'empirical'
 """
 
-from typing import Dict, Optional, Sequence
+from __future__ import annotations
 
-from repro.core import (
-    ByzantineAuditor,
-    FairTotalOrder,
-    LikelyHappenedBefore,
-    OnlineTommySequencer,
-    PrecedenceModel,
-    TommyConfig,
-    TommySequencer,
-)
-from repro.cluster import (
-    CrossShardMerger,
-    HashSharding,
-    LoadAwareSharding,
-    RegionAffineSharding,
-    ShardedSequencer,
-    ShardRouter,
-)
-from repro.distributions import GaussianDistribution, OffsetDistribution
-from repro.metrics import rank_agreement_score
-from repro.network.message import Heartbeat, SequencedBatch, TimestampedMessage
-from repro.sequencers import (
-    FifoSequencer,
-    OracleSequencer,
-    SequencingResult,
-    TrueTimeSequencer,
-    WaitsForOneSequencer,
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.config import TommyConfig
+    from repro.distributions.base import OffsetDistribution
+    from repro.network.message import TimestampedMessage
+    from repro.sequencers.base import SequencingResult
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.byzantine": ("ByzantineAuditor",),
+        "repro.core.config": ("TommyConfig",),
+        "repro.core.online": ("OnlineTommySequencer",),
+        "repro.core.probability": ("PrecedenceModel",),
+        "repro.core.relation": ("LikelyHappenedBefore",),
+        "repro.core.sequencer": ("TommySequencer",),
+        "repro.core.total_order": ("FairTotalOrder",),
+        "repro.cluster.merge": ("CrossShardMerger",),
+        "repro.cluster.router": (
+            "HashSharding",
+            "LoadAwareSharding",
+            "RegionAffineSharding",
+            "ShardRouter",
+        ),
+        "repro.cluster.sharded": ("ShardedSequencer",),
+        "repro.distributions.base": ("OffsetDistribution",),
+        "repro.distributions.parametric": ("GaussianDistribution",),
+        "repro.metrics.ras": ("rank_agreement_score",),
+        "repro.network.message": ("Heartbeat", "SequencedBatch", "TimestampedMessage"),
+        "repro.sequencers.base": ("SequencingResult",),
+        "repro.sequencers.fifo": ("FifoSequencer",),
+        "repro.sequencers.oracle": ("OracleSequencer",),
+        "repro.sequencers.truetime": ("TrueTimeSequencer",),
+        "repro.sequencers.wfo": ("WaitsForOneSequencer",),
+    },
 )
 
 __version__ = "1.0.0"
@@ -135,6 +147,9 @@ def quick_sequence(
     config:
         Full :class:`TommyConfig` overriding ``threshold``.
     """
+    from repro.core.config import TommyConfig
+    from repro.core.sequencer import TommySequencer
+
     config = config if config is not None else TommyConfig(threshold=threshold)
     sequencer = TommySequencer(client_distributions=client_distributions, config=config)
     return sequencer.sequence(list(messages))

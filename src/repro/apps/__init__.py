@@ -14,9 +14,16 @@ fairness-impact experiments exercise a realistic end-to-end path:
   systems).
 """
 
-from repro.apps.orderbook import LimitOrderBook, Order, OrderSide, Trade
-from repro.apps.auction import AuctionOutcome, Bid, SealedBidAuction
-from repro.apps.replicated_log import LogEntry, ReplicatedLog
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.apps.orderbook": ("LimitOrderBook", "Order", "OrderSide", "Trade"),
+        "repro.apps.auction": ("AuctionOutcome", "Bid", "SealedBidAuction"),
+        "repro.apps.replicated_log": ("LogEntry", "ReplicatedLog"),
+    },
+)
 
 __all__ = [
     "LimitOrderBook",

@@ -13,19 +13,26 @@ See :mod:`repro.workloads.chaos` for the packaged chaos workload and
 scenario matrix behind ``python -m repro.cli chaos``.
 """
 
-from repro.chaos.controller import ChaosController, ChaosStats, FaultDecision
-from repro.chaos.faults import (
-    ClientFault,
-    ClockStep,
-    DelaySpike,
-    Fault,
-    FaultSchedule,
-    LinkPartition,
-    MessageDuplication,
-    MessageLoss,
-    MessageReorder,
-    ShardCrash,
-    SyncBlackout,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.chaos.controller": ("ChaosController", "ChaosStats", "FaultDecision"),
+        "repro.chaos.faults": (
+            "ClientFault",
+            "ClockStep",
+            "DelaySpike",
+            "Fault",
+            "FaultSchedule",
+            "LinkPartition",
+            "MessageDuplication",
+            "MessageLoss",
+            "MessageReorder",
+            "ShardCrash",
+            "SyncBlackout",
+        ),
+    },
 )
 
 __all__ = [

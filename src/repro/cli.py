@@ -21,6 +21,8 @@ target regenerates; ``--csv-dir`` additionally writes one CSV per
 experiment.  ``serve`` is different: it binds the live ingestion edge
 (:mod:`repro.edge`) on a TCP port, sequences whatever framed clients send,
 and prints the run summary when traffic drains (see docs/operations.md).
+Each subcommand imports its own experiment modules, so ``serve`` loads the
+serving layers only.
 """
 
 from __future__ import annotations
@@ -28,28 +30,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.experiments.ablations import (
-    run_baseline_comparison,
-    run_learning_ablation,
-    run_psafe_sweep,
-    run_scaling_sweep,
-    run_threshold_sweep,
-)
-from repro.experiments.chaos_sweep import run_chaos_sweep
-from repro.experiments.cluster_sweep import run_cluster_sweep
-from repro.experiments.figure5 import Figure5Settings, figure5_rows, run_figure5
-from repro.experiments.learned_sweep import run_learned_sweep
-from repro.experiments.reporting import format_table, rows_to_csv
-from repro.obs.export import write_chrome_trace, write_metrics_json
-from repro.obs.spans import stage_latency_rows
-from repro.obs.workload import WORKLOAD_NAMES, run_instrumented_workload
 from repro.runtime.base import RUNTIME_NAMES
-from repro.workloads.chaos import FAULT_NAMES
 
 
 def _figure5_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.figure5 import Figure5Settings, figure5_rows, run_figure5
+
     settings = Figure5Settings(
         num_clients=args.num_clients, threshold=args.threshold, seed=args.seed
     )
@@ -57,6 +45,8 @@ def _figure5_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
 
 
 def _threshold_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.ablations import run_threshold_sweep
+
     return run_threshold_sweep(num_clients=args.num_clients, seed=args.seed)
 
 
@@ -67,6 +57,8 @@ PSAFE_MAX_CLIENTS = 12
 
 
 def _psafe_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.ablations import run_psafe_sweep
+
     effective = min(args.num_clients, PSAFE_MAX_CLIENTS)
     if effective != args.num_clients:
         print(
@@ -78,14 +70,20 @@ def _psafe_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
 
 
 def _baseline_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.ablations import run_baseline_comparison
+
     return run_baseline_comparison(num_clients=args.num_clients, seed=args.seed)
 
 
 def _learning_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.ablations import run_learning_ablation
+
     return run_learning_ablation(num_clients=args.num_clients, seed=args.seed)
 
 
 def _scaling_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.ablations import run_scaling_sweep
+
     return run_scaling_sweep(seed=args.seed)
 
 
@@ -96,6 +94,8 @@ LEARNED_MAX_CLIENTS = 24
 
 
 def _learned_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.learned_sweep import run_learned_sweep
+
     effective = min(args.num_clients, LEARNED_MAX_CLIENTS)
     if effective != args.num_clients:
         print(
@@ -119,6 +119,8 @@ def _shard_counts_up_to(max_shards: int) -> List[int]:
 
 
 def _cluster_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.cluster_sweep import run_cluster_sweep
+
     return run_cluster_sweep(
         shard_counts=_shard_counts_up_to(args.shards),
         client_counts=(args.num_clients,),
@@ -139,6 +141,9 @@ CHAOS_MAX_CLIENTS = 32
 
 
 def _chaos_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.experiments.chaos_sweep import run_chaos_sweep
+    from repro.workloads.chaos import FAULT_NAMES
+
     effective = min(args.num_clients, CHAOS_MAX_CLIENTS)
     if effective != args.num_clients:
         print(
@@ -159,6 +164,10 @@ def _chaos_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
 
 
 def _telemetry_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
+    from repro.obs.export import write_chrome_trace, write_metrics_json
+    from repro.obs.spans import stage_latency_rows
+    from repro.obs.workload import run_instrumented_workload
+
     effective = min(args.num_clients, CHAOS_MAX_CLIENTS)
     if effective != args.num_clients:
         print(
@@ -203,6 +212,8 @@ def _telemetry_rows(args: argparse.Namespace) -> List[Dict[str, object]]:
 
 def _print_merge_nodes(telemetry) -> None:
     """Print the per-merge-node pruning table alongside the latency rows."""
+    from repro.experiments.reporting import format_table
+
     if telemetry.registry is None:
         return
     merge_report = telemetry.registry.snapshot().get("sources", {}).get("cluster.merge")
@@ -280,6 +291,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         dispatcher.close()
         return 130
+    # imported once serving is over: the serve path loads no experiment module
+    from repro.experiments.reporting import format_table
+
     digest = hashlib.sha256(repr(outcome.fingerprint()).encode()).hexdigest()[:16]
     rows = [
         {
@@ -326,6 +340,36 @@ TITLES = {
 # ``serve`` is a service mode, not an experiment: it has a summary title but
 # no EXPERIMENTS entry (TITLES is pinned to exactly the experiment registry).
 SERVE_TITLE = "SERVE: live ingestion edge run summary"
+
+
+class _Deferred:
+    """Argparse ``choices`` computed on first use.
+
+    The fault and workload names live beside the chaos harness; ``serve``
+    never validates them, so it never imports that harness.  An option using
+    one names its ``metavar``, or argparse lists the choices on construction.
+    """
+
+    def __init__(self, load: Callable[[], List[str]]) -> None:
+        self._load = load
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._load()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._load())
+
+
+def _fault_choices() -> List[str]:
+    from repro.workloads.chaos import FAULT_NAMES
+
+    return sorted(FAULT_NAMES) + ["all"]
+
+
+def _workload_choices() -> List[str]:
+    from repro.obs.workload import WORKLOAD_NAMES
+
+    return list(WORKLOAD_NAMES)
 
 
 def _positive_int(value: str) -> int:
@@ -405,9 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fault",
-        choices=sorted(FAULT_NAMES) + ["all"],
+        choices=_Deferred(_fault_choices),
+        metavar="FAULT",
         default="all",
-        help="chaos sweep only: fault family to inject ('all' sweeps every family)",
+        help="chaos sweep only: fault family to inject, one of %(choices)s "
+        "('all' sweeps every family)",
     )
     parser.add_argument(
         "--intensity",
@@ -417,9 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workload",
-        choices=WORKLOAD_NAMES,
+        choices=_Deferred(_workload_choices),
+        metavar="WORKLOAD",
         default="cluster",
-        help="telemetry only: which workload to instrument (default cluster)",
+        help="telemetry only: which workload to instrument, one of %(choices)s "
+        "(default cluster)",
     )
     parser.add_argument(
         "--trace-out",
@@ -490,6 +538,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.experiment == "serve":
         return _run_serve(args)
+    from repro.experiments.reporting import format_table, rows_to_csv
+
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
     if args.csv_dir:

@@ -10,10 +10,23 @@ host data-path latency (paper §5, "Host-network variability").
 interval API used by the TrueTime baseline sequencer.
 """
 
-from repro.clocks.reference import ReferenceClock
-from repro.clocks.drift import ConstantDrift, DriftModel, NoDrift, RandomWalkDrift, SteppedDrift
-from repro.clocks.local import ClockReading, LocalClock
-from repro.clocks.truetime import TrueTimeClock, TrueTimeInterval
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.clocks.reference": ("ReferenceClock",),
+        "repro.clocks.drift": (
+            "ConstantDrift",
+            "DriftModel",
+            "NoDrift",
+            "RandomWalkDrift",
+            "SteppedDrift",
+        ),
+        "repro.clocks.local": ("ClockReading", "LocalClock"),
+        "repro.clocks.truetime": ("TrueTimeClock", "TrueTimeInterval"),
+    },
+)
 
 __all__ = [
     "ReferenceClock",

@@ -13,20 +13,37 @@ attributes each priced pair to its lowest common ancestor (which aggregator
 of a hierarchy carries how much work); it never changes the merged order.
 """
 
-from repro.cluster.harness import ClusterTransport
-from repro.cluster.intake import IntakeDedupeGate
-from repro.cluster.merge import CertaintyWindows, CrossShardMerger, MergeOutcome, StreamingMerger
-from repro.cluster.recipe import build_merge, build_router
-from repro.cluster.router import (
-    HashSharding,
-    LoadAwareSharding,
-    RegionAffineSharding,
-    ShardRouter,
-    ShardingPolicy,
-    stable_shard_hash,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.harness": ("ClusterTransport",),
+        "repro.cluster.intake": ("IntakeDedupeGate",),
+        "repro.cluster.merge": (
+            "CertaintyWindows",
+            "CrossShardMerger",
+            "MergeOutcome",
+            "StreamingMerger",
+        ),
+        "repro.cluster.recipe": ("build_merge", "build_router"),
+        "repro.cluster.router": (
+            "HashSharding",
+            "LoadAwareSharding",
+            "RegionAffineSharding",
+            "ShardRouter",
+            "ShardingPolicy",
+            "stable_shard_hash",
+        ),
+        "repro.cluster.sharded": (
+            "FailoverEvent",
+            "RejoinEvent",
+            "ShardedSequencer",
+            "ShardState",
+        ),
+        "repro.cluster.tree": ("MergeTopology", "TreeNode"),
+    },
 )
-from repro.cluster.sharded import FailoverEvent, RejoinEvent, ShardedSequencer, ShardState
-from repro.cluster.tree import MergeTopology, TreeNode
 
 __all__ = [
     "ShardingPolicy",

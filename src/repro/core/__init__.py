@@ -33,22 +33,29 @@ formulas here are derived for the ``epsilon`` convention so that clocks,
 learners and the sequencer agree without sign gymnastics at call sites.
 """
 
-from repro.core.config import TommyConfig
-from repro.core.probability import PrecedenceModel, gaussian_preceding_probability
-from repro.core.relation import LikelyHappenedBefore, PairProbability
-from repro.core.batching import BatchingOutcome, form_batches
-from repro.core.engine import (
-    EngineStats,
-    IncrementalPrecedenceEngine,
-    PairTableCache,
-    build_relation,
-    cross_probability_matrix,
-    strict_boundary_strengths_matrix,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("TommyConfig",),
+        "repro.core.probability": ("PrecedenceModel", "gaussian_preceding_probability"),
+        "repro.core.relation": ("LikelyHappenedBefore", "PairProbability"),
+        "repro.core.batching": ("BatchingOutcome", "form_batches"),
+        "repro.core.engine": (
+            "EngineStats",
+            "IncrementalPrecedenceEngine",
+            "PairTableCache",
+            "build_relation",
+            "cross_probability_matrix",
+            "strict_boundary_strengths_matrix",
+        ),
+        "repro.core.sequencer": ("TommySequencer",),
+        "repro.core.online": ("EmittedBatch", "OnlineTommySequencer"),
+        "repro.core.total_order": ("FairTotalOrder", "TieBreakRecord"),
+        "repro.core.byzantine": ("ByzantineAuditor", "TimestampAuditVerdict"),
+    },
 )
-from repro.core.sequencer import TommySequencer
-from repro.core.online import EmittedBatch, OnlineTommySequencer
-from repro.core.total_order import FairTotalOrder, TieBreakRecord
-from repro.core.byzantine import ByzantineAuditor, TimestampAuditVerdict
 
 __all__ = [
     "TommyConfig",

@@ -17,31 +17,42 @@ provides:
   (:mod:`repro.distributions.estimation`, paper §5).
 """
 
-from repro.distributions.base import DistributionError, OffsetDistribution, SampledDistribution
-from repro.distributions.parametric import (
-    GaussianDistribution,
-    LaplaceDistribution,
-    ShiftedLogNormalDistribution,
-    StudentTDistribution,
-    UniformDistribution,
-)
-from repro.distributions.mixtures import MixtureDistribution
-from repro.distributions.empirical import EmpiricalDistribution
-from repro.distributions.difference import (
-    DifferenceDistribution,
-    difference_distribution,
-    gaussian_difference,
-)
-from repro.distributions.convolution import (
-    convolve_direct,
-    convolve_fft,
-    cross_correlation_grid,
-)
-from repro.distributions.estimation import (
-    DistributionEstimate,
-    estimate_empirical,
-    estimate_gaussian,
-    fit_best_distribution,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.distributions.base": (
+            "DistributionError",
+            "OffsetDistribution",
+            "SampledDistribution",
+        ),
+        "repro.distributions.parametric": (
+            "GaussianDistribution",
+            "LaplaceDistribution",
+            "ShiftedLogNormalDistribution",
+            "StudentTDistribution",
+            "UniformDistribution",
+        ),
+        "repro.distributions.mixtures": ("MixtureDistribution",),
+        "repro.distributions.empirical": ("EmpiricalDistribution",),
+        "repro.distributions.difference": (
+            "DifferenceDistribution",
+            "difference_distribution",
+            "gaussian_difference",
+        ),
+        "repro.distributions.convolution": (
+            "convolve_direct",
+            "convolve_fft",
+            "cross_correlation_grid",
+        ),
+        "repro.distributions.estimation": (
+            "DistributionEstimate",
+            "estimate_empirical",
+            "estimate_gaussian",
+            "fit_best_distribution",
+        ),
+    },
 )
 
 __all__ = [

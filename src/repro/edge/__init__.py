@@ -17,17 +17,24 @@ workload (``tests/edge/test_live_parity.py``) — the edge cannot silently
 reorder admitted traffic.
 """
 
-from repro.edge.client import EdgeClient, EdgeError, replay_workload
-from repro.edge.protocol import (
-    FRAME_NAMES,
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    Frame,
-    FrameDecoder,
-    ProtocolError,
-    encode_frame,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.edge.client": ("EdgeClient", "EdgeError", "replay_workload"),
+        "repro.edge.protocol": (
+            "FRAME_NAMES",
+            "MAX_FRAME_BYTES",
+            "PROTOCOL_VERSION",
+            "Frame",
+            "FrameDecoder",
+            "ProtocolError",
+            "encode_frame",
+        ),
+        "repro.edge.server": ("EdgeServer",),
+    },
 )
-from repro.edge.server import EdgeServer
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -16,24 +16,31 @@
   tables or CSV for EXPERIMENTS.md.
 """
 
-from repro.experiments.runner import SequencerComparison, run_comparison
-from repro.experiments.figure5 import Figure5Point, Figure5Settings, run_figure5
-from repro.experiments.ablations import (
-    run_baseline_comparison,
-    run_distribution_ablation,
-    run_learning_ablation,
-    run_psafe_sweep,
-    run_scaling_sweep,
-    run_threshold_sweep,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.runner": ("SequencerComparison", "run_comparison"),
+        "repro.experiments.figure5": ("Figure5Point", "Figure5Settings", "run_figure5"),
+        "repro.experiments.ablations": (
+            "run_baseline_comparison",
+            "run_distribution_ablation",
+            "run_learning_ablation",
+            "run_psafe_sweep",
+            "run_scaling_sweep",
+            "run_threshold_sweep",
+        ),
+        "repro.experiments.cluster_sweep": (
+            "ClusterRunOutcome",
+            "run_cluster_scenario",
+            "run_cluster_sweep",
+        ),
+        "repro.experiments.chaos_sweep": ("run_chaos_sweep",),
+        "repro.experiments.learned_sweep": ("run_learned_sweep",),
+        "repro.experiments.reporting": ("format_table", "rows_to_csv"),
+    },
 )
-from repro.experiments.cluster_sweep import (
-    ClusterRunOutcome,
-    run_cluster_scenario,
-    run_cluster_sweep,
-)
-from repro.experiments.chaos_sweep import run_chaos_sweep
-from repro.experiments.learned_sweep import run_learned_sweep
-from repro.experiments.reporting import format_table, rows_to_csv
 
 __all__ = [
     "run_chaos_sweep",

@@ -9,12 +9,19 @@ statistics, per-client fairness summaries and emission-latency summaries for
 online sequencing.
 """
 
-from repro.metrics.ras import RankAgreementBreakdown, rank_agreement_score
-from repro.metrics.pairwise import PairwiseStats, pairwise_stats
-from repro.metrics.kendall import kendall_tau_distance, kendall_tau_from_result
-from repro.metrics.batching_stats import BatchStatistics, batch_statistics
-from repro.metrics.fairness import ClientFairness, per_client_fairness
-from repro.metrics.latency import LatencySummary, summarize_latencies
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.ras": ("RankAgreementBreakdown", "rank_agreement_score"),
+        "repro.metrics.pairwise": ("PairwiseStats", "pairwise_stats"),
+        "repro.metrics.kendall": ("kendall_tau_distance", "kendall_tau_from_result"),
+        "repro.metrics.batching_stats": ("BatchStatistics", "batch_statistics"),
+        "repro.metrics.fairness": ("ClientFairness", "per_client_fairness"),
+        "repro.metrics.latency": ("LatencySummary", "summarize_latencies"),
+    },
+)
 
 __all__ = [
     "RankAgreementBreakdown",

@@ -8,16 +8,23 @@ and a client-to-sequencer transport with heartbeats
 (:mod:`repro.network.transport`).
 """
 
-from repro.network.message import Heartbeat, SequencedBatch, TimestampedMessage
-from repro.network.link import (
-    ConstantDelay,
-    DelayModel,
-    GammaDelay,
-    LogNormalDelay,
-    UniformJitterDelay,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.network.message": ("Heartbeat", "SequencedBatch", "TimestampedMessage"),
+        "repro.network.link": (
+            "ConstantDelay",
+            "DelayModel",
+            "GammaDelay",
+            "LogNormalDelay",
+            "UniformJitterDelay",
+        ),
+        "repro.network.channel": ("Channel", "OrderedChannel", "UnorderedChannel"),
+        "repro.network.transport": ("ClientEndpoint", "SequencerEndpoint", "Transport"),
+    },
 )
-from repro.network.channel import Channel, OrderedChannel, UnorderedChannel
-from repro.network.transport import ClientEndpoint, SequencerEndpoint, Transport
 
 __all__ = [
     "TimestampedMessage",

@@ -19,44 +19,38 @@ uninstrumented run produces the same merged order, counters and RNG
 consumption as an instrumented one.
 """
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SnapshotSource,
-    StatsSnapshot,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.registry": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "SnapshotSource",
+            "StatsSnapshot",
+        ),
+        "repro.obs.telemetry": (
+            "LIFECYCLE_STAGES",
+            "NO_TELEMETRY",
+            "EventRecord",
+            "NullTelemetry",
+            "StageRecord",
+            "Telemetry",
+            "resolve",
+        ),
+        "repro.obs.spans": ("Transition", "message_timelines", "stage_latency_rows", "transitions"),
+        "repro.obs.export": (
+            "chrome_trace_events",
+            "metrics_snapshot",
+            "write_chrome_trace",
+            "write_metrics_json",
+        ),
+        "repro.obs.workload": ("WORKLOAD_NAMES", "InstrumentedRun", "run_instrumented_workload"),
+    },
 )
-from repro.obs.telemetry import (
-    LIFECYCLE_STAGES,
-    NO_TELEMETRY,
-    EventRecord,
-    NullTelemetry,
-    StageRecord,
-    Telemetry,
-    resolve,
-)
-from repro.obs.spans import Transition, message_timelines, stage_latency_rows, transitions
-from repro.obs.export import (
-    chrome_trace_events,
-    metrics_snapshot,
-    write_chrome_trace,
-    write_metrics_json,
-)
-
-#: Workload-runner symbols resolved lazily (PEP 562): ``obs.workload`` pulls
-#: in the live chaos harness, whose network layer itself imports
-#: ``repro.obs.telemetry`` — an eager import here would be circular.
-_LAZY_WORKLOAD = ("WORKLOAD_NAMES", "InstrumentedRun", "run_instrumented_workload")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_WORKLOAD:
-        from repro.obs import workload
-
-        return getattr(workload, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Counter",

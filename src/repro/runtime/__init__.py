@@ -30,44 +30,34 @@ through real sockets — produces the same fingerprint as the one-shot
 replay, on either runtime.
 """
 
-from repro.runtime.base import (
-    RUNTIME_NAMES,
-    ClockHandle,
-    ClusterWorkload,
-    LiveClusterSpec,
-    RuntimeBackend,
-    RuntimeOutcome,
-    Scheduler,
-    SchedulerClock,
-    WallClock,
-    clock_of,
-    resolve_backend,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.base": (
+            "RUNTIME_NAMES",
+            "ClockHandle",
+            "ClusterWorkload",
+            "LiveClusterSpec",
+            "RuntimeBackend",
+            "RuntimeOutcome",
+            "Scheduler",
+            "SchedulerClock",
+            "WallClock",
+            "clock_of",
+            "resolve_backend",
+        ),
+        "repro.runtime.sim": ("SimBackend",),
+        "repro.runtime.procs": (
+            "ProcBackend",
+            "RestartPolicy",
+            "WorkerCrashed",
+            "WorkerSupervisor",
+        ),
+        "repro.runtime.live": ("LIVE_RUNTIMES", "LiveDispatcher"),
+    },
 )
-
-# The concrete backends import cluster/harness modules that themselves type
-# against repro.runtime.base, so they are re-exported lazily (PEP 562) to
-# keep the package importable from either direction.
-_LAZY = {
-    "SimBackend": ("repro.runtime.sim", "SimBackend"),
-    "ProcBackend": ("repro.runtime.procs", "ProcBackend"),
-    "RestartPolicy": ("repro.runtime.procs", "RestartPolicy"),
-    "WorkerCrashed": ("repro.runtime.procs", "WorkerCrashed"),
-    "WorkerSupervisor": ("repro.runtime.procs", "WorkerSupervisor"),
-    "LIVE_RUNTIMES": ("repro.runtime.live", "LIVE_RUNTIMES"),
-    "LiveDispatcher": ("repro.runtime.live", "LiveDispatcher"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
 
 __all__ = [
     "RUNTIME_NAMES",

@@ -15,12 +15,24 @@ These are the comparison points the paper discusses:
   happened-before relation, for the paper's "Classical Context".
 """
 
-from repro.sequencers.base import OfflineSequencer, SequencingResult
-from repro.sequencers.fifo import FifoSequencer
-from repro.sequencers.wfo import WaitsForOneSequencer
-from repro.sequencers.truetime import TrueTimeSequencer
-from repro.sequencers.oracle import OracleSequencer
-from repro.sequencers.lamport import LamportClock, LamportEvent, VectorClock, happened_before
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sequencers.base": ("OfflineSequencer", "SequencingResult"),
+        "repro.sequencers.fifo": ("FifoSequencer",),
+        "repro.sequencers.wfo": ("WaitsForOneSequencer",),
+        "repro.sequencers.truetime": ("TrueTimeSequencer",),
+        "repro.sequencers.oracle": ("OracleSequencer",),
+        "repro.sequencers.lamport": (
+            "LamportClock",
+            "LamportEvent",
+            "VectorClock",
+            "happened_before",
+        ),
+    },
+)
 
 __all__ = [
     "OfflineSequencer",

@@ -8,10 +8,17 @@ recorder (:class:`TraceRecorder`).  All time values are floats in seconds of
 time live in :mod:`repro.clocks`.
 """
 
-from repro.simulation.event_loop import Event, EventLoop, SimulationError
-from repro.simulation.entity import Entity
-from repro.simulation.random_source import RandomSource
-from repro.simulation.trace import TraceRecorder, TraceEvent
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.simulation.event_loop": ("Event", "EventLoop", "SimulationError"),
+        "repro.simulation.entity": ("Entity",),
+        "repro.simulation.random_source": ("RandomSource",),
+        "repro.simulation.trace": ("TraceRecorder", "TraceEvent"),
+    },
+)
 
 __all__ = [
     "Event",

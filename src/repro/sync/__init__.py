@@ -7,17 +7,24 @@ estimators operating on probes, and a per-client learner that turns a window
 of probe-derived offsets into a :class:`~repro.distributions.estimation.DistributionEstimate`.
 """
 
-from repro.sync.probe import ProbeExchange, SyncProbe
-from repro.sync.estimator import OffsetEstimator, offset_from_probe
-from repro.sync.learner import OffsetDistributionLearner
-from repro.sync.refresh import DistributionRefreshLoop, RefreshStats
-from repro.sync.protocol import SyncProtocol, SyncSession
-from repro.sync.drift import (
-    AdaptiveOffsetLearner,
-    DriftFit,
-    DriftTracker,
-    RegimeShiftDetector,
-    RegimeShiftReport,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sync.probe": ("ProbeExchange", "SyncProbe"),
+        "repro.sync.estimator": ("OffsetEstimator", "offset_from_probe"),
+        "repro.sync.learner": ("OffsetDistributionLearner",),
+        "repro.sync.refresh": ("DistributionRefreshLoop", "RefreshStats"),
+        "repro.sync.protocol": ("SyncProtocol", "SyncSession"),
+        "repro.sync.drift": (
+            "AdaptiveOffsetLearner",
+            "DriftFit",
+            "DriftTracker",
+            "RegimeShiftDetector",
+            "RegimeShiftReport",
+        ),
+    },
 )
 
 __all__ = [

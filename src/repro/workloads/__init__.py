@@ -10,35 +10,42 @@ timestamped message sets that sequencers consume and the evaluation harness
 scores.
 """
 
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    BurstArrivals,
-    PoissonArrivals,
-    UniformGapArrivals,
-)
-from repro.workloads.scenario import ClientSpec, Scenario, ScenarioConfig, build_scenario
-from repro.workloads.multiregion import (
-    DEFAULT_REGIONS,
-    MultiRegionScenario,
-    RegionProfile,
-    build_multiregion_scenario,
-)
-from repro.workloads.cluster import (
-    build_cluster_scenario,
-    cluster_region_profiles,
-    region_affine_policy,
-)
-from repro.workloads.learned import (
-    LearnedWorkload,
-    build_learned_workload,
-    synthesize_probe,
-)
-from repro.workloads.chaos import (
-    FAULT_NAMES,
-    ChaosReport,
-    ChaosSettings,
-    run_chaos_scenario,
-    standard_fault_schedule,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.arrivals": (
+            "ArrivalProcess",
+            "BurstArrivals",
+            "PoissonArrivals",
+            "UniformGapArrivals",
+        ),
+        "repro.workloads.scenario": ("ClientSpec", "Scenario", "ScenarioConfig", "build_scenario"),
+        "repro.workloads.multiregion": (
+            "DEFAULT_REGIONS",
+            "MultiRegionScenario",
+            "RegionProfile",
+            "build_multiregion_scenario",
+        ),
+        "repro.workloads.cluster": (
+            "build_cluster_scenario",
+            "cluster_region_profiles",
+            "region_affine_policy",
+        ),
+        "repro.workloads.learned": (
+            "LearnedWorkload",
+            "build_learned_workload",
+            "synthesize_probe",
+        ),
+        "repro.workloads.chaos": (
+            "FAULT_NAMES",
+            "ChaosReport",
+            "ChaosSettings",
+            "run_chaos_scenario",
+            "standard_fault_schedule",
+        ),
+    },
 )
 
 __all__ = [

@@ -4,6 +4,7 @@ bitwise-identically to ``SimBackend`` — the edge cannot reorder traffic."""
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -52,6 +53,31 @@ def test_loopback_socket_parity(runtime):
     assert outcome.fingerprint() == reference
     assert outcome.details["late_arrivals"] == 0
 
+
+
+@pytest.mark.parametrize("runtime", ["sim", "procs"])
+def test_the_drain_runs_on_the_loop_thread(runtime):
+    """``finish()`` drains inline: by then nothing is left for the loop to
+    serve, and a worker thread would put the drain in a fresh malloc arena."""
+    workload = _workload(num_clients=8, num_shards=2)
+    reference = SimBackend().run(workload).fingerprint()
+
+    async def run():
+        spec = LiveClusterSpec.from_workload(workload)
+        dispatcher = LiveDispatcher(
+            spec, runtime=runtime, num_workers=2 if runtime == "procs" else None
+        )
+        async with EdgeServer(dispatcher, max_inflight=8) as server:
+            await replay_workload("127.0.0.1", server.port, workload, connections=2)
+            threads = set(threading.enumerate())
+            outcome = await server.serve_until_idle(idle_grace=0.05)
+            # procs joins its own threads in the drain, so the count may fall
+            assert set(threading.enumerate()) <= threads
+        return outcome
+
+    outcome = asyncio.run(run())
+    assert outcome.message_count == len(workload.messages)
+    assert outcome.fingerprint() == reference
 
 def test_firehose_single_connection_parity():
     """Pipelined firehose through a tiny intake bound: backpressure engages
