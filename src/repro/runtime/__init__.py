@@ -14,7 +14,7 @@ both through the one :class:`~repro.runtime.procs.ShardCoordinator`
 (cursor-gated streaming merge) and the one shard host of
 :mod:`repro.runtime.host`, with a bitwise-equal merged order
 (``RuntimeOutcome.fingerprint()``) asserted across backends in
-``tests/runtime`` and ``benchmarks/test_bench_runtime.py``.
+``tests/runtime``.
 
 Workloads come in two shapes: the frozen :class:`ClusterWorkload`
 (messages generated once, replayed at their recorded virtual times — the

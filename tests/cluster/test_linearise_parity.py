@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from graph_reference import TournamentGraph, resolve_cycles
 from hypothesis import strategies as st
 from linearise_reference import _resolve_order_via_graph
+from merge_reference import reference_forward_matrix
 from online_reference import ReferenceOnlineSequencer
 
 from repro.cluster.merge import (
@@ -163,6 +164,75 @@ def test_unknown_policy_is_rejected_before_any_input():
         CrossShardMerger(model, cycle_policy="nope")
     with pytest.raises(ValueError, match="unknown cycle policy 'nope'"):
         StreamingMerger(model, cycle_policy="nope")
+
+
+# ------------------------------------------------------------ offline merge
+def staggered_population(num_shards=8, clients_per_shard=3, messages_per_batch=3, batches=16):
+    """Gaussian clients; each shard's batches on a 20 ms grid, staggered by
+    shard and jittered, so shard streams interleave densely (coalescing work)
+    while the batch tournament stays transitive."""
+    rng = np.random.default_rng(13)
+    model = PrecedenceModel()
+    shard_clients = []
+    for shard in range(num_shards):
+        clients = [f"s{shard}-c{local}" for local in range(clients_per_shard)]
+        for client_id in clients:
+            sigma = float(rng.uniform(0.002, 0.008))
+            bias = float(rng.normal(0.0, 0.001))
+            model.register_client(client_id, GaussianDistribution(bias, sigma))
+        shard_clients.append(clients)
+    streams = []
+    message_id = 30_000_000
+    for shard in range(num_shards):
+        stream = []
+        for index in range(batches):
+            base = index * 0.02 + shard * 0.02 / num_shards + float(rng.uniform(0.0, 0.002))
+            messages = []
+            for _ in range(messages_per_batch):
+                client = shard_clients[shard][int(rng.integers(clients_per_shard))]
+                timestamp = base + float(rng.uniform(0.0, 0.005))
+                messages.append(
+                    TimestampedMessage(
+                        client_id=client,
+                        timestamp=timestamp,
+                        true_time=timestamp,
+                        message_id=message_id,
+                    )
+                )
+                message_id += 1
+            stream.append(SequencedBatch(rank=index, messages=tuple(messages), emitted_at=base))
+        streams.append(stream)
+    return model, streams
+
+
+def test_offline_merge_is_the_pairwise_merger_over_the_reference_matrix():
+    # the merger this one replaced priced every cross-shard pair with one
+    # engine call, walked the whole tournament as a graph and coalesced each
+    # unconfident cross-shard boundary: that pipeline, over the per-pair
+    # reference matrix, gives the offline merge's order and batches
+    model, streams = staggered_population()
+    outcome = CrossShardMerger(model, seed=13).merge(streams)
+    matrix = reference_forward_matrix(streams, model)
+    nodes = _NodeLayout(streams).nodes
+    node_ids = {node: node_id for node_id, node in enumerate(nodes)}
+    order, removed = _resolve_order_via_graph(
+        streams, nodes, node_ids, matrix, "greedy", np.random.default_rng(13)
+    )
+    groups = [[order[0]]]
+    for previous, node in zip(order, order[1:]):
+        if previous[0] != node[0] and not matrix[node_ids[previous], node_ids[node]] > 0.75:
+            groups[-1].append(node)
+        else:
+            groups.append([node])
+    assert merge_fingerprint(outcome) == [
+        (rank, tuple(m.key for shard, index in group for m in streams[shard][index].messages))
+        for rank, group in enumerate(groups)
+    ]
+    assert outcome.cycles_broken == removed == 0
+    # each of the 28 shard pairs' 16 x 16 batch pairs is priced exactly once,
+    # by the kernel or by its certainty window
+    assert (outcome.cross_pairs_evaluated, outcome.cross_pairs_pruned) == (5396, 1772)
+    assert (outcome.batch_count, outcome.merged_cross_shard) == (5, 123)
 
 
 # ------------------------------------------------------------------- engine

@@ -51,3 +51,76 @@ def test_baseline_comparison_includes_all_four_sequencers():
     truetime = rows[-2]
     # Tommy must never do worse than the conservative TrueTime baseline here
     assert tommy["ras"] >= truetime["ras"]
+
+
+# The sweeps at the shapes the paper's claims are read at, with the counts
+# they produce pinned: ``(ras, correct_pairs, incorrect_pairs, batches)``.
+
+
+def counts(row):
+    return row["ras"], row["correct_pairs"], row["incorrect_pairs"], row["batches"]
+
+
+def test_threshold_sweep_at_forty_clients_decides_more_right_than_wrong():
+    rows = run_threshold_sweep(
+        thresholds=(0.55, 0.65, 0.75, 0.85, 0.95), num_clients=40, gap=10.0, clock_std=40.0, seed=3
+    )
+    assert [counts(row) for row in rows] == [
+        (621, 682, 61, 20),
+        (544, 568, 24, 7),
+        (527, 545, 18, 5),
+        (0, 0, 0, 1),
+        (0, 0, 0, 1),
+    ]
+    batch_counts = [row["batches"] for row in rows]
+    assert batch_counts == sorted(batch_counts, reverse=True)
+    assert all(row["correct_pairs"] >= row["incorrect_pairs"] for row in rows)
+
+
+def test_distribution_ablation_at_thirty_clients_decides_more_right_than_wrong():
+    rows = run_distribution_ablation(num_clients=30)
+    assert {row["family"]: counts(row) for row in rows} == {
+        "gaussian/closed-form": (0, 0, 0, 1),
+        "gaussian/fft": (0, 0, 0, 1),
+        "lognormal/fft": (227, 232, 5, 3),
+        "mixture/fft": (209, 213, 4, 4),
+    }
+    # the FFT path handles non-Gaussian families without inverting more pairs
+    # than it gets right (the Gaussian runs stay indifferent here)
+    assert all(row["correct_pairs"] >= row["incorrect_pairs"] for row in rows)
+    assert any(row["correct_pairs"] > 0 for row in rows)
+
+
+def test_learned_distributions_approach_the_seeded_bound_at_forty_clients():
+    rows = run_learning_ablation(probe_counts=(16, 64, 256), num_clients=40, seed=9)
+    assert [(row["probes"], *counts(row)) for row in rows] == [
+        (0, 764, 765, 1, 28),
+        (16, 757, 758, 1, 25),
+        (64, 763, 764, 1, 27),
+        (256, 765, 766, 1, 29),
+    ]
+    assert rows[0]["ras"] >= max(row["ras"] for row in rows[1:]) - 20
+    assert rows[-1]["ras"] >= rows[1]["ras"] - 20
+
+
+def test_scaling_sweep_quality_holds_as_clients_grow():
+    rows = run_scaling_sweep(client_counts=(10, 25, 50, 100), seed=13)
+    assert [counts(row) for row in rows] == [
+        (0, 0, 0, 1),
+        (24, 24, 0, 2),
+        (639, 661, 22, 4),
+        (3251, 3287, 36, 4),
+    ]
+    assert all(row["correct_pairs"] >= row["incorrect_pairs"] for row in rows)
+
+
+def test_baseline_comparison_on_a_forty_client_burst():
+    rows = run_baseline_comparison(num_clients=40, clock_std=0.0001, network_jitter=0.0015, seed=17)
+    by_name = {row["sequencer"]: row for row in rows}
+    assert {name: counts(row) for name, row in by_name.items()} == {
+        "fifo": (88, 434, 346, 40),
+        "wfo": (306, 543, 237, 40),
+        "truetime": (0, 0, 0, 1),
+        "tommy": (39, 39, 0, 2),
+    }
+    assert by_name["tommy"]["ras"] >= by_name["truetime"]["ras"] >= 0

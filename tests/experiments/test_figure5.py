@@ -12,6 +12,32 @@ SMALL = Figure5Settings(
     seed=9,
 )
 
+FORTY_CLIENTS = Figure5Settings(
+    num_clients=40,
+    sigma_values=(1.0, 30.0, 60.0, 90.0, 120.0),
+    gap_values=(5.0, 20.0, 80.0),
+    seed=7,
+)
+#: the figure at 40 clients: ``(clock_std, gap) -> (tommy_ras, truetime_ras,
+#: tommy_batches, truetime_batches)``
+FORTY_CLIENT_POINTS = {
+    (1.0, 5.0): (780, 710, 40, 13),
+    (30.0, 5.0): (173, 0, 2, 1),
+    (60.0, 5.0): (0, 0, 1, 1),
+    (90.0, 5.0): (0, 0, 1, 1),
+    (120.0, 5.0): (0, 0, 1, 1),
+    (1.0, 20.0): (780, 780, 40, 40),
+    (30.0, 20.0): (695, 0, 12, 1),
+    (60.0, 20.0): (371, 0, 3, 1),
+    (90.0, 20.0): (375, 0, 2, 1),
+    (120.0, 20.0): (0, 0, 1, 1),
+    (1.0, 80.0): (780, 780, 40, 40),
+    (30.0, 80.0): (779, 0, 39, 1),
+    (60.0, 80.0): (756, 0, 28, 1),
+    (90.0, 80.0): (717, 0, 16, 1),
+    (120.0, 80.0): (704, 0, 13, 1),
+}
+
 
 def test_sweep_produces_one_point_per_setting():
     points = run_figure5(SMALL)
@@ -39,6 +65,20 @@ def test_truetime_never_negative_tommy_may_be():
     points = run_figure5(SMALL)
     for point in points:
         assert point.truetime_ras >= 0
+
+
+def test_forty_client_sweep_tommy_never_behind_truetime():
+    points = run_figure5(FORTY_CLIENTS)
+    assert {
+        (p.clock_std, p.message_gap): (
+            p.tommy_ras, p.truetime_ras, p.tommy_batches, p.truetime_batches
+        )
+        for p in points
+    } == FORTY_CLIENT_POINTS
+    assert all(p.tommy_ras >= p.truetime_ras >= 0 for p in points)
+    # strictly ahead once clock error dominates the inter-message gap
+    stressed = [p for p in points if p.clock_std >= 30.0 and p.message_gap <= 20.0]
+    assert any(p.tommy_ras > p.truetime_ras for p in stressed)
 
 
 def test_rows_are_table_ready():

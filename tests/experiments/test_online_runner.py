@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import TommyConfig
+from repro.experiments.ablations import run_psafe_sweep
 from repro.experiments.online_runner import OnlineExperimentSettings, run_online_experiment
 
 
@@ -29,6 +30,21 @@ def test_higher_p_safe_increases_latency():
         OnlineExperimentSettings(num_clients=4, config=TommyConfig(p_safe=0.9999), run_duration=3.0, seed=7)
     )
     assert high.latency.mean >= low.latency.mean
+
+
+def test_p_safe_sweep_latency_never_falls_and_every_setting_decides_every_pair():
+    rows = run_psafe_sweep(p_safe_values=(0.9, 0.99, 0.999, 0.9999), num_clients=6, seed=11)
+    latencies = [row["mean_latency"] for row in rows]
+    assert latencies == sorted(latencies)
+    assert all(latency > 0 for latency in latencies)
+    # 6 clients x 3 messages: every setting sequences all 153 pairs, with far
+    # more of them right than inverted
+    for row in rows:
+        assert row["correct_pairs"] + row["incorrect_pairs"] + row["indifferent_pairs"] == 153
+        assert row["correct_pairs"] > row["incorrect_pairs"]
+    assert [
+        (row["ras"], row["correct_pairs"], row["incorrect_pairs"], row["batches"]) for row in rows
+    ] == [(113, 114, 1, 4)] * 4
 
 
 def test_invalid_settings_rejected():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import TommyConfig
 from repro.core.sequencer import TommySequencer
+from repro.experiments.runner import evaluate_result
 from repro.metrics.ras import rank_agreement_score
 from repro.sequencers.truetime import TrueTimeSequencer
 from repro.workloads.multiregion import (
@@ -65,6 +66,30 @@ def test_tommy_orders_multiregion_burst_at_least_as_well_as_truetime():
     tommy_score = rank_agreement_score(tommy.sequence(messages), messages).score
     truetime_score = rank_agreement_score(truetime.sequence(messages), messages).score
     assert tommy_score >= truetime_score
+
+
+def test_strict_batching_is_at_least_as_conservative_as_adjacent():
+    multi = build_multiregion_scenario(num_clients=40, seed=19)
+    messages = list(multi.scenario.messages)
+    distributions = multi.client_distributions
+    sequencers = {
+        "truetime": TrueTimeSequencer(distributions),
+        "adjacent": TommySequencer(distributions, TommyConfig(threshold=0.6)),
+        "strict": TommySequencer(
+            distributions, TommyConfig(threshold=0.6, batching_mode="strict")
+        ),
+    }
+    rows = {
+        name: evaluate_result(name, sequencer.sequence(messages), messages).as_row()
+        for name, sequencer in sequencers.items()
+    }
+    assert {
+        name: (row["ras"], row["incorrect_pairs"], row["batches"]) for name, row in rows.items()
+    } == {"truetime": (0, 0, 1), "adjacent": (272, 213, 13), "strict": (0, 0, 1)}
+    assert rows["adjacent"]["ras"] >= rows["truetime"]["ras"]
+    assert rows["strict"]["ras"] >= rows["truetime"]["ras"]
+    assert rows["strict"]["incorrect_pairs"] <= rows["adjacent"]["incorrect_pairs"]
+    assert rows["strict"]["batches"] <= rows["adjacent"]["batches"]
 
 
 def test_invalid_inputs_rejected():
