@@ -30,6 +30,7 @@ from repro.cluster.merge import (
     merge_fingerprint,
 )
 from repro.cluster.recipe import build_merge, build_router
+from repro.cluster.tree import MergeTopology
 from repro.core.config import TommyConfig
 from repro.core.cycles import CYCLE_POLICIES, break_cycles
 from repro.core.engine import _topological_order
@@ -233,6 +234,33 @@ def test_offline_merge_is_the_pairwise_merger_over_the_reference_matrix():
     # by the kernel or by its certainty window
     assert (outcome.cross_pairs_evaluated, outcome.cross_pairs_pruned) == (5396, 1772)
     assert (outcome.batch_count, outcome.merged_cross_shard) == (5, 123)
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["flat", "binary"])
+def test_streamed_population_equals_the_offline_merge_mid_stream_and_at_the_end(tree):
+    model, streams = staggered_population()
+    topology = MergeTopology.balanced(len(streams), fanout=2) if tree else None
+    streaming = CrossShardMerger(model, seed=13).streaming_merger(
+        num_shards=len(streams), topology=topology
+    )
+    # any shard-interleaved observation order that keeps each shard's ranks
+    rng = np.random.default_rng(14)
+    cursors = [0] * len(streams)
+    observed = [[] for _ in streams]
+    for position in range(sum(len(stream) for stream in streams)):
+        open_shards = [s for s, stream in enumerate(streams) if cursors[s] < len(stream)]
+        shard = int(rng.choice(open_shards))
+        batch = streams[shard][cursors[shard]]
+        cursors[shard] += 1
+        streaming.observe_batch(shard, batch)
+        observed[shard].append(batch)
+        if position % 32 == 31:
+            oracle = CrossShardMerger(model, seed=13).merge(observed)
+            assert merge_fingerprint(streaming.result()) == merge_fingerprint(oracle)
+    final = streaming.result()
+    offline = CrossShardMerger(model, seed=13).merge(streams)
+    assert merge_fingerprint(final) == merge_fingerprint(offline)
+    assert (final.cross_pairs_evaluated, final.cross_pairs_pruned) == (5396, 1772)
 
 
 # ------------------------------------------------------------------- engine

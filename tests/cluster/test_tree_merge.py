@@ -356,6 +356,87 @@ def test_empty_and_missing_streams_merge_cleanly():
     assert fingerprint(CrossShardMerger(model, seed=0).merge([[], [], [], []])) == []
 
 
+def staggered_grid_streams(num_shards, batches_per_shard, rng, gap=0.02):
+    """Wide-cluster streams on a shard-staggered grid, every message of a
+    batch at the batch's own timestamp: batch means order exactly by emission
+    time, so the tournament is transitive and the order rng-independent."""
+    model = PrecedenceModel()
+    for shard in range(num_shards):
+        for local in range(3):
+            sigma = float(rng.uniform(0.0008, 0.002))
+            model.register_client(f"s{shard}-c{local}", GaussianDistribution(0.0, sigma))
+    streams = []
+    message_id = 60_000_000
+    for shard in range(num_shards):
+        stream = []
+        for index in range(batches_per_shard):
+            base = index * gap + shard * gap / num_shards
+            messages = []
+            for _ in range(3):
+                messages.append(
+                    TimestampedMessage(
+                        client_id=f"s{shard}-c{int(rng.integers(3))}",
+                        timestamp=base,
+                        true_time=base,
+                        message_id=message_id,
+                    )
+                )
+                message_id += 1
+            stream.append(SequencedBatch(rank=index, messages=tuple(messages), emitted_at=base))
+        streams.append(stream)
+    return model, streams
+
+
+@pytest.mark.parametrize(
+    "num_shards,batches_per_shard,fanout,kernel_pairs,pruned_pairs",
+    [(32, 16, 2, 30536, 96440), (32, 16, 4, 30536, 96440), (64, 8, 2, 56576, 72448)],
+)
+def test_wide_cluster_offline_flat_and_tree_replays_price_alike(
+    num_shards, batches_per_shard, fanout, kernel_pairs, pruned_pairs
+):
+    # offline merge, a flat replay and a tree replay in emission order: one
+    # order, one pair count, and the tree's per-node counts are the window
+    # masks' attribution
+    rng = np.random.default_rng(13)
+    model, streams = staggered_grid_streams(num_shards, batches_per_shard, rng)
+    topology = MergeTopology.balanced(num_shards, fanout=fanout)
+    emissions = sorted(
+        ((shard, batch) for shard, stream in enumerate(streams) for batch in stream),
+        key=lambda entry: (entry[1].emitted_at, entry[0]),
+    )
+    offline = CrossShardMerger(model, seed=13).merge(streams)
+    replays = []
+    for replay_topology in (None, topology):
+        streaming = CrossShardMerger(model, seed=13).streaming_merger(
+            num_shards=num_shards, topology=replay_topology
+        )
+        for shard, batch in emissions:
+            streaming.observe_batch(shard, batch)
+        replays.append(streaming)
+    for replay in replays:
+        outcome = replay.result()
+        assert fingerprint(outcome) == fingerprint(offline)
+        assert (outcome.cross_pairs_evaluated, outcome.cross_pairs_pruned) == (
+            offline.cross_pairs_evaluated,
+            offline.cross_pairs_pruned,
+        )
+    assert offline.cycles_broken == 0
+    # every cross-shard batch pair is priced exactly once, one way or another,
+    # and the time-localised streams resolve most of them by windows alone
+    assert (offline.cross_pairs_evaluated, offline.cross_pairs_pruned) == (
+        kernel_pairs,
+        pruned_pairs,
+    )
+    assert kernel_pairs + pruned_pairs == (
+        num_shards * (num_shards - 1) // 2 * batches_per_shard**2
+    )
+    assert pruned_pairs > kernel_pairs
+    report = replays[1].node_report()
+    pruned, kernel = window_attribution(CrossShardMerger(model), streams, topology)
+    assert {row["node"]: row["pruned_pairs"] for row in report} == pruned
+    assert {row["node"]: row["kernel_pairs"] for row in report} == kernel
+
+
 # ------------------------------------------------------------- streaming parity
 
 

@@ -100,6 +100,71 @@ def test_engine_emits_byte_identical_batches(seed, completeness_mode):
     assert engine_run.engine_stats().vectorized_evaluations > 0
 
 
+def hot_sequencer_run(
+    use_engine, p_safe, completeness_mode="none", num_clients=64, num_messages=300
+):
+    """Many clients, 2-40 ms clock error, ~10 ms between messages: every
+    arrival lands on a pending set of dozens of overlapping messages."""
+    rng = np.random.default_rng(13)
+    distributions = {
+        f"client-{i:03d}": GaussianDistribution(
+            float(rng.normal(0.0, 0.002)), float(rng.uniform(0.002, 0.04))
+        )
+        for i in range(num_clients)
+    }
+    clients = sorted(distributions)
+    loop = EventLoop()
+    config = TommyConfig(
+        p_safe=p_safe, completeness_mode=completeness_mode, max_network_delay=0.5, seed=13
+    )
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
+    )
+    t = 0.0
+    for k in range(num_messages):
+        t += float(rng.exponential(0.01))
+        client = clients[int(rng.integers(num_clients))]
+        message = TimestampedMessage(
+            client_id=client,
+            timestamp=t + float(rng.normal(0.0, distributions[client].std)),
+            true_time=t,
+            message_id=10_000_000 + k,
+        )
+        loop.schedule_at(t, sequencer.receive, message)
+    if completeness_mode == "heartbeat":
+        for client in clients:
+            loop.schedule_at(
+                t + 1.0, sequencer.receive, Heartbeat(client_id=client, timestamp=t + 10.0)
+            )
+    loop.run(until=t + 10.0)
+    sequencer.flush()
+    return sequencer
+
+
+@pytest.mark.parametrize("p_safe", [0.9, 0.99, 0.999])
+def test_engine_parity_on_a_sixty_four_client_hot_sequencer(p_safe):
+    # a deeper safe-emission quantile holds more messages pending per arrival
+    engine_run = hot_sequencer_run(True, p_safe)
+    reference_run = hot_sequencer_run(False, p_safe)
+    assert fingerprint(engine_run) == fingerprint(reference_run)
+    assert sum(len(emitted.batch.messages) for emitted in engine_run.emitted_batches) == 300
+    assert engine_run.model.probability_evaluations == 0
+    assert reference_run.model.probability_evaluations > 1000
+
+
+@pytest.mark.parametrize("completeness_mode", ["bounded_delay", "heartbeat"])
+def test_engine_parity_on_a_sixty_four_client_hot_sequencer_awaiting_completeness(
+    completeness_mode,
+):
+    # emission also waits for every one of the 64 clients to be complete
+    engine_run = hot_sequencer_run(True, 0.99, completeness_mode, num_messages=60)
+    reference_run = hot_sequencer_run(False, 0.99, completeness_mode, num_messages=60)
+    assert fingerprint(engine_run) == fingerprint(reference_run)
+    assert sum(len(emitted.batch.messages) for emitted in engine_run.emitted_batches) == 60
+    assert engine_run.model.probability_evaluations == 0
+    assert reference_run.model.probability_evaluations > 1000
+
+
 def skewed_mixtures(rng, num_clients):
     """Skewed bimodal error mixtures: pairwise medians differ, so the kept
     direction is no longer a function of ``timestamp - mean`` alone and the

@@ -68,6 +68,23 @@ def mixed_distributions(rng, num_clients):
     return distributions
 
 
+def outlier_distributions(rng, num_clients):
+    """A tight 2-6 ms bulk with ~3% symmetric outliers at +-0.6 s, the shape a
+    probe-learned estimate takes: the deep ``p_safe`` quantile sits out in
+    the outlier mass while the median-zero bulk keeps emissions flowing."""
+    distributions = {}
+    for i in range(num_clients):
+        bulk = rng.normal(0.0, float(rng.uniform(0.002, 0.006)), 600)
+        outliers = np.concatenate(
+            [-0.6 + rng.normal(0.0, 0.05, 10), 0.6 + rng.normal(0.0, 0.05, 10)]
+        )
+        samples = np.concatenate([bulk, outliers])
+        distributions[f"c{i}"] = EmpiricalDistribution.from_samples(
+            samples - np.median(samples), bins=256
+        )
+    return distributions
+
+
 def stream_run(distribution_factory, use_engine, seed, num_messages=60):
     rng = np.random.default_rng(seed)
     distributions = distribution_factory(rng, 6)
@@ -107,6 +124,9 @@ def stream_run(distribution_factory, use_engine, seed, num_messages=60):
         # bisections, so the mixed runs stay small
         (mixed_distributions, 0, 30),
         (mixed_distributions, 1, 30),
+        (outlier_distributions, 0, 60),
+        (outlier_distributions, 1, 60),
+        (outlier_distributions, 2, 60),
     ],
 )
 def test_empirical_stream_parity_with_zero_scalar_evaluations(factory, seed, num_messages):

@@ -134,3 +134,32 @@ def test_scenario_end_to_end_better_than_truetime_on_small_gaps():
     truetime = TrueTimeSequencer(scenario.client_distributions)
     truetime_score = rank_agreement_score(truetime.sequence(messages), messages).score
     assert tommy_score >= truetime_score
+
+
+@pytest.mark.parametrize(
+    "num_clients,batch_sizes,correct_pairs,incorrect_pairs",
+    [(50, (10, 21, 16, 1, 2), 846, 3), (150, (1, 23, 68, 34, 11, 13), 7925, 25)],
+)
+def test_wide_burst_is_partitioned_into_ranked_batches(
+    num_clients, batch_sizes, correct_pairs, incorrect_pairs
+):
+    # one message per client, 10 apart, under 30 of clock error: the offline
+    # pipeline places every message in exactly one batch, ranks contiguous
+    scenario = build_scenario(
+        ScenarioConfig(
+            num_clients=num_clients,
+            arrivals=UniformGapArrivals(messages_per_client=1, gap=10.0, jitter_fraction=0.2),
+            distribution_factory=lambda i, rng: GaussianDistribution(0.0, 30.0),
+            seed=13,
+        )
+    )
+    messages = list(scenario.messages)
+    result = TommySequencer(scenario.client_distributions, TommyConfig()).sequence(messages)
+    assert result.message_count == num_clients
+    placed = [message.key for batch in result.batches for message in batch.messages]
+    assert len(placed) == len(set(placed)) == num_clients
+    assert set(placed) == {message.key for message in messages}
+    assert [batch.rank for batch in result.batches] == list(range(result.batch_count))
+    assert result.batch_sizes == batch_sizes
+    breakdown = rank_agreement_score(result, messages)
+    assert (breakdown.correct_pairs, breakdown.incorrect_pairs) == (correct_pairs, incorrect_pairs)

@@ -5,7 +5,18 @@ import pytest
 
 from repro.distributions.base import DistributionError
 from repro.distributions.convolution import convolve_direct, convolve_fft, cross_correlation_grid
-from repro.distributions.parametric import GaussianDistribution, UniformDistribution
+from repro.distributions.mixtures import MixtureDistribution
+from repro.distributions.parametric import (
+    GaussianDistribution,
+    ShiftedLogNormalDistribution,
+    UniformDistribution,
+)
+
+#: a skewed bimodal client against a wide Gaussian one: no closed form exists
+SKEWED = MixtureDistribution(
+    [GaussianDistribution(-20.0, 10.0), ShiftedLogNormalDistribution(0.0, 3.0, 0.5)], [0.6, 0.4]
+)
+WIDE = GaussianDistribution(5.0, 25.0)
 
 
 def test_fft_and_direct_agree_for_gaussians():
@@ -15,6 +26,18 @@ def test_fft_and_direct_agree_for_gaussians():
     deltas_direct, density_direct = convolve_direct(a, b, num_points=1024)
     assert np.allclose(deltas_fft, deltas_direct)
     assert np.allclose(density_fft, density_direct, atol=1e-6)
+
+
+def test_fft_and_direct_agree_for_a_skewed_mixture():
+    deltas_fft, density_fft = convolve_fft(SKEWED, WIDE, num_points=1024)
+    deltas_direct, density_direct = convolve_direct(SKEWED, WIDE, num_points=1024)
+    assert np.allclose(deltas_fft, deltas_direct)
+    assert np.allclose(density_fft, density_direct, atol=1e-9)
+    # the difference of independent errors has the moments of the difference
+    mean = np.trapezoid(deltas_fft * density_fft, deltas_fft)
+    var = np.trapezoid((deltas_fft - mean) ** 2 * density_fft, deltas_fft)
+    assert mean == pytest.approx(WIDE.mean - SKEWED.mean, abs=1e-3)
+    assert var == pytest.approx(SKEWED.variance + WIDE.variance, rel=1e-3)
 
 
 def test_gaussian_difference_matches_closed_form():

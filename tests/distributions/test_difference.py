@@ -10,7 +10,11 @@ from repro.distributions.difference import (
     gaussian_difference,
 )
 from repro.distributions.mixtures import MixtureDistribution
-from repro.distributions.parametric import GaussianDistribution, UniformDistribution
+from repro.distributions.parametric import (
+    GaussianDistribution,
+    ShiftedLogNormalDistribution,
+    UniformDistribution,
+)
 
 
 def test_gaussian_difference_closed_form_moments():
@@ -59,6 +63,22 @@ def test_direct_method_also_available():
     b = UniformDistribution(-1.0, 1.0)
     numeric = difference_distribution(a, b, method="direct", num_points=512)
     assert 0.4 < numeric.cdf(0.0) < 0.6
+
+
+def test_fft_and_direct_methods_agree_on_a_skewed_mixture():
+    # the log-linear FFT path and the quadratic direct path, on grids of
+    # different resolution, give the same preceding probabilities
+    a = MixtureDistribution(
+        [GaussianDistribution(-20.0, 10.0), ShiftedLogNormalDistribution(0.0, 3.0, 0.5)],
+        [0.6, 0.4],
+    )
+    b = GaussianDistribution(5.0, 25.0)
+    fft = difference_distribution(a, b, method="fft", num_points=2048)
+    direct = difference_distribution(a, b, method="direct", num_points=1024)
+    assert not fft.exact and not direct.exact
+    for x in (-60.0, -20.0, 0.0, 20.0, 60.0):
+        assert fft.cdf(x) == pytest.approx(direct.cdf(x), abs=1e-4)
+    assert 0.0 < fft.cdf(0.0) < 0.5  # the skewed client's error sits further left
 
 
 def test_quantile_and_cdf_are_consistent():

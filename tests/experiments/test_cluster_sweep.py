@@ -145,6 +145,19 @@ def test_sweep_quality_holds_across_shard_counts():
     assert by_shards[4]["ras"] > 0
 
 
+def test_sixty_four_client_sweep_keeps_single_sequencer_fairness():
+    rows = run_cluster_sweep(shard_counts=(1, 2, 4), client_counts=(64,), seed=13)
+    fields = ("shards", "ras", "incorrect_pairs", "batches", "merged_cross_shard")
+    assert [tuple(row[field] for field in fields) for row in rows] == [
+        (1, 7570, 18, 25, 0),
+        (2, 7805, 29, 41, 18),
+        (4, 7798, 29, 41, 48),
+    ]
+    by_shards = {row["shards"]: row for row in rows}
+    assert by_shards[4]["ras_normalized"] >= by_shards[1]["ras_normalized"] - 0.02
+    assert all(row["clients"] == 64 and row["streaming_parity"] for row in rows)
+
+
 @pytest.mark.parametrize(
     "num_clients, num_shards, seed, merge_topology, expected",
     [

@@ -16,6 +16,27 @@ def test_online_experiment_sequences_every_message():
     assert outcome.latency.mean > 0
 
 
+def test_appendix_c_setting_emits_every_message_with_few_inversions():
+    # ten clients' bursts over jittery channels, heartbeat completeness and a
+    # deep p_safe: every message is emitted, and the pairs it decides are
+    # almost all right
+    settings = OnlineExperimentSettings(
+        num_clients=10,
+        messages_per_client=3,
+        clock_std=0.0008,
+        config=TommyConfig(p_safe=0.999, completeness_mode="heartbeat"),
+        run_duration=4.0,
+        seed=11,
+    )
+    outcome = run_online_experiment(settings)
+    assert outcome.comparison.batches.message_count == 30
+    assert outcome.latency.count == 30
+    assert outcome.latency.mean > 0
+    ras = outcome.comparison.ras
+    assert (ras.correct_pairs, ras.incorrect_pairs, ras.indifferent_pairs) == (237, 2, 196)
+    assert outcome.emitted_batches == 3
+
+
 def test_online_experiment_row_is_table_ready():
     outcome = run_online_experiment(OnlineExperimentSettings(num_clients=4, run_duration=1.5, seed=5))
     row = outcome.as_row()

@@ -93,6 +93,26 @@ def test_crash_recovery_is_bitwise_equal_to_sim(
     assert _no_orphans()
 
 
+@pytest.mark.parametrize("inject_crash", [None, CRASH_SHARD], ids=["clean", "crashed"])
+def test_sixteen_client_run_restarts_exactly_the_crashed_worker(inject_crash):
+    workload = _workload(num_clients=16, messages_per_client=12)
+    with ProcBackend(
+        num_workers=2,
+        inject_crash=inject_crash,
+        crash_mode="exit",
+        crash_point="mid",
+        restart_policy=FAST_POLICY,
+        poll_timeout=0.05,
+    ) as backend:
+        outcome = backend.run(workload)
+    assert outcome.fingerprint() == _sim_fingerprint(workload)
+    crashed = inject_crash is not None
+    assert outcome.details["worker_restarts"] == int(crashed)
+    assert (CRASH_SHARD in outcome.details["shards_recovered"]) == crashed
+    assert outcome.lost_shards == ()
+    assert _no_orphans()
+
+
 def test_recovery_counters_reach_telemetry_registry():
     workload = _workload()
     telemetry = Telemetry()

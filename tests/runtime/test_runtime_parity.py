@@ -61,6 +61,25 @@ def test_worker_count_never_changes_the_order(num_workers):
     assert sim.fingerprint() == procs.fingerprint()
 
 
+@pytest.mark.parametrize(
+    "num_workers,merge_topology",
+    [(1, "flat"), (None, "flat"), (None, "binary")],
+    ids=["serial", "worker-per-shard", "worker-per-shard-binary"],
+)
+def test_sixteen_clients_by_twelve_messages_match_sim(num_workers, merge_topology):
+    # a denser workload than the rest of this file: every shard streams
+    # dozens of batches, so the coordinator merges while workers still run
+    workload = _workload(
+        num_shards=4, num_clients=16, messages_per_client=12, merge_topology=merge_topology
+    )
+    assert len(workload.messages) == 192
+    sim = SimBackend().run(workload)
+    with ProcBackend(num_workers=num_workers) as backend:
+        procs = backend.run(workload)
+    assert procs.num_workers == (num_workers or 4)
+    assert sim.fingerprint() == procs.fingerprint()
+
+
 def test_tree_topology_parity_across_backends():
     workload = _workload(num_shards=4, merge_topology="binary", merge_fanout=2)
     sim = SimBackend().run(workload)
