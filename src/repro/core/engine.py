@@ -83,7 +83,6 @@ class EngineStats:
     rebuilds: int = 0
     quantile_cache_hits: int = 0
     quantile_cache_misses: int = 0
-    block_appends: int = 0
     pruned_pairs: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -592,9 +591,8 @@ class IncrementalPrecedenceEngine:
     positions inside ``G`` stay at or below the threshold and ``G``'s own
     boundary becomes ``min(old, min_{a in G} P[a, m])``, which (ii) keeps
     above it.  Everything else drops the candidate: a removal (positions
-    shift), a burst append (one check follows it; nothing to save), and any
-    distribution refresh, tracked rows or not (a rebuild replays the rows,
-    and the safe-emission time the sequencer keeps per
+    shift) and any distribution refresh, tracked rows or not (a rebuild
+    replays the rows, and the safe-emission time the sequencer keeps per
     :attr:`candidate_epoch` reads the quantiles a refresh replaces; refreshes
     are rare, so the untracked case gets no branch of its own).  A cyclic
     tournament is never cached: every check on one runs
@@ -766,151 +764,6 @@ class IncrementalPrecedenceEngine:
         direction[:n, n] = wins
         np.logical_not(wins, out=direction[n, :n])
         return wins
-
-    def add_messages(self, messages: Sequence[TimestampedMessage]) -> None:
-        """Append a simultaneity burst as one vectorized ``k x n`` block.
-
-        Bit-identical to calling :meth:`add_message` once per message in
-        order — the same kernels evaluate the same entries element-wise, the
-        same tie/orientation logic runs per appended row — but the matrix
-        grows once, the Gaussian closed form evaluates the whole
-        existing-by-new block in a single broadcast, and each grid-backed
-        client pair interpolates one batched block instead of one slice per
-        arrival.  Validation happens up front, so a burst with a duplicate or
-        unregistered message raises before any state mutates.
-        """
-        burst = list(messages)
-        if not burst:
-            return
-        if len(burst) == 1:
-            self.add_message(burst[0])
-            return
-        seen: Set[MessageKey] = set()
-        params_list: List[Optional[Tuple[float, float]]] = []
-        for message in burst:
-            key = message.key
-            if key in self._index or key in seen:
-                raise ValueError(f"message {key!r} already tracked by the engine")
-            seen.add(key)
-            params = self._params_for(message.client_id)
-            if params is None:
-                # raises KeyError for unregistered clients, mirroring the model
-                self._model.distribution_for(message.client_id)
-            params_list.append(params)
-        self._candidate = None
-        n0 = self.size
-        k = len(burst)
-        self._grow(n0 + k)
-        # stage per-position metadata for the whole burst so the grouped
-        # kernels can evaluate existing-by-new and intra-burst entries alike
-        for offset, (message, params) in enumerate(zip(burst, params_list)):
-            position = n0 + offset
-            self._timestamps[position] = message.timestamp
-            if params is not None:
-                self._means[position], self._variances[position] = params
-                self._gaussian[position] = True
-            else:
-                self._means[position] = self._variances[position] = 0.0
-                self._gaussian[position] = False
-                self._grid_rows += 1
-        block = self._compute_block(burst, params_list, n0)
-        for offset, message in enumerate(burst):
-            position = n0 + offset
-            key = message.key
-            if position:
-                wins = self._orient(block[:position, offset], position, key)
-                self._scores[:position] += wins
-                self._scores[position] = position - np.count_nonzero(wins)
-            else:
-                self._scores[position] = 0
-            self._matrix[position, position] = 0.5
-            self._direction[position, position] = False
-            self._messages.append(message)
-            ordinal = self._base + position
-            self._index[key] = ordinal
-            self._positions_by_client.setdefault(message.client_id, []).append(ordinal)
-        self.stats.rows_appended += k
-        self.stats.block_appends += 1
-
-    def _compute_block(
-        self,
-        burst: Sequence[TimestampedMessage],
-        params_list: Sequence[Optional[Tuple[float, float]]],
-        n0: int,
-    ) -> np.ndarray:
-        """``block[i][j] = P(position_i precedes burst_j)`` for ``i < n0 + j``.
-
-        Entries outside that trapezoid (a burst message against a later burst
-        message) may be computed by the vectorized kernels but are never
-        read.  Only the valid trapezoid is counted in the stats, matching
-        what a sequential append would have evaluated.
-        """
-        k = len(burst)
-        total = n0 + k
-        block = np.empty((total, k), dtype=float)
-        gaussian_rows = self._gaussian[:total]
-        new_gaussian = np.array([params is not None for params in params_list], dtype=bool)
-        if gaussian_rows.any() and new_gaussian.any():
-            rows = np.flatnonzero(gaussian_rows)
-            cols = np.flatnonzero(new_gaussian)
-            block[np.ix_(rows, cols)] = batched_gaussian_matrix(
-                self._timestamps[rows],
-                self._means[rows],
-                self._variances[rows],
-                self._timestamps[n0 + cols],
-                self._means[n0 + cols],
-                self._variances[n0 + cols],
-            )
-            self.stats.vectorized_evaluations += int(
-                (rows[:, None] < (n0 + cols)[None, :]).sum()
-            )
-        if gaussian_rows.all() and new_gaussian.all():
-            return block
-        base = self._base
-        positions_by_client = {
-            client: [ordinal - base for ordinal in ordinals]
-            for client, ordinals in self._positions_by_client.items()
-        }
-        cols_by_client: Dict[str, List[int]] = {}
-        for offset, message in enumerate(burst):
-            positions_by_client.setdefault(message.client_id, []).append(n0 + offset)
-            cols_by_client.setdefault(message.client_id, []).append(offset)
-        for client_i, row_positions in positions_by_client.items():
-            params_i = self._params_for(client_i)
-            for client_j, col_offsets in cols_by_client.items():
-                if params_i is not None and self._params_for(client_j) is not None:
-                    continue  # served by the closed-form block above
-                table = self._tables.table(client_i, client_j)
-                if table is not None:
-                    rows = np.asarray(row_positions, dtype=np.intp)
-                    cols = np.asarray(col_offsets, dtype=np.intp)
-                    diffs = self._timestamps[n0 + cols][None, :] - self._timestamps[rows][:, None]
-                    # the scalar path's clip, applied at evaluation time: a
-                    # no-op on every other entry kind, so the row a burst
-                    # message reads is bit-equal to _compute_row's output
-                    block[np.ix_(rows, cols)] = np.clip(
-                        _compiled_interp(diffs, table[0], table[1], 0.0, 1.0), 0.0, 1.0
-                    )
-                    self.stats.table_evaluations += int(
-                        (rows[:, None] < (n0 + cols)[None, :]).sum()
-                    )
-                else:
-                    for col in col_offsets:
-                        message_j = burst[col]
-                        limit = n0 + col
-                        for row_position in row_positions:
-                            if row_position >= limit:
-                                continue
-                            message_i = (
-                                self._messages[row_position]
-                                if row_position < n0
-                                else burst[row_position - n0]
-                            )
-                            block[row_position, col] = self._model.preceding_probability(
-                                message_i, message_j
-                            )
-                            self.stats.scalar_evaluations += 1
-        return block
 
     def _compute_row(
         self,

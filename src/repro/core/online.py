@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -266,51 +266,6 @@ class OnlineTommySequencer(Entity):
                 self._obs.stage("engine_append", item, arrival, shard=self._shard_index)
         else:
             raise TypeError(f"unsupported item type {type(item).__name__}")
-        self._schedule_check()
-
-    def receive_many(
-        self,
-        items: Iterable[Union[TimestampedMessage, Heartbeat]],
-        arrival_time: Optional[float] = None,
-    ) -> None:
-        """Handle a simultaneity burst of arrivals in one pass.
-
-        Behaviorally equivalent to calling :meth:`receive` per item at the
-        same loop instant (all per-item checks collapse onto the final one
-        anyway), but the pending messages enter the engine as a single
-        vectorized block append and exactly one emission check is scheduled —
-        the fast path coalescing transports
-        (:class:`~repro.network.transport.SequencerEndpoint`) deliver into.
-        The whole burst is validated first: one rejected item raises before
-        any of the burst is applied.
-        """
-        burst = list(items)
-        if not burst:
-            return
-        arrival = self.now if arrival_time is None else float(arrival_time)
-        heartbeats: List[Heartbeat] = []
-        messages: Dict[MessageKey, TimestampedMessage] = {}
-        for item in burst:
-            if isinstance(item, Heartbeat):
-                heartbeats.append(item)
-            elif isinstance(item, TimestampedMessage):
-                self._check_admissible(item)
-                if item.key in messages:
-                    raise ValueError(f"message {item.key!r} appears twice in the burst")
-                messages[item.key] = item
-            else:
-                raise TypeError(f"unsupported item type {type(item).__name__}")
-        for heartbeat in heartbeats:
-            self._note_client_progress(heartbeat.client_id, heartbeat.timestamp)
-        if messages:
-            self._engine.add_messages(list(messages.values()))
-            self._pending.update(messages)
-            for message in messages.values():
-                self._arrival_times[message.key] = arrival
-                self._note_client_progress(message.client_id, message.timestamp)
-            if self._obs.enabled:
-                for message in messages.values():
-                    self._obs.stage("engine_append", message, arrival, shard=self._shard_index)
         self._schedule_check()
 
     def _check_admissible(self, message: TimestampedMessage) -> None:
@@ -578,8 +533,8 @@ class OnlineTommySequencer(Entity):
         pending = list(state["pending"])
         self._pending = {message.key: message for message in pending}
         self._arrival_times = dict(state["arrival_times"])
-        if pending:
-            self._engine.add_messages(pending)
+        for message in pending:
+            self._engine.add_message(message)
         self._next_rank = int(state["next_rank"])
         self._extension_count = int(state["extension_count"])
         self._forced_emissions = int(state["forced_emissions"])

@@ -24,53 +24,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Scheduler
 
 ArrivalCallback = Callable[[Union[TimestampedMessage, Heartbeat], float], None]
-BurstCallback = Callable[[List[Union[TimestampedMessage, Heartbeat]], float], None]
 
 
 class SequencerEndpoint(Entity):
-    """The sequencer-side endpoint that receives every client's traffic.
+    """The sequencer-side endpoint that receives every client's traffic."""
 
-    With ``coalesce_bursts`` enabled, items delivered at the same simulated
-    instant are buffered and handed downstream as *one* burst: the flush
-    event is scheduled at the current time with a lower priority than the
-    channel deliveries, so it runs only after every same-instant delivery
-    has landed.  A registered :meth:`on_burst` callback receives the whole
-    list (one engine block append, one emission check); otherwise the burst
-    is replayed through the per-item callback.
-    """
-
-    def __init__(
-        self, loop: Scheduler, name: str = "sequencer", coalesce_bursts: bool = False
-    ) -> None:
+    def __init__(self, loop: Scheduler, name: str = "sequencer") -> None:
         super().__init__(loop, name)
         self._on_arrival: Optional[ArrivalCallback] = None
-        self._on_burst: Optional[BurstCallback] = None
         self._arrivals: List[Any] = []
-        self._coalesce = bool(coalesce_bursts)
-        self._burst_buffer: List[Union[TimestampedMessage, Heartbeat]] = []
-        self._flush_scheduled = False
-        self._bursts_delivered = 0
-        self._largest_burst = 0
 
     @property
     def arrivals(self) -> List[Any]:
         """All items received so far, in arrival order."""
         return list(self._arrivals)
-
-    @property
-    def coalesce_bursts(self) -> bool:
-        """Whether same-instant deliveries are coalesced into bursts."""
-        return self._coalesce
-
-    @property
-    def bursts_delivered(self) -> int:
-        """Number of coalesced bursts handed downstream so far."""
-        return self._bursts_delivered
-
-    @property
-    def largest_burst(self) -> int:
-        """Size of the largest coalesced burst delivered so far."""
-        return self._largest_burst
 
     def messages(self) -> List[TimestampedMessage]:
         """Only the timestamped messages received so far, in arrival order."""
@@ -80,42 +47,11 @@ class SequencerEndpoint(Entity):
         """Register a callback invoked as ``callback(item, arrival_time)``."""
         self._on_arrival = callback
 
-    def on_burst(self, callback: BurstCallback) -> None:
-        """Register a callback invoked as ``callback(items, arrival_time)``.
-
-        Only consulted when ``coalesce_bursts`` is enabled; wire it to
-        :meth:`repro.core.online.OnlineTommySequencer.receive_many` (or the
-        cluster equivalent) so a k-message simultaneity burst costs one
-        emission check instead of k.
-        """
-        self._on_burst = callback
-
     def receive(self, item: Union[TimestampedMessage, Heartbeat]) -> None:
         """Entry point wired into the per-client channels."""
         self._arrivals.append(item)
-        if not self._coalesce:
-            if self._on_arrival is not None:
-                self._on_arrival(item, self.now)
-            return
-        self._burst_buffer.append(item)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            # priority 1: after every same-instant (priority 0) delivery
-            self._loop.schedule_at(self.now, self._flush_burst, priority=1, label=self.name)
-
-    def _flush_burst(self) -> None:
-        burst = self._burst_buffer
-        self._burst_buffer = []
-        self._flush_scheduled = False
-        if not burst:
-            return
-        self._bursts_delivered += 1
-        self._largest_burst = max(self._largest_burst, len(burst))
-        if self._on_burst is not None:
-            self._on_burst(burst, self.now)
-        elif self._on_arrival is not None:
-            for item in burst:
-                self._on_arrival(item, self.now)
+        if self._on_arrival is not None:
+            self._on_arrival(item, self.now)
 
 
 class ClientEndpoint(Entity):
@@ -222,14 +158,13 @@ class Transport:
         loop: Scheduler,
         rng_factory: Callable[[str], np.random.Generator],
         trace: Optional[TraceRecorder] = None,
-        coalesce_bursts: bool = False,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._loop = loop
         self._rng_factory = rng_factory
         self._trace = trace
         self._telemetry = telemetry
-        self._sequencer = SequencerEndpoint(loop, coalesce_bursts=coalesce_bursts)
+        self._sequencer = SequencerEndpoint(loop)
         self._clients: Dict[str, ClientEndpoint] = {}
         self._channels: Dict[str, Channel] = {}
 

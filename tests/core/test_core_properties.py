@@ -6,6 +6,8 @@ transitive, so the kept-edge tournament is acyclic and has a unique
 topological order.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from graph_reference import TournamentGraph
 from hypothesis import example, given, settings
@@ -57,21 +59,65 @@ def linear_order(relation):
 NEAR_TIE_CYCLE = [(0.0, -2.220446049250313e-16, 1.0), (0.0, 0.0, 4.0), (0.0, 0.0, 1.0)]
 
 
+#: a pair qualifies when its exact gap is at least this many pair deviations
+QUALIFYING_GAP = Fraction(1, 10**9)
+
+
+def qualifying_gaps(specs):
+    """``{(i, j): g}`` over the pairs ``i < j`` whose exact bias-corrected gap
+    ``g = (t_j - mu_j) - (t_i - mu_i)`` has ``|g| >= 1e-9 * sqrt(sigma_i^2 +
+    sigma_j^2)``; both sides are rationals built from the float inputs."""
+    corrected = [Fraction(timestamp) - Fraction(mean) for timestamp, mean, _ in specs]
+    gaps = {}
+    for i in range(len(specs)):
+        for j in range(i + 1, len(specs)):
+            gap = corrected[j] - corrected[i]
+            variance = Fraction(specs[i][2]) ** 2 + Fraction(specs[j][2]) ** 2
+            if gap * gap >= QUALIFYING_GAP**2 * variance:
+                gaps[(i, j)] = gap
+    return gaps
+
+
+def every_pair_qualifies(specs):
+    return len(qualifying_gaps(specs)) == len(specs) * (len(specs) - 1) // 2
+
+
 @given(specs=client_specs)
+@example(specs=NEAR_TIE_CYCLE)
 @settings(max_examples=60, deadline=None)
 def test_gaussian_relation_is_transitive_appendix_a(specs):
-    """Appendix A: Gaussian errors always yield a transitive tournament."""
+    """Appendix A, as far as float rounding lets it hold.
+
+    Exactly, Gaussian errors order every pair by the sign of its
+    bias-corrected gap, so the tournament sorts by ``t - mu`` and is
+    transitive.  In floats a near-tie can round either way (``NEAR_TIE_CYCLE``
+    closes a 3-cycle), so the claim is: every pair whose exact gap is at least
+    ``1e-9`` pair deviations is oriented by that gap's sign, and when every
+    pair qualifies the tournament is acyclic and transitive.
+    """
     messages, model = build_messages_and_model(specs)
     relation = LikelyHappenedBefore.from_model(messages, model)
     tournament = TournamentGraph.from_relation(relation)
-    assert tournament.is_acyclic()
-    assert tournament.is_transitive_tournament()
+    for (i, j), gap in qualifying_gaps(specs).items():
+        earlier, later = (i, j) if gap > 0 else (j, i)
+        assert tournament.graph.has_edge(messages[earlier].key, messages[later].key)
+    if every_pair_qualifies(specs):
+        assert tournament.is_acyclic()
+        assert tournament.is_transitive_tournament()
+
+
+def test_near_tie_cycle_is_outside_the_appendix_a_claim():
+    assert not every_pair_qualifies(NEAR_TIE_CYCLE)
 
 
 @given(specs=client_specs)
+@example(specs=NEAR_TIE_CYCLE)
 @settings(max_examples=40, deadline=None)
 def test_topological_order_sorts_by_bias_corrected_timestamp(specs):
-    """For Gaussian errors the unique linear order is by mean-corrected timestamp."""
+    """For Gaussian errors the unique linear order is by mean-corrected
+    timestamp, wherever Appendix A's claim holds (every pair qualifies)."""
+    if not every_pair_qualifies(specs):
+        return
     messages, model = build_messages_and_model(specs)
     relation = LikelyHappenedBefore.from_model(messages, model)
     tournament = TournamentGraph.from_relation(relation)

@@ -100,9 +100,8 @@ def test_slides_then_an_out_of_order_removal_then_appends_equal_a_fresh_engine(p
     engine.remove_messages({("c0", -1)})
     assert_equals_fresh(engine, live)
     later = arrivals(rng, 4, 6, first_id=100)
-    engine.add_messages(later[:4])
-    engine.add_message(later[4])
-    engine.add_message(later[5])
+    for message in later:
+        engine.add_message(message)
     live += later
     assert_equals_fresh(engine, live)
     engine.remove_messages({message.key for message in live[:2]})

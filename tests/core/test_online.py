@@ -1,7 +1,8 @@
 """Tests for the online Tommy sequencer (paper §3.5)."""
 
+import numpy as np
 import pytest
-from online_reference import ReferenceOnlineSequencer
+from online_reference import ReferenceOnlineSequencer, completeness_scan
 
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
@@ -212,7 +213,8 @@ def test_batch_age_still_tracks_oldest_pending_arrival():
 @pytest.mark.parametrize("use_engine", [True, False])
 def test_rejected_receive_leaves_no_trace(use_engine):
     """Regression: a repeated key used to join the pending set before the
-    engine rejected it, leaving two pending copies of one message."""
+    engine rejected it, leaving two pending copies of one message.  A message
+    from an unregistered client is refused just as cleanly."""
     loop = EventLoop()
     distributions = {"a": GaussianDistribution(0.0, 1.0), "b": GaussianDistribution(0.0, 1.0)}
     sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
@@ -220,35 +222,46 @@ def test_rejected_receive_leaves_no_trace(use_engine):
     )
     message = make_message("a", 0.0)
     sequencer.receive(message, arrival_time=0.0)
-    with pytest.raises(ValueError):
-        sequencer.receive(message, arrival_time=0.5)
-    assert sequencer.pending_messages == [message]
-    assert sequencer.arrival_time_of(message) == 0.0
-    if use_engine:
-        assert sequencer.engine.size == 1
-
-
-@pytest.mark.parametrize("use_engine", [True, False])
-def test_rejected_burst_leaves_no_trace(use_engine):
-    loop = EventLoop()
-    distributions = {"a": GaussianDistribution(0.0, 1.0), "b": GaussianDistribution(0.0, 1.0)}
-    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
-        loop, distributions, TommyConfig(completeness_mode="heartbeat")
-    )
-    message = make_message("a", 0.0)
-    sequencer.receive_many([message], arrival_time=0.0)
-    fresh = make_message("b", 0.1)
-    for burst in (
-        [Heartbeat(client_id="b", timestamp=9.0), fresh, message],  # already pending
-        [fresh, Heartbeat(client_id="b", timestamp=9.0), fresh],  # twice in one burst
-        [fresh, make_message("unknown", 0.2)],  # unregistered client
-    ):
-        with pytest.raises((ValueError, KeyError)):
-            sequencer.receive_many(burst, arrival_time=1.0)
+    stranger = make_message("unknown", 0.2)
+    for rejected, error in ((message, ValueError), (stranger, KeyError)):
+        with pytest.raises(error):
+            sequencer.receive(rejected, arrival_time=0.5)
         assert sequencer.pending_messages == [message]
-        assert sequencer.arrival_time_of(fresh) is None
+        assert sequencer.arrival_time_of(message) == 0.0
+        assert sequencer.arrival_time_of(stranger) is None
         assert sequencer._latest_client_timestamp == {"a": 0.0}
         if use_engine:
             assert sequencer.engine.size == 1
-    sequencer.receive_many([fresh], arrival_time=1.0)
+    fresh = make_message("b", 0.1)
+    sequencer.receive(fresh, arrival_time=1.0)
     assert sequencer.pending_messages == [message, fresh]
+
+
+def test_completeness_floor_matches_scan():
+    rng = np.random.default_rng(8)
+    distributions = {f"client-{i}": GaussianDistribution(0.0, 0.005) for i in range(6)}
+    loop = EventLoop()
+    sequencer = OnlineTommySequencer(
+        loop, distributions, TommyConfig(completeness_mode="heartbeat")
+    )
+    clients = sorted(distributions)
+    # before anything is heard the floor is -inf (unheard known clients)
+    assert sequencer._completeness_floor() == -float("inf")
+    horizons = [0.0, 0.5, 1.0, 2.0]
+    for step in range(300):
+        client = clients[int(rng.integers(len(clients)))]
+        timestamp = float(rng.uniform(0, 2.5))
+        sequencer._note_client_progress(client, timestamp)
+        for horizon in horizons:
+            incremental = sequencer._completeness_floor() >= horizon
+            assert incremental == completeness_scan(sequencer, horizon), (
+                f"floor diverged from scan at step {step}, horizon {horizon}"
+            )
+    # a brand-new known client resets completeness until it is heard from
+    sequencer.register_client("late-joiner", GaussianDistribution(0.0, 0.005))
+    assert sequencer._completeness_floor() == -float("inf")
+    assert not completeness_scan(sequencer, 0.0)
+    sequencer._note_client_progress("late-joiner", 5.0)
+    assert sequencer._completeness_floor() == sequencer._completeness_floor()
+    for horizon in horizons:
+        assert (sequencer._completeness_floor() >= horizon) == completeness_scan(sequencer, horizon)
