@@ -165,6 +165,49 @@ def test_engine_parity_on_a_sixty_four_client_hot_sequencer_awaiting_completenes
     assert reference_run.model.probability_evaluations > 1000
 
 
+def same_instant_burst_run(use_engine, seed, completeness_mode, num_clients=5, bursts=12):
+    """Bursts of six messages that all land at one instant, as when every
+    client's channel delivers at the same simulated time."""
+    rng = np.random.default_rng(seed)
+    distributions = gaussian_distributions(rng, num_clients, sigma_lo=0.002, sigma_hi=0.008)
+    loop = EventLoop()
+    config = TommyConfig(p_safe=0.9, completeness_mode=completeness_mode, seed=3)
+    sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
+        loop, distributions, config
+    )
+    t = 0.0
+    message_id = seed * 1_000_000
+    for _ in range(bursts):
+        t += float(rng.exponential(0.05))
+        for _ in range(6):
+            message = TimestampedMessage(
+                client_id=f"c{int(rng.integers(num_clients))}",
+                timestamp=t + float(rng.normal(0.0, 0.004)),
+                true_time=t,
+                message_id=message_id,
+            )
+            message_id += 1
+            loop.schedule_at(t, sequencer.receive, message)
+    # closing heartbeats so the heartbeat completeness rule releases the tail
+    for client in distributions:
+        loop.schedule_at(t + 1.0, sequencer.receive, Heartbeat(client_id=client, timestamp=t + 1.0))
+    loop.run()
+    sequencer.flush()
+    return sequencer
+
+
+@pytest.mark.parametrize("completeness_mode", ["none", "heartbeat"])
+@pytest.mark.parametrize("seed", [6, 7])
+def test_engine_parity_on_same_instant_bursts(seed, completeness_mode):
+    # each arrival of a burst is appended and checked before the next one
+    engine_run = same_instant_burst_run(True, seed, completeness_mode)
+    reference_run = same_instant_burst_run(False, seed, completeness_mode)
+    assert fingerprint(engine_run) == fingerprint(reference_run)
+    assert len(engine_run.emitted_batches) > 1
+    assert sum(len(emitted.batch.messages) for emitted in engine_run.emitted_batches) == 72
+    assert engine_run.engine_stats().rows_appended == 72
+
+
 def skewed_mixtures(rng, num_clients):
     """Skewed bimodal error mixtures: pairwise medians differ, so the kept
     direction is no longer a function of ``timestamp - mean`` alone and the
@@ -411,3 +454,48 @@ def test_engine_rejects_duplicate_and_unknown_messages():
         engine.add_message(TimestampedMessage("zzz", 0.0, message_id=2))
     with pytest.raises(ValueError):
         IncrementalPrecedenceEngine(model, threshold=0.4)
+
+
+def engine_state(engine):
+    n = engine.size
+    return (
+        engine.message_keys,
+        engine.probability_matrix(),
+        engine._direction[:n, :n].copy(),
+        engine._scores[:n].copy(),
+        engine.candidate_epoch,
+    )
+
+
+@pytest.mark.parametrize("rejected", ["duplicate", "unknown-client"])
+def test_rejected_append_leaves_engine_state_untouched(rejected):
+    rng = np.random.default_rng(5)
+    model = PrecedenceModel()
+    for client, distribution in gaussian_distributions(rng, 3).items():
+        model.register_client(client, distribution)
+    engine = IncrementalPrecedenceEngine(model, threshold=0.75)
+    messages = [
+        TimestampedMessage(f"c{k % 3}", float(rng.normal(0, 0.2)), message_id=700 + k)
+        for k in range(6)
+    ]
+    for message in messages:
+        engine.add_message(message)
+    head = [m.key for m in engine.first_tentative_group()]
+    before = engine_state(engine)
+    appended = engine.stats.rows_appended
+    if rejected == "duplicate":
+        with pytest.raises(ValueError):
+            engine.add_message(messages[2])
+    else:
+        with pytest.raises(KeyError):
+            engine.add_message(TimestampedMessage("stranger", 0.0, message_id=799))
+    after = engine_state(engine)
+    assert before[0] == after[0]
+    for array_before, array_after in zip(before[1:4], after[1:4]):
+        assert np.array_equal(array_before, array_after)
+    assert before[4] == after[4]
+    assert engine.stats.rows_appended == appended
+    # the cached emission candidate survived the refusal
+    reuses = engine.stats.candidate_reuses
+    assert [m.key for m in engine.first_tentative_group()] == head
+    assert engine.stats.candidate_reuses == reuses + 1

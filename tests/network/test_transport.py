@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.clocks.local import LocalClock
+from repro.core.config import TommyConfig
+from repro.core.online import OnlineTommySequencer
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.link import ConstantDelay
 from repro.network.message import Heartbeat, TimestampedMessage
@@ -107,3 +109,42 @@ def test_sequence_numbers_shared_between_messages_and_heartbeats():
     arrivals = transport.sequencer.arrivals
     sequence_numbers = [item.sequence_number for item in arrivals]
     assert sorted(sequence_numbers) == [1, 2]
+
+
+def emitted_stream(sequencer):
+    return [
+        (emitted.rank, tuple(m.key for m in emitted.batch.messages), emitted.emitted_at)
+        for emitted in sequencer.emitted_batches
+    ]
+
+
+def test_same_instant_arrivals_reach_the_sequencer_one_at_a_time():
+    loop, transport, clients = build_transport(num_clients=4, delay=0.01, clock_std=0.004)
+    distributions = {client.client_id: GaussianDistribution(0.0, 0.004) for client in clients}
+    config = TommyConfig(p_safe=0.9, completeness_mode="none", seed=1)
+    sequencer = OnlineTommySequencer(loop, distributions, config)
+    calls = []
+
+    def deliver(item, when):
+        calls.append((item, when))
+        sequencer.receive(item, when)
+
+    transport.sequencer.on_arrival(deliver)
+    # three bursts: every client sends at the same instant over equal delays
+    for when in (0.0, 0.05, 0.1):
+        for client in clients:
+            loop.schedule_at(when, client.send, f"payload@{when}")
+    loop.run(until=5.0)
+    sequencer.flush()
+    assert [item for item, _ in calls] == transport.sequencer.arrivals
+    assert [when for _, when in calls] == pytest.approx([0.01] * 4 + [0.06] * 4 + [0.11] * 4)
+
+    # the same arrivals fed straight to a sequencer emit the same stream
+    direct_loop = EventLoop()
+    direct = OnlineTommySequencer(direct_loop, distributions, config)
+    for item, when in calls:
+        direct_loop.schedule_at(when, direct.receive, item)
+    direct_loop.run(until=5.0)
+    direct.flush()
+    assert emitted_stream(direct) == emitted_stream(sequencer)
+    assert sum(len(keys) for _, keys, _ in emitted_stream(sequencer)) == 12
