@@ -3,17 +3,16 @@
 The package implements Tommy, a probabilistic fair sequencer, together with
 every substrate it needs: a discrete-event simulator, clock and clock-drift
 models, clock-offset distributions (parametric and learned), a
-clock-synchronization probe protocol, a network substrate with ordered and
-unordered channels, baseline sequencers (FIFO, WaitsForOne, TrueTime,
-Lamport, oracle), auction-app workloads, downstream applications (limit
-order book, sealed-bid auction, replicated log), fairness metrics (Rank
-Agreement Score and friends), the experiment harness that regenerates the
-paper's evaluation, a sharded fair-sequencing cluster
-(:mod:`repro.cluster`) that scales the online sequencer out over many shards
-with a probabilistic cross-shard merge, and a deterministic fault-injection
-chaos subsystem (:mod:`repro.chaos`) that measures all of it under
-partitions, loss, duplication, reordering, delay spikes, clock steps,
-sync blackouts and shard crash/rejoin.
+clock-synchronization probe exchange, a network substrate with ordered and
+unordered channels, baseline sequencers (FIFO, WaitsForOne, TrueTime),
+auction-app workloads, downstream applications (limit order book,
+replicated log), fairness metrics (Rank Agreement Score and friends), the
+experiment harness that regenerates the paper's evaluation, a sharded
+fair-sequencing cluster (:mod:`repro.cluster`) that scales the online
+sequencer out over many shards with a probabilistic cross-shard merge, and a
+deterministic fault-injection chaos subsystem (:mod:`repro.chaos`) that
+measures all of it under partitions, loss, duplication, reordering, delay
+spikes, clock steps, sync blackouts and shard crash/rejoin.
 
 Quickstart
 ----------
@@ -90,7 +89,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.network.message": ("Heartbeat", "SequencedBatch", "TimestampedMessage"),
         "repro.sequencers.base": ("SequencingResult",),
         "repro.sequencers.fifo": ("FifoSequencer",),
-        "repro.sequencers.oracle": ("OracleSequencer",),
         "repro.sequencers.truetime": ("TrueTimeSequencer",),
         "repro.sequencers.wfo": ("WaitsForOneSequencer",),
     },
@@ -116,7 +114,6 @@ __all__ = [
     "FifoSequencer",
     "WaitsForOneSequencer",
     "TrueTimeSequencer",
-    "OracleSequencer",
     "rank_agreement_score",
     "quick_sequence",
     "ShardRouter",

@@ -1,7 +1,7 @@
 """Clock models.
 
-A :class:`ReferenceClock` represents the omniscient observer's global clock
-(paper Definition 1, footnote 2).  A :class:`LocalClock` is a client's clock:
+The omniscient observer's global clock (paper Definition 1, footnote 2) is
+the event loop's own time.  A :class:`LocalClock` is a client's clock:
 its reading at true time ``t`` is ``t + offset(t)`` where the offset is drawn
 from the client's offset distribution, optionally augmented by a slowly
 varying drift process (:mod:`repro.clocks.drift`) and read jitter modelling
@@ -15,7 +15,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.clocks.reference": ("ReferenceClock",),
         "repro.clocks.drift": (
             "ConstantDrift",
             "DriftModel",
@@ -29,7 +28,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "ReferenceClock",
     "DriftModel",
     "NoDrift",
     "ConstantDrift",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -95,21 +95,7 @@ class TommyConfig:
             raise ValueError("tie_epsilon must be in [0, 0.5)")
 
     def _replace(self, **overrides: object) -> "TommyConfig":
-        fields = {
-            "threshold": self.threshold,
-            "p_safe": self.p_safe,
-            "probability_method": self.probability_method,
-            "convolution_points": self.convolution_points,
-            "cycle_policy": self.cycle_policy,
-            "batching_mode": self.batching_mode,
-            "completeness_mode": self.completeness_mode,
-            "max_network_delay": self.max_network_delay,
-            "max_batch_age": self.max_batch_age,
-            "tie_epsilon": self.tie_epsilon,
-            "seed": self.seed,
-        }
-        fields.update(overrides)
-        return TommyConfig(**fields)
+        return replace(self, **overrides)
 
     def with_threshold(self, threshold: float) -> "TommyConfig":
         """Copy of this configuration with a different batching threshold."""

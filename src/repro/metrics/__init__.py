@@ -5,8 +5,7 @@ pair of messages, +1 when the sequencer orders them as the omniscient
 observer would, -1 when it inverts them, and 0 when it is indifferent (same
 batch).  Supporting metrics: normalised RAS, pairwise accuracy/inversion
 rates, Kendall-tau distance against the ground-truth order, batch-size
-statistics, per-client fairness summaries and emission-latency summaries for
-online sequencing.
+statistics and emission-latency summaries for online sequencing.
 """
 
 from repro._lazy import lazy_exports
@@ -18,7 +17,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.metrics.pairwise": ("PairwiseStats", "pairwise_stats"),
         "repro.metrics.kendall": ("kendall_tau_distance", "kendall_tau_from_result"),
         "repro.metrics.batching_stats": ("BatchStatistics", "batch_statistics"),
-        "repro.metrics.fairness": ("ClientFairness", "per_client_fairness"),
         "repro.metrics.latency": ("LatencySummary", "summarize_latencies"),
     },
 )
@@ -32,8 +30,6 @@ __all__ = [
     "kendall_tau_from_result",
     "BatchStatistics",
     "batch_statistics",
-    "ClientFairness",
-    "per_client_fairness",
     "LatencySummary",
     "summarize_latencies",
 ]

@@ -9,10 +9,10 @@ These are the comparison points the paper discusses:
   timestamp; fair only when clock error is negligible,
 * :class:`TrueTimeSequencer` — the Spanner-TrueTime emulation used as the
   baseline in the paper's evaluation (§4): interval ``[T-3sigma, T+3sigma]``
-  per message, overlapping intervals share a rank,
-* :class:`OracleSequencer` — the omniscient observer (ground truth),
-* :mod:`repro.sequencers.lamport` — Lamport logical clocks and the classical
-  happened-before relation, for the paper's "Classical Context".
+  per message, overlapping intervals share a rank.
+
+The omniscient observer is not a sequencer here: :mod:`repro.metrics.ras`
+scores every order against the messages' ``true_time`` directly.
 """
 
 from repro._lazy import lazy_exports
@@ -24,13 +24,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.sequencers.fifo": ("FifoSequencer",),
         "repro.sequencers.wfo": ("WaitsForOneSequencer",),
         "repro.sequencers.truetime": ("TrueTimeSequencer",),
-        "repro.sequencers.oracle": ("OracleSequencer",),
-        "repro.sequencers.lamport": (
-            "LamportClock",
-            "LamportEvent",
-            "VectorClock",
-            "happened_before",
-        ),
     },
 )
 
@@ -40,9 +33,4 @@ __all__ = [
     "FifoSequencer",
     "WaitsForOneSequencer",
     "TrueTimeSequencer",
-    "OracleSequencer",
-    "LamportClock",
-    "LamportEvent",
-    "VectorClock",
-    "happened_before",
 ]

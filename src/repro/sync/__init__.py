@@ -5,6 +5,8 @@ synchronization probes (paper §1 footnote 1, §3.3, §5).  This package
 provides the probe exchange (NTP-style four-timestamp round trips), offset
 estimators operating on probes, and a per-client learner that turns a window
 of probe-derived offsets into a :class:`~repro.distributions.estimation.DistributionEstimate`.
+:class:`DistributionRefreshLoop` is the one loop that drives them: probes in,
+learner per client, refreshed estimates published to the running sequencer.
 """
 
 from repro._lazy import lazy_exports
@@ -16,14 +18,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.sync.estimator": ("OffsetEstimator", "offset_from_probe"),
         "repro.sync.learner": ("OffsetDistributionLearner",),
         "repro.sync.refresh": ("DistributionRefreshLoop", "RefreshStats"),
-        "repro.sync.protocol": ("SyncProtocol", "SyncSession"),
-        "repro.sync.drift": (
-            "AdaptiveOffsetLearner",
-            "DriftFit",
-            "DriftTracker",
-            "RegimeShiftDetector",
-            "RegimeShiftReport",
-        ),
     },
 )
 
@@ -35,11 +29,4 @@ __all__ = [
     "OffsetDistributionLearner",
     "DistributionRefreshLoop",
     "RefreshStats",
-    "SyncProtocol",
-    "SyncSession",
-    "DriftTracker",
-    "DriftFit",
-    "RegimeShiftDetector",
-    "RegimeShiftReport",
-    "AdaptiveOffsetLearner",
 ]

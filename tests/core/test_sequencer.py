@@ -6,7 +6,6 @@ from repro.core.config import TommyConfig
 from repro.core.sequencer import TommySequencer
 from repro.distributions.parametric import GaussianDistribution
 from repro.metrics.ras import rank_agreement_score
-from repro.sequencers.oracle import OracleSequencer
 from repro.workloads.arrivals import UniformGapArrivals
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 from tests.conftest import make_message

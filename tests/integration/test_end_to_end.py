@@ -24,7 +24,8 @@ from repro.network.transport import Transport
 from repro.sequencers.truetime import TrueTimeSequencer
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.random_source import RandomSource
-from repro.sync.protocol import SyncProtocol
+from repro.sync.learner import OffsetDistributionLearner
+from repro.sync.probe import ProbeExchange
 from repro.workloads.arrivals import BurstArrivals, UniformGapArrivals
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
@@ -33,26 +34,31 @@ def test_learned_distributions_feed_tommy_end_to_end():
     """Probe -> learn f_theta -> register at sequencer -> fair ordering."""
     loop = EventLoop()
     source = RandomSource(5)
-    protocol = SyncProtocol(loop, probes_per_round=32)
-
     true_distributions = {
         "c0": GaussianDistribution(0.000, 0.0004),
         "c1": GaussianDistribution(0.002, 0.0008),
         "c2": GaussianDistribution(-0.001, 0.0006),
     }
-    clocks = {}
+    exchanges = {}
+    learners = {}
     for client_id, distribution in true_distributions.items():
         clock = LocalClock(loop, distribution, source.stream(f"clock:{client_id}"))
-        clocks[client_id] = clock
-        protocol.add_client(
+        exchanges[client_id] = ProbeExchange(
+            loop,
             client_id,
             clock,
-            forward_delay=ConstantDelay(0.0002),
-            backward_delay=ConstantDelay(0.0002),
-            rng=source.stream(f"probe:{client_id}"),
+            ConstantDelay(0.0002),
+            ConstantDelay(0.0002),
+            source.stream(f"probe:{client_id}"),
         )
-    protocol.run_rounds(20)
-    learned = {cid: est.distribution for cid, est in protocol.estimates().items()}
+        learners[client_id] = OffsetDistributionLearner()
+    # 20 rounds; in each, every client in turn feeds a burst of 32 probes to
+    # its learner
+    for _ in range(20):
+        for client_id, exchange in exchanges.items():
+            for probe in exchange.run_probes(32):
+                learners[client_id].observe_probe(probe)
+    learned = {cid: learner.estimate().distribution for cid, learner in learners.items()}
     assert set(learned) == set(true_distributions)
     for client_id, estimate in learned.items():
         assert estimate.mean == pytest.approx(true_distributions[client_id].mean, abs=5e-4)
