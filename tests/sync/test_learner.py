@@ -114,3 +114,24 @@ def test_probe_window_bounds_retained_probes():
     # only the 8 most recent probes are retained
     assert learner.observation_count == 8
     assert learner.offsets().min() == 12.0
+
+
+@pytest.mark.parametrize("method", ["gaussian", "empirical"])
+@pytest.mark.parametrize("window", [16, 64, 256])
+def test_window_forgets_the_old_regime_after_a_mean_shift(window, method):
+    """After an offset jump the window first holds a mixture of both regimes;
+    one window of probes later the estimate holds the new regime alone."""
+    rng = np.random.default_rng(window)
+    learner = OffsetDistributionLearner(window=window, method=method)
+    for value in rng.normal(0.0, 1e-4, size=2 * window):
+        learner.observe_offset(float(value))
+    assert learner.estimate().mean == pytest.approx(0.0, abs=2e-4)
+    for value in rng.normal(5e-3, 1e-4, size=window // 2):
+        learner.observe_offset(float(value))
+    mixed = learner.estimate()
+    assert 1.5e-3 < mixed.mean < 3.5e-3 and mixed.std > 2e-3
+    for value in rng.normal(5e-3, 1e-4, size=window // 2):
+        learner.observe_offset(float(value))
+    after = learner.estimate()
+    assert after.mean == pytest.approx(5e-3, abs=2e-4)
+    assert after.std < 5e-4

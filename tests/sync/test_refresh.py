@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.clocks.local import LocalClock
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.distributions.parametric import GaussianDistribution
+from repro.network.link import ConstantDelay
 from repro.simulation.event_loop import EventLoop
 from repro.sync.estimator import OffsetEstimator
+from repro.sync.probe import ProbeExchange
 from repro.sync.refresh import DistributionRefreshLoop
 from repro.workloads.learned import synthesize_probe
 
@@ -118,3 +121,83 @@ def test_unknown_client_probes_are_counted_not_fatal():
     for _ in range(8):
         refresh.observe_probe(synthesize_probe("ghost", float(rng.normal(0, 0.01)), 0.001))
     assert refresh.stats.refreshes == 1
+
+
+def probe_fleet(event_loop, seed=0, num_clients=3):
+    """One probe exchange per client; client ``ck``'s offset mean is ``k`` ms."""
+    exchanges = {}
+    for index in range(num_clients):
+        clock = LocalClock(
+            event_loop,
+            GaussianDistribution(0.001 * index, 0.0002),
+            np.random.default_rng(seed + index),
+        )
+        exchanges[f"c{index}"] = ProbeExchange(
+            event_loop,
+            f"c{index}",
+            clock,
+            ConstantDelay(0.0005),
+            ConstantDelay(0.0005),
+            np.random.default_rng(seed + 100 + index),
+        )
+    return exchanges
+
+
+def probe_round(refresh, exchanges, probes=8):
+    """Every client in insertion order runs ``probes`` probes into the loop."""
+    for exchange in exchanges.values():
+        for probe in exchange.run_probes(probes):
+            refresh.observe_probe(probe)
+
+
+def test_probe_rounds_accumulate_in_every_clients_learner():
+    exchanges = probe_fleet(EventLoop())
+    refresh = DistributionRefreshLoop(RecordingTarget(), refresh_every=100)
+    for _ in range(3):
+        probe_round(refresh, exchanges)
+    assert refresh.client_ids == ("c0", "c1", "c2")
+    assert all(refresh.learner_for(client).probe_count == 24 for client in exchanges)
+    assert refresh.stats.probes_observed == 72 and refresh.stats.refreshes == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_probe_rounds_converge_to_each_clients_offset_mean(seed):
+    target = RecordingTarget()
+    refresh = DistributionRefreshLoop(target, refresh_every=8)
+    exchanges = probe_fleet(EventLoop(), seed)
+    for _ in range(20):
+        probe_round(refresh, exchanges)
+    latest = dict(target.updates)
+    assert set(latest) == {"c0", "c1", "c2"}
+    for index in range(3):
+        assert latest[f"c{index}"].mean == pytest.approx(0.001 * index, abs=3e-4)
+
+
+def test_probe_rounds_publish_every_client_in_insertion_order():
+    target = RecordingTarget()
+    refresh = DistributionRefreshLoop(target, refresh_every=8, min_observations=8)
+    exchanges = probe_fleet(EventLoop())
+    for _ in range(2):
+        probe_round(refresh, exchanges)
+    assert [client for client, _ in target.updates] == ["c0", "c1", "c2"] * 2
+    assert refresh.stats.per_client_refreshes == {"c0": 2, "c1": 2, "c2": 2}
+
+
+def test_periodic_probe_rounds_run_on_the_event_loop():
+    event_loop = EventLoop()
+    exchanges = probe_fleet(event_loop)
+    refresh = DistributionRefreshLoop(RecordingTarget(), refresh_every=8)
+    rounds = []
+
+    def tick():
+        rounds.append(event_loop.now)
+        probe_round(refresh, exchanges)
+        event_loop.schedule_after(0.5, tick)
+
+    event_loop.schedule_at(0.0, tick)
+    event_loop.run(until=2.6)
+    assert rounds == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    assert refresh.stats.refreshes == 3 * 6
+    # probes carry the loop's time: the last one reached the sequencer one
+    # forward delay after the last round began
+    assert exchanges["c2"].probes[-1].t2 == pytest.approx(2.5005)

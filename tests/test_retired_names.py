@@ -5,7 +5,8 @@ names that left, the paths (relative to the repository root) they must not
 come back to, and why they went.  The scan reads the files in-process, line
 by line like ``grep -rnE``, skipping ``__pycache__``.  This module spells
 every pattern out, so it is the one file the scan never reads.  A new
-deletion adds a row here.
+deletion adds a row here, and a line to :data:`PUT_BACK` that shows the row
+catches the name coming back.
 """
 
 import re
@@ -96,6 +97,31 @@ RETIRED = {
 }
 
 
+#: One line per row that puts a retired name back; the new row lists every
+#: name it retires.  ``test_each_row_catches_its_names_put_back`` plants each
+#: line in a scratch tree and checks that the row's scan reports it.
+PUT_BACK = [
+    ("one-lineariser", "import networkx as nx"),
+    ("edge-callback-protocol", "queue = asyncio.Queue()"),
+    ("event-heap-tuples", "@dataclass(order=True)"),
+    ("flat-merge-band", "mask = np.isin(keys, seen)"),
+    ("one-cluster-path", "def receive_many_at(self, messages):"),
+    ("one-intake-path", "engine.add_messages(batch)"),
+    ("one-shard-host-replay", "from repro.cluster.host import replay_messages"),
+    ("one-shard-host-runtimes", "from repro.cluster.sharded import ShardedSequencer"),
+    ("one-test-tree", 'RESULTS = os.environ.get("BENCH_RESULTS_JSON")'),
+    ("src-holds-what-runs", "from repro.sync.protocol import SyncProtocol"),
+    ("src-holds-what-runs", "learner = AdaptiveOffsetLearner()"),
+    ("src-holds-what-runs", "detector = RegimeShiftDetector()"),
+    ("src-holds-what-runs", "tracker = DriftTracker()"),
+    ("src-holds-what-runs", "rates = per_client_fairness(result)"),
+    ("src-holds-what-runs", "auction = SealedBidAuction()"),
+    ("src-holds-what-runs", "clock = ReferenceClock(loop)"),
+    ("src-holds-what-runs", "sequencer = OracleSequencer()"),
+    ("src-holds-what-runs", "clock = LamportClock()"),
+]
+
+
 def scanned_files(path: Path):
     if path.is_file():
         yield path
@@ -105,24 +131,55 @@ def scanned_files(path: Path):
             yield child
 
 
-@pytest.mark.parametrize("row", list(RETIRED))
-def test_retired_names_stay_out(row):
-    pattern, paths, why = RETIRED[row]
+def row_hits(row, root: Path):
+    """``grep -rnE`` of ``row``'s pattern over its paths under ``root``."""
+    pattern, paths, _ = RETIRED[row]
     regex = re.compile(pattern)
     hits = []
     for relative in paths:
-        path = REPO / relative
+        path = root / relative
         assert path.exists(), f"{relative} is gone: drop it from the {row!r} row"
         for file in scanned_files(path):
             if file == THIS_FILE:
                 continue
             lines = file.read_text(errors="replace").splitlines()
             hits.extend(
-                f"{file.relative_to(REPO)}:{number}: {line.strip()}"
+                f"{file.relative_to(root)}:{number}: {line.strip()}"
                 for number, line in enumerate(lines, 1)
                 if regex.search(line)
             )
-    assert not hits, f"{why}\n" + "\n".join(hits)
+    return hits
+
+
+@pytest.mark.parametrize("row", list(RETIRED))
+def test_retired_names_stay_out(row):
+    hits = row_hits(row, REPO)
+    assert not hits, f"{RETIRED[row][2]}\n" + "\n".join(hits)
+
+
+def test_every_row_has_a_put_back_line():
+    assert {row for row, _ in PUT_BACK} == set(RETIRED)
+
+
+@pytest.mark.parametrize(
+    "row, line", [pytest.param(row, line, id=f"{row}:{line}") for row, line in PUT_BACK]
+)
+def test_each_row_catches_its_names_put_back(row, line, tmp_path):
+    """A scratch tree with every path of the row, one of them holding ``line``."""
+    _, paths, _ = RETIRED[row]
+    for relative in paths:
+        target = tmp_path / relative
+        if (REPO / relative).is_dir():
+            target.mkdir(parents=True, exist_ok=True)
+            target = target / "clean.py"
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text("x = 1\n")
+    planted = tmp_path / paths[0]
+    if planted.is_dir():
+        planted = planted / "restored.py"
+    planted.write_text(f"x = 1\n{line}\n")
+    hits = row_hits(row, tmp_path)
+    assert hits == [f"{planted.relative_to(tmp_path)}:2: {line}"]
 
 
 def test_no_benchmarks_tree():
