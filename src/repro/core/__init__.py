@@ -6,18 +6,21 @@ Pipeline (paper §3):
    ``P(T*_i < T*_j | T_i, T_j)`` for message pairs from the clients' clock
    error distributions (§3.2 Gaussian closed form, §3.3 FFT convolution for
    arbitrary distributions).
-2. :class:`LikelyHappenedBefore` wraps those probabilities as the
-   ``likely-happened-before`` relation.
-3. A boolean direction matrix keeps, for every pair, the direction with
-   the higher probability (the kept-edge tournament), and
-   :func:`~repro.core.engine.tournament_order` extracts a linear order
+2. :class:`IncrementalPrecedenceEngine` holds those probabilities for a
+   message set as one matrix — the *likely-happened-before* relation, which
+   :class:`LikelyHappenedBefore` wraps for a caller that supplies its own —
+   and keeps, for every pair, the direction with the higher probability as a
+   boolean direction matrix (the kept-edge tournament).
+3. :func:`~repro.core.engine.tournament_order` extracts a linear order
    (topological order of the transitive tournament;
    :func:`~repro.core.cycles.break_cycles` first otherwise, §3.4).
-4. :func:`form_batches` inserts a batch boundary between adjacent messages
-   whose preceding-probability exceeds the confidence threshold (§3.4).
-5. :class:`TommySequencer` packages 1–4 as an offline sequencer;
-   :class:`OnlineTommySequencer` adds safe batch emission and arrival
-   completeness tracking (§3.5, Appendix C).
+4. A batch boundary goes between adjacent messages whose
+   preceding-probability exceeds the confidence threshold (§3.4), or, in
+   strict mode, where every straddling pair does
+   (:func:`strict_boundary_strengths_matrix`).
+5. :class:`TommySequencer` packages 1–4 as an offline sequencer on one
+   engine's matrix; :class:`OnlineTommySequencer` adds safe batch emission
+   and arrival completeness tracking (§3.5, Appendix C).
 
 Extensions sketched by the paper and implemented here: fair total order via
 stochastic tie-breaking (:mod:`repro.core.total_order`) and Byzantine
@@ -41,12 +44,10 @@ __getattr__, __dir__ = lazy_exports(
         "repro.core.config": ("TommyConfig",),
         "repro.core.probability": ("PrecedenceModel", "gaussian_preceding_probability"),
         "repro.core.relation": ("LikelyHappenedBefore", "PairProbability"),
-        "repro.core.batching": ("BatchingOutcome", "form_batches"),
         "repro.core.engine": (
             "EngineStats",
             "IncrementalPrecedenceEngine",
             "PairTableCache",
-            "build_relation",
             "cross_probability_matrix",
             "strict_boundary_strengths_matrix",
         ),
@@ -63,12 +64,9 @@ __all__ = [
     "gaussian_preceding_probability",
     "LikelyHappenedBefore",
     "PairProbability",
-    "BatchingOutcome",
-    "form_batches",
     "EngineStats",
     "IncrementalPrecedenceEngine",
     "PairTableCache",
-    "build_relation",
     "cross_probability_matrix",
     "strict_boundary_strengths_matrix",
     "TommySequencer",

@@ -16,11 +16,13 @@ keeps all of that state *incremental* and evaluates it in batched numpy:
   to per-pair scalar FFT evaluations;
 * the kept-edge tournament is maintained as a boolean *direction matrix*
   plus an out-degree (score) vector — pure numpy per arrival.
-  :func:`tournament_order` linearises it — the one lineariser, which offline
-  :class:`~repro.core.sequencer.TommySequencer` shares: when the tournament
-  is intransitive (cyclic), :func:`~repro.core.cycles.break_cycles` clears
-  victims in a copy of that matrix, drawing from the shared generator, and a
-  Kahn pass with the message-key tie-break orders what is left;
+  :func:`tournament_order` linearises it — the one lineariser, and the one
+  relation: offline :class:`~repro.core.sequencer.TommySequencer` appends
+  its whole message set to an engine and orders and batches on that
+  engine's matrix.  When the tournament is intransitive (cyclic),
+  :func:`~repro.core.cycles.break_cycles` clears victims in a copy of that
+  matrix, drawing from the shared generator, and a Kahn pass with the
+  message-key tie-break orders what is left;
 * the strict batching rule's boundary strengths are vectorized
   cumulative-minimum passes; the emission check uses
   :meth:`IncrementalPrecedenceEngine.first_tentative_group`, an ``O(k·n)``
@@ -56,7 +58,7 @@ from scipy import special
 
 from repro.core.cycles import RemovedEdge, break_cycles
 from repro.core.probability import PrecedenceModel
-from repro.core.relation import LikelyHappenedBefore, MessageKey
+from repro.core.relation import MessageKey
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import TimestampedMessage
 
@@ -377,111 +379,15 @@ def cross_probability_matrix(
     return matrix
 
 
-def build_relation(
-    messages: Sequence[TimestampedMessage],
-    model: PrecedenceModel,
-    stats: Optional[EngineStats] = None,
-    tables: Optional[PairTableCache] = None,
-) -> LikelyHappenedBefore:
-    """Vectorized drop-in for :meth:`LikelyHappenedBefore.from_model`.
-
-    Produces the same probabilities (the backward direction is stored as
-    ``1 - p`` of the canonical ``i < j`` pair, exactly like ``from_model``)
-    without per-pair scalar evaluations: Gaussian pairs use the closed-form
-    kernel, grid-backed pairs one batched ``np.interp`` per client pair.
-    Only the strict upper triangle is evaluated; pairs with no table cost
-    exactly one scalar model call per unordered pair, like ``from_model``.
-    """
-    messages = list(messages)
-    n = len(messages)
-    if tables is None:
-        tables = PairTableCache(model, stats=stats)
-    cache: Dict[str, Optional[Tuple[float, float]]] = {}
-
-    def params(client_id: str) -> Optional[Tuple[float, float]]:
-        return _cached_gaussian_params(model, cache, client_id)
-
-    gaussian = np.array([params(m.client_id) is not None for m in messages], dtype=bool)
-    gaussian_matrix = None
-    gaussian_positions: Dict[int, int] = {}
-    if gaussian.any():
-        indices = np.flatnonzero(gaussian)
-        gaussian_positions = {int(index): slot for slot, index in enumerate(indices)}
-        timestamps = np.array([messages[i].timestamp for i in indices])
-        means = np.array([params(messages[i].client_id)[0] for i in indices])
-        variances = np.array([params(messages[i].client_id)[1] for i in indices])
-        gaussian_matrix = np.empty((indices.size, indices.size), dtype=float)
-        for slot, index in enumerate(indices):
-            # one batched column per message over the rows above it: the
-            # strict upper triangle, exactly the entries consumed below
-            message_j = messages[index]
-            mean_j, variance_j = params(message_j.client_id)
-            gaussian_matrix[:slot, slot] = batched_gaussian_probabilities(
-                timestamps[:slot],
-                means[:slot],
-                variances[:slot],
-                message_j.timestamp,
-                mean_j,
-                variance_j,
-            )
-        if stats is not None:
-            stats.vectorized_evaluations += indices.size * (indices.size - 1) // 2
-
-    # bucket the non-closed-form upper-triangle pairs by ordered client pair
-    # and evaluate each bucket as one batched table interpolation (skipped
-    # entirely on all-Gaussian message sets)
-    buckets: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-    if not gaussian.all():
-        all_timestamps = np.array([m.timestamp for m in messages])
-        for index_i in range(n):
-            client_i = messages[index_i].client_id
-            for index_j in range(index_i + 1, n):
-                if gaussian[index_i] and gaussian[index_j]:
-                    continue
-                buckets.setdefault((client_i, messages[index_j].client_id), []).append(
-                    (index_i, index_j)
-                )
-    table_values: Dict[Tuple[int, int], float] = {}
-    for (client_i, client_j), pairs in buckets.items():
-        table = tables.table(client_i, client_j)
-        if table is None:
-            continue  # scalar fallback in the assembly loop below
-        ii = np.fromiter((pair[0] for pair in pairs), dtype=np.intp, count=len(pairs))
-        jj = np.fromiter((pair[1] for pair in pairs), dtype=np.intp, count=len(pairs))
-        values = _interp_table(all_timestamps[jj] - all_timestamps[ii], table)
-        if stats is not None:
-            stats.table_evaluations += values.size
-        for pair, value in zip(pairs, values):
-            table_values[pair] = float(value)
-
-    probabilities: Dict[Tuple[MessageKey, MessageKey], float] = {}
-    for index_i in range(n):
-        key_i = messages[index_i].key
-        for index_j in range(index_i + 1, n):
-            key_j = messages[index_j].key
-            if gaussian[index_i] and gaussian[index_j]:
-                p = float(
-                    gaussian_matrix[gaussian_positions[index_i], gaussian_positions[index_j]]
-                )
-            elif (index_i, index_j) in table_values:
-                p = table_values[(index_i, index_j)]
-            else:
-                p = model.preceding_probability(messages[index_i], messages[index_j])
-                if stats is not None:
-                    stats.scalar_evaluations += 1
-            probabilities[(key_i, key_j)] = p
-            probabilities[(key_j, key_i)] = 1.0 - p
-    return LikelyHappenedBefore(messages, probabilities)
-
-
 def strict_boundary_strengths_matrix(matrix: np.ndarray) -> np.ndarray:
     """Strict-rule boundary strengths from an order-permuted matrix.
 
     ``matrix[a][b]`` is ``P(order[a] precedes order[b])``; the returned
-    ``strengths[k] = min_{a <= k < b} matrix[a][b]`` matches
-    :func:`repro.core.batching._strict_boundary_strengths` via two
+    ``strengths[k] = min_{a <= k < b} matrix[a][b]`` is the least confident
+    pair straddling the boundary after position ``k``, computed by two
     cumulative-minimum passes (down the columns, then right-to-left along the
-    rows) instead of a per-boundary scan.
+    rows) instead of a per-boundary scan.  The per-pair fold it replaced is
+    the test oracle in ``tests/reference/batching_reference.py``.
     """
     n = matrix.shape[0]
     if n < 2:
@@ -674,6 +580,16 @@ class IncrementalPrecedenceEngine:
         """Copy of the live pairwise matrix (arrival order, diagonal 0.5)."""
         n = self.size
         return self._matrix[:n, :n].copy()
+
+    def tournament(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(direction, scores, matrix)`` of the tracked messages, in arrival order.
+
+        Views of the live kept-edge direction matrix, its row sums and the
+        pairwise matrix, as :func:`tournament_order` takes them; the next
+        update overwrites them.
+        """
+        n = self.size
+        return self._direction[:n, :n], self._scores[:n], self._matrix[:n, :n]
 
     # ---------------------------------------------------------------- updates
     def _params_for(self, client_id: str) -> Optional[Tuple[float, float]]:
@@ -950,11 +866,11 @@ class IncrementalPrecedenceEngine:
         """Message positions in :func:`tournament_order`'s linear order, and
         whether the tournament was transitive (the cyclic case draws from the
         shared generator and counts a cycle resolution)."""
-        n = self.size
+        direction, scores, matrix = self.tournament()
         permutation, removed = tournament_order(
-            self._direction[:n, :n],
-            self._scores[:n],
-            self._matrix[:n, :n],
+            direction,
+            scores,
+            matrix,
             self._messages,
             self._cycle_policy,
             self._rng,

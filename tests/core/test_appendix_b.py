@@ -6,9 +6,9 @@ and with threshold 0.75 the batches {A}, {B, C}, {D}.
 """
 
 import pytest
+from batching_reference import form_batches
 from graph_reference import TournamentGraph
 
-from repro.core.batching import form_batches
 from repro.core.config import TommyConfig
 from repro.core.relation import LikelyHappenedBefore
 from repro.core.sequencer import TommySequencer

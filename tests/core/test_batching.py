@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from batching_reference import _strict_boundary_strengths, form_batches
 
-from repro.core.batching import _strict_boundary_strengths, form_batches
 from repro.core.relation import LikelyHappenedBefore
 from tests.conftest import make_message
 

@@ -9,11 +9,11 @@ topological order.
 from fractions import Fraction
 
 import numpy as np
+from batching_reference import form_batches
 from graph_reference import TournamentGraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batching import form_batches
 from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel, gaussian_preceding_probability
 from repro.core.relation import LikelyHappenedBefore

@@ -9,20 +9,19 @@ workloads.
 
 import numpy as np
 import pytest
+from batching_reference import _strict_boundary_strengths
 from online_reference import ReferenceOnlineSequencer
 
-from repro.core.batching import _strict_boundary_strengths
 from repro.core.config import TommyConfig
 from repro.core.engine import (
-    EngineStats,
     IncrementalPrecedenceEngine,
-    build_relation,
     cross_probability_matrix,
     strict_boundary_strengths_matrix,
 )
 from repro.core.online import OnlineTommySequencer
 from repro.core.probability import PrecedenceModel
 from repro.core.relation import LikelyHappenedBefore
+from repro.core.sequencer import TommySequencer
 from repro.distributions.mixtures import MixtureDistribution
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import Heartbeat, TimestampedMessage
@@ -398,7 +397,7 @@ def test_strict_boundary_strengths_matrix_matches_scalar_path():
     assert list(vectorized) == scalar
 
 
-def test_build_relation_matches_from_model_bitwise():
+def test_relation_for_matches_from_model_bitwise():
     rng = np.random.default_rng(11)
     model = PrecedenceModel()
     mixed = gaussian_distributions(rng, 3)
@@ -412,11 +411,9 @@ def test_build_relation_matches_from_model_bitwise():
         TimestampedMessage(clients[int(rng.integers(len(clients)))], float(rng.normal(0, 1)), message_id=800 + k)
         for k in range(10)
     ]
-    fast_model = PrecedenceModel()
-    for client, distribution in mixed.items():
-        fast_model.register_client(client, distribution)
-    stats = EngineStats()
-    fast = build_relation(messages, fast_model, stats=stats)
+    sequencer = TommySequencer(mixed)
+    fast = sequencer.relation_for(messages)
+    stats = sequencer.engine_stats
     slow = LikelyHappenedBefore.from_model(messages, model)
     for key_a in slow.message_keys:
         for key_b in slow.message_keys:

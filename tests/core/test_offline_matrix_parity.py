@@ -12,12 +12,12 @@ Appendix B matrix, and on whole populations sequenced through ``sequence()``.
 
 import numpy as np
 import pytest
+from batching_reference import form_batches
 from graph_reference import TournamentGraph, resolve_cycles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_appendix_b import APPENDIX_B_MATRIX
 
-from repro.core.batching import form_batches
 from repro.core.config import TommyConfig
 from repro.core.cycles import CYCLE_POLICIES
 from repro.core.relation import LikelyHappenedBefore

@@ -1,10 +1,13 @@
 """Tests for the offline Tommy sequencer."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.config import TommyConfig
 from repro.core.sequencer import TommySequencer
 from repro.distributions.parametric import GaussianDistribution
+from repro.experiments.figure5 import _gaussian_factory
 from repro.metrics.ras import rank_agreement_score
 from repro.workloads.arrivals import UniformGapArrivals
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -60,9 +63,17 @@ def test_high_uncertainty_client_pulls_others_into_its_batch():
 
 
 def test_unregistered_client_raises():
-    sequencer = TommySequencer(gaussian_clients({"a": 1.0}))
+    sequencer = TommySequencer(gaussian_clients({"a": 1.0, "b": 1.0}))
+    sequencer.sequence([make_message("a", 0.0), make_message("b", 0.5)])
+    stats = sequencer.engine_stats.as_dict()
+    state = sequencer._rng.bit_generator.state
     with pytest.raises(KeyError):
-        sequencer.sequence([make_message("a", 0.0), make_message("unknown", 1.0)])
+        sequencer.sequence(
+            [make_message("a", 1.0), make_message("b", 1.5), make_message("unknown", 2.0)]
+        )
+    # every client is checked before the first message is priced
+    assert sequencer.engine_stats.as_dict() == stats
+    assert sequencer._rng.bit_generator.state == state
 
 
 def test_register_client_after_construction():
@@ -162,3 +173,32 @@ def test_wide_burst_is_partitioned_into_ranked_batches(
     assert result.batch_sizes == batch_sizes
     breakdown = rank_agreement_score(result, messages)
     assert (breakdown.correct_pairs, breakdown.incorrect_pairs) == (correct_pairs, incorrect_pairs)
+
+
+@pytest.mark.parametrize("mode", ["adjacent", "strict"])
+def test_thousand_messages_sequence_on_one_matrix(mode):
+    # 1,000 messages: the engine's n x n matrix and its permuted copies fit
+    # in 64 MiB; an n^2-entry dict of message-key pairs does not
+    scenario = build_scenario(
+        ScenarioConfig(
+            num_clients=100,
+            arrivals=UniformGapArrivals(messages_per_client=10, gap=1.0, jitter_fraction=0.2),
+            distribution_factory=_gaussian_factory(5.0, 0.5),
+            seed=1,
+        )
+    )
+    messages = list(scenario.messages)
+    config = TommyConfig(batching_mode=mode)
+    sequencer = TommySequencer(scenario.client_distributions, config)
+    tracemalloc.start()
+    try:
+        result = sequencer.sequence(messages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert sequencer.engine_stats.vectorized_evaluations == 499_500
+    reference = TommySequencer(scenario.client_distributions, config)
+    expected = reference.sequence_relation(reference.relation_for(messages))
+    assert result.batches == expected.batches
+    assert repr(result.metadata) == repr(expected.metadata)

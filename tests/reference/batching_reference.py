@@ -1,4 +1,11 @@
-"""Threshold batching of a linear message order (paper §3.4).
+"""The reference oracle for threshold batching (paper §3.4): a relation read pair by pair.
+
+``form_batches`` is the batching ``TommySequencer`` ran before it ordered and
+batched on the engine's matrix, moved here verbatim: it reads every boundary
+probability from a :class:`~repro.core.relation.LikelyHappenedBefore` by key,
+and ``_strict_boundary_strengths`` folds the strict rule's straddling minima
+one pair at a time.  The graph-pipeline parity tests batch with it, so the
+oracle shares no batching code with the sequencer it checks.
 
 Given the extracted linear order and the preceding-probabilities of adjacent
 messages, a batch boundary is inserted between messages ``i`` and ``j``

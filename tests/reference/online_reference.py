@@ -16,9 +16,9 @@ and event-loop counters.
 
 from typing import List, Optional, Sequence, Tuple
 
+from batching_reference import form_batches
 from graph_reference import TournamentGraph, resolve_cycles
 
-from repro.core.batching import form_batches
 from repro.core.online import OnlineTommySequencer
 from repro.core.relation import LikelyHappenedBefore
 from repro.network.message import TimestampedMessage

@@ -94,6 +94,14 @@ RETIRED = {
         "sealed-bid auction, reference clock, oracle and Lamport modules had no caller "
         "outside tests/",
     ),
+    "one-offline-path": (
+        r"\b(build_relation|form_batches|BatchingOutcome|_strict_boundary_strengths)\b"
+        r"|repro\.core\.batching",
+        ("src",),
+        "one offline path: TommySequencer orders and batches on the engine's matrix; no "
+        "n^2-entry relation dict build or pair-by-pair batching in src/ (the per-pair "
+        "batching is the oracle tests/reference/batching_reference.py)",
+    ),
 }
 
 
@@ -119,6 +127,11 @@ PUT_BACK = [
     ("src-holds-what-runs", "clock = ReferenceClock(loop)"),
     ("src-holds-what-runs", "sequencer = OracleSequencer()"),
     ("src-holds-what-runs", "clock = LamportClock()"),
+    ("one-offline-path", "relation = build_relation(messages, model)"),
+    ("one-offline-path", "outcome = form_batches(order, relation, 0.75)"),
+    ("one-offline-path", "def batch(order) -> BatchingOutcome:"),
+    ("one-offline-path", "strengths = _strict_boundary_strengths(order, relation)"),
+    ("one-offline-path", "from repro.core.batching import form_batches"),
 ]
 
 
