@@ -82,11 +82,6 @@ class LocalClock:
         return self._distribution
 
     @property
-    def drift_model(self) -> DriftModel:
-        """The drift model applied on top of the sampled offsets."""
-        return self._drift
-
-    @property
     def reads(self) -> int:
         """Number of reads performed so far."""
         return self._reads

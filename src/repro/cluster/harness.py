@@ -67,7 +67,6 @@ class ClusterTransport:
         delay_model: Optional[DelayModel] = None,
         ordered: bool = True,
         heartbeat_interval: Optional[float] = None,
-        drop_probability: float = 0.0,
     ) -> ClientEndpoint:
         """Create a client endpoint on its owner shard's transport."""
         shard = self._cluster.router.shard_of(client_id)
@@ -77,7 +76,6 @@ class ClusterTransport:
             delay_model=delay_model,
             ordered=ordered,
             heartbeat_interval=heartbeat_interval,
-            drop_probability=drop_probability,
         )
 
     def clients(self) -> Dict[str, ClientEndpoint]:

@@ -50,13 +50,11 @@ class IntakeDedupeGate:
         prune_horizon: bool = True,
         telemetry: Optional[Telemetry] = None,
         clock: Optional[Callable[[], float]] = None,
-        metric_prefix: str = "cluster",
     ) -> None:
         self._enabled = bool(enabled)
         self._prune = bool(prune_horizon)
         self._obs = resolve(telemetry)
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._prefix = metric_prefix
         self._seen_keys: Set[Tuple[str, int]] = set()
         self._horizon: Dict[str, int] = {}
         self._retained: Dict[str, List[Tuple[int, Tuple[str, int]]]] = {}
@@ -88,7 +86,7 @@ class IntakeDedupeGate:
     def _note_duplicate(self, item: TimestampedMessage) -> None:
         self._duplicates += 1
         if self._obs.enabled:
-            self._obs.count(f"{self._prefix}.duplicates_suppressed")
+            self._obs.count("cluster.duplicates_suppressed")
             self._obs.event(
                 "gate",
                 "duplicate_suppressed",
@@ -121,8 +119,8 @@ class IntakeDedupeGate:
             self._retained[client_id] = keep
             self._keys_pruned += pruned
             if self._obs.enabled:
-                self._obs.count(f"{self._prefix}.dedupe_keys_pruned", pruned)
-                self._obs.gauge(f"{self._prefix}.dedupe_seen_keys", len(self._seen_keys))
+                self._obs.count("cluster.dedupe_keys_pruned", pruned)
+                self._obs.gauge("cluster.dedupe_seen_keys", len(self._seen_keys))
 
     def is_duplicate(self, item: Union[TimestampedMessage, Heartbeat]) -> bool:
         """Return ``True`` when ``item`` must be rejected (messages only).
@@ -155,7 +153,7 @@ class IntakeDedupeGate:
             if horizon is None or sequence > horizon:
                 self.advance_horizon(item.client_id, sequence)
         if self._obs.enabled:
-            self._obs.gauge(f"{self._prefix}.dedupe_seen_keys", len(self._seen_keys))
+            self._obs.gauge("cluster.dedupe_seen_keys", len(self._seen_keys))
         return False
 
     def admit(self, item: Union[TimestampedMessage, Heartbeat]) -> bool:

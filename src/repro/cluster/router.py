@@ -181,10 +181,6 @@ class ShardRouter:
         """The shard currently owning ``client_id`` (assigning if unseen)."""
         return self.assign(client_id)
 
-    def is_routed(self, client_id: str) -> bool:
-        """True when ``client_id`` already has a sticky assignment."""
-        return client_id in self._shard_of
-
     def clients_of(self, shard: int) -> List[str]:
         """Client ids currently owned by ``shard`` (sorted)."""
         self._check_shard(shard)

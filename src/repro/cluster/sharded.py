@@ -36,7 +36,6 @@ from repro.obs.telemetry import Telemetry, resolve
 from repro.runtime.base import Scheduler
 from repro.sequencers.base import SequencingResult
 from repro.simulation.entity import Entity
-from repro.sync.estimator import OffsetEstimator
 from repro.sync.probe import SyncProbe
 from repro.sync.refresh import DistributionRefreshLoop
 
@@ -78,7 +77,13 @@ class ShardState:
 
 
 class ShardedSequencer(Entity):
-    """A cluster of per-shard online Tommy sequencers with cross-shard merge."""
+    """A cluster of per-shard online Tommy sequencers with cross-shard merge.
+
+    The chaos harness's live cluster (the runtimes host shards through
+    :mod:`repro.runtime.host` instead).  The entity is named ``"cluster"``
+    and shard ``i``'s sequencer ``"cluster-shard-i"``.  :meth:`attach_learning`
+    refreshes distributions with the learner's default estimator.
+    """
 
     #: Seen-key count past which :meth:`observability_report` flags the
     #: exactly-once gate's memory growth.  With the delivery-horizon pruning
@@ -97,14 +102,13 @@ class ShardedSequencer(Entity):
         policy: Optional[ShardingPolicy] = None,
         heartbeat_interval: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
-        name: str = "cluster",
         dedupe_intake: bool = False,
         dedupe_prune_horizon: bool = True,
         telemetry: Optional[Telemetry] = None,
         merge_topology: str = "flat",
         merge_fanout: int = 2,
     ) -> None:
-        super().__init__(loop, name)
+        super().__init__(loop, "cluster")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive when given")
         self._config = config if config is not None else TommyConfig()
@@ -121,7 +125,7 @@ class ShardedSequencer(Entity):
                 {client: self._distributions[client] for client in shard_clients},
                 config=self._config,
                 known_clients=shard_clients,
-                name=f"{name}-shard-{index}",
+                name=f"cluster-shard-{index}",
                 telemetry=telemetry,
                 shard_index=index,
             )
@@ -295,7 +299,6 @@ class ShardedSequencer(Entity):
         window: int = 256,
         refresh_every: int = 32,
         min_observations: int = 8,
-        estimator: Optional[OffsetEstimator] = None,
     ) -> DistributionRefreshLoop:
         """Attach a probe-driven refresh loop feeding this cluster.
 
@@ -309,7 +312,6 @@ class ShardedSequencer(Entity):
             window=window,
             refresh_every=refresh_every,
             min_observations=min_observations,
-            estimator=estimator,
             telemetry=self._telemetry,
         )
         return self._refresh_loop
@@ -367,11 +369,6 @@ class ShardedSequencer(Entity):
     def dedupe_keys_pruned(self) -> int:
         """Seen keys released by the delivery-horizon pruning rule so far."""
         return self._gate.keys_pruned
-
-    @property
-    def intake_gate(self) -> IntakeDedupeGate:
-        """The cluster-boundary exactly-once gate (shared with the live edge)."""
-        return self._gate
 
     def _is_duplicate(self, item: Union[TimestampedMessage, Heartbeat]) -> bool:
         """Exactly-once gate at the cluster boundary (messages only).

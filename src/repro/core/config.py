@@ -45,15 +45,12 @@ class TommyConfig:
         ordered channels); ``"bounded_delay"`` waits ``max_network_delay``
         after a message's timestamp; ``"none"`` disables the check.
     max_network_delay:
-        Bound used by the ``"bounded_delay"`` completeness mode.
-    max_batch_age:
-        Liveness guard for online sequencing (paper §3.5 notes that an
-        adverse arrival pattern or a failed client can block emission
-        indefinitely; the heartbeat rule "may cost liveness").  When set, a
-        candidate batch whose oldest message has been pending longer than
-        this many seconds is force-emitted even if the completeness rule or
-        the safe-emission wait has not been satisfied.  ``None`` (default)
-        preserves the paper's blocking behaviour.
+        Bound used by the ``"bounded_delay"`` completeness mode; a
+        non-negative number (NaN is rejected: it would schedule the next
+        emission check at no time at all).  The online sequencer has no
+        liveness guard: as in the paper (§3.5), a batch waits for its
+        safe-emission time and the completeness rule, so under the
+        heartbeat rule a failed client blocks emission.
     tie_epsilon:
         Probabilities within ``tie_epsilon`` of 0.5 are treated as exact ties
         when building the tournament (the paper assumes no ties; we break
@@ -68,7 +65,6 @@ class TommyConfig:
     batching_mode: str = "adjacent"
     completeness_mode: str = "heartbeat"
     max_network_delay: float = 0.0
-    max_batch_age: Optional[float] = None
     tie_epsilon: float = 0.0
     seed: Optional[int] = None
 
@@ -87,10 +83,10 @@ class TommyConfig:
             raise ValueError(f"unknown cycle_policy {self.cycle_policy!r}")
         if self.completeness_mode not in {"heartbeat", "bounded_delay", "none"}:
             raise ValueError(f"unknown completeness_mode {self.completeness_mode!r}")
-        if self.max_network_delay < 0:
-            raise ValueError("max_network_delay must be non-negative")
-        if self.max_batch_age is not None and self.max_batch_age <= 0:
-            raise ValueError("max_batch_age must be positive when given")
+        if not self.max_network_delay >= 0:
+            raise ValueError(
+                f"max_network_delay must be non-negative, got {self.max_network_delay!r}"
+            )
         if not 0.0 <= self.tie_epsilon < 0.5:
             raise ValueError("tie_epsilon must be in [0, 0.5)")
 

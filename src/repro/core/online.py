@@ -131,7 +131,6 @@ class OnlineTommySequencer(Entity):
         self._next_rank = 0
         self._check_event: Optional[Event] = None
         self._extension_count = 0
-        self._forced_emissions = 0
         self._distribution_refreshes = 0
         self._on_emit: Optional[Callable[[EmittedBatch], None]] = None
 
@@ -169,11 +168,6 @@ class OnlineTommySequencer(Entity):
     def extension_count(self) -> int:
         """How many times a scheduled emission was deferred by new arrivals."""
         return self._extension_count
-
-    @property
-    def forced_emissions(self) -> int:
-        """Batches emitted by the ``max_batch_age`` liveness guard."""
-        return self._forced_emissions
 
     @property
     def distribution_refreshes(self) -> int:
@@ -386,13 +380,6 @@ class OnlineTommySequencer(Entity):
             self.cancel(self._check_event)
         self._check_event = self.call_at(when, self._emission_check)
 
-    def _batch_age(self, candidate: Sequence[TimestampedMessage]) -> float:
-        """Age (seconds) of the candidate's oldest arrival at the sequencer."""
-        arrivals = [
-            self._arrival_times.get(message.key, self.now) for message in candidate
-        ]
-        return self.now - min(arrivals)
-
     def _emission_check(self) -> None:
         if not self._obs.enabled:
             self._run_emission_check()
@@ -419,44 +406,20 @@ class OnlineTommySequencer(Entity):
             if not candidate:
                 return
             safe_time, horizon = self._bounds(candidate)
-            max_age = self._config.max_batch_age
-            # the guard must use the same float expression as the deadline it
-            # schedules: ``now - oldest >= max_age`` can be false while
-            # ``oldest + max_age <= now`` holds, and that disagreement used to
-            # respin the check at the same instant forever (livelock)
-            if max_age is not None and self.now >= self._forced_deadline(candidate, float("inf")):
-                # liveness guard: a failed client or adverse arrival pattern must
-                # not block the sequencer forever (paper §3.5 liveness caveat)
-                self._forced_emissions += 1
-                self._emit(candidate, safe_time)
-                emitted_any = True
-                continue
             if self.now >= safe_time and self._completeness_satisfied(horizon):
                 self._emit(candidate, safe_time)
                 emitted_any = True
             elif self.now < safe_time:
-                self._schedule_check(min(safe_time, self._forced_deadline(candidate, safe_time)))
+                self._schedule_check(safe_time)
                 return
             elif self._config.completeness_mode == "bounded_delay":
                 # completeness will be satisfied by the passage of time alone
-                deadline = horizon + self._config.max_network_delay
-                self._schedule_check(min(deadline, self._forced_deadline(candidate, deadline)))
+                self._schedule_check(horizon + self._config.max_network_delay)
                 return
             else:
-                # waiting on completeness; a future heartbeat/message (or the
-                # liveness guard's deadline) will trigger the next check
-                if max_age is not None:
-                    self._schedule_check(self._forced_deadline(candidate, float("inf")))
+                # waiting on completeness; a future heartbeat/message will
+                # trigger the next check
                 return
-
-    def _forced_deadline(self, candidate: Sequence[TimestampedMessage], fallback: float) -> float:
-        """Absolute time at which the liveness guard would force emission."""
-        if self._config.max_batch_age is None:
-            return fallback
-        oldest_arrival = min(
-            self._arrival_times.get(message.key, self.now) for message in candidate
-        )
-        return oldest_arrival + self._config.max_batch_age
 
     def _emit(self, candidate: List[TimestampedMessage], safe_time: float) -> None:
         batch = SequencedBatch(rank=self._next_rank, messages=tuple(candidate), emitted_at=self.now)
@@ -506,7 +469,6 @@ class OnlineTommySequencer(Entity):
             "unheard_clients": tuple(sorted(self._unheard_clients)),
             "next_rank": self._next_rank,
             "extension_count": self._extension_count,
-            "forced_emissions": self._forced_emissions,
             "distribution_refreshes": self._distribution_refreshes,
             "rng_state": self._rng.bit_generator.state,
         }
@@ -537,7 +499,6 @@ class OnlineTommySequencer(Entity):
             self._engine.add_message(message)
         self._next_rank = int(state["next_rank"])
         self._extension_count = int(state["extension_count"])
-        self._forced_emissions = int(state["forced_emissions"])
         self._distribution_refreshes = int(state["distribution_refreshes"])
         if self._pending:
             self._schedule_check()
@@ -581,7 +542,6 @@ class OnlineTommySequencer(Entity):
             "threshold": self._config.threshold,
             "completeness_mode": self._config.completeness_mode,
             "extensions": self._extension_count,
-            "forced_emissions": self._forced_emissions,
             "distribution_refreshes": self._distribution_refreshes,
             "pending": len(self._pending),
             "engine": self._engine.stats.as_dict(),

@@ -17,7 +17,7 @@ which is the loopback half of the bitwise parity test.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.edge import protocol
 from repro.edge.protocol import Frame, FrameDecoder, ProtocolError
@@ -87,8 +87,8 @@ class EdgeClient:
             )
         return frame
 
-    async def _expect(self, frame_type: int, timeout: float = 5.0) -> Frame:
-        frame = await self.read_frame(timeout=timeout)
+    async def _expect(self, frame_type: int) -> Frame:
+        frame = await self.read_frame()
         if frame.type != frame_type:
             raise ProtocolError(
                 protocol.ERR_UNKNOWN_TYPE,
@@ -116,22 +116,18 @@ class EdgeClient:
         await self.drain()
         return dict((await self._expect(protocol.HEARTBEAT_ACK)).payload)
 
-    async def stream(
-        self, messages: Iterable[TimestampedMessage], collect_acks: bool = True
-    ) -> List[Dict[str, object]]:
+    async def stream(self, messages: Iterable[TimestampedMessage]) -> List[Dict[str, object]]:
         """Pipeline a burst: write every MSG first, then collect the acks.
 
         This is the firehose mode — nothing throttles the writes except the
-        server's bounded intake queue (and TCP flow control once the server
-        stops reading).
+        server's intake bound (it stops reading a connection once
+        ``max_inflight`` items wait for an advance) and TCP flow control.
         """
         count = 0
         for message in messages:
             self.write_frame(protocol.MSG, protocol.message_payload(message))
             count += 1
         await self.drain()
-        if not collect_acks:
-            return []
         acks = []
         for _ in range(count):
             acks.append(dict((await self._expect(protocol.MSG_ACK)).payload))
@@ -163,7 +159,6 @@ async def replay_workload(
     port: int,
     workload: ClusterWorkload,
     connections: int = 2,
-    client_ids: Optional[Sequence[str]] = None,
 ) -> int:
     """Stream a frozen workload through real sockets; returns admitted count.
 
@@ -174,7 +169,7 @@ async def replay_workload(
     genuinely multiplexes sources (rather than draining one connection at a
     time).
     """
-    ids = list(client_ids) if client_ids is not None else list(workload.client_ids)
+    ids = list(workload.client_ids)
     connections = max(1, min(connections, len(ids) or 1))
     owner = {client: index % connections for index, client in enumerate(sorted(ids))}
     slices: List[List[TimestampedMessage]] = [[] for _ in range(connections)]

@@ -80,7 +80,7 @@ ERR_MALFORMED_FRAME = "malformed-frame"
 ERR_UNKNOWN_TYPE = "unknown-frame-type"
 ERR_UNKNOWN_CLIENT = "unknown-client"
 ERR_BAD_PAYLOAD = "bad-payload"
-#: the server itself failed (intake pump / dispatcher died); the run is over
+#: the server itself failed (a dispatcher call raised); the run is over
 ERR_SERVER_FAILURE = "server-failure"
 
 

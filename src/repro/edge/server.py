@@ -67,7 +67,7 @@ class _Connection(asyncio.Protocol):
 
     def __init__(self, server: "EdgeServer", index: int) -> None:
         self._server = server
-        self._decoder = FrameDecoder(server._max_frame_bytes)
+        self._decoder = FrameDecoder()
         # decoded frames not yet handled: non-empty only at the intake bound
         self._frames: Deque[Frame] = deque()
         self.transport: Optional[asyncio.Transport] = None
@@ -254,7 +254,6 @@ class EdgeServer:
         port: int = 0,
         max_inflight: int = 64,
         telemetry: Optional[Telemetry] = None,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be positive")
@@ -262,7 +261,6 @@ class EdgeServer:
         self._host = host
         self._port = port
         self._max_inflight = int(max_inflight)
-        self._max_frame_bytes = int(max_frame_bytes)
         self._obs = resolve(telemetry)
         self._started_at = time.monotonic()
         self._server: Optional[asyncio.base_events.Server] = None

@@ -34,9 +34,10 @@ def _default_scenario(
     num_clients: int = 60,
     gap: float = 10.0,
     clock_std: float = 40.0,
-    messages_per_client: int = 1,
     seed: int = 3,
 ) -> Scenario:
+    """One message per client at uniform gaps, heterogeneous Gaussian clocks."""
+
     def factory(client_index: int, rng: np.random.Generator) -> GaussianDistribution:
         sigma = float(rng.uniform(0.5 * clock_std, 1.5 * clock_std)) if clock_std > 0 else 1e-9
         return GaussianDistribution(float(rng.normal(0.0, clock_std * 0.1)), max(sigma, 1e-9))
@@ -44,9 +45,7 @@ def _default_scenario(
     return build_scenario(
         ScenarioConfig(
             num_clients=num_clients,
-            arrivals=UniformGapArrivals(
-                messages_per_client=messages_per_client, gap=gap, jitter_fraction=0.2
-            ),
+            arrivals=UniformGapArrivals(messages_per_client=1, gap=gap, jitter_fraction=0.2),
             distribution_factory=factory,
             seed=seed,
         )
@@ -99,13 +98,12 @@ def run_psafe_sweep(
 
 
 # ----------------------------------------------------------------------- ABL-DIST
-def run_distribution_ablation(
-    num_clients: int = 40,
-    gap: float = 10.0,
-    clock_std: float = 40.0,
-    seed: int = 5,
-) -> List[Dict[str, object]]:
-    """§3.3: Gaussian closed form vs FFT convolution on non-Gaussian offsets."""
+def run_distribution_ablation(num_clients: int = 40) -> List[Dict[str, object]]:
+    """§3.3: Gaussian closed form vs FFT convolution on non-Gaussian offsets.
+
+    One message per client at gap 10 under clock spreads around 40 (seed 5).
+    """
+    clock_std = 40.0
 
     def gaussian_factory(index: int, rng: np.random.Generator) -> GaussianDistribution:
         return GaussianDistribution(0.0, max(float(rng.uniform(0.5, 1.5)) * clock_std, 1e-9))
@@ -135,9 +133,9 @@ def run_distribution_ablation(
         scenario = build_scenario(
             ScenarioConfig(
                 num_clients=num_clients,
-                arrivals=UniformGapArrivals(messages_per_client=1, gap=gap, jitter_fraction=0.2),
+                arrivals=UniformGapArrivals(messages_per_client=1, gap=10.0, jitter_fraction=0.2),
                 distribution_factory=factory,
-                seed=seed,
+                seed=5,
             )
         )
         messages = list(scenario.messages)
@@ -161,8 +159,6 @@ def run_distribution_ablation(
 def run_learning_ablation(
     probe_counts: Sequence[int] = (16, 64, 256),
     num_clients: int = 40,
-    gap: float = 15.0,
-    clock_std: float = 10.0,
     seed: int = 9,
 ) -> List[Dict[str, object]]:
     """§5: seeded (ground truth) vs probe-learned offset distributions.
@@ -170,9 +166,9 @@ def run_learning_ablation(
     For each probe budget, every client's Gaussian error distribution is
     re-estimated from that many noisy offset observations and Tommy is run
     with the estimates; the row for ``probes = 0`` is the seeded upper bound
-    the paper reports.
+    the paper reports.  Messages come at gap 15 under clock spreads around 10.
     """
-    scenario = _default_scenario(num_clients=num_clients, gap=gap, clock_std=clock_std, seed=seed)
+    scenario = _default_scenario(num_clients=num_clients, gap=15.0, clock_std=10.0, seed=seed)
     messages = list(scenario.messages)
     truth = scenario.client_distributions
     rng = np.random.default_rng(seed)
@@ -201,16 +197,12 @@ def run_learning_ablation(
 # ---------------------------------------------------------------------- ABL-SCALE
 def run_scaling_sweep(
     client_counts: Sequence[int] = (10, 25, 50, 100),
-    gap: float = 10.0,
-    clock_std: float = 40.0,
     seed: int = 13,
 ) -> List[Dict[str, object]]:
     """Sequencer cost and fairness as the number of clients grows."""
     rows: List[Dict[str, object]] = []
     for num_clients in client_counts:
-        scenario = _default_scenario(
-            num_clients=num_clients, gap=gap, clock_std=clock_std, seed=seed
-        )
+        scenario = _default_scenario(num_clients=num_clients, seed=seed)
         messages = list(scenario.messages)
         sequencer = TommySequencer(
             client_distributions=scenario.client_distributions, config=TommyConfig()

@@ -40,7 +40,6 @@ def run_chaos_sweep(
     num_clients: int = 24,
     messages_per_client: int = 4,
     seed: int = 7,
-    learning: bool = True,
 ) -> List[Dict[str, object]]:
     """Run the fault × intensity × shards matrix and return report rows.
 
@@ -60,7 +59,7 @@ def run_chaos_sweep(
             messages_per_client=messages_per_client,
             seed=seed,
         )
-        control = run_chaos_scenario(fault="none", settings=settings, learning=learning)
+        control = run_chaos_scenario(fault="none", settings=settings)
         for fault in faults:
             if fault == "none":
                 rows.append(chaos_row(control, control))
@@ -68,11 +67,6 @@ def run_chaos_sweep(
             if fault == "crash" and num_shards < 2:
                 continue
             for intensity in intensities:
-                report = run_chaos_scenario(
-                    fault=fault,
-                    intensity=intensity,
-                    settings=settings,
-                    learning=learning,
-                )
+                report = run_chaos_scenario(fault=fault, intensity=intensity, settings=settings)
                 rows.append(chaos_row(report, control))
     return rows

@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.merge import MergeOutcome, merge_fingerprint
 from repro.cluster.recipe import build_merge
-from repro.cluster.router import HashSharding, ShardingPolicy
-from repro.core.config import TommyConfig
+from repro.cluster.router import HashSharding
 from repro.experiments.runner import SequencerComparison, evaluate_result
 from repro.runtime.base import ClusterWorkload, resolve_backend
 from repro.workloads.cluster import build_cluster_scenario, region_affine_policy
@@ -38,7 +37,6 @@ class ClusterRunOutcome:
     run_wall_seconds: float
     message_count: int
     per_shard_emitted: List[int]
-    failovers: int
     streaming_wall_seconds: float
     streaming_parity: bool
     #: The backend's run details under ``"runtime"`` (:attr:`RuntimeOutcome.details`).
@@ -97,9 +95,6 @@ def run_cluster_scenario(
     num_clients: int,
     num_shards: int,
     seed: int = 21,
-    config: Optional[TommyConfig] = None,
-    policy: Optional[ShardingPolicy] = None,
-    num_regions: int = 4,
     merge_topology: str = "flat",
     merge_fanout: int = 2,
     runtime: str = "sim",
@@ -109,8 +104,9 @@ def run_cluster_scenario(
 ) -> ClusterRunOutcome:
     """Replay one multi-region scenario through an N-shard cluster.
 
-    ``policy`` defaults to region-affine placement derived from the
-    generated scenario (pass e.g. :class:`HashSharding` to ablate it).
+    Clients are placed region-affine (the sharding policy derived from the
+    generated scenario; one shard needs no placement and hashes), and every
+    shard runs the default :class:`~repro.core.config.TommyConfig`.
     ``merge_topology``/``merge_fanout`` select the merge tree the priced
     pairs are attributed to (``"binary"`` or ``"region"``; same pricing and
     merged order as ``"flat"``).
@@ -130,13 +126,11 @@ def run_cluster_scenario(
     the backend's live merge at drain time and ``streaming_parity`` checks
     the two orders are equal.
     """
-    placement = build_cluster_scenario(num_clients, num_regions=num_regions, seed=seed)
-    if policy is None:
-        policy = region_affine_policy(placement) if num_shards > 1 else HashSharding()
+    placement = build_cluster_scenario(num_clients, seed=seed)
+    policy = region_affine_policy(placement) if num_shards > 1 else HashSharding()
     workload = ClusterWorkload.from_scenario(
         placement,
         num_shards=num_shards,
-        config=config,
         policy=policy,
         merge_topology=merge_topology,
         merge_fanout=merge_fanout,
@@ -167,7 +161,6 @@ def run_cluster_scenario(
         per_shard_emitted=[
             sum(batch.size for batch in batches) for batches in outcome.shard_batches
         ],
-        failovers=0,
         streaming_wall_seconds=outcome.merge.wall_seconds,
         streaming_parity=merge_fingerprint(merge) == outcome.fingerprint(),
         observability={"runtime": outcome.details},
@@ -183,7 +176,6 @@ def run_cluster_sweep(
     shard_counts: Sequence[int] = (1, 2, 4),
     client_counts: Sequence[int] = (32, 64),
     seed: int = 21,
-    config: Optional[TommyConfig] = None,
     merge_topology: str = "flat",
     merge_fanout: int = 2,
     runtime: str = "sim",
@@ -199,7 +191,6 @@ def run_cluster_sweep(
                 num_clients=num_clients,
                 num_shards=num_shards,
                 seed=seed,
-                config=config,
                 merge_topology=merge_topology if num_shards > 1 else "flat",
                 merge_fanout=merge_fanout,
                 runtime=runtime,

@@ -30,24 +30,21 @@ from repro.workloads.scenario import ScenarioConfig, build_scenario
 class Figure5Settings:
     """Sweep settings for the Figure 5 reproduction.
 
-    The paper simulates 500 clients; the default here is smaller so the
-    benchmark finishes quickly — pass ``num_clients=500`` for paper scale.
+    The paper simulates 500 clients, one message each; the default here is
+    smaller so the benchmark finishes quickly — pass ``num_clients=500`` for
+    paper scale.  TrueTime's uncertainty interval is its default ±3σ.
     """
 
     num_clients: int = 80
-    messages_per_client: int = 1
     sigma_values: Tuple[float, ...] = (1.0, 20.0, 40.0, 60.0, 80.0, 100.0, 120.0)
     gap_values: Tuple[float, ...] = (5.0, 20.0, 80.0)
     threshold: float = 0.75
-    truetime_sigma_multiplier: float = 3.0
     sigma_heterogeneity: float = 0.5
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.num_clients < 2:
             raise ValueError("num_clients must be at least 2")
-        if self.messages_per_client < 1:
-            raise ValueError("messages_per_client must be at least 1")
         if not 0.0 <= self.sigma_heterogeneity < 1.0:
             raise ValueError("sigma_heterogeneity must be in [0, 1)")
 
@@ -104,7 +101,7 @@ def run_figure5_point(
         ScenarioConfig(
             num_clients=settings.num_clients,
             arrivals=UniformGapArrivals(
-                messages_per_client=settings.messages_per_client, gap=gap, jitter_fraction=0.2
+                messages_per_client=1, gap=gap, jitter_fraction=0.2
             ),
             distribution_factory=_gaussian_factory(clock_std, settings.sigma_heterogeneity),
             seed=settings.seed + int(clock_std * 1000) + int(gap * 17),
@@ -115,10 +112,7 @@ def run_figure5_point(
         client_distributions=distributions,
         config=TommyConfig(threshold=settings.threshold),
     )
-    truetime = TrueTimeSequencer(
-        client_distributions=distributions,
-        sigma_multiplier=settings.truetime_sigma_multiplier,
-    )
+    truetime = TrueTimeSequencer(client_distributions=distributions)
     messages = list(scenario.messages)
     tommy_eval = evaluate_result("tommy", tommy.sequence(messages), messages)
     truetime_eval = evaluate_result("truetime", truetime.sequence(messages), messages)

@@ -38,10 +38,12 @@ def _replay(
     distributions: Dict[str, OffsetDistribution],
     config: TommyConfig,
     learn: bool,
-    refresh_every: int = 16,
-    best_fraction: float = 0.5,
 ) -> Dict[str, object]:
-    """Stream the workload once; optionally refresh distributions live."""
+    """Stream the workload once; optionally refresh distributions live.
+
+    The live refresh re-estimates a client every 16 probes from the half of
+    its window with the shortest round trips.
+    """
     loop = EventLoop()
     sequencer = OnlineTommySequencer(
         loop, dict(distributions), config=config, name="tommy-learned"
@@ -51,8 +53,8 @@ def _replay(
         refresh = DistributionRefreshLoop(
             sequencer,
             method="empirical",
-            refresh_every=refresh_every,
-            estimator=OffsetEstimator(best_fraction=best_fraction),
+            refresh_every=16,
+            estimator=OffsetEstimator(best_fraction=0.5),
         )
 
     messages = list(workload.scenario.messages)
@@ -91,29 +93,22 @@ def run_learned_sweep(
     probe_budgets: Sequence[int] = (24, 96),
     num_clients: int = 16,
     messages_per_client: int = 2,
-    gap: float = 10.0,
-    clock_std: float = 30.0,
-    refresh_every: int = 16,
     seed: int = 23,
-    config: Optional[TommyConfig] = None,
 ) -> List[Dict[str, object]]:
     """One row per (probe budget, configuration): the live-learning payoff.
 
     Deterministic for fixed parameters; the ``oracle-seeded`` row is the
     ceiling, ``static-gaussian`` the floor, and ``live-learned`` should climb
-    from the floor toward the ceiling as the probe budget grows.
+    from the floor toward the ceiling as the probe budget grows.  The
+    sequencer runs at ``p_safe=0.99`` with no completeness wait.
     """
-    config = config if config is not None else TommyConfig(
-        p_safe=0.99, completeness_mode="none"
-    )
+    config = TommyConfig(p_safe=0.99, completeness_mode="none")
     rows: List[Dict[str, object]] = []
     for probes in probe_budgets:
         workload = build_learned_workload(
             num_clients=num_clients,
             messages_per_client=messages_per_client,
             probes_per_client=probes,
-            gap=gap,
-            clock_std=clock_std,
             seed=seed,
         )
         runs = {
@@ -124,13 +119,7 @@ def run_learned_sweep(
         for mode, (distributions, learn) in runs.items():
             row: Dict[str, object] = {"mode": mode, "probes_per_client": probes}
             row.update(
-                _replay(
-                    workload,
-                    distributions,
-                    config,
-                    learn=learn,
-                    refresh_every=refresh_every,
-                )
+                _replay(workload, distributions, config, learn=learn)
             )
             rows.append(row)
     return rows

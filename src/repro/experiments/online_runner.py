@@ -24,17 +24,27 @@ from repro.simulation.event_loop import EventLoop
 from repro.simulation.random_source import RandomSource
 
 
+#: Spacing (seconds) between one client's consecutive messages.
+MESSAGE_SPACING = 0.002
+#: Per-client channel delay: ``NETWORK_BASE_DELAY`` plus up to ``NETWORK_JITTER``.
+NETWORK_BASE_DELAY = 0.001
+NETWORK_JITTER = 0.0005
+#: Interval (seconds) of every client's heartbeats.
+HEARTBEAT_INTERVAL = 0.001
+
+
 @dataclass(frozen=True)
 class OnlineExperimentSettings:
-    """Configuration for one online sequencing run."""
+    """Configuration for one online sequencing run.
+
+    Message spacing, channel delay and heartbeat interval are the module
+    constants above; the population, clock spread, sequencer configuration,
+    run length and seed vary.
+    """
 
     num_clients: int = 10
     messages_per_client: int = 3
-    message_spacing: float = 0.002
     clock_std: float = 0.0005
-    network_base_delay: float = 0.001
-    network_jitter: float = 0.0005
-    heartbeat_interval: float = 0.001
     run_duration: float = 5.0
     config: TommyConfig = TommyConfig()
     seed: int = 11
@@ -93,9 +103,9 @@ def run_online_experiment(
         client = transport.add_client(
             client_id,
             clock,
-            delay_model=UniformJitterDelay(settings.network_base_delay, settings.network_jitter),
+            delay_model=UniformJitterDelay(NETWORK_BASE_DELAY, NETWORK_JITTER),
             ordered=True,
-            heartbeat_interval=settings.heartbeat_interval,
+            heartbeat_interval=HEARTBEAT_INTERVAL,
         )
         clients.append(client)
 
@@ -111,9 +121,9 @@ def run_online_experiment(
     for client_index, client in enumerate(clients):
         for message_index in range(settings.messages_per_client):
             offset = (
-                client_index * settings.message_spacing / max(settings.num_clients, 1)
-                + message_index * settings.message_spacing
-                + float(workload_rng.uniform(0.0, settings.message_spacing * 0.25))
+                client_index * MESSAGE_SPACING / max(settings.num_clients, 1)
+                + message_index * MESSAGE_SPACING
+                + float(workload_rng.uniform(0.0, MESSAGE_SPACING * 0.25))
             )
             loop.schedule_at(0.001 + offset, client.send, {"index": message_index})
         client.start_heartbeats()

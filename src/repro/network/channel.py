@@ -19,7 +19,6 @@ from repro.network.link import DelayModel
 from repro.network.message import TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
 from repro.simulation.entity import Entity
-from repro.simulation.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Scheduler
@@ -42,23 +41,16 @@ class Channel(Entity, abc.ABC):
         delay_model: DelayModel,
         rng: np.random.Generator,
         deliver: DeliveryCallback,
-        trace: Optional[TraceRecorder] = None,
-        drop_probability: float = 0.0,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         super().__init__(loop, name)
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(f"drop_probability must be in [0, 1), got {drop_probability!r}")
         self._delay_model = delay_model
         self._rng = rng
         self._deliver = deliver
-        self._trace = trace
         self._obs = resolve(telemetry)
-        self._drop_probability = float(drop_probability)
         self._fault_hook: Optional[FaultHook] = None
         self._sent = 0
         self._delivered = 0
-        self._dropped = 0
         self._fault_dropped = 0
         self._fault_copies = 0
 
@@ -73,13 +65,8 @@ class Channel(Entity, abc.ABC):
         return self._delivered
 
     @property
-    def dropped(self) -> int:
-        """Messages dropped by the loss process or an injected fault."""
-        return self._dropped
-
-    @property
     def fault_dropped(self) -> int:
-        """Messages dropped by the fault hook specifically."""
+        """Messages dropped by the fault hook (the only loss a channel has)."""
         return self._fault_dropped
 
     @property
@@ -100,19 +87,9 @@ class Channel(Entity, abc.ABC):
         self._sent += 1
         decision = self._fault_hook(item, self.now) if self._fault_hook is not None else None
         if decision is not None and decision.drop:
-            self._dropped += 1
             self._fault_dropped += 1
-            if self._trace is not None:
-                self._trace.record(self.now, self.name, "fault-drop", item=item)
             if self._obs.enabled:
                 self._obs.count("channel.fault_dropped")
-            return
-        if self._drop_probability > 0 and self._rng.random() < self._drop_probability:
-            self._dropped += 1
-            if self._trace is not None:
-                self._trace.record(self.now, self.name, "drop", item=item)
-            if self._obs.enabled:
-                self._obs.count("channel.dropped")
             return
         copies = 1 if decision is None else max(int(decision.copies), 1)
         self._fault_copies += copies - 1
@@ -132,8 +109,6 @@ class Channel(Entity, abc.ABC):
 
     def _do_deliver(self, item: Any) -> None:
         self._delivered += 1
-        if self._trace is not None:
-            self._trace.record(self.now, self.name, "deliver", item=item)
         if self._obs.enabled and isinstance(item, TimestampedMessage):
             self._obs.stage("channel_deliver", item, self.now)
         self._deliver(item)

@@ -18,7 +18,6 @@ from repro.network.link import ConstantDelay, DelayModel
 from repro.network.message import Heartbeat, TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
 from repro.simulation.entity import Entity
-from repro.simulation.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Scheduler
@@ -157,12 +156,10 @@ class Transport:
         self,
         loop: Scheduler,
         rng_factory: Callable[[str], np.random.Generator],
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._loop = loop
         self._rng_factory = rng_factory
-        self._trace = trace
         self._telemetry = telemetry
         self._sequencer = SequencerEndpoint(loop)
         self._clients: Dict[str, ClientEndpoint] = {}
@@ -201,7 +198,6 @@ class Transport:
         delay_model: Optional[DelayModel] = None,
         ordered: bool = True,
         heartbeat_interval: Optional[float] = None,
-        drop_probability: float = 0.0,
     ) -> ClientEndpoint:
         """Create a client endpoint plus its channel to the sequencer."""
         if client_id in self._clients:
@@ -214,8 +210,6 @@ class Transport:
             delay_model,
             self._rng_factory(f"channel:{client_id}"),
             self._sequencer.receive,
-            trace=self._trace,
-            drop_probability=drop_probability,
             telemetry=self._telemetry,
         )
         client = ClientEndpoint(

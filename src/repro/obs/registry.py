@@ -19,7 +19,7 @@ those dataclasses.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Union, runtime_checkable
+from typing import Callable, Dict, List, Protocol, Union, runtime_checkable
 
 
 @runtime_checkable
@@ -62,6 +62,10 @@ class Gauge:
         self.value = float(value)
 
 
+#: Raw samples a histogram keeps for its percentiles.
+HISTOGRAM_CAPACITY = 4096
+
+
 class Histogram:
     """A named distribution of observations with a bounded sample buffer.
 
@@ -83,7 +87,7 @@ class Histogram:
         "_samples",
     )
 
-    def __init__(self, name: str, capacity: int = 4096) -> None:
+    def __init__(self, name: str, capacity: int = HISTOGRAM_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"histogram capacity must be positive, got {capacity!r}")
         self.name = name
@@ -145,8 +149,7 @@ class Histogram:
 class MetricsRegistry:
     """Named counters/gauges/histograms plus attached snapshot sources."""
 
-    def __init__(self, histogram_capacity: int = 4096) -> None:
-        self._histogram_capacity = int(histogram_capacity)
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -167,13 +170,11 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name: str, capacity: Optional[int] = None) -> Histogram:
+    def histogram(self, name: str, capacity: int = HISTOGRAM_CAPACITY) -> Histogram:
         """Get or create the histogram ``name``."""
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(
-                name, capacity if capacity is not None else self._histogram_capacity
-            )
+            instrument = self._histograms[name] = Histogram(name, capacity)
         return instrument
 
     # --------------------------------------------------------------- sources

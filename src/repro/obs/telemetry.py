@@ -98,13 +98,12 @@ class Telemetry:
         self,
         stage_capacity: Optional[int] = None,
         event_capacity: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if stage_capacity is not None and stage_capacity < 1:
             raise ValueError("stage_capacity must be positive when given")
         if event_capacity is not None and event_capacity < 1:
             raise ValueError("event_capacity must be positive when given")
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._stage_capacity = stage_capacity
         self._event_capacity = event_capacity
         self._stages: List[StageRecord] = []

@@ -52,7 +52,6 @@ def run_instrumented_workload(
     workload: str = "cluster",
     num_shards: int = 4,
     num_clients: int = 24,
-    messages_per_client: int = 4,
     seed: int = 7,
     fault: str = "delay",
     intensity: float = 1.0,
@@ -62,15 +61,13 @@ def run_instrumented_workload(
     num_workers: Optional[int] = None,
     max_restarts: Optional[int] = None,
     on_shard_loss: str = "raise",
-    inject_crash: Optional[int] = None,
 ) -> InstrumentedRun:
     """Run the named workload with a fresh :class:`Telemetry` hub injected.
 
-    ``max_restarts``/``on_shard_loss`` tune the procs supervisor
-    (:class:`~repro.runtime.procs.RestartPolicy` budget and the degraded
-    mode once it is exhausted); ``inject_crash`` kills the worker owning
-    that shard mid-stream so the recovery path shows up in the trace.  All
-    three are procs-only and ignored on the sim runtime.
+    Every client sends four messages.  ``max_restarts``/``on_shard_loss``
+    tune the procs supervisor (:class:`~repro.runtime.procs.RestartPolicy`
+    budget and the degraded mode once it is exhausted); both are procs-only
+    and ignored on the sim runtime.
     """
     if workload not in WORKLOAD_NAMES:
         raise ValueError(f"unknown workload {workload!r}; expected one of {WORKLOAD_NAMES}")
@@ -81,9 +78,7 @@ def run_instrumented_workload(
                 f"workload {workload!r} requires the sim runtime "
                 "(faults and probe scheduling need the deterministic clock)"
             )
-        scenario = build_cluster_scenario(
-            num_clients, messages_per_client=messages_per_client, seed=seed
-        )
+        scenario = build_cluster_scenario(num_clients, messages_per_client=4, seed=seed)
         cluster_workload = ClusterWorkload.from_scenario(
             scenario,
             num_shards=num_shards,
@@ -99,9 +94,6 @@ def run_instrumented_workload(
             kwargs["restart_policy"] = RestartPolicy(max_restarts=max_restarts)
         if on_shard_loss != "raise":
             kwargs["on_shard_loss"] = on_shard_loss
-        if inject_crash is not None:
-            kwargs["inject_crash"] = inject_crash
-            kwargs["crash_point"] = "mid"
         with resolve_backend(runtime, telemetry=telemetry, **kwargs) as backend:
             outcome = backend.run(cluster_workload)
         return InstrumentedRun(
@@ -114,7 +106,6 @@ def run_instrumented_workload(
     settings = ChaosSettings(
         num_clients=num_clients,
         num_shards=num_shards,
-        messages_per_client=messages_per_client,
         seed=seed,
         merge_topology=merge_topology,
         merge_fanout=merge_fanout,

@@ -55,6 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Names accepted by :func:`resolve_backend` (and the CLI ``--runtime`` flag).
 RUNTIME_NAMES: Tuple[str, ...] = ("sim", "procs")
 
+#: How far past the last message the closing heartbeats fire (virtual
+#: seconds past its ``true_time``, clock seconds past its ``timestamp``).
+HEARTBEAT_SLACK = 1e-3
+
 
 @runtime_checkable
 class ClockHandle(Protocol):
@@ -142,7 +146,7 @@ class ClusterWorkload:
     """A cluster workload with timestamps generated *once*.
 
     The message tuple is the ground truth both backends replay: each message
-    arrives at ``true_time + replay_delay``, closing heartbeats fire at
+    arrives at its ``true_time``, closing heartbeats fire at
     :meth:`closing_heartbeat`.  Because the timestamps are frozen at
     construction, running the same workload on the sim and the real-process
     backend is an apples-to-apples comparison — same inputs, same per-shard
@@ -156,15 +160,11 @@ class ClusterWorkload:
     policy: Optional[ShardingPolicy] = None
     merge_topology: str = "flat"
     merge_fanout: int = 2
-    replay_delay: float = 0.0
     final_heartbeats: bool = True
-    heartbeat_slack: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be at least 1, got {self.num_shards!r}")
-        if self.replay_delay < 0:
-            raise ValueError("replay_delay must be non-negative")
         missing = {m.client_id for m in self.messages} - set(self.client_distributions)
         if missing:
             raise ValueError(f"messages from unregistered clients: {sorted(missing)}")
@@ -178,7 +178,6 @@ class ClusterWorkload:
         policy: Optional[ShardingPolicy] = None,
         merge_topology: str = "flat",
         merge_fanout: int = 2,
-        replay_delay: float = 0.0,
     ) -> "ClusterWorkload":
         """Freeze an offline :class:`~repro.workloads.scenario.Scenario`.
 
@@ -195,7 +194,6 @@ class ClusterWorkload:
             policy=policy,
             merge_topology=merge_topology,
             merge_fanout=merge_fanout,
-            replay_delay=replay_delay,
         )
 
     @property
@@ -216,12 +214,8 @@ class ClusterWorkload:
         """
         if not self.final_heartbeats or not self.messages:
             return None
-        end_time = (
-            max(message.true_time for message in self.messages)
-            + self.replay_delay
-            + self.heartbeat_slack
-        )
-        beacon = max(message.timestamp for message in self.messages) + self.heartbeat_slack
+        end_time = max(message.true_time for message in self.messages) + HEARTBEAT_SLACK
+        beacon = max(message.timestamp for message in self.messages) + HEARTBEAT_SLACK
         return end_time, beacon
 
     def build_router(self) -> ShardRouter:
@@ -239,10 +233,9 @@ class LiveClusterSpec:
     """Static cluster shape: a :class:`ClusterWorkload` minus its messages.
 
     The provisioned client population (with offset distributions), shard
-    count, sequencer config, merge topology, and the replay delay / closing
-    heartbeat slack used to mirror the frozen closing-horizon rule at drain
-    time.  The one spec type the procs coordinator and the live dispatcher
-    are built from; a frozen workload maps onto it via :meth:`from_workload`.
+    count, sequencer config and merge topology.  The one spec type the procs
+    coordinator and the live dispatcher are built from; a frozen workload
+    maps onto it via :meth:`from_workload`.
     """
 
     client_distributions: Dict[str, OffsetDistribution]
@@ -251,8 +244,6 @@ class LiveClusterSpec:
     policy: Optional[ShardingPolicy] = None
     merge_topology: str = "flat"
     merge_fanout: int = 2
-    delay: float = 0.0
-    heartbeat_slack: float = 1e-3
 
     @classmethod
     def from_workload(cls, workload: ClusterWorkload) -> "LiveClusterSpec":
@@ -264,8 +255,6 @@ class LiveClusterSpec:
             policy=workload.policy,
             merge_topology=workload.merge_topology,
             merge_fanout=workload.merge_fanout,
-            delay=workload.replay_delay,
-            heartbeat_slack=workload.heartbeat_slack,
         )
 
     def client_ids(self) -> Tuple[str, ...]:
@@ -357,6 +346,7 @@ def resolve_backend(name: str, **kwargs: object) -> RuntimeBackend:
 
 
 __all__ = [
+    "HEARTBEAT_SLACK",
     "RUNTIME_NAMES",
     "ClockHandle",
     "Scheduler",

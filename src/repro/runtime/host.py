@@ -5,7 +5,7 @@ Every runtime sequences a shard the same way.  A :class:`_ShardHost` owns one
 :class:`~repro.simulation.event_loop.EventLoop` and executes two commands:
 
 * ``("wave", items_by_shard, run_to)`` — :func:`run_wave`: schedule the
-  shard's new arrivals and advance strictly below ``run_to + delay``;
+  shard's new arrivals and advance strictly below ``run_to``;
 * ``("close", heartbeat_time, heartbeat_timestamp)`` — :func:`run_close`:
   inject the global closing heartbeats, run to completion and flush.
 
@@ -39,12 +39,10 @@ Arrival = Union[TimestampedMessage, Heartbeat]
 Checkpoint = Callable[[str], None]
 
 
-def run_wave(
-    loop: EventLoop, receiver, items: Iterable[Arrival], delay: float, run_to: Optional[float]
-) -> None:
-    """Schedule ``items`` as arrivals, then advance strictly below ``run_to + delay``.
+def run_wave(loop: EventLoop, receiver, items: Iterable[Arrival], run_to: Optional[float]) -> None:
+    """Schedule ``items`` as arrivals, then advance strictly below ``run_to``.
 
-    Arrivals land at ``max(true_time + delay, now)`` with priority ``-1`` so
+    Arrivals land at ``max(true_time, now)`` with priority ``-1`` so
     they beat same-instant emission checks.  The advance is exclusive: a
     well-behaved source may still send another message *at* its current
     watermark, and that twin must be schedulable before anything at that
@@ -52,9 +50,9 @@ def run_wave(
     """
     now = loop.now
     for item in items:
-        loop.schedule_at(max(item.true_time + delay, now), receiver.receive, item, priority=-1)
+        loop.schedule_at(max(item.true_time, now), receiver.receive, item, priority=-1)
     if run_to is not None:
-        loop.run(until=math.nextafter(run_to + delay, -math.inf))
+        loop.run(until=math.nextafter(run_to, -math.inf))
 
 
 def run_close(
@@ -95,7 +93,6 @@ class _ShardHost:
         self.shard = shard
         self.telemetry = telemetry
         self._clients = clients
-        self._delay = spec.delay
         self._post = post
         self._checkpoint = checkpoint
         self._checkpoint_at("start")
@@ -144,7 +141,7 @@ class _ShardHost:
     def wave(self, items: Sequence[Arrival], run_to: Optional[float]) -> None:
         started = time.perf_counter()
         self._received += sum(isinstance(item, TimestampedMessage) for item in items)
-        run_wave(self._loop, self, items, self._delay, run_to)
+        run_wave(self._loop, self, items, run_to)
         self._busy += time.perf_counter() - started
 
     def close(self, heartbeat_time: Optional[float], heartbeat_timestamp: Optional[float]) -> dict:

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.intake import IntakeDedupeGate
 from repro.network.message import Heartbeat, TimestampedMessage
 from repro.obs.telemetry import Telemetry, resolve
-from repro.runtime.base import LiveClusterSpec, RuntimeOutcome
+from repro.runtime.base import HEARTBEAT_SLACK, LiveClusterSpec, RuntimeOutcome
 from repro.runtime.procs import RestartPolicy, ShardCoordinator
 
 #: Runtime modes the live dispatcher can host.
@@ -76,10 +76,6 @@ class LiveDispatcher:
         runtime: str = "sim",
         num_workers: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        dedupe_intake: bool = True,
-        mp_context: str = "fork",
-        poll_timeout: float = 0.1,
-        join_timeout: float = 5.0,
     ) -> None:
         if runtime not in LIVE_RUNTIMES:
             raise ValueError(f"unknown live runtime {runtime!r}; expected one of {LIVE_RUNTIMES}")
@@ -90,7 +86,6 @@ class LiveDispatcher:
         self._telemetry = telemetry
         self._obs = resolve(telemetry)
         self._gate = IntakeDedupeGate(
-            enabled=dedupe_intake,
             telemetry=telemetry,
             clock=lambda: self._max_vtime if self._max_vtime is not None else 0.0,
         )
@@ -112,9 +107,6 @@ class LiveDispatcher:
             spec,
             num_workers=0 if runtime == "sim" else num_workers,
             telemetry=telemetry,
-            mp_context=mp_context,
-            poll_timeout=poll_timeout,
-            join_timeout=join_timeout,
             restart_policy=RestartPolicy(max_restarts=0),
         )
 
@@ -248,7 +240,7 @@ class LiveDispatcher:
 
         Buffered items with ``true_time <= watermark`` are scheduled (sorted
         by ``(true_time, timestamp, client_id, sequence, submission)``) and
-        the runtime advances strictly below ``watermark + delay``; everything
+        the runtime advances strictly below ``watermark``; everything
         above the watermark stays buffered for a later wave.
         """
         if self._finished is not None:
@@ -277,10 +269,9 @@ class LiveDispatcher:
             return
         # the runtime's clock stands strictly below the last advance: an
         # arrival due before it broke its source's FIFO promise
-        delay = self._spec.delay
-        now = math.nextafter(self._advanced_to + delay, _NEG_INF)
+        now = math.nextafter(self._advanced_to, _NEG_INF)
         for item in wave:
-            if item.true_time + delay < now:
+            if item.true_time < now:
                 self._late += 1
                 if self._obs.enabled:
                     self._obs.count("live.late_arrivals")
@@ -294,14 +285,14 @@ class LiveDispatcher:
 
         Computed over *observed* admitted traffic exactly as
         :meth:`ClusterWorkload.closing_heartbeat` computes it over frozen
-        messages: ``max(true_time) + delay + slack`` with beacon
-        ``max(timestamp) + slack``.
+        messages: ``max(true_time) + HEARTBEAT_SLACK`` with beacon
+        ``max(timestamp) + HEARTBEAT_SLACK``.
         """
         if self._max_vtime is None or self._max_timestamp is None:
             return None
         return (
-            self._max_vtime + self._spec.delay + self._spec.heartbeat_slack,
-            self._max_timestamp + self._spec.heartbeat_slack,
+            self._max_vtime + HEARTBEAT_SLACK,
+            self._max_timestamp + HEARTBEAT_SLACK,
         )
 
     def finish(self) -> RuntimeOutcome:

@@ -3,7 +3,7 @@
 Every shard runs on the one shard host of :mod:`repro.runtime.host`: its
 :class:`~repro.core.online.OnlineTommySequencer` on a private event loop,
 driven by *waves* — ``("wave", items_by_shard, run_to)`` schedules new
-arrivals and advances strictly below ``run_to + delay``; ``("close",
+arrivals and advances strictly below ``run_to``; ``("close",
 heartbeat_time, heartbeat_timestamp)`` injects the global closing
 heartbeats, runs to completion and flushes.  Emissions stream back as
 ``("batch", shard, batch)`` and the :class:`ShardCoordinator` folds them into
@@ -81,6 +81,9 @@ SHARD_LOSS_MODES: Tuple[str, ...] = ("raise", "exclude")
 #: Consecutive empty polls a dead worker must stay silent for before the
 #: death verdict (its buffered queue items are consumed first).
 DRAIN_GRACE = 3
+
+#: Seconds to wait for each worker process to exit at teardown.
+JOIN_TIMEOUT = 5.0
 
 
 class WorkerCrashed(RuntimeError):
@@ -244,7 +247,7 @@ class WorkerSupervisor:
     :class:`WorkerCrashed` or excludes the shards from the run per
     ``on_shard_loss``.  Death detection deliberately ignores the exit code:
     any dead worker with unfinished shards is treated as crashed after a
-    short drain grace (``drain_grace`` consecutive empty polls, which also
+    short drain grace (:data:`DRAIN_GRACE` consecutive empty polls, which also
     guarantees the dead incarnation's buffered queue items were consumed
     before the verdict).
     """
@@ -261,7 +264,6 @@ class WorkerSupervisor:
         on_shard_loss: str,
         crash_spec: _CrashSpec,
         telemetry: Optional[Telemetry],
-        drain_grace: int = DRAIN_GRACE,
     ) -> None:
         self._ctx = ctx
         self._results = results
@@ -273,7 +275,6 @@ class WorkerSupervisor:
         self._crash_spec = crash_spec
         self._collect_telemetry = telemetry is not None
         self._obs = resolve(telemetry)
-        self._drain_grace = max(int(drain_grace), 1)
         self._started_at = time.perf_counter()
         self._slots = [
             _WorkerSlot(
@@ -387,7 +388,7 @@ class WorkerSupervisor:
             if not self._unfinished(slot):
                 continue
             slot.drain_polls += 1
-            if slot.drain_polls >= self._drain_grace:
+            if slot.drain_polls >= DRAIN_GRACE:
                 self._handle_death(
                     slot, detail=f"{process.name} exited with code {process.exitcode}"
                 )
@@ -533,16 +534,13 @@ class ShardCoordinator:
         spec: LiveClusterSpec,
         num_workers: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        mp_context: str = "fork",
         poll_timeout: float = 0.1,
-        join_timeout: float = 5.0,
         restart_policy: Optional[RestartPolicy] = None,
         on_shard_loss: str = "raise",
         crash_spec: _CrashSpec = None,
     ) -> None:
         self._telemetry = telemetry
         self._poll_timeout = poll_timeout
-        self._join_timeout = join_timeout
         self._num_shards = spec.num_shards
         in_process = num_workers == 0
         self.num_workers = 0 if in_process else worker_count(num_workers, spec.num_shards)
@@ -569,7 +567,7 @@ class ShardCoordinator:
             self._supervisor = _InProcessHosts(spec, self.router, telemetry, self._results)
         else:
             try:
-                ctx = multiprocessing.get_context(mp_context)
+                ctx = multiprocessing.get_context("fork")
             except ValueError:
                 ctx = multiprocessing.get_context()
             self._results = ctx.Queue()
@@ -668,7 +666,7 @@ class ShardCoordinator:
         try:
             self.drain(block=True)
             for process in self._supervisor.processes:
-                process.join(timeout=self._join_timeout)
+                process.join(timeout=JOIN_TIMEOUT)
         finally:
             self.close()
         merge = self._streaming.result()
@@ -760,7 +758,7 @@ class ShardCoordinator:
         except (Empty, OSError, ValueError):
             pass
         for process in processes:
-            process.join(timeout=self._join_timeout)
+            process.join(timeout=JOIN_TIMEOUT)
         for queue in self._supervisor.queues():
             _discard_queue(queue)
 
@@ -775,9 +773,7 @@ class ProcBackend(RuntimeBackend):
         self,
         num_workers: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        mp_context: str = "fork",
         poll_timeout: float = 0.1,
-        join_timeout: float = 5.0,
         inject_crash: Optional[int] = None,
         crash_mode: str = "exit",
         crash_point: str = "start",
@@ -799,9 +795,7 @@ class ProcBackend(RuntimeBackend):
         self._num_workers = num_workers
         self._telemetry = telemetry
         self._coordinator_options = dict(
-            mp_context=mp_context,
             poll_timeout=poll_timeout,
-            join_timeout=join_timeout,
             restart_policy=restart_policy if restart_policy is not None else RestartPolicy(),
             on_shard_loss=on_shard_loss,
             crash_spec=(

@@ -1,9 +1,9 @@
 """Discrete-event simulation kernel used by every other substrate.
 
 The kernel is deliberately small and deterministic: a priority-queue driven
-event loop (:class:`EventLoop`), simulated entities (:class:`Entity`), a
-seed-managed random source (:class:`RandomSource`) and a structured trace
-recorder (:class:`TraceRecorder`).  All time values are floats in seconds of
+event loop (:class:`EventLoop`), simulated entities (:class:`Entity`) and a
+seed-managed random source (:class:`RandomSource`).  Lifecycle tracing lives
+in :mod:`repro.obs`.  All time values are floats in seconds of
 *true* (reference) time; simulated clocks that drift or are offset from true
 time live in :mod:`repro.clocks`.
 """
@@ -16,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.simulation.event_loop": ("Event", "EventLoop", "SimulationError"),
         "repro.simulation.entity": ("Entity",),
         "repro.simulation.random_source": ("RandomSource",),
-        "repro.simulation.trace": ("TraceRecorder", "TraceEvent"),
     },
 )
 
@@ -26,6 +25,4 @@ __all__ = [
     "SimulationError",
     "Entity",
     "RandomSource",
-    "TraceRecorder",
-    "TraceEvent",
 ]

@@ -92,7 +92,6 @@ class EventLoop:
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
-        self._processed = 0
         self._cancelled_pending = 0
         self._stats: Dict[str, int] = {
             "scheduled": 0,
@@ -114,11 +113,6 @@ class EventLoop:
         if handle is None:
             handle = self.__dict__["_clock"] = LoopClock(self)
         return handle
-
-    @property
-    def processed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
 
     @property
     def pending_events(self) -> int:
@@ -150,11 +144,11 @@ class EventLoop:
     ) -> Event:
         """Schedule ``callback(*args, **kwargs)`` at absolute time ``when``.
 
-        Scheduling in the past raises :class:`SimulationError`; scheduling at
-        exactly the current time is allowed and runs after the event that is
-        currently executing.
+        Scheduling in the past (or at NaN, which no heap order can place)
+        raises :class:`SimulationError`; scheduling at exactly the current
+        time is allowed and runs after the event that is currently executing.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule event at {when:.9f}, time is already {self._now:.9f}"
             )
@@ -230,7 +224,6 @@ class EventLoop:
                 raise SimulationError("event queue time went backwards")
             self._now = event.time
             event.callback(*event.args, **event.kwargs)
-            self._processed += 1
             self._stats["executed"] += 1
             return event
         return None

@@ -69,16 +69,15 @@ class UniformGapArrivals(ArrivalProcess):
 
 
 class PoissonArrivals(ArrivalProcess):
-    """Independent Poisson arrivals per client over a fixed horizon."""
+    """Independent Poisson arrivals per client over ``[0, horizon]``."""
 
-    def __init__(self, rate_per_client: float, horizon: float, start_time: float = 0.0) -> None:
+    def __init__(self, rate_per_client: float, horizon: float) -> None:
         if rate_per_client <= 0:
             raise ValueError("rate_per_client must be positive")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self._rate = float(rate_per_client)
         self._horizon = float(horizon)
-        self._start = float(start_time)
 
     def generate(
         self, client_ids: Sequence[str], rng: np.random.Generator
@@ -86,10 +85,10 @@ class PoissonArrivals(ArrivalProcess):
         times: Dict[str, List[float]] = {}
         for client in client_ids:
             arrivals: List[float] = []
-            current = self._start
+            current = 0.0
             while True:
                 current += float(rng.exponential(1.0 / self._rate))
-                if current > self._start + self._horizon:
+                if current > self._horizon:
                     break
                 arrivals.append(current)
             times[client] = arrivals

@@ -121,19 +121,32 @@ class ChaosReport:
         }
 
 
+#: Mean spacing of one client's messages (seconds); also the shard heartbeat
+#: interval, so a crashed shard is declared dead after three gaps of silence.
+GAP = 25e-3
+#: Scale of the clients' clock-offset spreads (seconds).
+CLOCK_STD = 15e-3
+#: Per-client channel delay: ``BASE_DELAY`` plus up to ``DELAY_JITTER``.
+BASE_DELAY = 2e-3
+DELAY_JITTER = 1e-3
+#: Sync probes each client sends to the learning loop over the run.
+PROBES_PER_CLIENT = 32
+
+
 @dataclass(frozen=True)
 class ChaosSettings:
-    """Shape of the underlying healthy workload (faults come on top)."""
+    """Shape of the underlying healthy workload (faults come on top).
+
+    The population, the shard layout and the seed vary; the timing does not:
+    message gap, clock spread, channel delay and probe count are the module
+    constants :data:`GAP`, :data:`CLOCK_STD`, :data:`BASE_DELAY`,
+    :data:`DELAY_JITTER` and :data:`PROBES_PER_CLIENT`, which size every
+    fault family.
+    """
 
     num_clients: int = 24
     num_shards: int = 4
     messages_per_client: int = 4
-    gap: float = 25e-3
-    clock_std: float = 15e-3
-    base_delay: float = 2e-3
-    delay_jitter: float = 1e-3
-    probes_per_client: int = 32
-    heartbeat_interval: Optional[float] = None  # defaults to ``gap``
     seed: int = 7
     merge_topology: str = "flat"
     merge_fanout: int = 2
@@ -184,7 +197,7 @@ def standard_fault_schedule(
         faults.append(MessageDuplication(start=start, duration=duration, probability=probability))
     elif fault == "reorder":
         faults.append(
-            MessageReorder(start=start, duration=duration, jitter=2.0 * settings.gap * intensity)
+            MessageReorder(start=start, duration=duration, jitter=2.0 * GAP * intensity)
         )
     elif fault == "delay":
         faults.append(
@@ -192,24 +205,23 @@ def standard_fault_schedule(
                 start=start,
                 duration=duration,
                 clients=subset,
-                extra_delay=10.0 * settings.base_delay * intensity,
+                extra_delay=10.0 * BASE_DELAY * intensity,
             )
         )
     elif fault == "clock_step":
-        step = 4.0 * settings.clock_std * intensity
+        step = 4.0 * CLOCK_STD * intensity
         faults.append(ClockStep(start=0.4 * horizon, clients=subset, step=step))
         faults.append(ClockStep(start=0.6 * horizon, clients=subset[:1], step=-0.5 * step))
     elif fault == "blackout":
         # a clock step the learning loop *cannot* see: probes black out over
         # the step, so refreshed distributions go stale exactly when needed
-        step = 4.0 * settings.clock_std * intensity
+        step = 4.0 * CLOCK_STD * intensity
         faults.append(ClockStep(start=0.4 * horizon, clients=subset, step=step))
         faults.append(SyncBlackout(start=0.3 * horizon, duration=0.6 * horizon, clients=subset))
     elif fault == "crash":
         if settings.num_shards < 2:
             raise ValueError("the crash fault needs at least 2 shards to fail over")
-        heartbeat = settings.heartbeat_interval if settings.heartbeat_interval else settings.gap
-        rejoin_after = max(0.25 * horizon, 8.0 * heartbeat)
+        rejoin_after = max(0.25 * horizon, 8.0 * GAP)
         faults.append(
             ShardCrash(
                 start=start, shard=settings.num_shards - 1, rejoin_after=rejoin_after
@@ -246,19 +258,18 @@ def run_chaos_scenario(
     client_ids = tuple(f"client-{index:03d}" for index in range(settings.num_clients))
     distributions = {
         client_id: GaussianDistribution(
-            float(workload_rng.normal(0.0, 0.1 * settings.clock_std)),
-            max(float(workload_rng.uniform(0.4, 1.2)) * settings.clock_std, 1e-9),
+            float(workload_rng.normal(0.0, 0.1 * CLOCK_STD)),
+            max(float(workload_rng.uniform(0.4, 1.2)) * CLOCK_STD, 1e-9),
         )
         for client_id in client_ids
     }
     arrivals = UniformGapArrivals(
-        messages_per_client=settings.messages_per_client, gap=settings.gap, jitter_fraction=0.3
+        messages_per_client=settings.messages_per_client, gap=GAP, jitter_fraction=0.3
     ).generate(client_ids, workload_rng)
     horizon = max(max(times) for times in arrivals.values() if times)
-    heartbeat = settings.heartbeat_interval if settings.heartbeat_interval else settings.gap
     schedule = standard_fault_schedule(fault, intensity, horizon, client_ids, settings)
 
-    max_network_delay = 2.0 * (settings.base_delay + settings.delay_jitter)
+    max_network_delay = 2.0 * (BASE_DELAY + DELAY_JITTER)
     loop = EventLoop()
     cluster = ShardedSequencer(
         loop,
@@ -269,8 +280,8 @@ def run_chaos_scenario(
             max_network_delay=max_network_delay,
             seed=settings.seed,
         ),
-        heartbeat_interval=heartbeat,
-        heartbeat_timeout=3.0 * heartbeat,
+        heartbeat_interval=GAP,
+        heartbeat_timeout=3.0 * GAP,
         dedupe_intake=True,
         telemetry=telemetry,
         merge_topology=settings.merge_topology,
@@ -293,7 +304,7 @@ def run_chaos_scenario(
         transport.add_client(
             client_id,
             clock,
-            delay_model=UniformJitterDelay(settings.base_delay, settings.delay_jitter),
+            delay_model=UniformJitterDelay(BASE_DELAY, DELAY_JITTER),
             ordered=True,
         )
         controller.register_clock(client_id, drift)
@@ -308,22 +319,22 @@ def run_chaos_scenario(
     if learning:
         cluster.attach_learning(method="empirical", window=64, refresh_every=8)
         probe_rng = source.stream("chaos:probes")
-        probe_gap = max(horizon, 1e-9) / settings.probes_per_client
+        probe_gap = max(horizon, 1e-9) / PROBES_PER_CLIENT
 
         def feed_probe(client_id: str, when: float) -> None:
             if not controller.probe_allowed(client_id, when):
                 return
             offset = float(distributions[client_id].sample(probe_rng))
             offset += drifts[client_id].offset_at(when)
-            round_trip = 2.0 * settings.base_delay * float(probe_rng.uniform(0.8, 1.2))
+            round_trip = 2.0 * BASE_DELAY * float(probe_rng.uniform(0.8, 1.2))
             cluster.observe_probe(synthesize_probe(client_id, offset, round_trip, when=when))
 
         for client_id in client_ids:
-            for index in range(settings.probes_per_client):
+            for index in range(PROBES_PER_CLIENT):
                 when = (index + 0.5) * probe_gap
                 loop.schedule_at(when, feed_probe, client_id, when)
 
-    end = max(horizon, schedule.horizon) + max_network_delay + 10.0 * settings.gap
+    end = max(horizon, schedule.horizon) + max_network_delay + 10.0 * GAP
     loop.run(until=end)
     cluster.flush()
 

@@ -9,10 +9,10 @@ generated placement.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.cluster.router import RegionAffineSharding
-from repro.workloads.arrivals import ArrivalProcess, UniformGapArrivals
+from repro.workloads.arrivals import UniformGapArrivals
 from repro.workloads.multiregion import (
     MultiRegionScenario,
     RegionProfile,
@@ -20,17 +20,19 @@ from repro.workloads.multiregion import (
 )
 
 
-def cluster_region_profiles(
-    num_regions: int = 4,
-    base_clock_std: float = 10e-3,
-    base_delay: float = 2e-3,
-) -> Tuple[RegionProfile, ...]:
+#: Clock-offset spread (seconds) of region 0, the best-synchronized region.
+BASE_CLOCK_STD = 10e-3
+#: Median one-way delay (seconds) of region 0, the shortest sequencer path.
+BASE_DELAY = 2e-3
+
+
+def cluster_region_profiles(num_regions: int = 4) -> Tuple[RegionProfile, ...]:
     """Region profiles for a cluster deployment.
 
-    Region 0 is the sequencer's home region (best-synchronized, shortest
-    path); each further region roughly doubles clock error and one-way
-    delay, and picks up a small synchronization bias — the asymmetric-path
-    effect the multi-region module models.
+    Region 0 is the sequencer's home region (:data:`BASE_CLOCK_STD`,
+    :data:`BASE_DELAY`); each further region doubles clock error and
+    one-way delay, and picks up a small synchronization bias — the
+    asymmetric-path effect the multi-region module models.
     """
     if num_regions < 1:
         raise ValueError("num_regions must be at least 1")
@@ -40,9 +42,9 @@ def cluster_region_profiles(
         profiles.append(
             RegionProfile(
                 name=f"region-{index}",
-                clock_std=base_clock_std * scale,
-                clock_bias=0.2 * base_clock_std * index,
-                delay_median=base_delay * scale,
+                clock_std=BASE_CLOCK_STD * scale,
+                clock_bias=0.2 * BASE_CLOCK_STD * index,
+                delay_median=BASE_DELAY * scale,
                 delay_sigma=0.3,
                 weight=1.0,
             )
@@ -52,26 +54,23 @@ def cluster_region_profiles(
 
 def build_cluster_scenario(
     num_clients: int,
-    num_regions: int = 4,
-    arrivals: Optional[ArrivalProcess] = None,
     gap: float = 25e-3,
     messages_per_client: int = 2,
     seed: int = 0,
 ) -> MultiRegionScenario:
-    """A shard-scale multi-region scenario.
+    """A shard-scale multi-region scenario over four regions.
 
-    The default arrival process is a uniform-gap stream whose gap is of the
-    same order as the regional clock errors, so cross-client orderings are
-    genuinely uncertain and both the per-shard batching and the cross-shard
-    merge have real work to do.
+    Arrivals are a uniform-gap stream whose gap is of the same order as the
+    regional clock errors, so cross-client orderings are genuinely uncertain
+    and both the per-shard batching and the cross-shard merge have real work
+    to do.
     """
-    if arrivals is None:
-        arrivals = UniformGapArrivals(
-            messages_per_client=messages_per_client, gap=gap, jitter_fraction=0.3
-        )
+    arrivals = UniformGapArrivals(
+        messages_per_client=messages_per_client, gap=gap, jitter_fraction=0.3
+    )
     return build_multiregion_scenario(
         num_clients,
-        regions=cluster_region_profiles(num_regions),
+        regions=cluster_region_profiles(),
         arrivals=arrivals,
         seed=seed,
     )

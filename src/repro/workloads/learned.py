@@ -105,13 +105,12 @@ def build_learned_workload(
     base_rtt: float = 1e-3,
     congested_fraction: float = 0.25,
     congestion_delay: float = 50e-3,
-    congestion_bias: float = 3.0,
     seed: int = 0,
 ) -> LearnedWorkload:
     """Generate a learned-pipeline workload.
 
     ``congested_fraction`` of each client's probes suffer an inflated RTT and
-    an offset reading biased by ``congestion_bias * clock_std`` (queueing
+    an offset reading biased by 1.5 to 4.5 ``clock_std`` (queueing
     asymmetry); clean probes observe true offset samples at ``base_rtt``.
     The static Gaussian guess per client is moment-matched to the first 8
     probes *without* RTT filtering — the naive bootstrap a client would do
@@ -138,7 +137,7 @@ def build_learned_workload(
             offset = float(truth.sample(rng))
             if float(rng.uniform()) < congested_fraction:
                 round_trip = base_rtt + float(rng.exponential(congestion_delay))
-                offset += congestion_bias * clock_std * float(rng.uniform(0.5, 1.5))
+                offset += 3.0 * clock_std * float(rng.uniform(0.5, 1.5))
             else:
                 round_trip = base_rtt * float(rng.uniform(0.8, 1.2))
             stream.append(

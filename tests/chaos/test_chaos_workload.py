@@ -13,6 +13,75 @@ from repro.workloads.chaos import (
 SMALL = ChaosSettings(num_clients=8, num_shards=2, messages_per_client=3, seed=11)
 
 
+#: Counts every SMALL row shares: no duplication, holding, delay, clock step or
+#: probe blackout is armed, and every message reaches the merged order once.
+_SMALL_ROW = {
+    "intensity": 1.0,
+    "shards": 2,
+    "clients": 8,
+    "sent": 24,
+    "duplicated": 0,
+    "dup_suppressed": 0,
+    "held": 0,
+    "delayed": 0,
+    "clock_steps": 0,
+    "probes_suppressed": 0,
+    "refreshes": 32,
+    "exactly_once": True,
+    "streaming_parity": True,
+}
+
+#: ``run_chaos_scenario(fault, settings=SMALL).as_row()``, exactly.
+PINNED_SMALL_ROWS = {
+    "none": {
+        **_SMALL_ROW,
+        "fault": "none",
+        "delivered": 24,
+        "lost": 0,
+        "failovers": 0,
+        "rejoins": 0,
+        "replayed": 0,
+        "batches": 19,
+        "merged_cross_shard": 3,
+        "pruned_pairs": 46,
+        "ras_normalized": 0.9638,
+    },
+    "loss": {
+        **_SMALL_ROW,
+        "fault": "loss",
+        "delivered": 22,
+        "lost": 2,
+        "failovers": 0,
+        "rejoins": 0,
+        "replayed": 0,
+        "batches": 18,
+        "merged_cross_shard": 2,
+        "pruned_pairs": 42,
+        "ras_normalized": 0.9654,
+    },
+    "crash": {
+        **_SMALL_ROW,
+        "fault": "crash",
+        "delivered": 24,
+        "lost": 0,
+        "failovers": 1,
+        "rejoins": 1,
+        "replayed": 4,
+        "batches": 21,
+        "merged_cross_shard": 1,
+        "pruned_pairs": 55,
+        "ras_normalized": 0.9529,
+    },
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PINNED_SMALL_ROWS))
+def test_small_row_is_pinned(fault):
+    """The harness's fixed timing (gap, clock spread, channel delay, probe
+    count, heartbeat interval) and its fault sizing give these rows exactly."""
+    assert run_chaos_scenario(fault=fault, settings=SMALL).as_row() == PINNED_SMALL_ROWS[fault]
+
+
 def test_same_seed_same_report():
     first = run_chaos_scenario(fault="crash", settings=SMALL).as_row()
     second = run_chaos_scenario(fault="crash", settings=SMALL).as_row()

@@ -33,7 +33,7 @@ def replay(loop, target, scenario):
     """Sequence the scenario as every runtime does: one wave from an already
     closed source, then the close at the workload's heartbeat horizon."""
     workload = ClusterWorkload.from_scenario(scenario, num_shards=1)
-    run_wave(loop, target, workload.messages_by_true_time(), delay=0.0, run_to=None)
+    run_wave(loop, target, workload.messages_by_true_time(), run_to=None)
     run_close(loop, target, workload.client_ids, *workload.closing_heartbeat())
 
 

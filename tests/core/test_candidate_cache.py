@@ -354,7 +354,7 @@ def refresh_one_pending_and_one_idle_client(sequencer):
     sequencer.update_client_distribution(IDLE, GaussianDistribution(0.0, 0.004))
 
 
-def timed_run(use_engine, seed, completeness_mode, max_batch_age, num_messages=70):
+def timed_run(use_engine, seed, completeness_mode, cycle_policy, num_messages=70):
     """A seeded arrival stream with a mid-stream distribution refresh."""
     rng = np.random.default_rng(seed)
     distributions = {
@@ -367,8 +367,7 @@ def timed_run(use_engine, seed, completeness_mode, max_batch_age, num_messages=7
         p_safe=0.99,
         completeness_mode=completeness_mode,
         max_network_delay=0.5,
-        max_batch_age=max_batch_age,
-        cycle_policy="stochastic",
+        cycle_policy=cycle_policy,
         seed=7,
     )
     sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
@@ -400,7 +399,6 @@ def timed_run(use_engine, seed, completeness_mode, max_batch_age, num_messages=7
     observed = (
         fingerprint(sequencer),
         sequencer.extension_count,
-        sequencer.forced_emissions,
         loop.stats(),
         sequencer._rng.bit_generator.state,
     )
@@ -408,14 +406,14 @@ def timed_run(use_engine, seed, completeness_mode, max_batch_age, num_messages=7
     return sequencer, observed + (fingerprint(sequencer),)
 
 
-@pytest.mark.parametrize("max_batch_age", [None, 0.4])
+@pytest.mark.parametrize("cycle_policy", ["stochastic", "greedy"])
 @pytest.mark.parametrize("completeness_mode", ["heartbeat", "bounded_delay", "none"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_timed_run_matches_reference_down_to_the_event_counts(
-    seed, completeness_mode, max_batch_age
+    seed, completeness_mode, cycle_policy
 ):
-    engine_run, engine_observed = timed_run(True, seed, completeness_mode, max_batch_age)
-    _, reference_observed = timed_run(False, seed, completeness_mode, max_batch_age)
+    engine_run, engine_observed = timed_run(True, seed, completeness_mode, cycle_policy)
+    _, reference_observed = timed_run(False, seed, completeness_mode, cycle_policy)
     assert engine_observed == reference_observed
     stats = engine_run.engine_stats()
     assert stats.candidate_reuses > 0

@@ -45,6 +45,14 @@ def test_invalid_numeric_parameters_rejected():
         TommyConfig(tie_epsilon=0.5)
 
 
+def test_nan_network_delay_rejected():
+    """``nan < 0`` is False, so a NaN bound used to pass the check and then
+    schedule the bounded-delay emission check at NaN, where the online
+    sequencer's loop never returned."""
+    with pytest.raises(ValueError, match="max_network_delay"):
+        TommyConfig(completeness_mode="bounded_delay", max_network_delay=float("nan"))
+
+
 def test_with_threshold_and_with_p_safe_copy_other_fields():
     config = TommyConfig(threshold=0.8, p_safe=0.99, cycle_policy="eades", seed=5)
     changed_threshold = config.with_threshold(0.6)

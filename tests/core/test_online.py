@@ -176,8 +176,7 @@ def test_arrival_time_is_recorded():
 @pytest.mark.parametrize("use_engine", [True, False])
 def test_emission_releases_per_message_bookkeeping(use_engine):
     """Regression: ``_arrival_times`` grew without bound for the sequencer's
-    lifetime because ``_emit`` never pruned emitted keys (the ``.get(key,
-    self.now)`` default in ``_batch_age`` masked the leak)."""
+    lifetime because ``_emit`` never pruned emitted keys."""
     loop = EventLoop()
     distributions = {"a": GaussianDistribution(0.0, 0.1), "b": GaussianDistribution(0.0, 0.1)}
     sequencer = (OnlineTommySequencer if use_engine else ReferenceOnlineSequencer)(
@@ -197,17 +196,6 @@ def test_emission_releases_per_message_bookkeeping(use_engine):
     if use_engine:
         assert sequencer.engine.size == len(pending_keys)
         assert set(sequencer.engine.message_keys) == pending_keys
-
-
-def test_batch_age_still_tracks_oldest_pending_arrival():
-    loop = EventLoop()
-    sequencer = make_sequencer(loop, {"a": 1.0, "b": 1.0})
-    first = make_message("a", 100.0)
-    second = make_message("b", 100.1)
-    sequencer.receive(first, arrival_time=0.0)
-    loop.run(until=2.0)
-    sequencer.receive(second, arrival_time=2.0)
-    assert sequencer._batch_age([first, second]) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("use_engine", [True, False])

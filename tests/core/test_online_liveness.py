@@ -1,11 +1,9 @@
-"""Liveness-guard tests for online sequencing (paper §3.5 liveness caveat).
+"""Liveness of online sequencing (paper §3.5 liveness caveat).
 
 The heartbeat completeness rule "may cost liveness: a failed client may halt
-the sequencer from emitting any messages".  ``TommyConfig.max_batch_age``
-bounds how long a batch can stay open before it is force-emitted.
+the sequencer from emitting any messages".  The sequencer keeps the paper's
+blocking rule: it has no guard that force-emits an old batch.
 """
-
-import pytest
 
 from repro.core.config import TommyConfig
 from repro.core.online import OnlineTommySequencer
@@ -14,92 +12,19 @@ from repro.simulation.event_loop import EventLoop
 from tests.conftest import make_message
 
 
-def build(loop, max_batch_age=None, completeness="heartbeat", p_safe=0.9):
+def build(loop, completeness="heartbeat", p_safe=0.9):
     distributions = {
         "alive": GaussianDistribution(0.0, 0.1),
         "failed": GaussianDistribution(0.0, 0.1),
     }
-    config = TommyConfig(
-        completeness_mode=completeness, p_safe=p_safe, max_batch_age=max_batch_age
-    )
+    config = TommyConfig(completeness_mode=completeness, p_safe=p_safe)
     return OnlineTommySequencer(loop, distributions, config)
 
 
 def test_failed_client_blocks_forever_without_the_guard():
     loop = EventLoop()
-    sequencer = build(loop, max_batch_age=None)
+    sequencer = build(loop)
     sequencer.receive(make_message("alive", 0.0), arrival_time=0.0)
     loop.run(until=1000.0)
     assert sequencer.emitted_batches == []
-    assert sequencer.forced_emissions == 0
-
-
-def test_max_batch_age_restores_liveness_despite_failed_client():
-    loop = EventLoop()
-    sequencer = build(loop, max_batch_age=30.0)
-    sequencer.receive(make_message("alive", 0.0), arrival_time=0.0)
-    loop.run(until=1000.0)
-    assert len(sequencer.emitted_batches) == 1
-    assert sequencer.forced_emissions == 1
-    emitted = sequencer.emitted_batches[0]
-    assert 30.0 <= emitted.emitted_at <= 40.0
-    assert sequencer.result().metadata["forced_emissions"] == 1
-
-
-def test_guard_does_not_fire_when_normal_emission_happens_first():
-    loop = EventLoop()
-    sequencer = build(loop, max_batch_age=100.0, completeness="none")
-    sequencer.receive(make_message("alive", 0.0), arrival_time=0.0)
-    loop.run(until=500.0)
-    assert len(sequencer.emitted_batches) == 1
-    assert sequencer.forced_emissions == 0
-
-
-def test_guard_also_bounds_safe_emission_waits():
-    """An extremely noisy clock implies a very late T_b; the guard caps the wait."""
-    loop = EventLoop()
-    distributions = {"noisy": GaussianDistribution(0.0, 1000.0)}
-    config = TommyConfig(completeness_mode="none", p_safe=0.999, max_batch_age=10.0)
-    sequencer = OnlineTommySequencer(loop, distributions, config)
-    message = make_message("noisy", 0.0)
-    sequencer.receive(message, arrival_time=0.0)
-    # unguarded safe-emission time would be thousands of seconds away
-    assert sequencer.model.safe_emission_time(message, 0.999) > 1000.0
-    loop.run(until=100.0)
-    assert len(sequencer.emitted_batches) == 1
-    assert sequencer.emitted_batches[0].emitted_at <= 20.0
-    assert sequencer.forced_emissions == 1
-
-
-def test_guard_fires_despite_float_asymmetry_of_the_age_check():
-    """Regression: the guard compared ``now - oldest >= max_age`` while the
-    next check was scheduled at ``oldest + max_age``.  The two float
-    expressions can disagree (here ``now - oldest`` rounds to
-    1.9999999999999991 although ``oldest + 2.0 == now`` exactly), which left
-    the sequencer re-running the emission check at the same simulated
-    instant forever — a livelock.  The guard now uses the deadline form.
-    """
-    arrival = 6.459721981904619  # (arrival + 2.0) - arrival rounds below 2.0
-    max_age = 2.0
-    assert (arrival + max_age) - arrival < max_age  # the asymmetry under test
-    loop = EventLoop()
-    sequencer = build(loop, max_batch_age=max_age, p_safe=0.999)
-    loop.schedule_at(arrival, sequencer.receive, make_message("alive", arrival + 1000.0))
-    # cap the event count: pre-fix the spin made this loop run forever
-    loop.run(until=arrival + 10.0, max_events=500)
-    assert sequencer.forced_emissions == 1
-    assert len(sequencer.emitted_batches) == 1
-    assert sequencer.emitted_batches[0].emitted_at == pytest.approx(arrival + max_age)
-
-
-def test_invalid_max_batch_age_rejected():
-    with pytest.raises(ValueError):
-        TommyConfig(max_batch_age=0.0)
-    with pytest.raises(ValueError):
-        TommyConfig(max_batch_age=-5.0)
-
-
-def test_replace_preserves_max_batch_age():
-    config = TommyConfig(max_batch_age=12.0)
-    assert config.with_threshold(0.8).max_batch_age == 12.0
-    assert config.with_p_safe(0.99).max_batch_age == 12.0
+    assert len(sequencer.pending_messages) == 1

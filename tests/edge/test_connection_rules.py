@@ -24,7 +24,6 @@ def make_server(max_inflight: int = 64) -> EdgeServer:
         client_distributions=dict(CLIENTS),
         num_shards=2,
         config=TommyConfig(seed=5),
-        heartbeat_slack=1e-3,
     )
     return EdgeServer(LiveDispatcher(spec, runtime="sim"), max_inflight=max_inflight)
 

@@ -25,7 +25,6 @@ def make_server(telemetry=None, max_inflight=64, **dispatcher_kwargs) -> EdgeSer
         client_distributions=dict(CLIENTS),
         num_shards=2,
         config=TommyConfig(seed=5),
-        heartbeat_slack=1e-3,
     )
     dispatcher = LiveDispatcher(spec, runtime="sim", telemetry=telemetry, **dispatcher_kwargs)
     return EdgeServer(dispatcher, max_inflight=max_inflight, telemetry=telemetry)

@@ -43,6 +43,68 @@ def test_online_experiment_row_is_table_ready():
     assert {"mean_latency", "p95_latency", "emitted_batches", "ras"} <= set(row)
 
 
+#: ``(rank, emitted_at, ((client_id, sequence_number), ...))`` per batch of
+#: ``run_online_experiment(OnlineExperimentSettings(num_clients=4,
+#: run_duration=1.5, seed=5))``; heartbeats take sequence numbers too.
+PINNED_BATCHES = [
+    (0, 0.0031764015688281796, (("client-000", 2),)),
+    (1, 0.003482345687948903, (("client-001", 2),)),
+    (2, 0.004341325878155006, (("client-002", 3),)),
+    (
+        3,
+        0.006220795073119261,
+        (("client-001", 5), ("client-003", 3), ("client-000", 5), ("client-002", 6)),
+    ),
+    (
+        4,
+        0.007448962345446554,
+        (("client-003", 6), ("client-000", 8), ("client-002", 9), ("client-001", 8)),
+    ),
+    (5, 0.009301836918706105, (("client-003", 9),)),
+]
+PINNED_METADATA = {
+    "sequencer": "tommy-online",
+    "p_safe": 0.999,
+    "threshold": 0.75,
+    "completeness_mode": "heartbeat",
+    "extensions": 0,
+    "distribution_refreshes": 0,
+    "pending": 0,
+    "engine": {
+        "vectorized_evaluations": 18,
+        "table_evaluations": 0,
+        "scalar_evaluations": 0,
+        "pair_tables_built": 0,
+        "rows_appended": 12,
+        "rows_removed": 12,
+        "group_computations": 40,
+        "candidate_reuses": 8,
+        "cycle_resolutions": 0,
+        "rebuilds": 0,
+        "quantile_cache_hits": 73,
+        "quantile_cache_misses": 4,
+        "pruned_pairs": 0,
+    },
+}
+
+
+def test_online_experiment_batches_and_metadata_are_pinned():
+    """The runner's fixed message spacing, channel delay and heartbeat
+    interval give exactly these batches, emission times and counters."""
+    settings = OnlineExperimentSettings(num_clients=4, run_duration=1.5, seed=5)
+    result = run_online_experiment(settings).comparison.result
+    batches = [
+        (
+            batch.rank,
+            batch.emitted_at,
+            tuple((message.client_id, message.sequence_number) for message in batch.messages),
+        )
+        for batch in result.batches
+    ]
+    assert batches == PINNED_BATCHES
+    assert result.metadata == PINNED_METADATA
+
+
 def test_higher_p_safe_increases_latency():
     low = run_online_experiment(
         OnlineExperimentSettings(num_clients=4, config=TommyConfig(p_safe=0.9), run_duration=3.0, seed=7)

@@ -6,7 +6,6 @@ import pytest
 from repro.network.channel import OrderedChannel, UnorderedChannel
 from repro.network.link import ConstantDelay, UniformJitterDelay
 from repro.simulation.event_loop import EventLoop
-from repro.simulation.trace import TraceRecorder
 
 
 def test_unordered_channel_delivers_after_delay():
@@ -49,47 +48,33 @@ def test_ordered_channel_preserves_fifo_despite_jitter():
     assert received == list(range(30))
 
 
-def test_drop_probability_drops_messages():
+class _DropEveryOther:
+    """A fault hook that drops every second item it sees."""
+
+    drop = True
+    copies = 1
+    extra_delay = 0.0
+    not_before = None
+
+    def __init__(self):
+        self.seen = 0
+
+    def __call__(self, item, now):
+        self.seen += 1
+        return self if self.seen % 2 == 0 else None
+
+
+def test_fault_hook_is_the_only_loss_and_is_counted():
     loop = EventLoop()
     received = []
     channel = UnorderedChannel(
-        loop,
-        "chan",
-        ConstantDelay(0.0),
-        np.random.default_rng(7),
-        received.append,
-        drop_probability=0.5,
+        loop, "chan", ConstantDelay(0.0), np.random.default_rng(7), received.append
     )
-    for index in range(200):
+    channel.set_fault_hook(_DropEveryOther())
+    for index in range(20):
         channel.send(index)
     loop.run()
-    assert channel.dropped > 0
-    assert channel.delivered + channel.dropped == 200
-    assert len(received) == channel.delivered
-
-
-def test_invalid_drop_probability_rejected():
-    loop = EventLoop()
-    with pytest.raises(ValueError):
-        UnorderedChannel(
-            loop, "chan", ConstantDelay(0.0), np.random.default_rng(0), lambda item: None, drop_probability=1.0
-        )
-
-
-def test_trace_records_deliveries_and_drops():
-    loop = EventLoop()
-    trace = TraceRecorder()
-    channel = UnorderedChannel(
-        loop,
-        "chan",
-        ConstantDelay(0.0),
-        np.random.default_rng(3),
-        lambda item: None,
-        trace=trace,
-        drop_probability=0.3,
-    )
-    for index in range(50):
-        channel.send(index)
-    loop.run()
-    assert len(trace.events(kind="deliver")) == channel.delivered
-    assert len(trace.events(kind="drop")) == channel.dropped
+    assert channel.sent == 20
+    assert channel.fault_dropped == 10
+    assert channel.delivered == len(received) == 10
+    assert received == list(range(0, 20, 2))

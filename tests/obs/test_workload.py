@@ -90,3 +90,14 @@ def test_cli_telemetry_chaos_fault_all_falls_back(capsys):
     assert exit_code == 0
     captured = capsys.readouterr()
     assert "falls back to 'delay'" in captured.err
+
+
+def test_cluster_workload_report_is_pinned():
+    """Four messages per client on the healthy, learning-free cluster."""
+    run = run_instrumented_workload("cluster", num_shards=2, num_clients=6, seed=9)
+    row = run.report.as_row()
+    assert (row["sent"], row["delivered"], row["refreshes"], row["failovers"]) == (24, 24, 0, 0)
+    assert (row["batches"], row["merged_cross_shard"], row["pruned_pairs"]) == (21, 3, 50)
+    assert row["ras_normalized"] == 0.9891
+    assert row["exactly_once"] and row["streaming_parity"]
+    assert len(run.telemetry.sim_fingerprint()) == 216

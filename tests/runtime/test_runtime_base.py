@@ -8,6 +8,7 @@ from repro.core.config import TommyConfig
 from repro.distributions.parametric import GaussianDistribution
 from repro.network.message import TimestampedMessage
 from repro.runtime.base import (
+    HEARTBEAT_SLACK,
     RUNTIME_NAMES,
     ClockHandle,
     ClusterWorkload,
@@ -98,9 +99,9 @@ def test_closing_heartbeat_covers_whole_workload():
     workload = _workload()
     end_time, beacon = workload.closing_heartbeat()
     latest = max(m.true_time for m in workload.messages)
-    assert end_time == pytest.approx(latest + workload.heartbeat_slack)
+    assert end_time == pytest.approx(latest + HEARTBEAT_SLACK)
     assert beacon == pytest.approx(
-        max(m.timestamp for m in workload.messages) + workload.heartbeat_slack
+        max(m.timestamp for m in workload.messages) + HEARTBEAT_SLACK
     )
     silent = ClusterWorkload(
         messages=workload.messages,

@@ -74,6 +74,15 @@ def test_scheduling_in_the_past_raises():
         loop.schedule_at(4.0, lambda: None)
 
 
+def test_scheduling_at_nan_raises():
+    """``nan < now`` is False: a NaN-time event used to enter the heap, whose
+    order it breaks, and a run holding it never returned."""
+    loop = EventLoop(start_time=5.0)
+    with pytest.raises(SimulationError):
+        loop.schedule_at(float("nan"), lambda: None)
+    assert loop.pending_events == 0
+
+
 def test_negative_delay_raises():
     loop = EventLoop()
     with pytest.raises(SimulationError):

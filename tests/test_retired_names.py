@@ -102,6 +102,14 @@ RETIRED = {
         "n^2-entry relation dict build or pair-by-pair batching in src/ (the per-pair "
         "batching is the oracle tests/reference/batching_reference.py)",
     ),
+    "every-option-has-a-caller": (
+        r"max_batch_age|forced_emissions|_forced_deadline|replay_delay|TraceRecorder"
+        r"|drop_probability|histogram_capacity|metric_prefix",
+        ("src",),
+        "every option has a caller: no forced-emission liveness guard, replay delay, "
+        "simulation trace recorder, Bernoulli channel loss, registry-wide histogram "
+        "capacity or dedupe metric prefix in src/ (chaos loss runs through the fault hook)",
+    ),
 }
 
 
@@ -132,6 +140,14 @@ PUT_BACK = [
     ("one-offline-path", "def batch(order) -> BatchingOutcome:"),
     ("one-offline-path", "strengths = _strict_boundary_strengths(order, relation)"),
     ("one-offline-path", "from repro.core.batching import form_batches"),
+    ("every-option-has-a-caller", "max_batch_age: Optional[float] = None"),
+    ("every-option-has-a-caller", "self._forced_emissions += 1"),
+    ("every-option-has-a-caller", "deadline = self._forced_deadline(candidate, safe_time)"),
+    ("every-option-has-a-caller", "replay_delay: float = 0.0"),
+    ("every-option-has-a-caller", "from repro.simulation.trace import TraceRecorder"),
+    ("every-option-has-a-caller", "chan = Channel(loop, name, delay, rng, f, drop_probability=0)"),
+    ("every-option-has-a-caller", "registry = MetricsRegistry(histogram_capacity=4096)"),
+    ("every-option-has-a-caller", 'gate = IntakeDedupeGate(metric_prefix="live")'),
 ]
 
 
