@@ -61,13 +61,15 @@ def run_instrumented_workload(
     num_workers: Optional[int] = None,
     max_restarts: Optional[int] = None,
     on_shard_loss: str = "raise",
+    inject_crash: Optional[int] = None,
 ) -> InstrumentedRun:
     """Run the named workload with a fresh :class:`Telemetry` hub injected.
 
     Every client sends four messages.  ``max_restarts``/``on_shard_loss``
     tune the procs supervisor (:class:`~repro.runtime.procs.RestartPolicy`
-    budget and the degraded mode once it is exhausted); both are procs-only
-    and ignored on the sim runtime.
+    budget and the degraded mode once it is exhausted); ``inject_crash`` kills
+    the worker owning that shard mid-stream so the recovery path shows up in
+    the trace.  All three are procs-only and ignored on the sim runtime.
     """
     if workload not in WORKLOAD_NAMES:
         raise ValueError(f"unknown workload {workload!r}; expected one of {WORKLOAD_NAMES}")
@@ -94,6 +96,9 @@ def run_instrumented_workload(
             kwargs["restart_policy"] = RestartPolicy(max_restarts=max_restarts)
         if on_shard_loss != "raise":
             kwargs["on_shard_loss"] = on_shard_loss
+        if inject_crash is not None:
+            kwargs["inject_crash"] = inject_crash
+            kwargs["crash_point"] = "mid"
         with resolve_backend(runtime, telemetry=telemetry, **kwargs) as backend:
             outcome = backend.run(cluster_workload)
         return InstrumentedRun(

@@ -21,7 +21,7 @@ def build(loop, completeness="heartbeat", p_safe=0.9):
     return OnlineTommySequencer(loop, distributions, config)
 
 
-def test_failed_client_blocks_forever_without_the_guard():
+def test_failed_client_blocks_emission_forever():
     loop = EventLoop()
     sequencer = build(loop)
     sequencer.receive(make_message("alive", 0.0), arrival_time=0.0)

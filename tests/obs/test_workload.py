@@ -101,3 +101,22 @@ def test_cluster_workload_report_is_pinned():
     assert row["ras_normalized"] == 0.9891
     assert row["exactly_once"] and row["streaming_parity"]
     assert len(run.telemetry.sim_fingerprint()) == 216
+
+
+def test_procs_crash_injection_restarts_the_worker_and_keeps_the_order():
+    """The nightly recovery trace's call: a mid-stream crash shows one restart."""
+    kwargs = dict(workload="cluster", num_shards=4, num_clients=16, seed=7)
+    crashed = run_instrumented_workload(
+        **kwargs, runtime="procs", num_workers=2, max_restarts=2, inject_crash=2
+    ).runtime_outcome
+    assert crashed.details["worker_restarts"] == 1, crashed.details
+    assert crashed.details["shards_recovered"] == [2]
+    clean = run_instrumented_workload(**kwargs, runtime="procs", num_workers=2).runtime_outcome
+    assert clean.details["worker_restarts"] == 0
+
+    def client_order(outcome):
+        # Message ids come from a process-wide counter, so two builds differ in
+        # them; the merged order of clients does not.
+        return [[client for client, _ in batch] for _, batch in outcome.fingerprint()]
+
+    assert client_order(crashed) == client_order(clean)
