@@ -75,7 +75,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.core.relation": ("LikelyHappenedBefore",),
         "repro.core.sequencer": ("TommySequencer",),
         "repro.core.total_order": ("FairTotalOrder",),
-        "repro.cluster.merge": ("CrossShardMerger",),
         "repro.cluster.router": (
             "HashSharding",
             "LoadAwareSharding",
@@ -118,7 +117,6 @@ __all__ = [
     "quick_sequence",
     "ShardRouter",
     "ShardedSequencer",
-    "CrossShardMerger",
     "HashSharding",
     "RegionAffineSharding",
     "LoadAwareSharding",

@@ -4,10 +4,10 @@ Scales the single :class:`~repro.core.online.OnlineTommySequencer` out to a
 cluster: a :class:`ShardRouter` partitions clients over shards (hash,
 region-affine, or load-aware), a :class:`ShardedSequencer` runs one online
 sequencer per shard on a shared event loop with heartbeat-driven failover,
-and a :class:`CrossShardMerger` recovers one cluster-wide fair order by
+and a :class:`StreamingMerger` recovers one cluster-wide fair order by
 applying the paper's probabilistic machinery at batch granularity across
 shard boundaries — one window rule and one pair-list kernel price every
-cross-shard batch pair, offline and streaming alike.  A
+cross-shard batch pair, offline (``merge_streams``) and streaming alike.  A
 :class:`MergeTopology` arranges the shards as leaves of a log-depth tree and
 attributes each priced pair to its lowest common ancestor (which aggregator
 of a hierarchy carries how much work); it never changes the merged order.
@@ -22,7 +22,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.cluster.intake": ("IntakeDedupeGate",),
         "repro.cluster.merge": (
             "CertaintyWindows",
-            "CrossShardMerger",
             "MergeOutcome",
             "StreamingMerger",
         ),
@@ -52,7 +51,6 @@ __all__ = [
     "LoadAwareSharding",
     "ShardRouter",
     "stable_shard_hash",
-    "CrossShardMerger",
     "StreamingMerger",
     "CertaintyWindows",
     "MergeOutcome",

@@ -37,7 +37,7 @@ pair-list kernel**, whoever asks:
   which prices exactly the requested ``(a, b)`` node pairs: all-Gaussian
   message sets in 1-D closed-form passes over slices of whole rows,
   anything grid-backed in chunked rectangles through
-  :func:`~repro.core.engine.cross_probability_matrix` (shared
+  :func:`~repro.core.engine.cross_probability_matrix` (the merger's
   :class:`~repro.core.engine.PairTableCache` difference-CDF tables); the
   closed-form passes are bounded by ``_SLICE_ELEMENTS``.  Either way a
   pair's mean is two sequential ``np.add.reduceat`` segment sums over the
@@ -56,16 +56,17 @@ cross-shard node, enumerating only the window where the band can lie) and
 which call computes it, so pricing waits until pending rows × observed nodes
 reach the flush cadence (``_CHUNK_ELEMENTS``) or until priced state is
 *read* — ``result()``, ``forward_matrix()``, the pair counters,
-``stats``, ``node_report()``, ``refresh_client``,
-:attr:`CrossShardMerger.engine_stats` and (before the model changes)
-:meth:`CrossShardMerger.register_client` all settle the pending block first.
+``stats``, ``node_report()``, ``refresh_client`` and (before the model
+changes) ``register_client`` all settle the pending block first.
 No reader can see a state that pricing on arrival would not have shown, the
-priced prefix trails observation by at most one block.  The offline
-:meth:`CrossShardMerger.merge` is the same walk over whole streams.
+priced prefix trails observation by at most one block.  The merger owns
+everything that pricing reads: the model, the difference-CDF tables, the
+certainty windows and the engine counters.  The offline :func:`merge_streams`
+is the same walk over whole streams, on a fresh merger.
 ``result()`` linearises windows plus store in O(nodes + band) — one N×N
 *bool* direction matrix only on the cyclic path, for ``break_cycles``, which
-reads edge weights through a view over the store — byte-identical to a fresh
-:meth:`CrossShardMerger.merge` over the same streams in any observation
+reads edge weights through a view over the store — byte-identical to
+:func:`merge_streams` over the same streams in any observation
 interleaving, under any flush cadence and any slice.  ``forward_matrix()``
 materialises the dense matrix for ``tests/reference``, the unpruned per-pair
 oracle both are checked against; nothing in ``src/`` reads it.  A
@@ -76,7 +77,6 @@ attributes the priced pairs to tree nodes.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -660,152 +660,6 @@ def _merge_edges(
     )
 
 
-class CrossShardMerger:
-    """Merges per-shard emitted batches into one cluster-wide fair order."""
-
-    def __init__(
-        self,
-        model: PrecedenceModel,
-        threshold: float = 0.75,
-        cycle_policy: str = "greedy",
-        seed: int = 0,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        if not 0.5 <= threshold < 1.0:
-            raise ValueError(f"threshold must be in [0.5, 1), got {threshold!r}")
-        check_policy(cycle_policy)
-        self._model = model
-        self._threshold = float(threshold)
-        self._cycle_policy = cycle_policy
-        self._seed = int(seed)
-        self._telemetry = telemetry
-        self._engine_stats = EngineStats()
-        # difference-CDF tables shared across every batch_precedence call, so
-        # empirical/learned client pairs convolve once per pair, not per batch
-        self._tables = PairTableCache(model, stats=self._engine_stats)
-        self._windows = CertaintyWindows(model)
-        # live streaming mergers share the model and the counters above: their
-        # pending rows are priced before either is changed or read
-        self._streaming: "weakref.WeakSet[StreamingMerger]" = weakref.WeakSet()
-
-    def _settle(self) -> None:
-        for streaming in self._streaming:
-            streaming._price_pending()
-
-    @property
-    def model(self) -> PrecedenceModel:
-        """The cluster-wide precedence model (all clients registered)."""
-        return self._model
-
-    @property
-    def pair_tables(self) -> PairTableCache:
-        """The shared per-client-pair difference-CDF table cache."""
-        return self._tables
-
-    @property
-    def certainty_windows(self) -> CertaintyWindows:
-        """The per-client certainty radii used for window pruning."""
-        return self._windows
-
-    def register_client(self, client_id: str, distribution: OffsetDistribution) -> None:
-        """Register or refresh a client's distribution on the merge model.
-
-        Drops the cached difference-CDF tables involving the client so the
-        next merge prices its cross-shard pairs with the new distribution.
-        Rows a streaming merger has observed but not priced yet are priced
-        first, by the model they were observed under.
-        """
-        self._settle()
-        self._model.register_client(client_id, distribution)
-        self._tables.invalidate_client(client_id)
-        self._windows.invalidate_client(client_id)
-        for streaming in self._streaming:
-            # rows observed from here on read the new closed-form parameters
-            streaming._client_params.pop(client_id, None)
-
-    def streaming_merger(
-        self, num_shards: Optional[int] = None, topology: Optional[MergeTopology] = None
-    ) -> "StreamingMerger":
-        """A :class:`StreamingMerger` sharing this merger's model and caches.
-
-        Its :meth:`StreamingMerger.result` is byte-identical to
-        :meth:`merge` over the observed streams.  ``topology`` (a
-        :class:`~repro.cluster.tree.MergeTopology`) makes the merger
-        attribute every priced pair to its lowest common ancestor
-        (:meth:`StreamingMerger.node_report`, ``merge_tree`` telemetry); it
-        never changes a priced float.
-        """
-        streaming = StreamingMerger(
-            self._model,
-            threshold=self._threshold,
-            cycle_policy=self._cycle_policy,
-            seed=self._seed,
-            tables=self._tables,
-            stats=self._engine_stats,
-            windows=self._windows,
-            num_shards=num_shards,
-            telemetry=self._telemetry,
-            topology=topology,
-        )
-        self._streaming.add(streaming)
-        return streaming
-
-    # ---------------------------------------------------------- probabilities
-    @property
-    def engine_stats(self) -> EngineStats:
-        """Counters for the vectorized cross-pair computations performed.
-
-        Shared with every :meth:`streaming_merger`; pending rows settle first.
-        """
-        self._settle()
-        return self._engine_stats
-
-    def batch_precedence(self, batch_a: SequencedBatch, batch_b: SequencedBatch) -> float:
-        """``P(batch_a generated before batch_b)`` at batch granularity.
-
-        The mean over message cross pairs of the pairwise preceding
-        probability (one vectorized engine evaluation of the cross matrix).
-        The mean (rather than min or max) keeps the batch-level relation
-        complementary, which the tournament construction requires.
-        """
-        matrix = cross_probability_matrix(
-            batch_a.messages,
-            batch_b.messages,
-            self._model,
-            stats=self._engine_stats,
-            tables=self._tables,
-        )
-        if matrix.size == 0:
-            return 0.5
-        return float(matrix.mean())
-
-    # ----------------------------------------------------------------- merge
-    def _priced(self, shard_batches: Sequence[Sequence[SequencedBatch]]) -> "StreamingMerger":
-        """The priced state of an offline merge: whole streams observed at once.
-
-        ``observe_batch`` over the streams taken shard by shard (same appends,
-        same block flushes; the last block settles at the first read) minus
-        the observation telemetry: this is a repricing.
-        """
-        priced = self.streaming_merger(num_shards=len(shard_batches))
-        for shard, batches in enumerate(shard_batches):
-            for batch in batches:
-                priced._append(shard, batch)
-        return priced
-
-    def merge(self, shard_batches: Sequence[Sequence[SequencedBatch]]) -> MergeOutcome:
-        """Merge per-shard batch streams into one cluster-wide order.
-
-        ``shard_batches[s]`` is shard ``s``'s emitted batches in rank order.
-        Pricing is the streaming merger's own block schedule (:meth:`_priced`);
-        linearisation draws from a generator seeded per call, so repeated
-        merges of the same streams are equal (and equal
-        :meth:`StreamingMerger.result` over them).
-        """
-        start = time.perf_counter()
-        return self._priced(shard_batches)._linearise(start)
-
-
 def _fitted(arrays: Sequence[np.ndarray], needed: int) -> Sequence[np.ndarray]:
     """Equal-length ``arrays``, zero-extended by doubling until they hold ``needed``."""
     capacity = arrays[0].size
@@ -889,14 +743,17 @@ class StreamingMerger:
     interleaving) and no reader can tell it from pricing on arrival.
     Only the band is stored (:attr:`stored_pairs`); ``result()`` linearises it
     together with the windows, and for the same observed streams the output
-    is byte-identical to :meth:`CrossShardMerger.merge` (which is this class
+    is byte-identical to :func:`merge_streams` (which is this class
     observing whole streams at once), regardless of the order batches were
     observed in.
 
-    A row is priced by the model it was observed under; a mid-stream
-    distribution refresh must be propagated with :meth:`refresh_client`,
-    which reprices every maintained pair the refresh can move and rewrites
-    the client's entries in the kernel's flattened parameter arrays.
+    The merger is the one owner of the merge state: the model, the
+    difference-CDF tables, the certainty windows and the engine counters
+    (:attr:`stats`).  A row is priced by the model it was observed under;
+    :meth:`register_client` swaps a distribution (pricing the pending rows
+    first), and :meth:`refresh_client` then reprices every maintained pair
+    the refresh can move and rewrites the client's entries in the kernel's
+    flattened parameter arrays.
 
     A :class:`~repro.cluster.tree.MergeTopology` adds an attribution, not a
     computation: every priced pair is also counted at the lowest common
@@ -912,9 +769,6 @@ class StreamingMerger:
         threshold: float = 0.75,
         cycle_policy: str = "greedy",
         seed: int = 0,
-        tables: Optional[PairTableCache] = None,
-        stats: Optional[EngineStats] = None,
-        windows: Optional[CertaintyWindows] = None,
         num_shards: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
         topology: Optional[MergeTopology] = None,
@@ -935,9 +789,11 @@ class StreamingMerger:
         self._cycle_policy = cycle_policy
         self._seed = int(seed)
         self._obs = resolve(telemetry)
-        self._stats = stats if stats is not None else EngineStats()
-        self._tables = tables if tables is not None else PairTableCache(model, stats=self._stats)
-        self._windows = windows if windows is not None else CertaintyWindows(model)
+        self._stats = EngineStats()
+        # difference-CDF tables, so empirical/learned client pairs convolve
+        # once per pair, not per block
+        self._tables = PairTableCache(model, stats=self._stats)
+        self._windows = CertaintyWindows(model)
         # pre-creating the shard streams keeps result() metadata identical to
         # an offline merge over a fixed-size cluster even when trailing
         # shards have not emitted anything yet
@@ -945,7 +801,7 @@ class StreamingMerger:
             [] for _ in range(num_shards if num_shards is not None else 0)
         ]
         self._nodes: List[BatchNode] = []  # observation order
-        self._priced = 0  # nodes below this position have their pairs priced
+        self._price_cursor = 0  # nodes below this position have their pairs priced
         self._node_messages: List[Tuple[TimestampedMessage, ...]] = []
         # per-node state the window rule and the kernel read, indexed by
         # observation position
@@ -985,6 +841,11 @@ class StreamingMerger:
 
     # ------------------------------------------------------------- properties
     @property
+    def model(self) -> PrecedenceModel:
+        """The cluster-wide precedence model (all clients registered)."""
+        return self._model
+
+    @property
     def node_count(self) -> int:
         """Number of shard batches observed so far."""
         return len(self._nodes)
@@ -992,7 +853,7 @@ class StreamingMerger:
     @property
     def pending_nodes(self) -> int:
         """Observed nodes whose pairs are not priced yet (under one block)."""
-        return len(self._nodes) - self._priced
+        return len(self._nodes) - self._price_cursor
 
     @property
     def cross_pairs_evaluated(self) -> int:
@@ -1183,9 +1044,9 @@ class StreamingMerger:
         """
         if not self.pending_nodes:
             return
-        first = self._priced
+        first = self._price_cursor
         deltas = self._price_from(first)
-        self._priced = len(self._nodes)
+        self._price_cursor = len(self._nodes)
         if self._obs.enabled:
             self._obs.count("merge.price_blocks")
             self._obs.gauge("merge.pending_nodes", 0)
@@ -1477,19 +1338,34 @@ class StreamingMerger:
         return means[row_of_pair, np.searchsorted(b_set, partners)]
 
     # ---------------------------------------------------------------- refresh
+    def register_client(self, client_id: str, distribution: OffsetDistribution) -> None:
+        """Register or refresh a client's distribution on the merge model.
+
+        Rows observed but not priced yet are priced first, by the model they
+        were observed under; then the client's cached tables, certainty
+        radius and closed-form parameters are dropped, so rows observed from
+        here on read the new distribution.  Pairs already priced keep their
+        floats until :meth:`refresh_client` reprices them.
+        """
+        self._price_pending()
+        self._model.register_client(client_id, distribution)
+        self._tables.invalidate_client(client_id)
+        self._windows.invalidate_client(client_id)
+        self._client_params.pop(client_id, None)
+
     def refresh_client(self, client_id: str) -> int:
         """Reprice maintained pairs involving ``client_id``.
 
-        Call after the client's distribution was re-registered on the model
-        (the shared table cache and certainty windows detect the new version
-        themselves).  Only pairs the refresh can actually change are
-        repriced: a pair that was window-pruned before and remains
-        window-pruned in the same direction keeps its exact 0/1 value, so
-        the kernel (and even the recount) is skipped — with
-        time-localised streams the bulk of a long run's history prunes
-        against the refreshed batches, turning the refresh from O(history)
-        kernel work into O(overlapping window).  Returns the number of
-        repriced node pairs.
+        Call after the client's distribution was re-registered, through
+        :meth:`register_client` or on the model itself (the table cache and
+        the certainty windows detect the new version themselves).  Only
+        pairs the refresh can actually change are repriced: a pair that was
+        window-pruned before and remains window-pruned in the same direction
+        keeps its exact 0/1 value, so the kernel (and even the recount) is
+        skipped — with time-localised streams the bulk of a long run's
+        history prunes against the refreshed batches, turning the refresh
+        from O(history) kernel work into O(overlapping window).  Returns the
+        number of repriced node pairs.
         """
         self._price_pending()
         self._windows.invalidate_client(client_id)
@@ -1546,13 +1422,13 @@ class StreamingMerger:
         """Linearise the maintained state into the cluster-wide order.
 
         Uses a fresh RNG seeded from the merger's seed, so repeated calls
-        are deterministic and each equals :meth:`CrossShardMerger.merge`
-        over the observed streams.
+        are deterministic and each equals :func:`merge_streams` over the
+        observed streams.
         """
         return self._linearise(time.perf_counter())
 
     def _linearise(self, start: float) -> MergeOutcome:
-        """``result()`` with the caller's start time (an offline merge's
+        """``result()`` with the caller's start time (:func:`merge_streams`'s
         wall clock includes its pricing)."""
         self._price_pending()
         if not self._nodes:
@@ -1571,3 +1447,56 @@ class StreamingMerger:
             stats=self._stats,
             obs=self._obs,
         )
+
+
+def merge_streams(
+    shard_batches: Sequence[Sequence[SequencedBatch]],
+    model: PrecedenceModel,
+    threshold: float = 0.75,
+    cycle_policy: str = "greedy",
+    seed: int = 0,
+    telemetry: Optional[Telemetry] = None,
+) -> MergeOutcome:
+    """Merge per-shard batch streams into one cluster-wide order, offline.
+
+    ``shard_batches[s]`` is shard ``s``'s emitted batches in rank order.  A
+    fresh :class:`StreamingMerger` appends them shard by shard (the same
+    appends and block flushes as ``observe_batch``, minus the observation
+    telemetry: this is a repricing) and linearises once, so the result equals
+    :meth:`StreamingMerger.result` over the same streams observed in any
+    order.  It shares no tables, windows or counters with any live merger.
+    """
+    start = time.perf_counter()
+    merger = StreamingMerger(
+        model,
+        threshold=threshold,
+        cycle_policy=cycle_policy,
+        seed=seed,
+        num_shards=len(shard_batches),
+        telemetry=telemetry,
+    )
+    for shard, batches in enumerate(shard_batches):
+        for batch in batches:
+            merger._append(shard, batch)
+    return merger._linearise(start)
+
+
+class CrossShardMerger:
+    """Stateless factory kept for ``bench/tommybench_replays.py``.
+
+    It stores its arguments and builds a fresh :class:`StreamingMerger` per
+    :meth:`streaming_merger` call.  Nothing in ``src/`` calls it; the next
+    change to the benchmark moves that file onto :class:`StreamingMerger` and
+    deletes this class (ROADMAP item 4).
+    """
+
+    def __init__(
+        self, model: PrecedenceModel, threshold: float, cycle_policy: str, seed: int
+    ) -> None:
+        self._arguments = (model, threshold, cycle_policy, seed)
+
+    def streaming_merger(
+        self, num_shards: Optional[int], topology: Optional[MergeTopology]
+    ) -> StreamingMerger:
+        """A new :class:`StreamingMerger` with this factory's arguments."""
+        return StreamingMerger(*self._arguments, num_shards=num_shards, topology=topology)

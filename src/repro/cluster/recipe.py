@@ -10,9 +10,9 @@ construction instead of by hand-copied code.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.cluster.merge import CrossShardMerger, StreamingMerger
+from repro.cluster.merge import StreamingMerger
 from repro.cluster.router import ShardingPolicy, ShardRouter
 from repro.cluster.tree import MergeTopology
 from repro.core.config import TommyConfig
@@ -40,13 +40,14 @@ def build_merge(
     merge_topology: str = "flat",
     merge_fanout: int = 2,
     telemetry: Optional[Telemetry] = None,
-) -> Tuple[CrossShardMerger, Optional[MergeTopology], StreamingMerger]:
-    """The merge stack: ``(merger, topology, streaming merger)``.
+) -> StreamingMerger:
+    """The merger: one :class:`StreamingMerger` over every provisioned client.
 
     ``"binary"``/``"region"`` topologies arrange the shards as leaves of a
     bounded-fanout tree and attribute every priced cross-shard batch pair to
     its lowest common ancestor — same pricing, same merged order, plus a
-    per-aggregator work report; ``topology`` is ``None`` for the flat merge.
+    per-aggregator work report; the merger's ``topology`` is ``None`` for the
+    flat merge.
     """
     model = PrecedenceModel(
         method=config.probability_method,
@@ -54,13 +55,6 @@ def build_merge(
     )
     for client_id, distribution in client_distributions.items():
         model.register_client(client_id, distribution)
-    merger = CrossShardMerger(
-        model,
-        threshold=config.threshold,
-        cycle_policy=config.cycle_policy,
-        seed=config.seed if config.seed is not None else 0,
-        telemetry=telemetry,
-    )
     topology: Optional[MergeTopology] = None
     if merge_topology != "flat":
         topology = MergeTopology.build(
@@ -69,8 +63,15 @@ def build_merge(
             fanout=merge_fanout,
             region_map=router.region_map(),
         )
-    streaming = merger.streaming_merger(num_shards=router.num_shards, topology=topology)
-    return merger, topology, streaming
+    return StreamingMerger(
+        model,
+        threshold=config.threshold,
+        cycle_policy=config.cycle_policy,
+        seed=config.seed if config.seed is not None else 0,
+        num_shards=router.num_shards,
+        telemetry=telemetry,
+        topology=topology,
+    )
 
 
 __all__ = ["build_router", "build_merge"]

@@ -5,8 +5,9 @@
 :class:`~repro.simulation.EventLoop`.  Clients are routed to shards by a
 :class:`~repro.cluster.router.ShardRouter`; each shard sequences only its own
 clients, so per-arrival cost drops from O(n^2) over the whole pending set to
-O((n/S)^2) per shard.  The cluster-wide order is recovered afterwards by the
-probabilistic :class:`~repro.cluster.merge.CrossShardMerger`.
+O((n/S)^2) per shard.  The cluster-wide order is recovered by the
+probabilistic :class:`~repro.cluster.merge.StreamingMerger`, which observes
+every shard emission as it happens.
 
 Failover: when a shard-heartbeat interval is configured, every live shard
 ticks a heartbeat on the loop and a monitor watches for silence.  A shard
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.intake import IntakeDedupeGate
-from repro.cluster.merge import CrossShardMerger, MergeOutcome, StreamingMerger
+from repro.cluster.merge import MergeOutcome, StreamingMerger, merge_streams
 from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.router import ShardingPolicy, ShardRouter
 from repro.cluster.tree import MergeTopology
@@ -135,7 +136,7 @@ class ShardedSequencer(Entity):
 
         self._merge_topology_kind = merge_topology
         self._merge_fanout = int(merge_fanout)
-        self._merger, self._topology, self._streaming = build_merge(
+        self._streaming = build_merge(
             self._distributions,
             self._config,
             self._router,
@@ -204,11 +205,6 @@ class ShardedSequencer(Entity):
         return self._config
 
     @property
-    def merger(self) -> CrossShardMerger:
-        """The cross-shard merger (cluster-wide precedence model)."""
-        return self._merger
-
-    @property
     def streaming_merger(self) -> StreamingMerger:
         """The live incremental merger every shard emission streams into."""
         return self._streaming
@@ -216,7 +212,7 @@ class ShardedSequencer(Entity):
     @property
     def merge_topology(self) -> Optional[MergeTopology]:
         """The hierarchical merge tree (``None`` for the flat merge)."""
-        return self._topology
+        return self._streaming.topology
 
     def merge_report(self) -> Dict[str, object]:
         """Merge-layer topology + per-node pruning/kernel accounting.
@@ -225,10 +221,11 @@ class ShardedSequencer(Entity):
         attribution of every priced pair to its lowest common ancestor.
         Attached to the metrics registry as ``cluster.merge``.
         """
+        topology = self._streaming.topology
         return {
             "topology": self._merge_topology_kind,
-            "fanout": self._merge_fanout if self._topology is not None else self.num_shards,
-            "depth": self._topology.depth if self._topology is not None else 1,
+            "fanout": self._merge_fanout if topology is not None else self.num_shards,
+            "depth": topology.depth if topology is not None else 1,
             "cross_pairs_evaluated": self._streaming.cross_pairs_evaluated,
             "cross_pairs_pruned": self._streaming.cross_pairs_pruned,
             "nodes": self._streaming.node_report(),
@@ -266,7 +263,7 @@ class ShardedSequencer(Entity):
         on a dead shard is immediately redirected to a live one.
         """
         self._distributions[client_id] = distribution
-        self._merger.register_client(client_id, distribution)
+        self._streaming.register_client(client_id, distribution)
         shard = self._live_owner(client_id)
         self._shards[shard].sequencer.register_client(client_id, distribution)
 
@@ -286,7 +283,7 @@ class ShardedSequencer(Entity):
                 f"client {client_id!r} is not registered; use register_client for new clients"
             )
         self._distributions[client_id] = distribution
-        self._merger.register_client(client_id, distribution)
+        self._streaming.register_client(client_id, distribution)
         self._streaming.refresh_client(client_id)
         shard = self._live_owner(client_id)
         self._shards[shard].sequencer.update_client_distribution(client_id, distribution)
@@ -643,25 +640,35 @@ class ShardedSequencer(Entity):
         ]
 
     def engine_stats(self) -> EngineStats:
-        """Cluster-wide engine counters: every shard plus the merger.
+        """Cluster-wide engine counters: every shard plus the streaming merger.
 
-        Reading the merger's settles the streaming merger's pending rows first.
+        Reading the merger's settles its pending rows first.  The offline
+        :meth:`merge` reprices on a merger of its own and adds nothing here.
         """
         combined = self._retired_engine_stats
         for shard in self._shards:
             combined = combined.merge(shard.sequencer.engine_stats())
-        return combined.merge(self._merger.engine_stats)
+        return combined.merge(self._streaming.stats)
 
     def merge(self) -> MergeOutcome:
         """Merge every shard's emitted batches into the cluster-wide order.
 
-        The offline parity oracle: reprices the whole merge from the emitted
-        streams, whatever the topology (a merge tree attributes pairs, it
-        does not price them), and adds that repricing to the merger's
-        counters.  :meth:`live_merge` linearises the incrementally maintained
-        state instead and is byte-identical.
+        The offline parity oracle: :func:`~repro.cluster.merge.merge_streams`
+        reprices the whole merge from the emitted streams on the live merge
+        model, whatever the topology (a merge tree attributes pairs, it does
+        not price them), on a merger of its own whose counters are not added
+        to :meth:`engine_stats`.  :meth:`live_merge` linearises the
+        incrementally maintained state instead and is byte-identical.
         """
-        return self._merger.merge(self.shard_batches())
+        config = self._config
+        return merge_streams(
+            self.shard_batches(),
+            self._streaming.model,
+            threshold=config.threshold,
+            cycle_policy=config.cycle_policy,
+            seed=config.seed if config.seed is not None else 0,
+            telemetry=self._telemetry,
+        )
 
     def live_merge(self) -> MergeOutcome:
         """The cluster-wide order from the live streaming merger.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.merge import MergeOutcome, merge_fingerprint
+from repro.cluster.merge import MergeOutcome, merge_fingerprint, merge_streams
 from repro.cluster.recipe import build_merge
 from repro.cluster.router import HashSharding
 from repro.experiments.runner import SequencerComparison, evaluate_result
@@ -146,8 +146,15 @@ def run_cluster_scenario(
         kwargs["on_shard_loss"] = on_shard_loss
     with resolve_backend(runtime, **kwargs) as backend:
         outcome = backend.run(workload)
-    merger = build_merge(workload.client_distributions, workload.config, workload.build_router())[0]
-    merge = merger.merge(outcome.shard_batches)
+    config = workload.config
+    model = build_merge(workload.client_distributions, config, workload.build_router()).model
+    merge = merge_streams(
+        outcome.shard_batches,
+        model,
+        threshold=config.threshold,
+        cycle_policy=config.cycle_policy,
+        seed=config.seed if config.seed is not None else 0,
+    )
     messages = list(workload.messages)
     comparison = evaluate_result(f"cluster@{num_shards}-{runtime}", merge.result, messages)
     return ClusterRunOutcome(

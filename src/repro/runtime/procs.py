@@ -545,7 +545,7 @@ class ShardCoordinator:
         in_process = num_workers == 0
         self.num_workers = 0 if in_process else worker_count(num_workers, spec.num_shards)
         self.router = build_router(spec.client_distributions, spec.num_shards, spec.policy)
-        self._merger, _, self._streaming = build_merge(
+        self._streaming = build_merge(
             spec.client_distributions,
             spec.config,
             self.router,
@@ -702,12 +702,12 @@ class ShardCoordinator:
     def engine_stats(self) -> EngineStats:
         """Engine counters of every finished shard plus the merger's.
 
-        Reading the merger's settles the streaming merger's pending rows first.
+        Reading the merger's settles its pending rows first.
         """
         combined = EngineStats()
         for shard in sorted(self._summaries):
             combined = combined.merge(self._summaries[shard]["engine"])
-        return combined.merge(self._merger.engine_stats)
+        return combined.merge(self._streaming.stats)
 
     def details(self) -> Dict[str, object]:
         """Supervision counters, per-shard summaries and their totals for the outcome.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -72,10 +73,11 @@ class PoissonArrivals(ArrivalProcess):
     """Independent Poisson arrivals per client over ``[0, horizon]``."""
 
     def __init__(self, rate_per_client: float, horizon: float) -> None:
-        if rate_per_client <= 0:
-            raise ValueError("rate_per_client must be positive")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # a NaN or infinite bound never ends the loop in generate()
+        if not (math.isfinite(rate_per_client) and rate_per_client > 0):
+            raise ValueError("rate_per_client must be finite and positive")
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError("horizon must be finite and positive")
         self._rate = float(rate_per_client)
         self._horizon = float(horizon)
 

@@ -29,7 +29,6 @@ from test_streaming_merge import build_model, build_streams, random_interleaving
 
 from repro.cluster.merge import (
     CertaintyWindows,
-    CrossShardMerger,
     StreamingMerger,
     _Band,
     _band_order,
@@ -215,9 +214,7 @@ def check_flush(seed, num_shards, kind, mixed, budget, gap, touching=False):
     topology = build_topology(kind, num_shards)
     checks = []
     with with_budget(budget), record_flushes(checks), radius:
-        streaming = CrossShardMerger(model, seed=0).streaming_merger(
-            num_shards=num_shards, topology=topology
-        )
+        streaming = StreamingMerger(model, seed=0, num_shards=num_shards, topology=topology)
         for shard, batch in random_interleaving(streams, rng):
             streaming.observe_batch(shard, batch)
         report = streaming.node_report()
@@ -279,7 +276,7 @@ def test_one_shard_flush_enumerates_no_pair():
         return window
 
     with with_budget(97), mock.patch.object(StreamingMerger, "_window_from", recording):
-        streaming = CrossShardMerger(model).streaming_merger(num_shards=1)
+        streaming = StreamingMerger(model, num_shards=1)
         for batch in streams[0]:
             streaming.observe_batch(0, batch)
         outcome = streaming.result()

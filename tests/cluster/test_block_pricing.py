@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from merge_reference import reference_forward_matrix
+from merge_reference import offline_priced, reference_forward_matrix
 from test_streaming_merge import (
     build_model,
     build_streams,
@@ -36,7 +36,7 @@ from test_streaming_merge import (
 )
 
 from repro.cluster import merge as merge_module
-from repro.cluster.merge import CrossShardMerger, StreamingMerger, merge_fingerprint
+from repro.cluster.merge import StreamingMerger, merge_fingerprint, merge_streams
 from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.sharded import ShardedSequencer
 from repro.cluster.tree import MergeTopology
@@ -71,9 +71,7 @@ def replay(
     """One streaming run under ``budget`` and a kernel slice; everything a
     caller could look at, and the pair store."""
     with with_budget(budget), with_slice(slice_elements):
-        streaming = CrossShardMerger(model, seed=0).streaming_merger(
-            num_shards=num_shards, topology=topology
-        )
+        streaming = StreamingMerger(model, seed=0, num_shards=num_shards, topology=topology)
         reads = []
         for position, (shard, batch) in enumerate(observations, 1):
             streaming.observe_batch(shard, batch)
@@ -128,12 +126,12 @@ def check_schedule_is_unobservable(
     # offline is the same walk: same matrix, order and counts under the same
     # budget and slice
     with with_budget(budget), with_slice(slice_elements):
-        offline = CrossShardMerger(model, seed=0)._priced(streams)
+        offline = offline_priced(streams, model, seed=0)
         assert np.array_equal(offline.forward_matrix(), reference, equal_nan=True)
-        outcome = CrossShardMerger(model, seed=0).merge(streams)
+        outcome = merge_streams(streams, model, seed=0)
     assert fingerprint(outcome) == blocks["fingerprint"]
     assert (outcome.cross_pairs_evaluated, outcome.cross_pairs_pruned) == blocks["pairs"]
-    # (cycle_resolutions counts linearisations, and ``_priced`` makes none)
+    # (cycle_resolutions counts linearisations, one offline, any number live)
     linearised = ("cycle_resolutions",)
     assert invariant_stats(offline.stats, gaussian, linearised) == invariant_stats(
         blocks["stats"], gaussian, linearised
@@ -183,9 +181,7 @@ def test_flush_points_depend_on_the_node_count_alone():
         for topology in (None, MergeTopology.balanced(4, 2)):
             calls = []
             with record_price_calls(calls):
-                streaming = CrossShardMerger(model).streaming_merger(
-                    num_shards=4, topology=topology
-                )
+                streaming = StreamingMerger(model, num_shards=4, topology=topology)
                 for shard, batch in random_interleaving(streams, rng):
                     streaming.observe_batch(shard, batch)
                 streaming.result()
@@ -193,7 +189,7 @@ def test_flush_points_depend_on_the_node_count_alone():
             schedules.append(calls)
         calls = []
         with record_price_calls(calls):
-            CrossShardMerger(model).merge(streams)
+            merge_streams(streams, model)
         schedules.append(calls)
     assert schedules[0] == schedules[1] == schedules[2]
     assert schedules[0][:3] == [(0, 10), (10, 17), (17, 22)]
@@ -348,7 +344,7 @@ def test_pending_nodes_tracks_how_far_pricing_trails_observation():
     model, shard_clients = build_model(3, 2, rng)
     streams = build_streams(shard_clients, 4, rng)
     telemetry = Telemetry()
-    streaming = CrossShardMerger(model, telemetry=telemetry).streaming_merger(num_shards=3)
+    streaming = StreamingMerger(model, num_shards=3, telemetry=telemetry)
     gauge = telemetry.registry.gauge("merge.pending_nodes")
     for count, (shard, batch) in enumerate(random_interleaving(streams, rng), 1):
         streaming.observe_batch(shard, batch)
@@ -360,23 +356,25 @@ def test_pending_nodes_tracks_how_far_pricing_trails_observation():
 
 
 def test_engine_stats_readers_settle_pending_rows():
-    # the EngineStats object is shared with the CrossShardMerger (and summed
-    # into the cluster's): reading it there must not trail the observations
+    # the merger's EngineStats is summed into the cluster's: reading it there
+    # must not trail the observations
     cluster = run_cluster(None)
     streaming = cluster.streaming_merger
     assert streaming.pending_nodes > 0
     merged = cluster.engine_stats()
     assert streaming.pending_nodes == 0
     assert merged.pruned_pairs == streaming.cross_pairs_pruned > 0
+    # the offline oracle reprices on a merger of its own: nothing is added
+    cluster.merge()
+    assert cluster.engine_stats().as_dict() == merged.as_dict()
 
     rng = np.random.default_rng(5)
     model, shard_clients = build_model(3, 2, rng)
-    merger = CrossShardMerger(model)
-    streaming = merger.streaming_merger(num_shards=3)
+    streaming = StreamingMerger(model, num_shards=3)
     for shard, batch in random_interleaving(build_streams(shard_clients, 4, rng), rng):
         streaming.observe_batch(shard, batch)
     assert streaming.pending_nodes > 0
-    assert merger.engine_stats.vectorized_evaluations > 0
+    assert streaming.stats.vectorized_evaluations > 0
     assert streaming.pending_nodes == 0
 
 
@@ -406,8 +404,8 @@ def test_pinned_acked_cluster_run_at_ledger_size():
     assert (outcome.merge.cross_pairs_evaluated, outcome.merge.cross_pairs_pruned) == counts[1:]
 
     router = build_router(workload.client_distributions, workload.num_shards, workload.policy)
-    merger, _, streaming = build_merge(workload.client_distributions, workload.config, router)
-    offline = merger.merge(streams)
+    streaming = build_merge(workload.client_distributions, workload.config, router)
+    offline = merge_streams(streams, streaming.model, seed=13)
     assert merge_fingerprint(offline) == outcome.fingerprint()
     assert (offline.cross_pairs_evaluated, offline.cross_pairs_pruned) == counts[1:]
     calls = []

@@ -35,7 +35,7 @@ def test_update_client_distribution_reaches_owner_shard_and_merger():
     cluster.update_client_distribution(client, refreshed)
     owner = cluster.router.assign(client)
     assert cluster.sequencer_of(owner).model.distribution_for(client) is refreshed
-    assert cluster.merger.model.distribution_for(client) is refreshed
+    assert cluster.streaming_merger.model.distribution_for(client) is refreshed
     assert cluster.learning_stats()["distribution_refreshes"] == 1
     assert cluster.learning_stats()["per_shard_refreshes"][owner] == 1
     with pytest.raises(KeyError):
@@ -105,10 +105,12 @@ def test_direct_model_registration_does_not_serve_stale_merge_tables():
     """Regression: refreshing a client through ``merger.model.register_client``
     (the pre-learning registration path) must invalidate the merger's cached
     difference-CDF tables, not silently re-serve the old distribution."""
+    from merge_reference import batch_precedence
+
     from repro.network.message import SequencedBatch
 
     loop, cluster = build_cluster(num_clients=4, num_shards=2)
-    merger = cluster.merger
+    merger = cluster.streaming_merger
     rng = np.random.default_rng(3)
     for client in ("client-00", "client-01"):
         merger.model.register_client(
@@ -122,13 +124,14 @@ def test_direct_model_registration_does_not_serve_stale_merge_tables():
         rank=0,
         messages=(TimestampedMessage("client-01", 10.05, message_id=940_002),),
     )
-    before = merger.batch_precedence(batch_a, batch_b)
+    # priced through the merger's own table cache, as its kernel reads it
+    before = batch_precedence(batch_a, batch_b, merger.model, tables=merger._tables)
     # refresh through the model directly (bypassing merger.register_client)
     merger.model.register_client(
         "client-00",
         EmpiricalDistribution.from_samples(rng.normal(2.0, 0.1, 200), bins=64),
     )
-    after = merger.batch_precedence(batch_a, batch_b)
+    after = batch_precedence(batch_a, batch_b, merger.model, tables=merger._tables)
     # eps = reported - true, so client-00's timestamps now run two units
     # ahead of true time: message a was truly generated ~2 units before b
     # and the refreshed table must price that as near certainty

@@ -23,11 +23,11 @@ from merge_reference import reference_forward_matrix
 from online_reference import ReferenceOnlineSequencer
 
 from repro.cluster.merge import (
-    CrossShardMerger,
     StreamingMerger,
     _linear_order,
     _NodeLayout,
     merge_fingerprint,
+    merge_streams,
 )
 from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.tree import MergeTopology
@@ -162,7 +162,7 @@ def test_a_certain_cycle_never_loses_its_chain_edge(policy):
 def test_unknown_policy_is_rejected_before_any_input():
     model = PrecedenceModel()
     with pytest.raises(ValueError, match="unknown cycle policy 'nope'"):
-        CrossShardMerger(model, cycle_policy="nope")
+        merge_streams([], model, cycle_policy="nope")
     with pytest.raises(ValueError, match="unknown cycle policy 'nope'"):
         StreamingMerger(model, cycle_policy="nope")
 
@@ -212,7 +212,7 @@ def test_offline_merge_is_the_pairwise_merger_over_the_reference_matrix():
     # unconfident cross-shard boundary: that pipeline, over the per-pair
     # reference matrix, gives the offline merge's order and batches
     model, streams = staggered_population()
-    outcome = CrossShardMerger(model, seed=13).merge(streams)
+    outcome = merge_streams(streams, model, seed=13)
     matrix = reference_forward_matrix(streams, model)
     nodes = _NodeLayout(streams).nodes
     node_ids = {node: node_id for node_id, node in enumerate(nodes)}
@@ -240,9 +240,7 @@ def test_offline_merge_is_the_pairwise_merger_over_the_reference_matrix():
 def test_streamed_population_equals_the_offline_merge_mid_stream_and_at_the_end(tree):
     model, streams = staggered_population()
     topology = MergeTopology.balanced(len(streams), fanout=2) if tree else None
-    streaming = CrossShardMerger(model, seed=13).streaming_merger(
-        num_shards=len(streams), topology=topology
-    )
+    streaming = StreamingMerger(model, seed=13, num_shards=len(streams), topology=topology)
     # any shard-interleaved observation order that keeps each shard's ranks
     rng = np.random.default_rng(14)
     cursors = [0] * len(streams)
@@ -255,10 +253,10 @@ def test_streamed_population_equals_the_offline_merge_mid_stream_and_at_the_end(
         streaming.observe_batch(shard, batch)
         observed[shard].append(batch)
         if position % 32 == 31:
-            oracle = CrossShardMerger(model, seed=13).merge(observed)
+            oracle = merge_streams(observed, model, seed=13)
             assert merge_fingerprint(streaming.result()) == merge_fingerprint(oracle)
     final = streaming.result()
-    offline = CrossShardMerger(model, seed=13).merge(streams)
+    offline = merge_streams(streams, model, seed=13)
     assert merge_fingerprint(final) == merge_fingerprint(offline)
     assert (final.cross_pairs_evaluated, final.cross_pairs_pruned) == (5396, 1772)
 
@@ -390,8 +388,8 @@ def test_pinned_cyclic_cluster_run():
 
     streams = outcome.shard_batches
     router = build_router(workload.client_distributions, workload.num_shards, workload.policy)
-    merger, _, streaming = build_merge(workload.client_distributions, workload.config, router)
-    offline = merger.merge(streams)
+    streaming = build_merge(workload.client_distributions, workload.config, router)
+    offline = merge_streams(streams, streaming.model, seed=4)
     assert merge_fingerprint(offline) == outcome.fingerprint()
     assert offline.cycles_broken == 1
     rng = np.random.default_rng(4)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from merge_reference import batch_precedence
+
 from repro.cluster.merge import (
     CertaintyWindows,
-    CrossShardMerger,
+    StreamingMerger,
     _merge_from_matrix,
     merge_fingerprint,
+    merge_streams,
 )
 from repro.core.probability import PrecedenceModel
 from repro.distributions.empirical import EmpiricalDistribution
@@ -34,9 +37,8 @@ def batch(rank, *messages, emitted_at=None):
 
 def test_single_shard_stream_passes_through_unchanged():
     model = model_for(["a"])
-    merger = CrossShardMerger(model)
     stream = [batch(0, make_message("a", 0.0)), batch(1, make_message("a", 10.0))]
-    outcome = merger.merge([stream])
+    outcome = merge_streams([stream], model)
     assert outcome.merged_cross_shard == 0
     assert outcome.cross_pairs_evaluated == 0
     assert outcome.result.batch_count == 2
@@ -45,10 +47,9 @@ def test_single_shard_stream_passes_through_unchanged():
 
 def test_confident_cross_shard_batches_interleave_correctly():
     model = model_for(["a", "b"], sigma=0.5)
-    merger = CrossShardMerger(model, threshold=0.75)
     shard0 = [batch(0, make_message("a", 0.0)), batch(1, make_message("a", 100.0))]
     shard1 = [batch(0, make_message("b", 50.0))]
-    outcome = merger.merge([shard0, shard1])
+    outcome = merge_streams([shard0, shard1], model, threshold=0.75)
     assert outcome.result.batch_count == 3
     timestamps = [b.messages[0].timestamp for b in outcome.result.batches]
     assert timestamps == [0.0, 50.0, 100.0]
@@ -58,10 +59,9 @@ def test_confident_cross_shard_batches_interleave_correctly():
 def test_uncertain_cross_shard_batches_coalesce():
     # timestamps 0 and 0.1 with sigma 10 clocks: far below any confidence
     model = model_for(["a", "b"], sigma=10.0)
-    merger = CrossShardMerger(model, threshold=0.75)
     shard0 = [batch(0, make_message("a", 0.0))]
     shard1 = [batch(0, make_message("b", 0.1))]
-    outcome = merger.merge([shard0, shard1])
+    outcome = merge_streams([shard0, shard1], model, threshold=0.75)
     assert outcome.result.batch_count == 1
     assert outcome.merged_cross_shard == 1
     assert outcome.result.batches[0].size == 2
@@ -71,19 +71,17 @@ def test_same_shard_batches_never_coalesce():
     # the shard separated them; the merger must respect that even when the
     # batch-level probability is far from confident
     model = model_for(["a"], sigma=10.0)
-    merger = CrossShardMerger(model, threshold=0.75)
     stream = [batch(0, make_message("a", 0.0)), batch(1, make_message("a", 0.1))]
-    outcome = merger.merge([stream])
+    outcome = merge_streams([stream], model, threshold=0.75)
     assert outcome.result.batch_count == 2
 
 
 def test_batch_precedence_is_complementary_and_mean_pooled():
     model = model_for(["a", "b"], sigma=1.0)
-    merger = CrossShardMerger(model)
     batch_a = batch(0, make_message("a", 0.0), make_message("a", 1.0))
     batch_b = batch(0, make_message("b", 2.0))
-    forward = merger.batch_precedence(batch_a, batch_b)
-    backward = merger.batch_precedence(batch_b, batch_a)
+    forward = batch_precedence(batch_a, batch_b, model)
+    backward = batch_precedence(batch_b, batch_a, model)
     assert forward == pytest.approx(1.0 - backward)
     expected = (
         model.preceding_probability_for("a", 0.0, "b", 2.0)
@@ -97,10 +95,9 @@ def test_within_shard_order_survives_adversarial_timestamps():
     # third-party b@5 then forms a cycle (a@10 -> a@0 -> b@5 -> a@10) that
     # cycle-breaking must resolve without ever inverting the shard's order
     model = model_for(["a", "b"], sigma=0.5)
-    merger = CrossShardMerger(model, threshold=0.75)
     shard0 = [batch(0, make_message("a", 10.0)), batch(1, make_message("a", 0.0))]
     shard1 = [batch(0, make_message("b", 5.0))]
-    outcome = merger.merge([shard0, shard1])
+    outcome = merge_streams([shard0, shard1], model, threshold=0.75)
     ranks = outcome.result.rank_of()
     key_first = shard0[0].messages[0].key
     key_second = shard0[1].messages[0].key
@@ -109,11 +106,11 @@ def test_within_shard_order_survives_adversarial_timestamps():
 
 
 def test_empty_input_yields_empty_result():
-    merger = CrossShardMerger(model_for([]))
-    outcome = merger.merge([])
+    model = model_for([])
+    outcome = merge_streams([], model)
     assert outcome.result.batch_count == 0
     assert outcome.merged_cross_shard == 0
-    outcome = merger.merge([[], []])
+    outcome = merge_streams([[], []], model)
     assert outcome.result.batch_count == 0
 
 
@@ -122,11 +119,11 @@ def test_merge_is_deterministic():
     shard0 = [batch(0, make_message("a", 0.0)), batch(1, make_message("a", 4.0))]
     shard1 = [batch(0, make_message("b", 1.0)), batch(1, make_message("b", 5.0))]
     shard2 = [batch(0, make_message("c", 2.0))]
-    first = CrossShardMerger(model_for(["a", "b", "c"], sigma=3.0), seed=5).merge(
-        [shard0, shard1, shard2]
+    first = merge_streams(
+        [shard0, shard1, shard2], model_for(["a", "b", "c"], sigma=3.0), seed=5
     )
-    second = CrossShardMerger(model_for(["a", "b", "c"], sigma=3.0), seed=5).merge(
-        [shard0, shard1, shard2]
+    second = merge_streams(
+        [shard0, shard1, shard2], model_for(["a", "b", "c"], sigma=3.0), seed=5
     )
     fingerprint = lambda outcome: [
         (b.rank, tuple(m.key for m in b.messages)) for b in outcome.result.batches
@@ -134,20 +131,21 @@ def test_merge_is_deterministic():
     assert fingerprint(first) == fingerprint(second)
 
 
-def test_repeated_stochastic_merges_on_one_merger_are_equal():
+def test_repeated_stochastic_merges_are_equal():
     # the cycle a@10 -> a@0 -> b@5 -> a@10 with near-even cross-shard edges:
     # the stochastic policy's victim depends on the draw, so a generator that
-    # lived on the merger made the second merge() differ from the first.  The
+    # lived on the merger made the second merge differ from the first.  The
     # generator is seeded per call, exactly like StreamingMerger.result().
     model = model_for(["a", "b"], sigma=4.0)
-    merger = CrossShardMerger(model, cycle_policy="stochastic", seed=0)
+    settings = {"cycle_policy": "stochastic", "seed": 0}
     shard0 = [batch(0, make_message("a", 10.0)), batch(1, make_message("a", 0.0))]
     shard1 = [batch(0, make_message("b", 5.0))]
-    first = merger.merge([shard0, shard1])
+    first = merge_streams([shard0, shard1], model, **settings)
     assert first.cycles_broken >= 1
     for _ in range(3):
-        assert merge_fingerprint(merger.merge([shard0, shard1])) == merge_fingerprint(first)
-    streaming = merger.streaming_merger(num_shards=2)
+        again = merge_streams([shard0, shard1], model, **settings)
+        assert merge_fingerprint(again) == merge_fingerprint(first)
+    streaming = StreamingMerger(model, num_shards=2, **settings)
     for shard, observed in [(1, shard1[0]), (0, shard0[0]), (0, shard0[1])]:
         streaming.observe_batch(shard, observed)
     assert merge_fingerprint(streaming.result()) == merge_fingerprint(first)
@@ -156,9 +154,11 @@ def test_repeated_stochastic_merges_on_one_merger_are_equal():
 
 def test_threshold_validation():
     with pytest.raises(ValueError):
-        CrossShardMerger(model_for(["a"]), threshold=0.4)
+        StreamingMerger(model_for(["a"]), threshold=0.4)
     with pytest.raises(ValueError):
-        CrossShardMerger(model_for(["a"]), threshold=1.0)
+        StreamingMerger(model_for(["a"]), threshold=1.0)
+    with pytest.raises(ValueError):
+        merge_streams([], model_for(["a"]), threshold=0.4)
 
 
 def test_window_pruning_matches_kernel_saturation_exactly():
@@ -166,15 +166,14 @@ def test_window_pruning_matches_kernel_saturation_exactly():
     # window pruning; the kernel itself must saturate to the same floats, so
     # pruning can never change the merged order
     model = model_for(["a", "b"], sigma=0.001)
-    merger = CrossShardMerger(model, threshold=0.75)
     near = batch(0, make_message("a", 0.0))
     far = batch(0, make_message("b", 100.0))
-    windows = merger.certainty_windows
+    windows = CertaintyWindows(model)
     assert windows.radius("a") + windows.radius("b") < 100.0
     # the kernel value for the pruned pair is exactly the pruned constant
-    assert merger.batch_precedence(near, far) == 1.0
-    assert merger.batch_precedence(far, near) == 0.0
-    outcome = merger.merge([[near], [far]])
+    assert batch_precedence(near, far, model) == 1.0
+    assert batch_precedence(far, near, model) == 0.0
+    outcome = merge_streams([[near], [far]], model, threshold=0.75)
     assert outcome.cross_pairs_pruned == 1
     assert outcome.cross_pairs_evaluated == 0
     assert outcome.result.metadata["cross_pairs_pruned"] == 1
@@ -193,11 +192,10 @@ def test_window_pruning_exact_for_empirical_tables():
     model.register_client(
         "b", EmpiricalDistribution.from_samples(rng.normal(0.001, 0.008, 800), bins=64)
     )
-    merger = CrossShardMerger(model, threshold=0.75)
     early = batch(0, make_message("a", 0.0))
     late = batch(0, make_message("b", 10.0))
-    assert merger.batch_precedence(early, late) == 1.0
-    outcome = merger.merge([[early], [late]])
+    assert batch_precedence(early, late, model) == 1.0
+    outcome = merge_streams([[early], [late]], model, threshold=0.75)
     assert outcome.cross_pairs_pruned == 1
     assert [b.messages[0].client_id for b in outcome.result.batches] == ["a", "b"]
 
@@ -218,9 +216,10 @@ def test_infinite_support_disables_pruning():
     model = PrecedenceModel()
     model.register_client("a", Unbounded(0.0, 0.001))
     model.register_client("b", GaussianDistribution(0.0, 0.001))
-    merger = CrossShardMerger(model, threshold=0.75)
-    outcome = merger.merge(
-        [[batch(0, make_message("a", 0.0))], [batch(0, make_message("b", 100.0))]]
+    outcome = merge_streams(
+        [[batch(0, make_message("a", 0.0))], [batch(0, make_message("b", 100.0))]],
+        model,
+        threshold=0.75,
     )
     assert outcome.cross_pairs_pruned == 0
     assert outcome.cross_pairs_evaluated == 1
@@ -231,17 +230,16 @@ def test_three_shard_interleaving_coalesces_with_explicit_certainty():
     # three shards through the coalescing walk: every cross-shard adjacency
     # must find its recorded probability (no silent defaults)
     model = model_for(["a", "b", "c"], sigma=5.0)
-    merger = CrossShardMerger(model, threshold=0.9)
     shard0 = [batch(0, make_message("a", 0.0)), batch(1, make_message("a", 1.0))]
     shard1 = [batch(0, make_message("b", 0.4))]
     shard2 = [batch(0, make_message("c", 0.7))]
-    outcome = merger.merge([shard0, shard1, shard2])
+    outcome = merge_streams([shard0, shard1, shard2], model, threshold=0.9)
     assert outcome.merged_cross_shard >= 2
     total = sum(b.size for b in outcome.result.batches)
     assert total == 4
     # determinism across repeated merges of fresh mergers
-    again = CrossShardMerger(model_for(["a", "b", "c"], sigma=5.0), threshold=0.9).merge(
-        [shard0, shard1, shard2]
+    again = merge_streams(
+        [shard0, shard1, shard2], model_for(["a", "b", "c"], sigma=5.0), threshold=0.9
     )
     assert [tuple(m.key for m in b.messages) for b in outcome.result.batches] == [
         tuple(m.key for m in b.messages) for b in again.result.batches
@@ -268,10 +266,9 @@ def test_missing_cross_shard_probability_is_a_hard_error():
 
 def test_ranks_are_contiguous_and_metadata_populated():
     model = model_for(["a", "b"], sigma=2.0)
-    merger = CrossShardMerger(model, threshold=0.75)
     shard0 = [batch(0, make_message("a", t)) for t in (0.0, 10.0, 20.0)]
     shard1 = [batch(0, make_message("b", t)) for t in (5.0, 15.0)]
-    outcome = merger.merge([shard0, shard1])
+    outcome = merge_streams([shard0, shard1], model, threshold=0.75)
     assert [b.rank for b in outcome.result.batches] == list(range(outcome.result.batch_count))
     meta = outcome.result.metadata
     assert meta["shards"] == 2

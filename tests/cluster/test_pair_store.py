@@ -28,7 +28,7 @@ from test_streaming_merge import (
 )
 
 from repro.cluster import merge as merge_module
-from repro.cluster.merge import CrossShardMerger, merge_fingerprint
+from repro.cluster.merge import StreamingMerger, merge_fingerprint, merge_streams
 from repro.cluster.recipe import build_merge, build_router
 from repro.cluster.tree import MergeTopology
 from repro.core.config import TommyConfig
@@ -87,8 +87,7 @@ def run_with_refreshes(seed, num_shards, tree, mixed, read_every, budget=1 << 18
     }
     entered = left = 0
     with with_budget(budget):
-        merger = CrossShardMerger(model, seed=0)
-        streaming = merger.streaming_merger(num_shards=num_shards, topology=topology)
+        streaming = StreamingMerger(model, seed=0, num_shards=num_shards, topology=topology)
         reference = reference_forward_matrix(streams, model)
         for position, (shard, batch) in enumerate(observations, 1):
             streaming.observe_batch(shard, batch)
@@ -97,7 +96,7 @@ def run_with_refreshes(seed, num_shards, tree, mixed, read_every, budget=1 << 18
             if position in refresh_at:
                 pending = streaming.pending_nodes
                 before = stored_keys(streaming) if not pending else None
-                merger.register_client(refreshed, refresh_at[position])
+                streaming.register_client(refreshed, refresh_at[position])
                 repriced = streaming.refresh_client(refreshed)
                 reference = reference_forward_matrix(streams, model)
                 check_store(streaming, streams, reference)
@@ -107,7 +106,7 @@ def run_with_refreshes(seed, num_shards, tree, mixed, read_every, budget=1 << 18
                     left += len(before - after)
                     assert repriced >= len(after ^ before)
         check_store(streaming, streams, reference)
-        oracle = CrossShardMerger(model, seed=0).merge(streams)
+        oracle = merge_streams(streams, model, seed=0)
         live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     assert (live.cross_pairs_evaluated, live.cross_pairs_pruned) == (
@@ -147,13 +146,12 @@ def test_refresh_of_a_client_in_two_pending_nodes():
     rng = np.random.default_rng(31)
     model, shard_clients = build_model(2, 1, rng)
     streams = build_streams(shard_clients, 3, rng)
-    merger = CrossShardMerger(model, seed=0)
-    streaming = merger.streaming_merger(num_shards=2)
+    streaming = StreamingMerger(model, seed=0, num_shards=2)
     for shard, batch in random_interleaving(streams, rng):
         streaming.observe_batch(shard, batch)
     assert streaming.pending_nodes == 6
     for client, sigma in ((shard_clients[0][0], 0.05), (shard_clients[1][0], 0.0004)):
-        merger.register_client(client, GaussianDistribution(0.0, sigma))
+        streaming.register_client(client, GaussianDistribution(0.0, sigma))
         assert streaming.refresh_client(client) == 9  # 3 nodes x 3 cross-shard partners
         check_store(streaming, streams, reference_forward_matrix(streams, model))
 
@@ -179,7 +177,7 @@ def test_acyclic_merge_holds_no_square():
     n = sum(len(stream) for stream in streams)
     assert n == 2048
     observations = random_interleaving(streams, rng)
-    streaming = CrossShardMerger(model, seed=0).streaming_merger(num_shards=4)
+    streaming = StreamingMerger(model, seed=0, num_shards=4)
     tracemalloc.start()
     try:
         for shard, batch in observations:
@@ -230,7 +228,7 @@ def test_cyclic_merge_hands_break_cycles_the_weight_view():
     assert (n, *counts, outcome.merge.cycles_broken) == (859, 20_861, 255_393, 1)
 
     router = build_router(workload.client_distributions, workload.num_shards, workload.policy)
-    _, _, streaming = build_merge(workload.client_distributions, workload.config, router)
+    streaming = build_merge(workload.client_distributions, workload.config, router)
     for shard, batch in random_interleaving(streams, np.random.default_rng(4)):
         streaming.observe_batch(shard, batch)
     assert streaming.stored_pairs == counts[0]

@@ -124,7 +124,7 @@ def test_register_client_after_construction(loop):
     cluster.register_client("b", GaussianDistribution(0.0, 2.0))
     shard = cluster.router.shard_of("b")
     assert cluster.sequencer_of(shard).model.has_client("b")
-    assert cluster.merger.model.has_client("b")
+    assert cluster.streaming_merger.model.has_client("b")
 
 
 # ----------------------------------------------------------- transport fan-in

@@ -2,7 +2,7 @@
 
 The contract: a :class:`StreamingMerger` observing per-shard batch streams
 in *any* interleaving (respecting each shard's own rank order) produces
-byte-identical output to the offline :meth:`CrossShardMerger.merge` over
+byte-identical output to the offline :func:`~repro.cluster.merge.merge_streams` over
 the same streams — mid-stream and at the end, for Gaussian and grid-backed
 clients, through the cyclic fallback, and across distribution refreshes.
 """
@@ -11,10 +11,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from merge_reference import reference_forward_matrix
+from merge_reference import offline_priced, reference_forward_matrix
 
 from repro.cluster import merge as merge_module
-from repro.cluster.merge import CrossShardMerger
+from repro.cluster.merge import StreamingMerger, merge_streams
 from repro.cluster.sharded import ShardedSequencer
 from repro.cluster.tree import MergeTopology
 from repro.core import engine as engine_module
@@ -112,15 +112,15 @@ def test_streaming_equals_offline_under_random_interleavings(seed, empirical_fra
     model, shard_clients = build_model(num_shards, 2, rng, empirical_fraction)
     streams = build_streams(shard_clients, 5, rng)
 
-    streaming = CrossShardMerger(model, seed=seed).streaming_merger(num_shards=num_shards)
+    streaming = StreamingMerger(model, seed=seed, num_shards=num_shards)
     observations = random_interleaving(streams, rng)
     for position, (shard, batch) in enumerate(observations):
         streaming.observe_batch(shard, batch)
         if position % 4 == 3:  # mid-stream parity, batches in arbitrary shard order
             prefix = observed_prefix(observations, position + 1, num_shards)
-            oracle = CrossShardMerger(model, seed=seed).merge(prefix)
+            oracle = merge_streams(prefix, model, seed=seed)
             assert fingerprint(streaming.result()) == fingerprint(oracle)
-    oracle = CrossShardMerger(model, seed=seed).merge(streams)
+    oracle = merge_streams(streams, model, seed=seed)
     live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     assert live.result.metadata["shards"] == oracle.result.metadata["shards"]
@@ -138,9 +138,9 @@ def test_streaming_matrix_is_bitwise_identical_to_offline_kernel(empirical_fract
     model, shard_clients = build_model(num_shards, 2, rng, empirical_fraction)
     streams = build_streams(shard_clients, 4, rng)
     reference = reference_forward_matrix(streams, model)
-    offline = CrossShardMerger(model, seed=0)._priced(streams)
+    offline = offline_priced(streams, model, seed=0)
     assert np.array_equal(offline.forward_matrix(), reference, equal_nan=True)
-    streaming = CrossShardMerger(model, seed=0).streaming_merger(num_shards=num_shards)
+    streaming = StreamingMerger(model, seed=0, num_shards=num_shards)
     for shard, batch in random_interleaving(streams, rng):
         streaming.observe_batch(shard, batch)
     assert np.array_equal(streaming.forward_matrix(), reference, equal_nan=True)
@@ -158,9 +158,9 @@ def test_streaming_parity_through_the_cyclic_fallback():
     ]
     shard1 = [SequencedBatch(rank=0, messages=(TimestampedMessage(client_id="b", timestamp=5.0),))]
     streams = [shard0, shard1]
-    oracle = CrossShardMerger(model, seed=7).merge(streams)
+    oracle = merge_streams(streams, model, seed=7)
     assert oracle.cycles_broken >= 1
-    streaming = CrossShardMerger(model, seed=7).streaming_merger(num_shards=2)
+    streaming = StreamingMerger(model, seed=7, num_shards=2)
     for shard, batch in [(1, shard1[0]), (0, shard0[0]), (0, shard0[1])]:
         streaming.observe_batch(shard, batch)
     assert fingerprint(streaming.result()) == fingerprint(oracle)
@@ -177,7 +177,7 @@ def test_merge_invariant_under_shard_index_permutation(seed):
     streams = build_streams(shard_clients, 4, rng, gap=0.2, spread=0.1)
 
     def merged_keys(shard_streams):
-        outcome = CrossShardMerger(model, seed=0).merge(shard_streams)
+        outcome = merge_streams(shard_streams, model, seed=0)
         return [tuple(m.key for m in batch.messages) for batch in outcome.result.batches]
 
     baseline_keys = merged_keys(streams)
@@ -190,7 +190,7 @@ def test_streaming_refresh_client_reprices_pairs():
     rng = np.random.default_rng(5)
     model, shard_clients = build_model(2, 1, rng)
     streams = build_streams(shard_clients, 3, rng)
-    streaming = CrossShardMerger(model, seed=0).streaming_merger(num_shards=2)
+    streaming = StreamingMerger(model, seed=0, num_shards=2)
     for shard, batch in random_interleaving(streams, rng):
         streaming.observe_batch(shard, batch)
     # refresh one client mid-stream: a much wider clock error makes formerly
@@ -199,7 +199,7 @@ def test_streaming_refresh_client_reprices_pairs():
     model.register_client(refreshed, GaussianDistribution(0.0, 5.0))
     repriced = streaming.refresh_client(refreshed)
     assert repriced > 0
-    oracle = CrossShardMerger(model, seed=0).merge(streams)
+    oracle = merge_streams(streams, model, seed=0)
     live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     # repricing replaces a pair's evaluated/pruned classification instead of
@@ -216,8 +216,7 @@ def test_closed_form_parameters_are_read_once_per_client_until_a_refresh():
     rng = np.random.default_rng(6)
     model, shard_clients = build_model(2, 2, rng)
     streams = build_streams(shard_clients, 6, rng)
-    merger = CrossShardMerger(model, seed=0)
-    streaming = merger.streaming_merger(num_shards=2)
+    streaming = StreamingMerger(model, seed=0, num_shards=2)
     observations = random_interleaving(streams, rng)
     with mock.patch.object(
         engine_module, "_gaussian_params", wraps=engine_module._gaussian_params
@@ -230,7 +229,7 @@ def test_closed_form_parameters_are_read_once_per_client_until_a_refresh():
     # a registration through the merger reaches the rows observed after it
     refreshed = messages[0].client_id
     wider = GaussianDistribution(0.0, 5.0)
-    merger.register_client(refreshed, wider)
+    streaming.register_client(refreshed, wider)
     for shard, batch in observations[6:]:
         streaming.observe_batch(shard, batch)
     assert streaming._client_params[refreshed] == (wider.mean, wider.variance)
@@ -239,7 +238,7 @@ def test_closed_form_parameters_are_read_once_per_client_until_a_refresh():
     model.register_client(refreshed, narrower)
     streaming.refresh_client(refreshed)
     assert streaming._client_params[refreshed] == (narrower.mean, narrower.variance)
-    oracle = CrossShardMerger(model, seed=0).merge(streams)
+    oracle = merge_streams(streams, model, seed=0)
     assert fingerprint(streaming.result()) == fingerprint(oracle)
 
 
@@ -279,19 +278,19 @@ def test_refresh_pruning_is_bitwise_identical_to_full_repricing(seed):
     model, shard_clients = build_model(3, 2, np.random.default_rng(seed))
     # time-localised long streams: most history prunes against a refresh
     streams = build_streams(shard_clients, 24, np.random.default_rng(seed + 100), gap=0.05)
-    streaming = CrossShardMerger(model, seed=seed).streaming_merger(num_shards=3)
+    streaming = StreamingMerger(model, seed=seed, num_shards=3)
     for shard, batch in random_interleaving(streams, np.random.default_rng(seed + 200)):
         streaming.observe_batch(shard, batch)
     refreshed = "s0-c0"
     model.register_client(refreshed, GaussianDistribution(0.001, 0.005))
     repriced = streaming.refresh_client(refreshed)
 
-    full = CrossShardMerger(model, seed=seed)._priced(streams)
+    full = offline_priced(streams, model, seed=seed)
     assert np.array_equal(streaming.forward_matrix(), full.forward_matrix(), equal_nan=True)
     assert np.array_equal(
         streaming.forward_matrix(), reference_forward_matrix(streams, model), equal_nan=True
     )
-    oracle = CrossShardMerger(model, seed=seed).merge(streams)
+    oracle = merge_streams(streams, model, seed=seed)
     live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     assert live.cross_pairs_evaluated == oracle.cross_pairs_evaluated
@@ -359,12 +358,11 @@ def refreshed_merger_run(before, after, tree, budget):
     assert any(refreshed in batch.clients for _, batch in observations[:half])
     assert any(refreshed in batch.clients for _, batch in observations[half:])
     with with_budget(budget):
-        merger = CrossShardMerger(model, seed=0)
-        streaming = merger.streaming_merger(num_shards=num_shards, topology=topology)
+        streaming = StreamingMerger(model, seed=0, num_shards=num_shards, topology=topology)
         for shard, batch in observations[:half]:
             streaming.observe_batch(shard, batch)
         pending = streaming.pending_nodes
-        merger.register_client(refreshed, refresh_distribution(after, -0.002, 0.008, rng))
+        streaming.register_client(refreshed, refresh_distribution(after, -0.002, 0.008, rng))
         repriced = streaming.refresh_client(refreshed)
         for shard, batch in observations[half:]:
             streaming.observe_batch(shard, batch)
@@ -414,7 +412,8 @@ def refreshed_cluster_run(before, after, tree, budget):
             loop.schedule_at(t, cluster.receive, message)
         pending = {}
         repriced = []
-        register = cluster.merger.model.register_client
+        model = cluster.streaming_merger.model
+        register = model.register_client
         refresh_client = streaming.refresh_client
 
         def recording_register(client_id, distribution):
@@ -432,7 +431,7 @@ def refreshed_cluster_run(before, after, tree, budget):
             )
 
         with (
-            mock.patch.object(cluster.merger.model, "register_client", recording_register),
+            mock.patch.object(model, "register_client", recording_register),
             mock.patch.object(streaming, "refresh_client", recording_refresh),
         ):
             loop.schedule_at(t / 2, refresh)
@@ -446,7 +445,7 @@ def refreshed_cluster_run(before, after, tree, budget):
     assert any(refreshed in batch.clients for stream in streams for batch in stream)
     return {
         "streams": streams,
-        "model": cluster.merger.model,
+        "model": model,
         "streaming": streaming,
         "matrix": matrix,
         "pending": pending["before the refresh"],
@@ -478,7 +477,7 @@ def test_observations_after_a_midstream_refresh_use_the_refreshed_model(before, 
         blocks["matrix"], reference_forward_matrix(streams, model), equal_nan=True
     )
     assert np.array_equal(blocks["matrix"], per_batch["matrix"], equal_nan=True)
-    oracle = CrossShardMerger(model, seed=0).merge(streams)
+    oracle = merge_streams(streams, model, seed=0)
     live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     assert live.cross_pairs_evaluated == oracle.cross_pairs_evaluated
@@ -502,7 +501,7 @@ def test_refresh_pruning_tracks_window_status_flips():
     rng = np.random.default_rng(2)
     model, shard_clients = build_model(2, 1, rng)
     streams = build_streams(shard_clients, 6, rng, gap=1.0, spread=0.1)  # far apart: all pruned
-    streaming = CrossShardMerger(model, seed=2).streaming_merger(num_shards=2)
+    streaming = StreamingMerger(model, seed=2, num_shards=2)
     for shard, batch in random_interleaving(streams, rng):
         streaming.observe_batch(shard, batch)
     assert streaming.cross_pairs_pruned > 0
@@ -512,6 +511,6 @@ def test_refresh_pruning_tracks_window_status_flips():
     repriced = streaming.refresh_client("s0-c0")
     assert repriced > 0
     assert streaming.cross_pairs_pruned < before_pruned
-    oracle = CrossShardMerger(model, seed=2).merge(streams)
+    oracle = merge_streams(streams, model, seed=2)
     assert fingerprint(streaming.result()) == fingerprint(oracle)
     assert streaming.result().cross_pairs_pruned == oracle.cross_pairs_pruned

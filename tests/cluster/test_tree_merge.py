@@ -1,7 +1,7 @@
 """Merge tree tests: topology shapes, attribution and bitwise parity.
 
 The contract: a tree-mode :class:`StreamingMerger` produces byte-identical
-output to the offline :meth:`CrossShardMerger.merge` over the same streams —
+output to the offline :func:`~repro.cluster.merge.merge_streams` over the same streams —
 for any topology kind, any fanout, any kernel element budget, any
 observation interleaving, across distribution refreshes, and through
 mid-run shard crash + rejoin.  The only thing a topology adds is *where*
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from merge_reference import reference_forward_matrix
+from merge_reference import offline_priced, reference_forward_matrix
 
-from repro.cluster.merge import CrossShardMerger
+from repro.cluster.merge import CertaintyWindows, StreamingMerger, merge_streams
 from repro.cluster.router import RegionAffineSharding
 from repro.cluster.sharded import ShardedSequencer
 from repro.cluster.tree import MergeTopology
@@ -213,14 +213,14 @@ def test_build_rejects_unknown_kind_and_bad_sizes():
 # ----------------------------------------------------- attribution and parity
 
 
-def window_attribution(merger, streams, topology):
+def window_attribution(model, streams, topology):
     """Per-node (pruned, kernel) pair counts, computed without the merger.
 
     The window comparison is spelled out pair by pair here on purpose: it
     is the independent statement of what the production rule and the
     topology's ``attribute`` must add up to.
     """
-    windows = merger.certainty_windows
+    windows = CertaintyWindows(model)
     nodes = [
         (shard, *windows.batch_window(batch))
         for shard, stream in enumerate(streams)
@@ -236,8 +236,8 @@ def window_attribution(merger, streams, topology):
     return pruned, kernel
 
 
-def observe_all(merger, streams, topology, rng):
-    streaming = merger.streaming_merger(topology=topology)
+def observe_all(model, streams, topology, rng):
+    streaming = StreamingMerger(model, seed=0, topology=topology)
     for shard, batch in random_interleaving(streams, rng):
         streaming.observe_batch(shard, batch)
     return streaming
@@ -256,19 +256,18 @@ def test_tree_merge_is_bitwise_identical_to_flat_merge(kind, fanout, empirical_f
     num_shards = 6
     model, shard_clients = build_model(num_shards, 2, rng, empirical_fraction)
     streams = build_streams(shard_clients, 5, rng)
-    flat = CrossShardMerger(model, seed=0).merge(streams)
+    flat = merge_streams(streams, model, seed=0)
     topology = topology_for(kind, num_shards, fanout)
-    merger = CrossShardMerger(model, seed=0)
-    tree = observe_all(merger, streams, topology, rng).result()
+    tree = observe_all(model, streams, topology, rng).result()
     assert fingerprint(tree) == fingerprint(flat)
     assert tree.cross_pairs_evaluated == flat.cross_pairs_evaluated
     assert tree.cross_pairs_pruned == flat.cross_pairs_pruned
     assert tree.merged_cross_shard == flat.merged_cross_shard
     assert tree.cycles_broken == flat.cycles_broken
-    report = observe_all(merger, streams, topology, rng).node_report()
+    report = observe_all(model, streams, topology, rng).node_report()
     assert sum(row["pruned_pairs"] for row in report) == flat.cross_pairs_pruned
     assert sum(row["kernel_pairs"] for row in report) == flat.cross_pairs_evaluated
-    pruned, kernel = window_attribution(merger, streams, topology)
+    pruned, kernel = window_attribution(model, streams, topology)
     assert {row["node"]: row["pruned_pairs"] for row in report} == pruned
     assert {row["node"]: row["kernel_pairs"] for row in report} == kernel
 
@@ -290,11 +289,9 @@ def test_attribute_counts_pairs_at_their_lowest_common_ancestor():
 
 def assert_matrices_match_reference(model, streams, num_shards, rng):
     reference = reference_forward_matrix(streams, model)
-    offline = CrossShardMerger(model, seed=0)._priced(streams)
+    offline = offline_priced(streams, model, seed=0)
     assert np.array_equal(offline.forward_matrix(), reference, equal_nan=True)
-    streaming = observe_all(
-        CrossShardMerger(model, seed=0), streams, MergeTopology.balanced(num_shards, 2), rng
-    )
+    streaming = observe_all(model, streams, MergeTopology.balanced(num_shards, 2), rng)
     assert np.array_equal(streaming.forward_matrix(), reference, equal_nan=True)
     assert streaming.cross_pairs_evaluated == offline.cross_pairs_evaluated
     assert streaming.cross_pairs_pruned == offline.cross_pairs_pruned
@@ -349,11 +346,11 @@ def test_empty_and_missing_streams_merge_cleanly():
     topology = MergeTopology.balanced(4, 2)
     # one shard silent and the trailing shard never heard from: the tree-mode
     # merger pre-creates every leaf's stream, like a padded offline merge
-    tree = observe_all(CrossShardMerger(model, seed=0), streams[:3], topology, rng).result()
-    flat = CrossShardMerger(model, seed=0).merge(streams[:3] + [[]])
+    tree = observe_all(model, streams[:3], topology, rng).result()
+    flat = merge_streams(streams[:3] + [[]], model, seed=0)
     assert fingerprint(tree) == fingerprint(flat)
     assert tree.result.metadata["shards"] == flat.result.metadata["shards"] == 4
-    assert fingerprint(CrossShardMerger(model, seed=0).merge([[], [], [], []])) == []
+    assert fingerprint(merge_streams([[], [], [], []], model, seed=0)) == []
 
 
 def staggered_grid_streams(num_shards, batches_per_shard, rng, gap=0.02):
@@ -404,11 +401,11 @@ def test_wide_cluster_offline_flat_and_tree_replays_price_alike(
         ((shard, batch) for shard, stream in enumerate(streams) for batch in stream),
         key=lambda entry: (entry[1].emitted_at, entry[0]),
     )
-    offline = CrossShardMerger(model, seed=13).merge(streams)
+    offline = merge_streams(streams, model, seed=13)
     replays = []
     for replay_topology in (None, topology):
-        streaming = CrossShardMerger(model, seed=13).streaming_merger(
-            num_shards=num_shards, topology=replay_topology
+        streaming = StreamingMerger(
+            model, seed=13, num_shards=num_shards, topology=replay_topology
         )
         for shard, batch in emissions:
             streaming.observe_batch(shard, batch)
@@ -432,7 +429,7 @@ def test_wide_cluster_offline_flat_and_tree_replays_price_alike(
     )
     assert pruned_pairs > kernel_pairs
     report = replays[1].node_report()
-    pruned, kernel = window_attribution(CrossShardMerger(model), streams, topology)
+    pruned, kernel = window_attribution(model, streams, topology)
     assert {row["node"]: row["pruned_pairs"] for row in report} == pruned
     assert {row["node"]: row["kernel_pairs"] for row in report} == kernel
 
@@ -448,15 +445,15 @@ def test_streaming_tree_equals_offline_flat_under_random_interleavings(seed, kin
     model, shard_clients = build_model(num_shards, 2, rng, empirical_fraction=0.5)
     streams = build_streams(shard_clients, 4, rng)
     topology = topology_for(kind, num_shards, fanout)
-    streaming = CrossShardMerger(model, seed=seed).streaming_merger(topology=topology)
+    streaming = StreamingMerger(model, seed=seed, topology=topology)
     observations = random_interleaving(streams, rng)
     for position, (shard, batch) in enumerate(observations):
         streaming.observe_batch(shard, batch)
         if position % 5 == 4:  # mid-stream parity, batches in arbitrary shard order
             prefix = observed_prefix(observations, position + 1, num_shards)
-            oracle = CrossShardMerger(model, seed=seed).merge(prefix)
+            oracle = merge_streams(prefix, model, seed=seed)
             assert fingerprint(streaming.result()) == fingerprint(oracle)
-    oracle = CrossShardMerger(model, seed=seed).merge(streams)
+    oracle = merge_streams(streams, model, seed=seed)
     live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     assert live.cross_pairs_evaluated == oracle.cross_pairs_evaluated
@@ -475,14 +472,14 @@ def test_streaming_tree_refresh_client_reprices_pairs():
     model, shard_clients = build_model(num_shards, 1, rng)
     streams = build_streams(shard_clients, 3, rng)
     topology = MergeTopology.balanced(num_shards, 2)
-    streaming = CrossShardMerger(model, seed=0).streaming_merger(topology=topology)
+    streaming = StreamingMerger(model, seed=0, topology=topology)
     for shard, batch in random_interleaving(streams, rng):
         streaming.observe_batch(shard, batch)
     refreshed = "s0-c0"
     model.register_client(refreshed, GaussianDistribution(0.0, 5.0))
     repriced = streaming.refresh_client(refreshed)
     assert repriced > 0
-    oracle = CrossShardMerger(model, seed=0).merge(streams)
+    oracle = merge_streams(streams, model, seed=0)
     live = streaming.result()
     assert fingerprint(live) == fingerprint(oracle)
     assert live.cross_pairs_pruned == oracle.cross_pairs_pruned
@@ -497,10 +494,9 @@ def test_streaming_tree_refresh_client_reprices_pairs():
 def test_streaming_merger_rejects_topology_shard_mismatch():
     model = PrecedenceModel()
     model.register_client("a", GaussianDistribution(0.0, 0.01))
-    merger = CrossShardMerger(model, seed=0)
     with pytest.raises(ValueError, match="topology"):
-        merger.streaming_merger(num_shards=3, topology=MergeTopology.balanced(2, 2))
-    streaming = merger.streaming_merger(topology=MergeTopology.balanced(2, 2))
+        StreamingMerger(model, seed=0, num_shards=3, topology=MergeTopology.balanced(2, 2))
+    streaming = StreamingMerger(model, seed=0, topology=MergeTopology.balanced(2, 2))
     extra = SequencedBatch(rank=0, messages=(TimestampedMessage(client_id="a", timestamp=0.0),))
     with pytest.raises(ValueError, match="outside the 2-leaf topology"):
         streaming.observe_batch(2, extra)

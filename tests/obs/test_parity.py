@@ -14,7 +14,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.merge import CrossShardMerger, merge_fingerprint
+from repro.cluster.merge import merge_fingerprint, merge_streams
 from repro.core.config import TommyConfig
 from repro.core.probability import PrecedenceModel
 from repro.distributions.parametric import GaussianDistribution
@@ -81,7 +81,7 @@ def test_merge_cycle_event_names_the_refused_precedence():
         [SequencedBatch(0, (TimestampedMessage(client_id="b", timestamp=5.0),), emitted_at=3.0)],
     ]
     telemetry = Telemetry()
-    traced = CrossShardMerger(model, telemetry=telemetry).merge(streams)
+    traced = merge_streams(streams, model, telemetry=telemetry)
     assert traced.cycles_broken == 1
     [event] = [record for record in telemetry.event_records if record.kind == "merge_cycle"]
     assert (event.name, event.shard, event.sim_time) == ("greedy", 0, 3.0)
@@ -94,9 +94,9 @@ def test_merge_cycle_event_names_the_refused_precedence():
     }
     assert telemetry.registry.counter("merge.cycle_edges_removed").value == 1
     rerun = Telemetry()
-    CrossShardMerger(model, telemetry=rerun).merge(streams)
+    merge_streams(streams, model, telemetry=rerun)
     assert rerun.sim_fingerprint() == telemetry.sim_fingerprint()
-    bare = CrossShardMerger(model).merge(streams)
+    bare = merge_streams(streams, model)
     assert merge_fingerprint(bare) == merge_fingerprint(traced)
 
 

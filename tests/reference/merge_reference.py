@@ -9,13 +9,47 @@ pruned entry must be the float the kernel would have saturated to).
 
 ``reference_flush`` is the block flush as it was before it enumerated only
 the band's window: every pending row against every observed node as full
-``window_rule`` masks.
+``window_rule`` masks.  ``batch_precedence`` is one batch pair's mean over
+the engine's matrix, and ``offline_priced`` hands back the merger that
+``merge_streams`` priced.
 """
+
+from unittest import mock
 
 import numpy as np
 
-from repro.cluster.merge import window_rule
+from repro.cluster.merge import StreamingMerger, merge_streams, window_rule
 from repro.core.engine import cross_probability_matrix
+
+
+def batch_precedence(batch_a, batch_b, model, tables=None):
+    """``P(batch_a before batch_b)`` at batch granularity.
+
+    The mean over message cross pairs of the pairwise preceding probability:
+    the mean (rather than min or max) keeps the batch-level relation
+    complementary, which the tournament construction requires.  ``tables``
+    is a :class:`~repro.core.engine.PairTableCache` to read through, such as
+    a merger's own.
+    """
+    matrix = cross_probability_matrix(batch_a.messages, batch_b.messages, model, tables=tables)
+    if matrix.size == 0:
+        return 0.5
+    return float(matrix.mean())
+
+
+def offline_priced(streams, model, **settings):
+    """The :class:`StreamingMerger` that ``merge_streams(streams, model,
+    **settings)`` priced and linearised, taken from its ``_linearise`` call."""
+    mergers = []
+    linearise = StreamingMerger._linearise
+
+    def capture(self, start):
+        mergers.append(self)
+        return linearise(self, start)
+
+    with mock.patch.object(StreamingMerger, "_linearise", capture):
+        merge_streams(streams, model, **settings)
+    return mergers[0]
 
 
 def reference_forward_matrix(streams, model):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.merge import merge_fingerprint
+from repro.cluster.merge import merge_fingerprint, merge_streams
 from repro.cluster.recipe import build_merge
 from repro.core.config import TommyConfig
 from repro.obs.telemetry import Telemetry
@@ -90,12 +90,13 @@ def test_tree_topology_parity_across_backends():
 
 def test_procs_matches_offline_oracle_merge():
     """The streamed coordinator merge equals an offline re-merge of the
-    collected per-shard streams through the one cluster recipe's merger."""
+    collected per-shard streams on the one cluster recipe's merge model."""
     workload = _workload(num_shards=2, num_clients=6, messages_per_client=3)
     with ProcBackend() as backend:
         procs = backend.run(workload)
-    merger = build_merge(workload.client_distributions, workload.config, workload.build_router())[0]
-    offline = merger.merge(procs.shard_batches)
+    router = workload.build_router()
+    model = build_merge(workload.client_distributions, workload.config, router).model
+    offline = merge_streams(procs.shard_batches, model, seed=13)
     assert merge_fingerprint(offline) == procs.fingerprint()
 
 

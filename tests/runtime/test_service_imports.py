@@ -64,7 +64,7 @@ import numpy as np
 
 import repro.edge.server
 import repro.runtime.live
-from repro.cluster.merge import CrossShardMerger
+from repro.cluster.merge import StreamingMerger
 from repro.core.config import TommyConfig
 from repro.core.engine import PairTableCache
 from repro.core.probability import PrecedenceModel
@@ -95,7 +95,7 @@ for dist in families.values():
 model = PrecedenceModel()
 for client in ("a", "b"):
     model.register_client(client, GaussianDistribution(0.0, 0.5))
-streaming = CrossShardMerger(model).streaming_merger(num_shards=2)
+streaming = StreamingMerger(model, num_shards=2)
 for shard, client, timestamp in ((0, "a", 10.0), (0, "a", 0.0), (1, "b", 5.0)):
     message = TimestampedMessage(client_id=client, timestamp=timestamp)
     rank = streaming.observation_cursor(shard)

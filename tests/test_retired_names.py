@@ -110,6 +110,28 @@ RETIRED = {
         "simulation trace recorder, Bernoulli channel loss, registry-wide histogram "
         "capacity or dedupe metric prefix in src/ (chaos loss runs through the fault hook)",
     ),
+    "one-merger": (
+        r"weakref|_settle|batch_precedence|_priced\b",
+        ("src/repro/cluster/merge.py",),
+        "one merger: StreamingMerger owns the model, tables, windows and counters, so no "
+        "second owner keeps it consistent with a weak set and a settle callback, and the "
+        "per-batch-pair price is the oracle tests/reference/merge_reference.py",
+    ),
+    "one-merger-callers": (
+        r"CrossShardMerger|\.merger\b",
+        (
+            "src/repro/__init__.py",
+            "src/repro/cluster/__init__.py",
+            "src/repro/cluster/recipe.py",
+            "src/repro/cluster/sharded.py",
+            "src/repro/runtime",
+            "src/repro/experiments",
+            "src/repro/workloads",
+        ),
+        "one merger: the cluster, runtimes, sweeps and exports hold one StreamingMerger and "
+        "merge offline with merge_streams; the CrossShardMerger factory is left only for "
+        "bench/",
+    ),
 }
 
 
@@ -148,6 +170,12 @@ PUT_BACK = [
     ("every-option-has-a-caller", "chan = Channel(loop, name, delay, rng, f, drop_probability=0)"),
     ("every-option-has-a-caller", "registry = MetricsRegistry(histogram_capacity=4096)"),
     ("every-option-has-a-caller", 'gate = IntakeDedupeGate(metric_prefix="live")'),
+    ("one-merger", "import weakref"),
+    ("one-merger", "self._settle()"),
+    ("one-merger", "def batch_precedence(self, batch_a, batch_b):"),
+    ("one-merger", "priced = self._priced(shard_batches)"),
+    ("one-merger-callers", "from repro.cluster.merge import CrossShardMerger"),
+    ("one-merger-callers", "model = cluster.merger.model"),
 ]
 
 

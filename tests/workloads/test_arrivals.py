@@ -63,6 +63,18 @@ def test_poisson_invalid_parameters():
         PoissonArrivals(rate_per_client=1.0, horizon=0.0)
 
 
+@pytest.mark.parametrize(
+    "rate, horizon",
+    [(1.0, float("nan")), (1.0, float("inf")), (float("inf"), 1.0), (float("nan"), 1.0)],
+    ids=["nan-horizon", "inf-horizon", "inf-rate", "nan-rate"],
+)
+def test_poisson_rejects_non_finite_parameters(rate, horizon):
+    # each of these used to make generate() loop forever: 1/inf draws 0.0
+    # steps, and ``current > nan`` / ``current > inf`` is never true
+    with pytest.raises(ValueError):
+        PoissonArrivals(rate_per_client=rate, horizon=horizon)
+
+
 def test_burst_every_client_reacts_after_the_event(rng):
     arrivals = BurstArrivals(event_time=5.0, reaction_median=0.001, reaction_sigma=0.3)
     times = arrivals.generate([f"c{k}" for k in range(20)], rng)
